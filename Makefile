@@ -13,7 +13,7 @@ BENCH_NS_TOLERANCE ?= 25
 # the wall gate: at -benchtime=1x they are a single timer sample.
 BENCH_NS_FLOOR ?= 1000000
 
-.PHONY: all build test vet race bench bench-smoke bench-diff fuzz cover trace-roundtrip kill-resume crypto-matrix shard-matrix check ci
+.PHONY: all build test vet race bench bench-smoke bench-diff fuzz cover trace-roundtrip kill-resume check ci
 
 all: check
 
@@ -74,7 +74,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParamsValidate -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzParseCheckpoint -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzBatchVerify -fuzztime=$(FUZZTIME) ./internal/g2gcrypto
-	$(GO) test -run='^$$' -fuzz=FuzzShardPlan -fuzztime=$(FUZZTIME) ./internal/kclique
 
 # Coverage with a per-package floor (COVER_FLOOR percent) over the library
 # packages. The profile lands in cover.out for `go tool cover -html`.
@@ -126,51 +125,14 @@ kill-resume:
 	if [ $$status -ne 0 ]; then exit $$status; fi; \
 	echo "kill-resume: audit digest identical across kill/resume"
 
-# Intra-run parallelism gate run against the real CLI: the same audited
-# preset run at -crypto-workers 1 (sequential) and 0 (all CPUs) must print
-# byte-identical audit digests (the determinism contract; see DESIGN.md
-# "Intra-run concurrency").
-crypto-matrix:
-	@dir=$$(mktemp -d); status=1; \
-	$(GO) build -o $$dir/g2gsim ./cmd/g2gsim && \
-	$$dir/g2gsim -preset infocom05 -protocol g2g-epidemic -ttl 10m -interval 60s -deviants 8 -audit -seed 7 -crypto-workers 1 >$$dir/seq.out 2>&1 && \
-	$$dir/g2gsim -preset infocom05 -protocol g2g-epidemic -ttl 10m -interval 60s -deviants 8 -audit -seed 7 -crypto-workers 0 >$$dir/par.out 2>&1 && \
-	grep digest= $$dir/seq.out >$$dir/seq.digest && \
-	grep digest= $$dir/par.out >$$dir/par.digest && \
-	cmp $$dir/seq.digest $$dir/par.digest; \
-	status=$$?; \
-	if [ $$status -ne 0 ]; then echo "crypto-matrix: FAILED"; cat $$dir/seq.out $$dir/par.out 2>/dev/null; fi; \
-	rm -rf $$dir; \
-	if [ $$status -ne 0 ]; then exit $$status; fi; \
-	echo "crypto-matrix: audit digest identical at 1 and NumCPU crypto workers"
-
-# Sharded-execution gate run against the real CLI: the same audited preset
-# run at -shards 1 (sequential) and 0 (all CPUs) must print byte-identical
-# audit digests (the determinism contract; see DESIGN.md "Sharded
-# execution").
-shard-matrix:
-	@dir=$$(mktemp -d); status=1; \
-	$(GO) build -o $$dir/g2gsim ./cmd/g2gsim && \
-	$$dir/g2gsim -preset infocom05 -protocol g2g-epidemic -ttl 10m -interval 60s -deviants 8 -audit -seed 7 -shards 1 >$$dir/seq.out 2>&1 && \
-	$$dir/g2gsim -preset infocom05 -protocol g2g-epidemic -ttl 10m -interval 60s -deviants 8 -audit -seed 7 -shards 0 >$$dir/par.out 2>&1 && \
-	grep digest= $$dir/seq.out >$$dir/seq.digest && \
-	grep digest= $$dir/par.out >$$dir/par.digest && \
-	cmp $$dir/seq.digest $$dir/par.digest; \
-	status=$$?; \
-	if [ $$status -ne 0 ]; then echo "shard-matrix: FAILED"; cat $$dir/seq.out $$dir/par.out 2>/dev/null; fi; \
-	rm -rf $$dir; \
-	if [ $$status -ne 0 ]; then exit $$status; fi; \
-	echo "shard-matrix: audit digest identical at 1 and NumCPU warm-up shards"
-
 check: build vet test race
 
 # ci is the documented verification entry point: build, vet, the coverage
 # floor, the race pass, the benchmark smoke pass, the trace-format round-trip
-# gate, the kill/resume crash-safety gate, the crypto-worker and warm-up
-# shard determinism matrices, a quick-mode experiment smoke run through the
-# parallel scheduler, and a fully audited honest run on each preset (the
-# auditor fails the command on any invariant violation).
-ci: build vet cover race bench-smoke trace-roundtrip kill-resume crypto-matrix shard-matrix
+# gate, the kill/resume crash-safety gate, a quick-mode experiment smoke run
+# through the parallel scheduler, and a fully audited honest run on each
+# preset (the auditor fails the command on any invariant violation).
+ci: build vet cover race bench-smoke trace-roundtrip kill-resume
 	$(GO) run ./cmd/g2gexp -experiment secV -quick -jobs 0 >/dev/null
 	$(GO) run ./cmd/g2gsim -preset infocom05 -protocol g2g-epidemic -ttl 10m -interval 60s -audit >/dev/null
 	$(GO) run ./cmd/g2gsim -preset cambridge06 -protocol g2g-delegation-frequency -ttl 10m -interval 60s -audit >/dev/null

@@ -148,8 +148,8 @@ func reportSpanMetrics(b *testing.B, reg *Metrics) {
 // live telemetry registry attached to every run: the span profiler's
 // enabled-path overhead benchmark. Compare its ns/op against
 // BenchmarkFig7DetectionTime in the same report — the gap is what per-phase
-// profiling costs on a real experiment (the budget is under 5%). Its span
-// metrics feed the per-phase ns gate in bench-diff.
+// profiling costs on a real experiment. Its span metrics feed the per-phase
+// ns gate in bench-diff.
 func BenchmarkFig7DetectionTimeTelemetry(b *testing.B) {
 	reg := NewMetrics()
 	opts := benchOpts()
@@ -180,26 +180,9 @@ func BenchmarkTable1G2GDelegationTelemetry(b *testing.B) {
 	reportSpanMetrics(b, reg)
 }
 
-// BenchmarkFig7Sharded is BenchmarkFig7DetectionTime with every run's
-// warm-up sharded across all CPUs: the intra-run parallelism counterpart of
-// the -jobs sweep benchmarks. Output (and digest) is identical to the
-// sequential bench; the wall-time gap against BenchmarkFig7DetectionTime is
-// what sharding buys on a paper-scale experiment.
-func BenchmarkFig7Sharded(b *testing.B) {
-	opts := benchOpts()
-	opts.Shards = runtime.NumCPU()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run("fig7", opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(opts.Shards), "shards")
-}
-
-// The large-trace benchmarks run one 100,000-node out-of-core simulation —
-// the workload class sharding exists for: a long warm-up streamed from a
-// sorted binary .g2gt, a short window, community structure the shard planner
-// can exploit. The trace is generated once per benchmark process.
+// BenchmarkLargeTrace runs one 100,000-node out-of-core simulation: a long
+// warm-up streamed from a sorted binary .g2gt and a short window. The trace
+// is generated once per benchmark process.
 var (
 	largeTraceOnce sync.Once
 	largeTracePath string
@@ -246,11 +229,9 @@ func largeTraceFile(b *testing.B) string {
 	return largeTracePath
 }
 
-// benchLargeTrace runs the 100k-node simulation at one shard count. The
-// window sits at hour 13 of 14, so the run is warm-up-dominated — the phase
-// sharding parallelizes. Results are byte-identical at every shard count
-// (TestShardedDigestIdentical); only the wall time may differ.
-func benchLargeTrace(b *testing.B, shards int) {
+// BenchmarkLargeTrace's window sits at hour 13 of 14, so the run is
+// dominated by the warm-up's contact replay.
+func BenchmarkLargeTrace(b *testing.B) {
 	tr, err := OpenTrace(largeTraceFile(b))
 	if err != nil {
 		b.Fatal(err)
@@ -262,7 +243,6 @@ func benchLargeTrace(b *testing.B, shards int) {
 		Seed:            1,
 		WindowStart:     13 * time.Hour,
 		MessageInterval: 5 * time.Minute,
-		Shards:          shards,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -271,20 +251,10 @@ func benchLargeTrace(b *testing.B, shards int) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(float64(shards), "shards")
 			b.ReportMetric(res.SuccessRate, "delivery%")
 		}
 	}
 }
-
-// BenchmarkLargeTraceSharded1 is the sequential baseline of the 100k-node
-// run; BenchmarkLargeTraceSharded the same run with one warm-up shard per
-// CPU. On a multi-core machine the sharded variant should be well over 1.5x
-// faster; on one core they are the same workload, which doubles as a
-// coordinator-overhead check.
-func BenchmarkLargeTraceSharded1(b *testing.B) { benchLargeTrace(b, 1) }
-
-func BenchmarkLargeTraceSharded(b *testing.B) { benchLargeTrace(b, runtime.NumCPU()) }
 
 // BenchmarkFig8Performance regenerates Fig. 8: cost/success/delay for all
 // six protocols.

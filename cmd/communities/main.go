@@ -15,9 +15,7 @@ import (
 	"os"
 
 	"give2get"
-	"give2get/internal/kclique"
 	"give2get/internal/obs"
-	"give2get/internal/trace"
 )
 
 func main() {
@@ -34,7 +32,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		preset    = fs.String("preset", "infocom05", "trace preset (infocom05|cambridge06)")
 		tracePath = fs.String("trace", "", "contact trace file, text or binary .g2gt (overrides -preset)")
 		seed      = fs.Int64("seed", 42, "generation seed for presets")
-		shards    = fs.Int("shards", 0, "also print the node→shard plan for this many warm-up shards (the engine's -shards assignment)")
 	)
 	var prof obs.Profiler
 	prof.RegisterFlags(fs)
@@ -84,59 +81,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	if len(loners) > 0 {
 		fmt.Fprintf(stdout, "  outside any community: %v\n", loners)
-	}
-	if *shards > 1 {
-		if err := printShardPlan(stdout, tr.Nodes(), comms, *shards); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// printShardPlan shows the exact node→shard assignment a sharded engine run
-// (g2gsim/g2gexp -shards) derives from these communities: whole communities
-// placed by longest-processing-time onto the least-loaded shard, outsiders
-// hashed by node id. Nodes in several communities follow their lowest-id one.
-func printShardPlan(stdout io.Writer, population int, comms [][]int, shards int) error {
-	groups := make([][]trace.NodeID, len(comms))
-	for i, g := range comms {
-		groups[i] = make([]trace.NodeID, len(g))
-		for j, n := range g {
-			groups[i][j] = trace.NodeID(n)
-		}
-	}
-	c, err := kclique.New(population, groups)
-	if err != nil {
-		return err
-	}
-	plan := kclique.PlanShards(c, population, shards)
-
-	fmt.Fprintf(stdout, "shard plan for %d shards:\n", shards)
-	for i := range comms {
-		home, shard := 0, -1
-		for n := 0; n < population; n++ {
-			if of := c.Of(trace.NodeID(n)); len(of) > 0 && of[0] == i {
-				home++
-				shard = plan[n]
-			}
-		}
-		if home == 0 {
-			fmt.Fprintf(stdout, "  community %d: no home nodes (all members belong to lower communities)\n", i)
-			continue
-		}
-		fmt.Fprintf(stdout, "  community %d (home of %d nodes) -> shard %d\n", i, home, shard)
-	}
-	for n := 0; n < population; n++ {
-		if len(c.Of(trace.NodeID(n))) == 0 {
-			fmt.Fprintf(stdout, "  outsider %d -> shard %d (hashed)\n", n, plan[n])
-		}
-	}
-	load := make([]int, shards)
-	for _, s := range plan {
-		load[s]++
-	}
-	for s, n := range load {
-		fmt.Fprintf(stdout, "  shard %d: %d nodes\n", s, n)
 	}
 	return nil
 }

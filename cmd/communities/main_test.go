@@ -51,61 +51,6 @@ func TestRunTraceFile(t *testing.T) {
 	}
 }
 
-func TestRunShardPlan(t *testing.T) {
-	// Two triangle communities plus an isolated pair: the pair never forms a
-	// 3-clique, so nodes 6 and 7 are outsiders and must appear hashed.
-	const input = `# nodes=8 name=triangles-plus-pair
-0 1 0 60
-1 2 120 180
-0 2 240 300
-0 1 360 420
-1 2 480 540
-0 2 600 660
-3 4 0 60
-4 5 120 180
-3 5 240 300
-3 4 360 420
-4 5 480 540
-3 5 600 660
-6 7 700 760
-`
-	path := filepath.Join(t.TempDir(), "trace.txt")
-	if err := os.WriteFile(path, []byte(input), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errOut bytes.Buffer
-	if err := run([]string{"-trace", path, "-shards", "2"}, &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"shard plan for 2 shards:",
-		"community 0 (home of 3 nodes) -> shard",
-		"community 1 (home of 3 nodes) -> shard",
-		"outsider 6 -> shard",
-		"(hashed)",
-		"shard 0:",
-		"shard 1:",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("missing %q in:\n%s", want, got)
-		}
-	}
-	// The plan keeps each community whole: its members land on one shard.
-	if strings.Contains(got, "no home nodes") {
-		t.Errorf("unexpected empty community:\n%s", got)
-	}
-
-	// Without -shards the plan block must not appear (back-compat output).
-	out.Reset()
-	if err := run([]string{"-trace", path}, &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out.String(), "shard") {
-		t.Errorf("plan printed without -shards:\n%s", out.String())
-	}
-}
-
 func TestRunMissingTraceFile(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if err := run([]string{"-trace", "/does/not/exist"}, &out, &errOut); err == nil {

@@ -24,8 +24,6 @@ func runExperiment(id string, opts ExperimentOptions) (string, error) {
 		CheckpointEvery: sim.Time(opts.CheckpointEvery),
 		Resume:          opts.Resume,
 		Retries:         opts.Retries,
-		CryptoWorkers:   opts.CryptoWorkers,
-		Shards:          opts.Shards,
 	})
 	if err != nil {
 		return "", err

@@ -108,31 +108,11 @@ type SimulationConfig struct {
 	// Ed25519/X25519/AES-GCM.
 	RealCrypto bool
 
-	// CryptoWorkers bounds the worker pool for the batched crypto
-	// obligations (PoR storage proofs) collected at one simulation instant;
-	// 0 or 1 keeps the sequential path. Results — including audit digests —
-	// are byte-identical at every worker count.
-	CryptoWorkers int
-
-	// Shards partitions the warm-up phase across this many goroutines, each
-	// replaying one community-aligned slice of the population (see
-	// engine.Config.Shards); 0 or 1 keeps the sequential path. Results —
-	// including audit digests — are byte-identical at every shard count.
-	Shards int
-
-	// EventLog, when non-nil, receives one JSON line per protocol event
-	// (generate, replicate, deliver, test, detect) during the run.
-	//
-	// Deprecated: EventLog is kept for compatibility and still produces the
-	// original output byte for byte; new code should use Sink (see
-	// NewLegacyEventSink for the same format) or TraceJSON.
-	EventLog io.Writer
-
 	// TraceJSON, when non-nil, receives one leveled JSON trace record per
 	// protocol event, including debug-level records and wall timestamps.
 	TraceJSON io.Writer
 	// Sink, when non-nil, receives the run's trace records directly; it
-	// composes with EventLog and TraceJSON. Implementations must be safe for
+	// composes with TraceJSON. Implementations must be safe for
 	// concurrent use (RunSweep shares the sink across runs).
 	Sink TraceSink
 	// Progress, when non-nil, receives a one-line progress report every
@@ -279,16 +259,11 @@ func engineConfig(cfg SimulationConfig, seed int64) (engine.Config, error) {
 		Deviation:     deviation,
 		OnlyOutsiders: cfg.OnlyOutsiders,
 		Telemetry:     cfg.Registry,
-		CryptoWorkers: cfg.CryptoWorkers,
-		Shards:        cfg.Shards,
 	}
 	if cfg.RealCrypto {
 		ecfg.Crypto = engine.CryptoReal
 	}
 	ecfg.TraceSink = cfg.Sink
-	if cfg.EventLog != nil {
-		ecfg.TraceSink = obs.Multi(ecfg.TraceSink, engine.NewLegacyEventSink(cfg.EventLog))
-	}
 	if cfg.TraceJSON != nil {
 		ecfg.TraceSink = obs.Multi(ecfg.TraceSink, obs.NewJSONSink(cfg.TraceJSON, obs.LevelDebug))
 	}
@@ -517,14 +492,6 @@ type ExperimentOptions struct {
 	// Retries re-attempts failed simulations this many times with
 	// exponential backoff before the experiment fails.
 	Retries int
-	// CryptoWorkers bounds each simulation's intra-run crypto worker pool;
-	// 0 or 1 keeps the sequential path. Rendered output is byte-identical
-	// at every value.
-	CryptoWorkers int
-	// Shards partitions each simulation's warm-up phase across this many
-	// goroutines (see SimulationConfig.Shards); 0 or 1 keeps the sequential
-	// path. Rendered output is byte-identical at every value.
-	Shards int
 }
 
 // RunExperiment regenerates one of the paper's tables or figures and returns

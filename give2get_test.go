@@ -152,27 +152,6 @@ func TestRunSweepDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestSinkMatchesDeprecatedEventLog pins the migration path: a
-// NewLegacyEventSink on the new Sink field writes the same bytes the
-// deprecated EventLog field produces.
-func TestSinkMatchesDeprecatedEventLog(t *testing.T) {
-	cfg := quickConfig(t, G2GEpidemic)
-	cfg.Deviants = []int{2, 7}
-	cfg.Deviation = Droppers
-	var viaSink, viaEventLog strings.Builder
-	cfg.Sink = NewLegacyEventSink(&viaSink)
-	cfg.EventLog = &viaEventLog
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if viaSink.Len() == 0 {
-		t.Fatal("sink saw no events")
-	}
-	if viaSink.String() != viaEventLog.String() {
-		t.Error("Sink output differs from deprecated EventLog output")
-	}
-}
-
 func TestRunAllProtocols(t *testing.T) {
 	for _, p := range Protocols() {
 		p := p

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"give2get/internal/invariant"
 	"give2get/internal/metrics"
@@ -201,15 +200,13 @@ func atomicWriteFile(path string, data []byte) error {
 	return nil
 }
 
-// captureCheckpoint snapshots the run at a control barrier (instant `now` —
-// the kernel's clock in a sequential run, the coordinator's barrier during a
-// sharded warm-up, where the main kernel has not advanced yet). Everything
-// still queued is strictly in the future (the barrier fired after all
+// captureCheckpoint snapshots the run at a control barrier. Everything still
+// in the queue is strictly in the future (the barrier fired after all
 // same-instant events), so the future event set is exactly: the active
 // contacts' ends, at most one pending contact start, at most one pending
 // workload generation, and the rule-reconstructible closures (memory ticks
 // and phase probes).
-func (e *engine) captureCheckpoint(s *sim.Simulator, now sim.Time) (*checkpoint, error) {
+func (e *engine) captureCheckpoint(s *sim.Simulator) (*checkpoint, error) {
 	// Control events fire only at instant barriers, where the crypto batch
 	// pool has flushed every obligation; a pending one here would mean a
 	// protocol decision point leaked past its barrier.
@@ -218,7 +215,7 @@ func (e *engine) captureCheckpoint(s *sim.Simulator, now sim.Time) (*checkpoint,
 	}
 	ck := &checkpoint{
 		Fingerprint:  configFingerprint(e.cfg),
-		Now:          now,
+		Now:          s.Now(),
 		CursorClosed: e.cursor == nil,
 		CursorIdx:    e.cursorIdx,
 		NextGen:      len(e.gens),
@@ -259,12 +256,7 @@ func (e *engine) captureCheckpoint(s *sim.Simulator, now sim.Time) (*checkpoint,
 	if scanErr != nil {
 		return nil, scanErr
 	}
-	if len(e.runners) > 0 {
-		if havePending {
-			return nil, errors.New("engine: sharded checkpoint found a contact start on the main kernel")
-		}
-		e.captureShardContacts(ck)
-	} else if havePending == ck.CursorClosed {
+	if havePending == ck.CursorClosed {
 		return nil, errors.New("engine: contact cursor and pending start disagree")
 	}
 	sort.Slice(ck.ContactEnds, func(i, j int) bool {
@@ -291,63 +283,9 @@ func (e *engine) captureCheckpoint(s *sim.Simulator, now sim.Time) (*checkpoint,
 	return ck, nil
 }
 
-// captureShardContacts fills the contact-scheduler fields of a mid-warm-up
-// sharded checkpoint with the exact state a sequential run would have at the
-// same barrier. The sequential pending contact is the minimum-index candidate
-// across the shards (each shard's queued start, or its parked contact): every
-// contact below that index has fired or been skipped on its owner shard, and
-// candidates are exactly the schedulable contacts past the barrier. The end
-// events are the owner-filtered union of the shard queues, so each active
-// contact — including cross-shard ones queued on both sides — appears once.
-func (e *engine) captureShardContacts(ck *checkpoint) {
-	ck.CursorClosed = true
-	for _, r := range e.runners {
-		var c trace.Contact
-		var idx int
-		var at sim.Time
-		switch {
-		case r.parked:
-			c, idx, at = r.parkedContact, r.parkedIdx, r.parkedAt
-		case r.hasPending:
-			c, idx, at = r.pending, r.pendingIdx, r.pendingAt
-		default:
-			continue // this shard's cursor is closed
-		}
-		if ck.CursorClosed || uint64(idx) < ck.PendingIdx {
-			ck.CursorClosed = false
-			ck.Pending = c
-			ck.PendingAt = at
-			ck.PendingPri = 2 * int64(idx)
-			ck.PendingIdx = uint64(idx)
-		}
-	}
-	if ck.CursorClosed {
-		// All shards closed, necessarily at the same global index (the close
-		// rules are owner-independent).
-		ck.CursorIdx = e.runners[0].cursorIdx
-	} else {
-		ck.CursorIdx = int(ck.PendingIdx) + 1
-	}
-	for _, r := range e.runners {
-		r.sim.PendingEvents(func(ev sim.Event) {
-			if ev.Op != opContactEnd {
-				return
-			}
-			a, b := trace.NodeID(ev.A), trace.NodeID(ev.B)
-			if e.ownerShard(a, b) != r.id {
-				return
-			}
-			ck.ContactEnds = append(ck.ContactEnds, contactEndEvent{
-				At: ev.At, Pri: ev.Pri, A: a, B: b,
-			})
-		})
-	}
-}
-
-// writeCheckpoint captures and atomically persists one checkpoint of the run
-// at barrier instant now.
-func (e *engine) writeCheckpoint(s *sim.Simulator, now sim.Time) error {
-	ck, err := e.captureCheckpoint(s, now)
+// writeCheckpoint captures and atomically persists one checkpoint.
+func (e *engine) writeCheckpoint(s *sim.Simulator) error {
+	ck, err := e.captureCheckpoint(s)
 	if err != nil {
 		return err
 	}
@@ -387,15 +325,6 @@ func Resume(path string, cfg Config) (*Result, error) {
 	s := sim.New()
 	s.SetStats(&e.metrics.Sim)
 	defer e.closeCursor()
-	defer e.closeShards()
-
-	// A snapshot taken before the window handoff barrier resumes into the
-	// sharded warm-up when the configuration shards; the shard count is not
-	// fingerprinted, so sequential checkpoints resume sharded and vice versa.
-	if e.shardCount() > 1 && ck.Now < e.cfg.WindowFrom-1 {
-		return e.resumeSharded(s, ck)
-	}
-
 	if err := e.restoreCheckpoint(s, ck); err != nil {
 		return nil, err
 	}
@@ -405,47 +334,9 @@ func Resume(path string, cfg Config) (*Result, error) {
 	return e.finishRun(s)
 }
 
-// resumeSharded continues a warm-up-phase checkpoint under sharded execution:
-// restore the shared run state, rebuild each shard's cursor and active
-// contacts from the snapshot, rejoin the barrier loop where it left off, and
-// hand off to the sequential engine at the window exactly like a fresh
-// sharded run.
-func (e *engine) resumeSharded(s *sim.Simulator, ck *checkpoint) (*Result, error) {
-	if err := e.restoreCore(s, ck); err != nil {
-		return nil, err
-	}
-	if err := e.restoreShardContacts(ck); err != nil {
-		return nil, err
-	}
-	if err := e.scheduleResumedClosures(s); err != nil {
-		return nil, err
-	}
-	e.wallStarted = time.Now()
-	stopProgress := e.startProgress()
-	err := e.runShardedWarmup(s, ck.Now)
-	if err == nil {
-		err = e.mergeShards(s)
-	}
-	stopProgress()
-	if err != nil {
-		return nil, err
-	}
-	e.ctrlFrom = e.cfg.WindowFrom - 1
-	return e.finishRun(s)
-}
-
 // restoreCheckpoint rebuilds the engine and the kernel's future event set
 // from a snapshot.
 func (e *engine) restoreCheckpoint(s *sim.Simulator, ck *checkpoint) error {
-	if err := e.restoreCore(s, ck); err != nil {
-		return err
-	}
-	return e.restoreContacts(s, ck)
-}
-
-// restoreCore restores everything but the contact scheduler: clock, RNG,
-// node states, metrics, auditor, and the workload position.
-func (e *engine) restoreCore(s *sim.Simulator, ck *checkpoint) error {
 	if err := s.SetNow(ck.Now); err != nil {
 		return err
 	}
@@ -487,60 +378,37 @@ func (e *engine) restoreCore(s *sim.Simulator, ck *checkpoint) error {
 	if err := e.scheduleNextGen(s, ck.NextGen); err != nil {
 		return err
 	}
-	return nil
-}
 
-// checkContactCursor validates the snapshot's contact-scheduler fields and,
-// for an open cursor, replays a fresh cursor to the checkpointed position to
-// verify the trace still agrees with the snapshot. The verification cursor is
-// returned open (positioned just past the pending contact) for the sequential
-// restore to adopt; a sharded restore closes it and re-derives per-shard
-// cursors instead.
-func (e *engine) checkContactCursor(ck *checkpoint) (trace.Cursor, error) {
-	if ck.CursorClosed {
-		return nil, nil
-	}
-	if ck.CursorIdx < 1 || ck.PendingIdx != uint64(ck.CursorIdx-1) ||
-		ck.PendingPri != 2*int64(ck.PendingIdx) {
-		return nil, fmt.Errorf("%w: inconsistent contact cursor position", ErrCheckpointCorrupt)
-	}
-	cur, err := e.cfg.Trace.Cursor()
-	if err != nil {
-		return nil, err
-	}
-	var last trace.Contact
-	for i := 0; i < ck.CursorIdx; i++ {
-		c, ok := cur.Next()
-		if !ok {
-			err := cur.Err()
-			cur.Close()
-			if err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("%w: trace has %d contacts, checkpoint consumed %d",
-				ErrCheckpointMismatch, i, ck.CursorIdx)
-		}
-		last = c
-	}
-	if last != ck.Pending {
-		cur.Close()
-		return nil, fmt.Errorf("%w: contact %d differs from the checkpointed one",
-			ErrCheckpointMismatch, ck.CursorIdx-1)
-	}
-	return cur, nil
-}
-
-// restoreContacts rebuilds the sequential contact scheduler: cursor position,
-// the pending start event, and the active contacts' ends with the refcounts
-// and neighbor lists they imply.
-func (e *engine) restoreContacts(s *sim.Simulator, ck *checkpoint) error {
+	// Contacts: replay the cursor to the checkpointed position and verify
+	// the trace still agrees with the snapshot, then re-enqueue the pending
+	// start exactly as it was.
 	e.cursorIdx = ck.CursorIdx
-	cur, err := e.checkContactCursor(ck)
-	if err != nil {
-		return err
-	}
-	if cur != nil {
+	if !ck.CursorClosed {
+		if ck.CursorIdx < 1 || ck.PendingIdx != uint64(ck.CursorIdx-1) ||
+			ck.PendingPri != 2*int64(ck.PendingIdx) {
+			return fmt.Errorf("%w: inconsistent contact cursor position", ErrCheckpointCorrupt)
+		}
+		cur, err := e.cfg.Trace.Cursor()
+		if err != nil {
+			return err
+		}
 		e.cursor = cur
+		var last trace.Contact
+		for i := 0; i < ck.CursorIdx; i++ {
+			c, ok := cur.Next()
+			if !ok {
+				if err := cur.Err(); err != nil {
+					return err
+				}
+				return fmt.Errorf("%w: trace has %d contacts, checkpoint consumed %d",
+					ErrCheckpointMismatch, i, ck.CursorIdx)
+			}
+			last = c
+		}
+		if last != ck.Pending {
+			return fmt.Errorf("%w: contact %d differs from the checkpointed one",
+				ErrCheckpointMismatch, ck.CursorIdx-1)
+		}
 		e.pending = ck.Pending
 		if err := s.ScheduleEvent(sim.Event{
 			At:  ck.PendingAt,
@@ -571,89 +439,6 @@ func (e *engine) restoreContacts(s *sim.Simulator, ck *checkpoint) error {
 		if e.active[key] == 1 {
 			e.neighbors[ce.A] = insertNeighbor(e.neighbors[ce.A], ce.B)
 			e.neighbors[ce.B] = insertNeighbor(e.neighbors[ce.B], ce.A)
-		}
-	}
-	return nil
-}
-
-// restoreShardContacts distributes the snapshot's contact-scheduler state
-// onto fresh shard runners. Each runner gets its own cursor fast-forwarded to
-// the checkpointed position and re-runs its pull loop from there — the loop's
-// close/skip/park/own rules re-derive the exact per-shard state a live run
-// would have at the barrier. Active contacts are re-enqueued on every shard
-// that owns an endpoint (cross-shard ones on both sides), matching the live
-// contactStart bookkeeping.
-func (e *engine) restoreShardContacts(ck *checkpoint) error {
-	cur, err := e.checkContactCursor(ck)
-	if err != nil {
-		return err
-	}
-	if cur != nil {
-		// The verification cursor already proved the prefix; the runners
-		// re-read the trace through their own cursors below.
-		cur.Close()
-	}
-	e.cursorIdx = ck.CursorIdx
-	e.prepareShards(e.shardCount())
-	for _, r := range e.runners {
-		if err := r.sim.SetNow(ck.Now); err != nil {
-			return err
-		}
-	}
-	for _, ce := range ck.ContactEnds {
-		holders := []*shardRunner{e.runners[e.plan[ce.A]]}
-		if rb := e.runners[e.plan[ce.B]]; rb != holders[0] {
-			holders = append(holders, rb) // cross-shard: both sides track it
-		}
-		for _, r := range holders {
-			if err := r.sim.ScheduleEvent(sim.Event{
-				At:  ce.At,
-				Pri: ce.Pri,
-				H:   r,
-				Op:  opContactEnd,
-				A:   int32(ce.A),
-				B:   int32(ce.B),
-			}); err != nil {
-				return err
-			}
-			key := trace.MakePairKey(ce.A, ce.B)
-			r.active[key]++
-			if r.active[key] == 1 {
-				if r.owns(ce.A) {
-					e.neighbors[ce.A] = insertNeighbor(e.neighbors[ce.A], ce.B)
-				}
-				if r.owns(ce.B) {
-					e.neighbors[ce.B] = insertNeighbor(e.neighbors[ce.B], ce.A)
-				}
-			}
-		}
-	}
-	if ck.CursorClosed {
-		for _, r := range e.runners {
-			r.cursorIdx = ck.CursorIdx
-		}
-		return nil
-	}
-	// The checkpointed pending contact is the first undelivered one (index
-	// PendingIdx); every runner resumes its pull loop there and re-applies
-	// its own ownership filter going forward.
-	for _, r := range e.runners {
-		rc, err := e.cfg.Trace.Cursor()
-		if err != nil {
-			return err
-		}
-		r.cursor = rc
-		for i := uint64(0); i < ck.PendingIdx; i++ {
-			if _, ok := rc.Next(); !ok {
-				if err := rc.Err(); err != nil {
-					return err
-				}
-				return fmt.Errorf("%w: trace shrank during sharded resume", ErrCheckpointMismatch)
-			}
-		}
-		r.cursorIdx = int(ck.PendingIdx)
-		if err := r.scheduleNext(); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -742,7 +527,7 @@ func (e *engine) maybeScheduleStop(s *sim.Simulator) {
 func (e *engine) handleControl(s *sim.Simulator, ev sim.Event) {
 	stop := ev.P == ctrlStop || e.cancelled.Load()
 	if e.cfg.Checkpoint.Path != "" {
-		if err := e.writeCheckpoint(s, s.Now()); err != nil {
+		if err := e.writeCheckpoint(s); err != nil {
 			e.stopErr = fmt.Errorf("engine: checkpoint write failed: %w", err)
 			s.Stop()
 			return

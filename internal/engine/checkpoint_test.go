@@ -137,31 +137,50 @@ func TestKillResumeTwice(t *testing.T) {
 // TestPeriodicCheckpointResumable runs to completion with periodic emission
 // on and resumes from the last periodic snapshot: the replayed tail must
 // land on the same digest. This exercises the ctrlPeriodic chain end to end.
+// The droppers case keeps the crypto batch pool busy with failing storage
+// proofs, so every periodic capture also checks the zero-pending-obligations
+// barrier (captureCheckpoint rejects a snapshot with obligations in flight).
 func TestPeriodicCheckpointResumable(t *testing.T) {
-	cfg := auditConfig(t, protocol.G2GEpidemic)
-	ref, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name      string
+		kind      protocol.Kind
+		deviants  []trace.NodeID
+		deviation protocol.Deviation
+	}{
+		{"g2g-epidemic", protocol.G2GEpidemic, nil, protocol.Honest},
+		{"g2g-delegation-frequency-droppers", protocol.G2GDelegationFrequency,
+			[]trace.NodeID{2, 7}, protocol.Dropper},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := auditConfig(t, tc.kind)
+			cfg.Deviants = tc.deviants
+			cfg.Deviation = tc.deviation
+			ref, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	ckptCfg := cfg
-	ckptCfg.Checkpoint = CheckpointConfig{
-		Path:  filepath.Join(t.TempDir(), "periodic.ckpt"),
-		Every: 90 * sim.Minute,
-	}
-	full, err := Run(ckptCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Audit.Digest != ref.Audit.Digest {
-		t.Fatal("periodic checkpointing perturbed the run digest")
-	}
+			ckptCfg := cfg
+			ckptCfg.Checkpoint = CheckpointConfig{
+				Path:  filepath.Join(t.TempDir(), "periodic.ckpt"),
+				Every: 90 * sim.Minute,
+			}
+			full, err := Run(ckptCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.Audit.Digest != ref.Audit.Digest {
+				t.Fatal("periodic checkpointing perturbed the run digest")
+			}
 
-	got, err := Resume(ckptCfg.Checkpoint.Path, cfg)
-	if err != nil {
-		t.Fatal(err)
+			got, err := Resume(ckptCfg.Checkpoint.Path, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameOutcome(t, ref, got)
+		})
 	}
-	assertSameOutcome(t, ref, got)
 }
 
 // TestResumeRejectsCorruption takes one real checkpoint and mangles it every

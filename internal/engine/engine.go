@@ -64,26 +64,6 @@ type Config struct {
 	Seed int64
 	// Crypto selects the provider; empty means CryptoFast.
 	Crypto CryptoProvider
-	// CryptoWorkers bounds the worker pool that computes the batched
-	// PoR/PoM/HeavyHMAC obligations of one simulation instant; 0 or 1 keeps
-	// the sequential path. Obligations are rejoined in submission order
-	// before any protocol decision consumes them, so the audit digest is
-	// byte-identical at any worker count — CryptoWorkers is deliberately
-	// excluded from the checkpoint fingerprint, and a run may resume under a
-	// different count.
-	CryptoWorkers int
-	// Shards partitions the warm-up phase of the run across goroutines: nodes
-	// are assigned to shards along the k-clique community structure (the
-	// Communities override when set, detected communities when the outsider
-	// deviation already detected them, node-id hashing otherwise), each shard
-	// replays its nodes' warm-up contacts on a private kernel, and the shards
-	// synchronize at conservative barriers before the window phase runs
-	// sequentially from the exactly reconstructed state. 0 or 1 keeps the
-	// fully sequential path. The audit digest is byte-identical at any shard
-	// count, and — like CryptoWorkers — Shards is excluded from the
-	// checkpoint fingerprint, so a run may resume under a different count.
-	// See DESIGN.md "Sharded execution".
-	Shards int
 
 	// WindowFrom/WindowTo delimit the experiment window.
 	WindowFrom, WindowTo sim.Time
@@ -101,16 +81,9 @@ type Config struct {
 	GenerationQuiet sim.Time
 	// PayloadBytes sizes the message bodies (default 64).
 	PayloadBytes int
-	// EventLog, when non-nil, receives one JSON line per protocol event
-	// (generate/replicate/deliver/test/detect) for debugging and offline
-	// analysis. Metrics are unaffected.
-	//
-	// Deprecated: EventLog is the pre-telemetry interface, kept for existing
-	// callers; it is adapted onto the trace layer with the original output
-	// format preserved byte for byte. New code should set TraceSink.
-	EventLog io.Writer
 	// TraceSink, when non-nil, receives the run's structured trace records
-	// (leveled, timestamped in sim and wall time). It composes with EventLog.
+	// (leveled, timestamped in sim and wall time). NewLegacyEventSink adapts
+	// it to the original one-JSON-line-per-protocol-event log format.
 	TraceSink obs.TraceSink
 	// Telemetry, when non-nil, is the registry the run records its counters
 	// and timings into; sharing one registry across runs aggregates a whole
@@ -302,18 +275,6 @@ type engine struct {
 	startAt     sim.Time
 	endAt       sim.Time
 
-	// plan maps each node to its shard (nil when unsharded); runners are the
-	// live shard executors between prepareShards and mergeShards.
-	plan    []int
-	runners []*shardRunner
-	// ctrlFrom anchors finishRun's periodic-control chain after a sharded
-	// warm-up: the coordinator already handled every control instant up to
-	// the handoff barrier, while the main kernel's clock is still at zero.
-	ctrlFrom sim.Time
-	// wallStarted is when the sharded warm-up began, so finishRun attributes
-	// the full run's wall time rather than just the post-handoff part.
-	wallStarted time.Time
-
 	// wallAtWindowFrom/To capture the wall clock as the run crosses the
 	// window boundaries, for per-phase wall attribution.
 	wallAtWindowFrom time.Time
@@ -388,8 +349,7 @@ func newEngine(cfg Config) (*engine, error) {
 
 	// The flight recorder rides the trace-sink chain: a bounded ring of the
 	// most recent records, defaulted on for audited runs so a violation can
-	// dump its immediate past. The legacy EventLog sink filters run-milestone
-	// records, so its output stays byte-identical either way.
+	// dump its immediate past.
 	var flight *obs.RingSink
 	flightCap := cfg.FlightRecorder
 	if flightCap == 0 && cfg.Audit != nil {
@@ -399,9 +359,6 @@ func newEngine(cfg Config) (*engine, error) {
 		flight = obs.NewRingSink(flightCap, obs.LevelDebug)
 	}
 	sink := cfg.TraceSink
-	if cfg.EventLog != nil {
-		sink = obs.Multi(sink, NewLegacyEventSink(cfg.EventLog))
-	}
 	if flight != nil {
 		sink = obs.Multi(sink, flight)
 	}
@@ -434,7 +391,6 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	env.SetMetrics(m)
 	env.SetSpans(spans)
-	env.SetCryptoWorkers(cfg.CryptoWorkers)
 
 	e := &engine{
 		cfg:         cfg,
@@ -481,10 +437,6 @@ func newEngine(cfg Config) (*engine, error) {
 		e.startAt = 0
 	}
 	e.endAt = cfg.WindowTo + cfg.RunExtra
-	if n := e.shardCount(); n > 1 {
-		e.buildShardPlan(n)
-		observer.shards = e.plan
-	}
 	return e, nil
 }
 
@@ -528,11 +480,6 @@ func (e *engine) run() (*Result, error) {
 	s := sim.New()
 	s.SetStats(&e.metrics.Sim)
 	defer e.closeCursor() // release the contact stream on every exit path
-	defer e.closeShards() // and the shard cursors on error paths
-
-	if e.shardCount() > 1 {
-		return e.runSharded(s)
-	}
 
 	e.spans.Enter(obs.SpanSchedule)
 	err := e.scheduleAll(s)
@@ -578,11 +525,7 @@ func (e *engine) probeWindowTo(*sim.Simulator) {
 // result: the shared tail of a fresh run() and a checkpointed Resume.
 func (e *engine) finishRun(s *sim.Simulator) (*Result, error) {
 	if e.cfg.Checkpoint.Every > 0 {
-		ctrlAnchor := s.Now()
-		if e.ctrlFrom > ctrlAnchor {
-			ctrlAnchor = e.ctrlFrom
-		}
-		if next := e.nextControlAt(ctrlAnchor); next < e.endAt {
+		if next := e.nextControlAt(s.Now()); next < e.endAt {
 			if err := s.ScheduleEvent(sim.Event{
 				At: next, Pri: PriControl, H: e, Op: opControl, P: ctrlPeriodic,
 			}); err != nil {
@@ -618,10 +561,7 @@ func (e *engine) finishRun(s *sim.Simulator) (*Result, error) {
 	}
 
 	stopProgress := e.startProgress()
-	wallStart := e.wallStarted
-	if wallStart.IsZero() {
-		wallStart = time.Now()
-	}
+	wallStart := time.Now()
 	endedAt, err := s.RunUntil(e.endAt)
 	wallEnd := time.Now()
 	stopProgress()
@@ -713,7 +653,7 @@ func (e *engine) scheduleAll(s *sim.Simulator) error {
 
 // emitPhase marks a phase transition: the current-phase gauge the live
 // inspector reads and one "phase" milestone record for the trace and flight
-// sinks. The legacy EventLog sink drops milestone records, keeping its output
+// sinks. The legacy event-log sink drops milestone records, keeping its output
 // byte-identical to the pre-telemetry format.
 func (e *engine) emitPhase(at sim.Time, p obs.Phase) {
 	e.metrics.Engine.EnterPhase(p)

@@ -340,21 +340,16 @@ func TestVanillaUsesNoSignatures(t *testing.T) {
 }
 
 func TestEventLogStreamsJSONLines(t *testing.T) {
-	// The modern path: a legacy-format sink on Config.TraceSink. The
-	// deprecated Config.EventLog writer runs alongside and must produce the
-	// same bytes — that equality is the external-caller compatibility pin.
-	var buf, deprecated strings.Builder
+	// A legacy-format sink on Config.TraceSink streams one JSON line per
+	// protocol event over a whole run.
+	var buf strings.Builder
 	cfg := baseConfig(t, protocol.G2GEpidemic)
 	cfg.Deviants = []trace.NodeID{2, 7}
 	cfg.Deviation = protocol.Dropper
 	cfg.TraceSink = NewLegacyEventSink(&buf)
-	cfg.EventLog = &deprecated
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if buf.String() != deprecated.String() {
-		t.Error("deprecated EventLog output differs from NewLegacyEventSink output")
 	}
 	if buf.Len() == 0 {
 		t.Fatal("no event output")

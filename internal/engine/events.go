@@ -23,8 +23,8 @@ import (
 // single nil check and allocates nothing (see BenchmarkTelemetryOverhead).
 // When an auditor is attached every event is additionally fed to the
 // invariant shadow model, including the PoR/PoM extension hooks — those two
-// never reach the sink, so audited runs keep the trace (and the legacy
-// EventLog) byte-identical to unaudited ones.
+// never reach the sink, so audited runs keep the trace (and the legacy event
+// log) byte-identical to unaudited ones.
 type runObserver struct {
 	inner protocol.Observer
 	eng   *obs.EngineStats
@@ -33,20 +33,6 @@ type runObserver struct {
 	// spans attributes the shadow-model folding to the "audit" span; it is
 	// the run's recorder, shared with the engine and the protocol Env.
 	spans *obs.SpanRecorder
-	// shards is the node→shard plan of a sharded run, nil otherwise. Records
-	// carrying a node are tagged with that node's shard so flight-recorder
-	// output can be sliced per shard; with a nil plan the tag stays -1 and
-	// the record encodes byte-identically to an unsharded run's.
-	shards []int
-}
-
-// shardOf returns the shard owning node n, or -1 when the run is unsharded
-// or n is out of the plan's range.
-func (o *runObserver) shardOf(n trace.NodeID) int {
-	if o.shards == nil || int(n) < 0 || int(n) >= len(o.shards) {
-		return -1
-	}
-	return o.shards[n]
 }
 
 var (
@@ -71,7 +57,6 @@ func (o *runObserver) Generated(h g2gcrypto.Digest, id message.ID, src, dst trac
 		rec.Wall = time.Now()
 		rec.Msg = shortHash(h)
 		rec.From, rec.To = int(src), int(dst)
-		rec.Shard = o.shardOf(src)
 		o.sink.Emit(rec)
 	}
 }
@@ -90,7 +75,6 @@ func (o *runObserver) Replicated(h g2gcrypto.Digest, from, to trace.NodeID, at s
 		rec.Wall = time.Now()
 		rec.Msg = shortHash(h)
 		rec.From, rec.To = int(from), int(to)
-		rec.Shard = o.shardOf(from)
 		o.sink.Emit(rec)
 	}
 }
@@ -125,7 +109,6 @@ func (o *runObserver) Detected(accused trace.NodeID, reason wire.MisbehaviorReas
 		rec.Wall = time.Now()
 		rec.Msg = shortHash(h)
 		rec.Node = int(accused)
-		rec.Shard = o.shardOf(accused)
 		rec.Reason = reason.String()
 		o.sink.Emit(rec)
 	}
@@ -143,7 +126,6 @@ func (o *runObserver) Tested(accused trace.NodeID, passed bool, at sim.Time) {
 		rec := obs.NewRecord(time.Duration(at), obs.LevelDebug, "test")
 		rec.Wall = time.Now()
 		rec.Node = int(accused)
-		rec.Shard = o.shardOf(accused)
 		rec.Passed, rec.HasPassed = passed, true
 		o.sink.Emit(rec)
 	}
@@ -169,7 +151,7 @@ func (o *runObserver) MisbehaviorReported(pom wire.Signed, at sim.Time) {
 	}
 }
 
-// eventRecord is the legacy Config.EventLog line shape, kept byte-for-byte
+// eventRecord is the legacy event-log line shape, kept byte-for-byte
 // compatible with the original writer. Pointer fields are omitted when not
 // applicable to the event type.
 type eventRecord struct {
@@ -184,7 +166,7 @@ type eventRecord struct {
 	Passed *bool  `json:"passed,omitempty"`
 }
 
-// legacySink adapts the deprecated Config.EventLog writer onto the trace
+// legacySink writes the pre-telemetry event-log format from the trace
 // layer: it accepts every level (the old logger had no levels) and re-encodes
 // each record in the original JSON-lines format, field order included.
 type legacySink struct {
@@ -194,9 +176,9 @@ type legacySink struct {
 
 var _ obs.TraceSink = (*legacySink)(nil)
 
-// NewLegacyEventSink returns a TraceSink writing the deprecated EventLog
-// JSON-lines format to w, byte for byte. It is how EventLog callers migrate
-// to Config.TraceSink without their downstream log consumers noticing.
+// NewLegacyEventSink returns a TraceSink writing the original event-log
+// JSON-lines format to w, byte for byte, so downstream consumers of that
+// format keep working on Config.TraceSink.
 func NewLegacyEventSink(w io.Writer) obs.TraceSink {
 	return &legacySink{enc: json.NewEncoder(w)}
 }

@@ -15,9 +15,9 @@ import (
 	"give2get/internal/wire"
 )
 
-// TestLegacyEventLogByteIdentical pins the deprecated Config.EventLog format:
-// the adapter that now feeds it from the trace layer must produce the exact
-// byte stream the original event logger wrote.
+// TestLegacyEventLogByteIdentical pins the legacy event-log format: the sink
+// that now feeds it from the trace layer must produce the exact byte stream
+// the original event logger wrote.
 func TestLegacyEventLogByteIdentical(t *testing.T) {
 	var buf strings.Builder
 	o := &runObserver{inner: protocol.NopObserver{}, eng: nil, sink: NewLegacyEventSink(&buf)}

@@ -66,14 +66,6 @@ type Options struct {
 	// Retries re-attempts transiently failed runs (with backoff) before
 	// the failure sticks.
 	Retries int
-	// CryptoWorkers bounds each run's intra-run crypto worker pool (see
-	// engine.Config.CryptoWorkers); 0 or 1 keeps the sequential path.
-	// Rendered tables are byte-identical at every value.
-	CryptoWorkers int
-	// Shards partitions each run's warm-up phase across this many
-	// goroutines (see engine.Config.Shards); 0 or 1 keeps the sequential
-	// path. Rendered tables are byte-identical at every value.
-	Shards int
 }
 
 // scenarios returns the experiment's datasets, rebound to Options.TracePath
@@ -206,8 +198,6 @@ func (o Options) config(spec runSpec, seed int64) (engine.Config, error) {
 		Deviation:     spec.deviation,
 		OnlyOutsiders: spec.onlyOutsiders,
 		Telemetry:     o.Telemetry,
-		CryptoWorkers: o.CryptoWorkers,
-		Shards:        o.Shards,
 	}
 	if spec.onlyOutsiders {
 		comms, err := scenarioCommunities(spec.scenario)

@@ -4,8 +4,6 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"give2get/internal/obs"
@@ -36,29 +34,30 @@ type obligation struct {
 	verify bool
 	// primary marks the first obligation that created the job; telemetry
 	// charges the job's wall time to it and zero to coalesced duplicates,
-	// so span totals never double-count one computation.
+	// so the heavy-HMAC timer never double-counts one computation.
 	primary bool
 }
 
-// Pool batches data-independent heavy-HMAC obligations and executes them on
-// up to `workers` goroutines at Flush. The contract that keeps runs
-// deterministic at any worker count:
+// Pool batches data-independent heavy-HMAC obligations and computes them at
+// Flush, on the caller's goroutine. The contract that keeps runs
+// deterministic:
 //
 //   - Submit order defines obligation (and job) order; tickets are dense
 //     indices in that order.
-//   - Flush is a barrier: it returns only when every job is computed, and all
-//     telemetry is recorded post-join on the caller's goroutine, in
-//     obligation order. Workers touch only disjoint job slots.
+//   - Flush is a barrier: it returns only when every job is computed, and
+//     all telemetry is recorded in obligation order.
 //   - Digest/Verdict read results by ticket, so consumers observe values in
-//     whatever order they choose — independent of execution interleaving.
+//     whatever order they choose.
 //
 // Message slices are aliased (callers must not mutate them before Flush);
 // seeds are copied into an internal arena at submit time. A Pool belongs to
 // one single-threaded run, like the Env that owns it.
 type Pool struct {
-	workers int
-	stats   *obs.CryptoStats
-	spans   *obs.SpanStats
+	stats *obs.CryptoStats
+	// spans is the run's recorder: each job is timed as a crypto_hmac child
+	// of whatever span the caller has open, so the caller's self time
+	// excludes the keystream walk.
+	spans *obs.SpanRecorder
 
 	jobs        []cryptoJob
 	obligations []obligation
@@ -68,34 +67,17 @@ type Pool struct {
 	byKey   map[Digest]int
 	flushed bool
 
-	// scratch serves inline execution (workers <= 1 or single-job batches).
 	scratch HMACScratch
 }
 
-// NewPool returns a batch pool executing flushes on up to workers goroutines
-// (values below 2 mean inline sequential execution). stats and spans are the
-// optional telemetry sinks; both may be nil.
-func NewPool(workers int, stats *obs.CryptoStats, spans *obs.SpanStats) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Pool{workers: workers, stats: stats, spans: spans, byKey: make(map[Digest]int)}
+// NewPool returns an empty batch pool. stats and spans are the optional
+// telemetry sinks; both may be nil.
+func NewPool(stats *obs.CryptoStats, spans *obs.SpanRecorder) *Pool {
+	return &Pool{stats: stats, spans: spans, byKey: make(map[Digest]int)}
 }
-
-// SetWorkers adjusts the parallelism of subsequent flushes. It must not be
-// called with obligations pending.
-func (p *Pool) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p.workers = n
-}
-
-// Workers returns the configured parallelism.
-func (p *Pool) Workers() int { return p.workers }
 
 // SetTelemetry attaches (or detaches, with nils) the telemetry sinks.
-func (p *Pool) SetTelemetry(stats *obs.CryptoStats, spans *obs.SpanStats) {
+func (p *Pool) SetTelemetry(stats *obs.CryptoStats, spans *obs.SpanRecorder) {
 	p.stats, p.spans = stats, spans
 }
 
@@ -161,72 +143,23 @@ func (p *Pool) contentKey(msg, seed []byte, iterations int) Digest {
 	return key
 }
 
-// Flush computes every pending job — in parallel when the pool has more than
-// one worker and more than one distinct job — and records all telemetry
-// post-join on the caller's goroutine. After Flush, every submitted ticket's
-// Digest/Verdict is available; the next Submit starts a fresh batch.
+// Flush computes every pending job and records its telemetry. After Flush,
+// every submitted ticket's Digest/Verdict is available; the next Submit
+// starts a fresh batch.
 func (p *Pool) Flush() {
 	if p.flushed {
 		return
 	}
 	if len(p.jobs) > 0 {
-		nw := p.workers
-		if nw > len(p.jobs) {
-			nw = len(p.jobs)
-		}
 		timed := p.stats.Timed()
-		if nw <= 1 {
-			var start time.Time
-			if timed {
-				start = time.Now()
-			}
-			for i := range p.jobs {
-				p.runJob(&p.jobs[i], &p.scratch, timed)
-			}
-			if timed {
-				p.stats.NotePoolWorker(time.Since(start))
-			} else {
-				p.stats.NotePoolWorker(0)
-			}
-		} else {
-			// Workers are spawned per flush: goroutine startup is ~2µs
-			// against jobs that cost hundreds, and per-flush lifetimes mean
-			// the pool needs no Close. Each worker pulls the next job off a
-			// shared cursor and writes only its own job slot, so the flush is
-			// race-free by construction.
-			var cursor atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < nw; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					var scratch HMACScratch
-					var start time.Time
-					if timed {
-						start = time.Now()
-					}
-					for {
-						i := int(cursor.Add(1)) - 1
-						if i >= len(p.jobs) {
-							break
-						}
-						p.runJob(&p.jobs[i], &scratch, timed)
-					}
-					if timed {
-						p.stats.NotePoolWorker(time.Since(start))
-					} else {
-						p.stats.NotePoolWorker(0)
-					}
-				}()
-			}
-			wg.Wait()
+		for i := range p.jobs {
+			p.runJob(&p.jobs[i], timed)
 		}
-		p.stats.NotePoolFlush(nw, int64(len(p.jobs)))
+		p.stats.NotePoolFlush(int64(len(p.jobs)))
 	}
-	// Telemetry lands here, after the join, in obligation order: one
-	// heavy-HMAC note per obligation (iterations always counted, so usage
-	// and telemetry stay reconciled), with the job's wall time charged to
-	// the primary obligation only.
+	// One heavy-HMAC note per obligation, in obligation order: iterations
+	// are always counted (so usage and telemetry stay reconciled), while the
+	// job's wall time is charged to the primary obligation only.
 	for i := range p.obligations {
 		ob := &p.obligations[i]
 		j := &p.jobs[ob.job]
@@ -235,20 +168,21 @@ func (p *Pool) Flush() {
 			d = j.dur
 		}
 		p.stats.NoteHeavyHMAC(d, j.iterations)
-		p.spans.Note(obs.SpanCrypto, d, d)
 	}
 	p.flushed = true
 }
 
-func (p *Pool) runJob(j *cryptoJob, scratch *HMACScratch, timed bool) {
-	if !timed {
-		j.out = scratch.HeavyHMAC(j.msg, p.seedBuf[j.seedOff:j.seedOff+j.seedLen], j.iterations)
-		j.dur = 0
-		return
+func (p *Pool) runJob(j *cryptoJob, timed bool) {
+	seed := p.seedBuf[j.seedOff : j.seedOff+j.seedLen]
+	p.spans.Enter(obs.SpanCrypto)
+	if timed {
+		start := time.Now()
+		j.out = p.scratch.HeavyHMAC(j.msg, seed, j.iterations)
+		j.dur = time.Since(start)
+	} else {
+		j.out = p.scratch.HeavyHMAC(j.msg, seed, j.iterations)
 	}
-	start := time.Now()
-	j.out = scratch.HeavyHMAC(j.msg, p.seedBuf[j.seedOff:j.seedOff+j.seedLen], j.iterations)
-	j.dur = time.Since(start)
+	p.spans.Exit()
 }
 
 // Digest returns the computed proof of a flushed ticket.

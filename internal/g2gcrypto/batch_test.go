@@ -38,63 +38,58 @@ func TestHMACScratchMatchesReference(t *testing.T) {
 // TestPoolMatchesSequential is the batched-path property test: random
 // batches of compute and verify obligations — with deliberate duplicates, so
 // coalescing is always exercised — must yield exactly the digests and
-// verdicts of the sequential HeavyHMAC/VerifyHeavyHMAC path, at every worker
-// count.
+// verdicts of the unbatched HeavyHMAC/VerifyHeavyHMAC path.
 func TestPoolMatchesSequential(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		rng := rand.New(rand.NewSource(7)) // same batches at every worker count
-		pool := NewPool(workers, nil, nil)
-		for batch := 0; batch < 20; batch++ {
-			type want struct {
-				msg, seed  []byte
-				iterations int
-				expect     Digest
-				verify     bool
+	rng := rand.New(rand.NewSource(7))
+	pool := NewPool(nil, nil)
+	for batch := 0; batch < 20; batch++ {
+		type want struct {
+			msg, seed  []byte
+			iterations int
+			expect     Digest
+			verify     bool
+		}
+		n := 1 + rng.Intn(12)
+		wants := make([]want, 0, n)
+		tickets := make([]Ticket, 0, n)
+		for i := 0; i < n; i++ {
+			var w want
+			if len(wants) > 0 && rng.Intn(3) == 0 {
+				// Duplicate an earlier submission's content: the pool must
+				// coalesce it onto one job without changing its answer.
+				w = wants[rng.Intn(len(wants))]
+			} else {
+				w.msg = make([]byte, 1+rng.Intn(64))
+				w.seed = make([]byte, rng.Intn(24))
+				rng.Read(w.msg)
+				rng.Read(w.seed)
+				w.iterations = 1 + rng.Intn(6)
 			}
-			n := 1 + rng.Intn(12)
-			wants := make([]want, 0, n)
-			tickets := make([]Ticket, 0, n)
-			for i := 0; i < n; i++ {
-				var w want
-				if len(wants) > 0 && rng.Intn(3) == 0 {
-					// Duplicate an earlier submission's content: the pool must
-					// coalesce it onto one job without changing its answer.
-					w = wants[rng.Intn(len(wants))]
-				} else {
-					w.msg = make([]byte, 1+rng.Intn(64))
-					w.seed = make([]byte, rng.Intn(24))
-					rng.Read(w.msg)
-					rng.Read(w.seed)
-					w.iterations = 1 + rng.Intn(6)
+			w.verify = rng.Intn(2) == 0
+			if w.verify {
+				w.expect = HeavyHMAC(w.msg, w.seed, w.iterations)
+				if rng.Intn(2) == 0 {
+					w.expect[0] ^= 0xff // a forged proof must be rejected
 				}
-				w.verify = rng.Intn(2) == 0
-				if w.verify {
-					w.expect = HeavyHMAC(w.msg, w.seed, w.iterations)
-					if rng.Intn(2) == 0 {
-						w.expect[0] ^= 0xff // a forged proof must be rejected
-					}
-					tickets = append(tickets, pool.SubmitVerify(w.msg, w.seed, w.iterations, w.expect))
-				} else {
-					tickets = append(tickets, pool.SubmitCompute(w.msg, w.seed, w.iterations))
-				}
-				wants = append(wants, w)
+				tickets = append(tickets, pool.SubmitVerify(w.msg, w.seed, w.iterations, w.expect))
+			} else {
+				tickets = append(tickets, pool.SubmitCompute(w.msg, w.seed, w.iterations))
 			}
-			if got := pool.Pending(); got != n {
-				t.Fatalf("workers=%d batch=%d: Pending = %d, want %d", workers, batch, got, n)
+			wants = append(wants, w)
+		}
+		if got := pool.Pending(); got != n {
+			t.Fatalf("batch=%d: Pending = %d, want %d", batch, got, n)
+		}
+		pool.Flush()
+		if got := pool.Pending(); got != 0 {
+			t.Fatalf("batch=%d: Pending after flush = %d", batch, got)
+		}
+		for i, w := range wants {
+			if got, want := pool.Digest(tickets[i]), HeavyHMAC(w.msg, w.seed, w.iterations); got != want {
+				t.Fatalf("batch=%d ticket=%d: digest diverged from the unbatched path", batch, i)
 			}
-			pool.Flush()
-			if got := pool.Pending(); got != 0 {
-				t.Fatalf("workers=%d batch=%d: Pending after flush = %d", workers, batch, got)
-			}
-			for i, w := range wants {
-				if got, want := pool.Digest(tickets[i]), HeavyHMAC(w.msg, w.seed, w.iterations); got != want {
-					t.Fatalf("workers=%d batch=%d ticket=%d: digest diverged from sequential path",
-						workers, batch, i)
-				}
-				if got, want := pool.Verdict(tickets[i]), w.verify && VerifyHeavyHMAC(w.msg, w.seed, w.iterations, w.expect); got != want {
-					t.Fatalf("workers=%d batch=%d ticket=%d: verdict = %t, want %t",
-						workers, batch, i, got, want)
-				}
+			if got, want := pool.Verdict(tickets[i]), w.verify && VerifyHeavyHMAC(w.msg, w.seed, w.iterations, w.expect); got != want {
+				t.Fatalf("batch=%d ticket=%d: verdict = %t, want %t", batch, i, got, want)
 			}
 		}
 	}
@@ -106,7 +101,7 @@ func TestPoolMatchesSequential(t *testing.T) {
 // (usage parity), while only one job was computed.
 func TestPoolCoalescesDuplicates(t *testing.T) {
 	var stats obs.CryptoStats
-	pool := NewPool(4, &stats, nil)
+	pool := NewPool(&stats, nil)
 	msg, seed := []byte("stored message"), []byte("challenge")
 	tickets := []Ticket{
 		pool.SubmitCompute(msg, seed, 16),
@@ -139,7 +134,7 @@ func TestPoolCoalescesDuplicates(t *testing.T) {
 // flush starts a fresh batch with dense tickets from zero, and results stay
 // correct with the recycled backing arrays.
 func TestPoolReuseAcrossBatches(t *testing.T) {
-	pool := NewPool(2, nil, nil)
+	pool := NewPool(nil, nil)
 	first := pool.SubmitCompute([]byte("first"), []byte("a"), 4)
 	pool.Flush()
 	d1 := pool.Digest(first)
@@ -161,15 +156,14 @@ func TestPoolReuseAcrossBatches(t *testing.T) {
 
 // FuzzBatchVerify hammers the pool with adversarial batch shapes: arbitrary
 // message/seed bytes, clamped iteration counts, corrupted expectations, and
-// duplicate submissions at varying worker counts. Whatever the shape, the
-// pool must never panic and every verdict must equal the sequential
-// VerifyHeavyHMAC oracle.
+// duplicate submissions. Whatever the shape, the pool must never panic and
+// every verdict must equal the unbatched VerifyHeavyHMAC oracle.
 func FuzzBatchVerify(f *testing.F) {
-	f.Add([]byte("message"), []byte("seed"), 4, uint8(2), false, uint8(0))
-	f.Add([]byte{}, []byte{}, 0, uint8(1), true, uint8(3))
-	f.Add([]byte("m"), []byte("a seed that is much longer than one SHA-256 block, to force key hashing"), -3, uint8(8), true, uint8(1))
-	f.Add([]byte{0xff, 0x00, 0xff}, []byte{0x36, 0x5c}, 1, uint8(0), false, uint8(7))
-	f.Fuzz(func(t *testing.T, msg, seed []byte, iterations int, workers uint8, corrupt bool, dupes uint8) {
+	f.Add([]byte("message"), []byte("seed"), 4, false, uint8(0))
+	f.Add([]byte{}, []byte{}, 0, true, uint8(3))
+	f.Add([]byte("m"), []byte("a seed that is much longer than one SHA-256 block, to force key hashing"), -3, true, uint8(1))
+	f.Add([]byte{0xff, 0x00, 0xff}, []byte{0x36, 0x5c}, 1, false, uint8(7))
+	f.Fuzz(func(t *testing.T, msg, seed []byte, iterations int, corrupt bool, dupes uint8) {
 		if iterations > 64 {
 			iterations = 64 // keep the fuzz fast; clamping below 1 is the pool's job
 		}
@@ -177,7 +171,7 @@ func FuzzBatchVerify(f *testing.F) {
 		if corrupt {
 			expect[len(expect)-1] ^= 0x01
 		}
-		pool := NewPool(int(workers), nil, nil)
+		pool := NewPool(nil, nil)
 		tickets := []Ticket{pool.SubmitVerify(msg, seed, iterations, expect)}
 		for i := 0; i < int(dupes%4); i++ {
 			tickets = append(tickets, pool.SubmitVerify(msg, seed, iterations, expect))

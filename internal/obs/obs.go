@@ -69,11 +69,6 @@ type Record struct {
 	Msg string
 	// From, To, Node identify the involved nodes; -1 when not applicable.
 	From, To, Node int
-	// Shard is the shard the acting node is placed on in a sharded run; -1
-	// when the run is unsharded or no node applies, and then omitted from
-	// every rendering — unsharded output is byte-identical to the
-	// pre-sharding format.
-	Shard int
 	// Reason is set on detect records.
 	Reason string
 	// Passed is meaningful only when HasPassed is set (test records).
@@ -81,14 +76,14 @@ type Record struct {
 	HasPassed bool
 }
 
-// NewRecord returns a Record with the node-id and shard fields blanked to -1.
+// NewRecord returns a Record with the node-id fields blanked to -1.
 func NewRecord(simAt time.Duration, level Level, event string) Record {
-	return Record{Sim: simAt, Level: level, Event: event, From: -1, To: -1, Node: -1, Shard: -1}
+	return Record{Sim: simAt, Level: level, Event: event, From: -1, To: -1, Node: -1}
 }
 
 // appendJSON appends the record's canonical JSON encoding (no trailing
 // newline). Field order is fixed: t, wall, level, event, msg, from, to,
-// node, shard, reason, passed; inapplicable fields are omitted.
+// node, reason, passed; inapplicable fields are omitted.
 func (r Record) appendJSON(dst []byte) []byte {
 	dst = append(dst, `{"t":`...)
 	dst = strconv.AppendQuote(dst, r.Sim.String())
@@ -116,10 +111,6 @@ func (r Record) appendJSON(dst []byte) []byte {
 	if r.Node >= 0 {
 		dst = append(dst, `,"node":`...)
 		dst = strconv.AppendInt(dst, int64(r.Node), 10)
-	}
-	if r.Shard >= 0 {
-		dst = append(dst, `,"shard":`...)
-		dst = strconv.AppendInt(dst, int64(r.Shard), 10)
 	}
 	if r.Reason != "" {
 		dst = append(dst, `,"reason":`...)
@@ -162,10 +153,6 @@ func (r Record) String() string {
 	if r.Node >= 0 {
 		buf = append(buf, " node="...)
 		buf = strconv.AppendInt(buf, int64(r.Node), 10)
-	}
-	if r.Shard >= 0 {
-		buf = append(buf, " shard="...)
-		buf = strconv.AppendInt(buf, int64(r.Shard), 10)
 	}
 	if r.Reason != "" {
 		buf = append(buf, " reason="...)

@@ -465,15 +465,10 @@ type CryptoStats struct {
 	// computed or verified.
 	HeavyHMACIterations Counter
 
-	// Batch-pool accounting (g2gcrypto.Pool): flushes, distinct jobs, and
-	// the per-worker busy time of parallel storage-proof execution. Worker
-	// turns count one activation per worker per flush, so BusyNS/Turns is
-	// the mean time a worker spent draining its share of a batch.
-	poolFlushes     Counter
-	poolJobs        Counter
-	poolWorkerTurns Counter
-	poolBusyNS      Counter
-	poolMaxWorkers  MaxGauge
+	// Batch-pool accounting (g2gcrypto.Pool): flushes and the distinct jobs
+	// they computed after coalescing.
+	poolFlushes Counter
+	poolJobs    Counter
 
 	provider atomic.Pointer[string]
 
@@ -561,35 +556,20 @@ func (c *CryptoStats) NoteHeavyHMAC(d time.Duration, iterations int) {
 }
 
 // NotePoolFlush records one batch-pool flush that ran jobs distinct
-// computations on workers goroutines.
-func (c *CryptoStats) NotePoolFlush(workers int, jobs int64) {
+// computations.
+func (c *CryptoStats) NotePoolFlush(jobs int64) {
 	if c == nil {
 		return
 	}
 	c.poolFlushes.Inc()
 	c.poolJobs.Add(jobs)
-	c.poolMaxWorkers.Observe(int64(workers))
-}
-
-// NotePoolWorker records one worker's share of a flush: the wall time it was
-// busy draining jobs. Accumulation is atomic, so workers may report
-// concurrently as each finishes.
-func (c *CryptoStats) NotePoolWorker(busy time.Duration) {
-	if c == nil {
-		return
-	}
-	c.poolWorkerTurns.Inc()
-	c.poolBusyNS.Add(int64(busy))
 }
 
 // PoolSnapshot is the frozen batch-pool accounting, present when any flush
 // ran.
 type PoolSnapshot struct {
-	Flushes     int64 `json:"flushes"`
-	Jobs        int64 `json:"jobs"`
-	WorkerTurns int64 `json:"worker_turns"`
-	BusyNS      int64 `json:"busy_ns"`
-	MaxWorkers  int64 `json:"max_workers"`
+	Flushes int64 `json:"flushes"`
+	Jobs    int64 `json:"jobs"`
 }
 
 // CryptoSnapshot is the frozen form of CryptoStats.
@@ -601,7 +581,7 @@ type CryptoSnapshot struct {
 	Open                OpSnapshot `json:"open"`
 	HeavyHMAC           OpSnapshot `json:"heavy_hmac"`
 	HeavyHMACIterations int64      `json:"heavy_hmac_iterations"`
-	// Pool summarizes parallel storage-proof execution; nil when the run
+	// Pool summarizes batched storage-proof execution; nil when the run
 	// never flushed a batch.
 	Pool *PoolSnapshot `json:"pool,omitempty"`
 }
@@ -617,13 +597,7 @@ func (c *CryptoStats) snapshot() CryptoSnapshot {
 		HeavyHMACIterations: c.HeavyHMACIterations.Load(),
 	}
 	if n := c.poolFlushes.Load(); n > 0 {
-		s.Pool = &PoolSnapshot{
-			Flushes:     n,
-			Jobs:        c.poolJobs.Load(),
-			WorkerTurns: c.poolWorkerTurns.Load(),
-			BusyNS:      c.poolBusyNS.Load(),
-			MaxWorkers:  c.poolMaxWorkers.Load(),
-		}
+		s.Pool = &PoolSnapshot{Flushes: n, Jobs: c.poolJobs.Load()}
 	}
 	return s
 }

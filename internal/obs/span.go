@@ -46,10 +46,6 @@ const (
 	// SpanDispatch covers the runner's per-spec scheduling overhead: the time
 	// a worker spends on a spec outside the engine run itself.
 	SpanDispatch
-	// SpanShardWarmup covers one shard's warm-up slice in a sharded run:
-	// the per-shard kernel advancing between coordinator barriers. Each shard
-	// records from its own SpanRecorder into the shared SpanStats.
-	SpanShardWarmup
 	numSpans
 )
 
@@ -79,8 +75,6 @@ func (s Span) String() string {
 		return "audit"
 	case SpanDispatch:
 		return "sweep_dispatch"
-	case SpanShardWarmup:
-		return "shard_warmup"
 	default:
 		return "span(" + strconv.Itoa(int(s)) + ")"
 	}

@@ -166,18 +166,17 @@ func TestSpanSnapshot(t *testing.T) {
 // telemetry snapshots and benchjson tables, so renames are breaking changes.
 func TestSpanNames(t *testing.T) {
 	want := map[Span]string{
-		SpanTraceLoad:   "trace_load",
-		SpanSchedule:    "contact_schedule",
-		SpanSession:     "session",
-		SpanRelay:       "relay",
-		SpanTest:        "test",
-		SpanDecide:      "decide",
-		SpanPoR:         "por",
-		SpanPoM:         "pom",
-		SpanCrypto:      "crypto_hmac",
-		SpanAudit:       "audit",
-		SpanDispatch:    "sweep_dispatch",
-		SpanShardWarmup: "shard_warmup",
+		SpanTraceLoad: "trace_load",
+		SpanSchedule:  "contact_schedule",
+		SpanSession:   "session",
+		SpanRelay:     "relay",
+		SpanTest:      "test",
+		SpanDecide:    "decide",
+		SpanPoR:       "por",
+		SpanPoM:       "pom",
+		SpanCrypto:    "crypto_hmac",
+		SpanAudit:     "audit",
+		SpanDispatch:  "sweep_dispatch",
 	}
 	if len(want) != int(numSpans) {
 		t.Fatalf("name table covers %d spans, enum has %d", len(want), numSpans)

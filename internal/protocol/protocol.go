@@ -289,10 +289,8 @@ type Env struct {
 	wireScratch wire.Scratch
 
 	// pool batches the run's heavy-HMAC obligations (storage-proof compute
-	// and verify) so test phases can fan them out to worker goroutines and
-	// rejoin before any decision consumes a digest. Always non-nil: NewEnv
-	// creates a sequential (one-worker) pool, SetCryptoWorkers raises the
-	// parallelism.
+	// and verify) so a prover and its verifier coalesce onto one keystream
+	// walk, computed before any decision consumes a digest. Always non-nil.
 	pool *g2gcrypto.Pool
 
 	// pomCache memoizes validatePoM verdicts by signature bytes. A proof of
@@ -317,29 +315,21 @@ const pomCacheLimit = 1024
 // SetMetrics attaches the run's telemetry registry to the environment and
 // teaches it the wire-kind names for snapshots. A nil registry detaches.
 func (e *Env) SetMetrics(m *obs.Metrics) {
-	if m == nil {
-		e.stats, e.crypto = nil, nil
-		e.pool.SetTelemetry(nil, nil)
-		return
+	e.stats, e.crypto = nil, nil
+	if m != nil {
+		e.stats, e.crypto = &m.Protocol, &m.Crypto
+		m.Protocol.SetKindNamer(func(k uint8) string { return wire.Kind(k).String() })
 	}
-	e.stats, e.crypto = &m.Protocol, &m.Crypto
-	e.pool.SetTelemetry(&m.Crypto, &m.Spans)
-	m.Protocol.SetKindNamer(func(k uint8) string { return wire.Kind(k).String() })
+	e.pool.SetTelemetry(e.crypto, e.spans)
 }
 
 // SetSpans attaches a span recorder to the environment, enabling per-region
 // profiling of the protocol steps (relay/test/decide, PoR/PoM, heavy HMAC).
 // A nil recorder detaches.
-func (e *Env) SetSpans(r *obs.SpanRecorder) { e.spans = r }
-
-// SetCryptoWorkers sets the parallelism of the heavy-HMAC batch pool. Values
-// below 2 keep execution sequential; any value produces byte-identical runs
-// (the determinism contract of g2gcrypto.Pool). It must be called between
-// batches (the engine sets it once at construction).
-func (e *Env) SetCryptoWorkers(n int) { e.pool.SetWorkers(n) }
-
-// CryptoWorkers returns the batch pool's configured parallelism.
-func (e *Env) CryptoWorkers() int { return e.pool.Workers() }
+func (e *Env) SetSpans(r *obs.SpanRecorder) {
+	e.spans = r
+	e.pool.SetTelemetry(e.crypto, r)
+}
 
 // PendingCryptoObligations returns the number of unflushed batch
 // obligations. Protocol phases flush before returning, so it is zero at
@@ -386,7 +376,7 @@ func NewEnv(sys g2gcrypto.System, params Params, observer Observer, rng *sim.RNG
 	}
 	return &Env{
 		Sys: sys, Params: params, Observer: observer, RNG: rng,
-		pool: g2gcrypto.NewPool(1, nil, nil),
+		pool: g2gcrypto.NewPool(nil, nil),
 	}, nil
 }
 
@@ -487,8 +477,8 @@ func (b *base) verifyHeavyHMAC(msg, seed []byte, iterations int, response g2gcry
 // pool, charging this node's usage immediately (iterations are owed whether
 // the batch coalesces the work or not — the sequential path charges the same
 // way). The digest is read back after the pool flushes. Wall-time telemetry
-// is recorded by the pool post-join, so batched and sequential runs reconcile
-// identically against the invariant auditor.
+// is recorded by the pool at the flush, so batched and unbatched proofs
+// reconcile identically against the invariant auditor.
 func (b *base) submitHeavyHMAC(msg, seed []byte, iterations int) g2gcrypto.Ticket {
 	b.noteHMAC(iterations)
 	return b.env.pool.SubmitCompute(msg, seed, iterations)

@@ -81,3 +81,37 @@ func TestKindNamerWired(t *testing.T) {
 		t.Fatalf("KindNamer(POR kind) = %q", got)
 	}
 }
+
+// TestHeavyHMACNestsUnderTestSpan pins the span ledger's accounting of the
+// storage proofs a test phase flushes: the heavy-HMAC time must be a child of
+// the open test span, so the test span's self time excludes it and the two
+// add up to no more than the test span's wall time. Counting the same
+// keystream walk in both would push the ledger's attributed share past 100%.
+func TestHeavyHMACNestsUnderTestSpan(t *testing.T) {
+	params := DefaultParams(30 * sim.Minute)
+	// Heavy enough that the keystream walk dwarfs the PoR span's envelope
+	// work, so double counting cannot hide in timer noise.
+	params.HeavyHMACIterations = 1 << 14
+	w := newWorld(t, G2GEpidemic, 4, params, nil)
+	m := obs.NewMetrics()
+	w.env.SetMetrics(m)
+	w.env.SetSpans(obs.NewSpanRecorder(&m.Spans))
+
+	w.generate(0, 0, 3)
+	w.meet(sim.Minute, 0, 1)
+	w.meet(2*sim.Minute, 1, 3)
+	// After Δ1 the source tests its relay, which answers with a storage
+	// proof (it holds only one onward PoR).
+	w.meet(params.Delta1.Add(sim.Minute), 0, 1)
+
+	spans := &m.Spans
+	if spans.Count(obs.SpanTest) == 0 || spans.Count(obs.SpanCrypto) == 0 {
+		t.Fatalf("test spans = %d, crypto_hmac spans = %d; want both recorded",
+			spans.Count(obs.SpanTest), spans.Count(obs.SpanCrypto))
+	}
+	self, hmac, wall := spans.Self(obs.SpanTest), spans.Wall(obs.SpanCrypto), spans.Wall(obs.SpanTest)
+	if self+hmac > wall {
+		t.Fatalf("Self(test) %v + Wall(crypto_hmac) %v = %v exceeds Wall(test) %v: heavy-HMAC time counted twice",
+			self, hmac, self+hmac, wall)
+	}
+}

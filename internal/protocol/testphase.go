@@ -16,17 +16,17 @@ import (
 //	  storage-proof obligation — the relay's proof and the source's
 //	  recomputation — is submitted to the Env's batch pool. All RNG draws
 //	  happen here, in the exact per-test order of the sequential path.
-//	B (barrier): Pool.Flush computes every obligation, in parallel when the
-//	  engine configured CryptoWorkers > 1.
+//	B (barrier): Pool.Flush computes every distinct obligation once;
+//	  coalescing lets an honest prover and its verifier share one
+//	  keystream walk.
 //	C (decide): verdicts are consumed in collection order, reproducing the
 //	  sequential path's telemetry, observer, and PoM-broadcast order. The
 //	  barrier sits before the relay phase, so a failed test still blacklists
 //	  the relay in time for eligibleToRelay.
 //
-// Obligations of one instant are data-independent by construction (each reads
-// only immutable message bytes and the challenge seed), which is what makes
-// the fan-out safe; the (At, Pri, seq)-ordered rejoin is what keeps audit
-// digests byte-identical at any worker count.
+// Obligations of one session are data-independent by construction (each reads
+// only immutable message bytes and the challenge seed), so deferring them to
+// the barrier cannot change a digest or a verdict.
 type storedPrep struct {
 	hash   g2gcrypto.Digest
 	seed   [16]byte

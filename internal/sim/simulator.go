@@ -169,7 +169,8 @@ func (s *Simulator) Run() (Time, error) {
 }
 
 // RunUntil runs the simulation up to and including events at instant horizon,
-// then returns. Events scheduled after the horizon remain unexecuted.
+// then returns. Events scheduled after the horizon stay queued for a later
+// Run or RunUntil.
 func (s *Simulator) RunUntil(horizon Time) (Time, error) {
 	s.horizon = horizon
 	defer func() { s.horizon = 0 }()

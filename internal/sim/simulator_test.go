@@ -199,6 +199,21 @@ func TestRunUntil(t *testing.T) {
 	if end != 5*Minute {
 		t.Errorf("end = %v, want 5m", end)
 	}
+	// Events past the horizon stay queued rather than being popped and
+	// dropped, so a wider second horizon fires exactly the rest.
+	if s.Pending() != 5 {
+		t.Errorf("pending after RunUntil(5m) = %d, want 5", s.Pending())
+	}
+	end, err = s.RunUntil(10 * Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count != 10 {
+		t.Errorf("count after RunUntil(10m) = %d, want 10", count)
+	}
+	if end != 10*Minute {
+		t.Errorf("end = %v, want 10m", end)
+	}
 }
 
 // TestQueueProperty drains random schedules and checks the pop order is the

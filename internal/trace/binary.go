@@ -35,10 +35,9 @@ import (
 // Contacts are stored in the canonical (Start, End, A, B) order New sorts
 // into, so start deltas are non-negative and a reader can feed the engine's
 // contact cursor directly. The per-block [minStart, maxEnd] bounds and the
-// self-delimiting payloadLen let a reader skip irrelevant blocks without
-// decoding them — the hook a sharded engine needs to split a trace by time
-// window. The fixed-size footer lets OpenBinary report Len and Span without
-// scanning the file.
+// self-delimiting payloadLen let a reader skip blocks outside a time window
+// without decoding them. The fixed-size footer lets OpenBinary report Len and
+// Span without scanning the file.
 
 const (
 	binaryMagic   = "G2GT"

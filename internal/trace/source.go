@@ -4,7 +4,7 @@ import "give2get/internal/sim"
 
 // Source is anything that can stream a trace's contacts in the canonical
 // (Start, End, A, B) order: the in-memory *Trace, the binary file reader
-// (OpenBinary), or any future sharded/remote reader. A Source is a cheap
+// (OpenBinary), or any other reader that keeps that order. A Source is a cheap
 // handle — constructing one does not load the contacts — and every Cursor
 // call yields an independent pass over the stream, so concurrent runs can
 // each open their own cursor against one shared source.

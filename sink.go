@@ -33,9 +33,9 @@ func NewJSONTraceSink(w io.Writer, min TraceLevel) TraceSink {
 	return obs.NewJSONSink(w, min)
 }
 
-// NewLegacyEventSink returns a sink writing the deprecated
-// SimulationConfig.EventLog JSON-lines format to w, byte for byte — the
-// migration path off the EventLog field.
+// NewLegacyEventSink returns a sink writing the original pre-telemetry event
+// log to w: one JSON line per generate/replicate/deliver/test/detect event,
+// byte for byte the format g2gsim -events has always written.
 func NewLegacyEventSink(w io.Writer) TraceSink {
 	return engine.NewLegacyEventSink(w)
 }
