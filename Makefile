@@ -73,7 +73,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseKind -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzParamsValidate -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzParseCheckpoint -fuzztime=$(FUZZTIME) ./internal/engine
-	$(GO) test -run='^$$' -fuzz=FuzzBatchVerify -fuzztime=$(FUZZTIME) ./internal/g2gcrypto
+	$(GO) test -run='^$$' -fuzz=FuzzProofMemo -fuzztime=$(FUZZTIME) ./internal/protocol
 
 # Coverage with a per-package floor (COVER_FLOOR percent) over the library
 # packages. The profile lands in cover.out for `go tool cover -html`.

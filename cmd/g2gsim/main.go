@@ -87,11 +87,13 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	// The registry exists for the whole invocation when inspecting, so the
+	// Per-primitive timers and spans record only into an attached registry,
+	// so one is attached whenever the telemetry is read: a report file or
+	// the live inspector. It exists for the whole invocation, so the
 	// trace_load span below and every run (repeats included) aggregate into
-	// the same live view.
+	// the same report and live view.
 	var reg *give2get.Metrics
-	if *inspect != "" {
+	if *telemetry != "" || *inspect != "" {
 		reg = give2get.NewMetrics()
 	}
 
@@ -205,6 +207,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			// means every repeat audited clean.
 			fmt.Fprintf(stdout, "audit: ok (%d runs clean)\n", len(sweep.Runs))
 		}
+		if *telemetry != "" {
+			return writeTelemetry(stdout, *telemetry, reg.Snapshot())
+		}
 		return nil
 	}
 
@@ -258,21 +263,23 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	if *telemetry != "" {
-		if err := writeTelemetry(*telemetry, res.Telemetry); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "telemetry:   %d events (%.0f events/s) -> %s\n",
-			res.Telemetry.Sim.EventsFired, res.Telemetry.EventsPerSec(), *telemetry)
+		return writeTelemetry(stdout, *telemetry, res.Telemetry)
 	}
 	return nil
 }
 
-func writeTelemetry(path string, tel *give2get.Telemetry) error {
+// writeTelemetry writes the JSON run report to path and notes it on stdout.
+func writeTelemetry(stdout io.Writer, path string, tel *give2get.Telemetry) error {
 	b, err := json.MarshalIndent(tel, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "telemetry:   %d events (%.0f events/s) -> %s\n",
+		tel.Sim.EventsFired, tel.EventsPerSec(), path)
+	return nil
 }
 
 func dedupe(in []int) []int {

@@ -131,7 +131,16 @@ func TestRunTelemetryReport(t *testing.T) {
 		} `json:"protocol"`
 		Crypto struct {
 			Provider string `json:"provider"`
+			Sign     struct {
+				TotalNS int64 `json:"total_ns"`
+			} `json:"sign"`
+			HeavyHMAC struct {
+				TotalNS int64 `json:"total_ns"`
+			} `json:"heavy_hmac"`
 		} `json:"crypto"`
+		Spans []struct {
+			Name string `json:"name"`
+		} `json:"spans"`
 	}
 	if err := json.Unmarshal(b, &snap); err != nil {
 		t.Fatal(err)
@@ -143,6 +152,19 @@ func TestRunTelemetryReport(t *testing.T) {
 	if snap.Engine.Phases.Window.WallNS <= 0 {
 		t.Errorf("report missing phase timings:\n%s", b)
 	}
+	// -telemetry alone (no -inspect) must still time the primitives and
+	// record the span profile, not report zeros.
+	if snap.Crypto.Sign.TotalNS <= 0 || snap.Crypto.HeavyHMAC.TotalNS <= 0 {
+		t.Errorf("crypto timings are zero: sign total_ns=%d heavy_hmac total_ns=%d",
+			snap.Crypto.Sign.TotalNS, snap.Crypto.HeavyHMAC.TotalNS)
+	}
+	hasHMACSpan := false
+	for _, sp := range snap.Spans {
+		hasHMACSpan = hasHMACSpan || sp.Name == "crypto_hmac"
+	}
+	if !hasHMACSpan {
+		t.Errorf("report has no crypto_hmac span: %+v", snap.Spans)
+	}
 
 	tl, err := os.ReadFile(traceLog)
 	if err != nil {
@@ -153,6 +175,45 @@ func TestRunTelemetryReport(t *testing.T) {
 	}
 	if fi, err := os.Stat(filepath.Join(dir, "mem.out")); err != nil || fi.Size() == 0 {
 		t.Errorf("heap profile not written: %v", err)
+	}
+}
+
+// TestRunSweepTelemetry checks that -repeats with -telemetry writes the
+// report of the shared registry: its event count is the sum of the single
+// runs at the sweep's seeds (the committed trace keeps the contacts fixed
+// across seeds).
+func TestRunSweepTelemetry(t *testing.T) {
+	dir := t.TempDir()
+	eventsFired := func(name string, extra ...string) int64 {
+		t.Helper()
+		report := filepath.Join(dir, name+".json")
+		args := append([]string{
+			"-trace", "testdata/contacts.txt", "-protocol", "g2g-epidemic",
+			"-ttl", "20m", "-interval", "2m", "-telemetry", report,
+		}, extra...)
+		var out, errOut bytes.Buffer
+		if err := run(args, &out, &errOut); err != nil {
+			t.Fatalf("%s: %v\nstderr:\n%s", name, err, errOut.String())
+		}
+		b, err := os.ReadFile(report)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var snap struct {
+			Sim struct {
+				EventsFired int64 `json:"events_fired"`
+			} `json:"sim"`
+		}
+		if err := json.Unmarshal(b, &snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap.Sim.EventsFired
+	}
+	first := eventsFired("seed1", "-seed", "1")
+	second := eventsFired("seed2", "-seed", "2")
+	sweep := eventsFired("sweep", "-seed", "1", "-repeats", "2")
+	if first == 0 || second == 0 || sweep != first+second {
+		t.Errorf("sweep events_fired = %d, want %d + %d", sweep, first, second)
 	}
 }
 

@@ -128,7 +128,9 @@ type SimulationConfig struct {
 	// Registry, when non-nil, is the registry the run records its telemetry
 	// into (instead of a fresh private one). Share it across runs to
 	// aggregate them, or snapshot it mid-run for live progress — all
-	// recording is atomic.
+	// recording is atomic. Per-primitive crypto timers and the span profile
+	// are recorded only into an attached registry; counts and phase wall
+	// times are recorded either way.
 	Registry *Metrics
 
 	// CheckpointPath, when non-empty, makes the run crash-safe: a
@@ -201,7 +203,8 @@ type Result struct {
 	Detections []DetectionInfo
 
 	// Telemetry is the run report: per-subsystem counters and phase wall
-	// timings. Always populated.
+	// timings. Always populated; its crypto timers read zero and its spans
+	// are empty unless the run had a SimulationConfig.Registry.
 	Telemetry *Telemetry
 
 	// AuditReport is the invariant auditor's verdict; nil unless the run was

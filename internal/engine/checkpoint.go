@@ -207,12 +207,6 @@ func atomicWriteFile(path string, data []byte) error {
 // workload generation, and the rule-reconstructible closures (memory ticks
 // and phase probes).
 func (e *engine) captureCheckpoint(s *sim.Simulator) (*checkpoint, error) {
-	// Control events fire only at instant barriers, where the crypto batch
-	// pool has flushed every obligation; a pending one here would mean a
-	// protocol decision point leaked past its barrier.
-	if n := e.env.PendingCryptoObligations(); n != 0 {
-		return nil, fmt.Errorf("engine: checkpoint with %d unflushed crypto obligations", n)
-	}
 	ck := &checkpoint{
 		Fingerprint:  configFingerprint(e.cfg),
 		Now:          s.Now(),

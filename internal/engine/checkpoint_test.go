@@ -137,9 +137,9 @@ func TestKillResumeTwice(t *testing.T) {
 // TestPeriodicCheckpointResumable runs to completion with periodic emission
 // on and resumes from the last periodic snapshot: the replayed tail must
 // land on the same digest. This exercises the ctrlPeriodic chain end to end.
-// The droppers case keeps the crypto batch pool busy with failing storage
-// proofs, so every periodic capture also checks the zero-pending-obligations
-// barrier (captureCheckpoint rejects a snapshot with obligations in flight).
+// The droppers case adds failed tests and PoM broadcasts to the replayed
+// tail, and resumes with an empty storage-proof memo (it is never
+// checkpointed), which must not change a digest.
 func TestPeriodicCheckpointResumable(t *testing.T) {
 	cases := []struct {
 		name      string

@@ -88,7 +88,8 @@ type Config struct {
 	// Telemetry, when non-nil, is the registry the run records its counters
 	// and timings into; sharing one registry across runs aggregates a whole
 	// sweep. When nil the engine uses a private registry, so Result.Telemetry
-	// is always populated.
+	// is always populated, but only with counts and phase wall times: the
+	// per-primitive crypto timers and the span profile need a registry.
 	Telemetry *obs.Metrics
 	// Audit, when non-nil, attaches the invariant auditor to the run: every
 	// protocol event is checked against a shadow model online and the

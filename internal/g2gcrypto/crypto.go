@@ -95,7 +95,7 @@ type SessionKey [32]byte
 // hand-rolled heavy-HMAC loop. A zero value is ready to use; the first call
 // allocates the two SHA-256 states, later calls reuse them, so steady-state
 // storage proofs perform no setup allocations. A scratch belongs to one
-// goroutine (each run's batch pool keeps one, see batch.go).
+// goroutine; each run's protocol environment keeps one.
 type HMACScratch struct {
 	inner, outer hash.Hash
 	ipad, opad   [sha256.BlockSize]byte

@@ -107,30 +107,3 @@ func (id *instrumentedIdentity) Open(box []byte) ([]byte, error) {
 	id.stats.NoteOpen(time.Since(start))
 	return out, err
 }
-
-// TimedHeavyHMAC is HeavyHMAC with telemetry: it records the wall time and
-// iteration count into st (nil-safe) before returning the digest.
-func TimedHeavyHMAC(st *obs.CryptoStats, message, seed []byte, iterations int) Digest {
-	if !st.Timed() {
-		out := HeavyHMAC(message, seed, iterations)
-		st.NoteHeavyHMAC(0, iterations)
-		return out
-	}
-	start := time.Now()
-	out := HeavyHMAC(message, seed, iterations)
-	st.NoteHeavyHMAC(time.Since(start), iterations)
-	return out
-}
-
-// TimedVerifyHeavyHMAC is VerifyHeavyHMAC with the same telemetry.
-func TimedVerifyHeavyHMAC(st *obs.CryptoStats, message, seed []byte, iterations int, response Digest) bool {
-	if !st.Timed() {
-		ok := VerifyHeavyHMAC(message, seed, iterations, response)
-		st.NoteHeavyHMAC(0, iterations)
-		return ok
-	}
-	start := time.Now()
-	ok := VerifyHeavyHMAC(message, seed, iterations, response)
-	st.NoteHeavyHMAC(time.Since(start), iterations)
-	return ok
-}

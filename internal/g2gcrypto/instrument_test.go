@@ -90,25 +90,3 @@ func TestInstrumentCertified(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTimedHeavyHMAC(t *testing.T) {
-	var st obs.CryptoStats
-	msg, seed := []byte("message"), []byte("seed")
-	d := TimedHeavyHMAC(&st, msg, seed, 10)
-	if d != HeavyHMAC(msg, seed, 10) {
-		t.Fatal("timed HMAC differs from plain HMAC")
-	}
-	if !TimedVerifyHeavyHMAC(&st, msg, seed, 10, d) {
-		t.Fatal("timed verify rejected valid response")
-	}
-	if got := st.HeavyHMAC.Count(); got != 2 {
-		t.Fatalf("heavy HMAC count = %d, want 2", got)
-	}
-	if got := st.HeavyHMACIterations.Load(); got != 20 {
-		t.Fatalf("iterations = %d, want 20", got)
-	}
-	// Nil stats must not panic.
-	if TimedHeavyHMAC(nil, msg, seed, 1) != HeavyHMAC(msg, seed, 1) {
-		t.Fatal("nil-stats timed HMAC differs")
-	}
-}

@@ -465,11 +465,6 @@ type CryptoStats struct {
 	// computed or verified.
 	HeavyHMACIterations Counter
 
-	// Batch-pool accounting (g2gcrypto.Pool): flushes and the distinct jobs
-	// they computed after coalescing.
-	poolFlushes Counter
-	poolJobs    Counter
-
 	provider atomic.Pointer[string]
 
 	// noTiming suppresses the per-operation clock reads: counts still
@@ -555,18 +550,8 @@ func (c *CryptoStats) NoteHeavyHMAC(d time.Duration, iterations int) {
 	c.HeavyHMACIterations.Add(int64(iterations))
 }
 
-// NotePoolFlush records one batch-pool flush that ran jobs distinct
-// computations.
-func (c *CryptoStats) NotePoolFlush(jobs int64) {
-	if c == nil {
-		return
-	}
-	c.poolFlushes.Inc()
-	c.poolJobs.Add(jobs)
-}
-
-// PoolSnapshot is the frozen batch-pool accounting, present when any flush
-// ran.
+// PoolSnapshot is the shape of the retired storage-proof batch accounting.
+// Its one use, CryptoSnapshot.Pool, is always nil.
 type PoolSnapshot struct {
 	Flushes int64 `json:"flushes"`
 	Jobs    int64 `json:"jobs"`
@@ -581,13 +566,13 @@ type CryptoSnapshot struct {
 	Open                OpSnapshot `json:"open"`
 	HeavyHMAC           OpSnapshot `json:"heavy_hmac"`
 	HeavyHMACIterations int64      `json:"heavy_hmac_iterations"`
-	// Pool summarizes batched storage-proof execution; nil when the run
-	// never flushed a batch.
+	// Pool is always nil: storage proofs are no longer batched. The field
+	// stays so report readers that look it up keep compiling.
 	Pool *PoolSnapshot `json:"pool,omitempty"`
 }
 
 func (c *CryptoStats) snapshot() CryptoSnapshot {
-	s := CryptoSnapshot{
+	return CryptoSnapshot{
 		Provider:            c.Provider(),
 		Sign:                c.Sign.Snapshot(),
 		Verify:              c.Verify.Snapshot(),
@@ -596,10 +581,6 @@ func (c *CryptoStats) snapshot() CryptoSnapshot {
 		HeavyHMAC:           c.HeavyHMAC.Snapshot(),
 		HeavyHMACIterations: c.HeavyHMACIterations.Load(),
 	}
-	if n := c.poolFlushes.Load(); n > 0 {
-		s.Pool = &PoolSnapshot{Flushes: n, Jobs: c.poolJobs.Load()}
-	}
-	return s
 }
 
 // --- snapshot root ---

@@ -3,6 +3,8 @@ package protocol
 import (
 	"testing"
 
+	"give2get/internal/g2gcrypto"
+	"give2get/internal/obs"
 	"give2get/internal/sim"
 )
 
@@ -65,4 +67,72 @@ func FuzzParamsValidate(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzProofMemo checks the Env's storage-proof memo against the plain
+// HeavyHMAC: a cold call, a repeat (a hit, no keystream walk) and a
+// perturbed input must each return HeavyHMAC's digest and pass
+// VerifyHeavyHMAC, and only the repeat may skip the walk. perturb%3 picks
+// what changes: a message byte flipped in the caller's buffer (so the memo
+// must hold its own copy), a seed byte, or the iteration count. Iteration
+// counts below 1 clamp inside the HMAC, and the memo must agree there too.
+func FuzzProofMemo(f *testing.F) {
+	f.Add([]byte("message"), []byte("seed"), 4, uint8(0))
+	f.Add([]byte{}, []byte{}, 0, uint8(1))
+	f.Add([]byte("m"), []byte("a seed that is much longer than one SHA-256 block, to force key hashing"), -3, uint8(2))
+	f.Add([]byte{0xff, 0x00, 0xff}, []byte{0x36, 0x5c}, 1, uint8(4))
+	sys, err := g2gcrypto.NewFast(2, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	f.Fuzz(func(t *testing.T, msg, seed []byte, iterations int, perturb uint8) {
+		if iterations > 64 {
+			iterations = 64 // keep the fuzz fast
+		}
+		// The fuzzer owns its argument buffers; perturb copies.
+		msg, seed = append([]byte{}, msg...), append([]byte{}, seed...)
+		env, err := NewEnv(sys, DefaultParams(sim.Minute), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := obs.NewMetrics()
+		env.SetMetrics(m)
+		env.SetSpans(obs.NewSpanRecorder(&m.Spans))
+		check := func(step string, wantWalks int64) {
+			got := env.heavyHMAC(msg, seed, iterations)
+			if want := g2gcrypto.HeavyHMAC(msg, seed, iterations); got != want {
+				t.Fatalf("%s: memo digest %x, HeavyHMAC %x", step, got, want)
+			}
+			if !g2gcrypto.VerifyHeavyHMAC(msg, seed, iterations, got) {
+				t.Fatalf("%s: VerifyHeavyHMAC rejected the memo's digest", step)
+			}
+			if walks := m.Spans.Count(obs.SpanCrypto); walks != wantWalks {
+				t.Fatalf("%s: %d keystream walks, want %d", step, walks, wantWalks)
+			}
+		}
+		check("cold", 1)
+		check("repeat", 1)
+		switch perturb % 3 {
+		case 0:
+			msg = flipByte(msg, int(perturb))
+		case 1:
+			seed = flipByte(seed, int(perturb))
+		default:
+			iterations++
+		}
+		check("perturbed", 2)
+		if got := m.Crypto.HeavyHMAC.Count(); got != 3 {
+			t.Fatalf("heavy_hmac count = %d, want 3: every call is an obligation", got)
+		}
+	})
+}
+
+// flipByte changes one byte of b in place, or appends one to an empty b.
+func flipByte(b []byte, i int) []byte {
+	if len(b) == 0 {
+		return append(b, 0)
+	}
+	b[i%len(b)] ^= 0x01
+	return b
 }

@@ -5,6 +5,7 @@ import (
 
 	"give2get/internal/obs"
 	"give2get/internal/sim"
+	"give2get/internal/trace"
 	"give2get/internal/wire"
 )
 
@@ -16,6 +17,7 @@ func TestSessionTelemetry(t *testing.T) {
 	w := newWorld(t, G2GEpidemic, 4, params, nil)
 	m := obs.NewMetrics()
 	w.env.SetMetrics(m)
+	w.env.SetSpans(obs.NewSpanRecorder(&m.Spans))
 
 	w.generate(0, 0, 3)
 	w.meet(sim.Minute, 0, 1)   // relay phase: 0 hands the message to 1
@@ -34,12 +36,23 @@ func TestSessionTelemetry(t *testing.T) {
 		t.Fatalf("tests failed = %d, want 0", got)
 	}
 	// The relay answered with a storage proof (only one onward PoR), so both
-	// sides ran the heavy HMAC through the instrumented helper.
+	// sides owe the heavy HMAC: two obligations, each node charged in full.
 	if got := m.Crypto.HeavyHMAC.Count(); got != 2 {
 		t.Fatalf("heavy HMAC count = %d, want 2", got)
 	}
 	if got := m.Crypto.HeavyHMACIterations.Load(); got != 8 {
 		t.Fatalf("heavy HMAC iterations = %d, want 8", got)
+	}
+	for _, id := range []trace.NodeID{0, 1} {
+		if got := w.nodes[id].UsageSnapshot().HeavyHMACIterations; got != 4 {
+			t.Errorf("node %d charged %d heavy-HMAC iterations, want 4", id, got)
+		}
+	}
+	// The source recomputed over a byte-identical copy under the same seed,
+	// so its call hit the memo the relay's proof filled (the passed test
+	// shows the hit returned the relay's digest): one keystream walk.
+	if got := m.Spans.Count(obs.SpanCrypto); got != 1 {
+		t.Errorf("crypto_hmac walks = %d, want 1 for 2 obligations", got)
 	}
 
 	snap := m.Snapshot()
@@ -83,9 +96,9 @@ func TestKindNamerWired(t *testing.T) {
 }
 
 // TestHeavyHMACNestsUnderTestSpan pins the span ledger's accounting of the
-// storage proofs a test phase flushes: the heavy-HMAC time must be a child of
-// the open test span, so the test span's self time excludes it and the two
-// add up to no more than the test span's wall time. Counting the same
+// storage proofs a test phase computes: the heavy-HMAC time must be nested
+// under the open test span, so the test span's self time excludes it and the
+// two add up to no more than the test span's wall time. Counting the same
 // keystream walk in both would push the ledger's attributed share past 100%.
 func TestHeavyHMACNestsUnderTestSpan(t *testing.T) {
 	params := DefaultParams(30 * sim.Minute)
