@@ -1,6 +1,7 @@
 package g2gcrypto
 
 import (
+	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding"
@@ -26,6 +27,22 @@ import (
 type fastSystem struct {
 	master     [32]byte
 	identities []*fastIdentity
+	// last is a one-entry memo of the most recent signature. Protocols verify
+	// an envelope right after its signer produced it, so most verifies ask
+	// for exactly the MAC the last Sign computed. It is transient: a fresh or
+	// resumed system just recomputes.
+	last lastSig
+}
+
+// lastSig remembers one signature with its own copies of the signing input
+// and the MAC, so a caller mutating either afterwards can only miss. The MAC
+// is a pure function of (signer secret, input), so a hit answers exactly as
+// a recomputation would.
+type lastSig struct {
+	signer trace.NodeID
+	input  []byte
+	mac    [sha256.Size]byte
+	valid  bool
 }
 
 type fastIdentity struct {
@@ -123,6 +140,9 @@ func (s *fastSystem) Verify(signer trace.NodeID, data []byte, sig Signature) boo
 	if int(signer) < 0 || int(signer) >= len(s.identities) {
 		return false
 	}
+	if m := &s.last; m.valid && m.signer == signer && bytes.Equal(m.input, data) {
+		return hmac.Equal(m.mac[:], sig)
+	}
 	id := s.identities[signer]
 	id.signMAC.Reset()
 	id.signMAC.Write(data)
@@ -157,7 +177,12 @@ func (id *fastIdentity) Sign(data []byte) Signature {
 	}
 	start := len(id.sigArena)
 	id.sigArena = id.signMAC.Sum(id.sigArena)
-	return Signature(id.sigArena[start:len(id.sigArena):len(id.sigArena)])
+	sig := id.sigArena[start:len(id.sigArena):len(id.sigArena)]
+	m := &id.system.last
+	m.signer, m.valid = id.node, true
+	m.input = append(m.input[:0], data...)
+	copy(m.mac[:], sig)
+	return Signature(sig)
 }
 
 func (id *fastIdentity) Open(box []byte) ([]byte, error) {

@@ -7,6 +7,8 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"testing"
+
+	"give2get/internal/trace"
 )
 
 // referenceHeavyHMAC is the straightforward hmac.New-per-round construction
@@ -132,6 +134,116 @@ func TestFastVerifyAllocCeiling(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("fast Verify: %.1f allocs/op, ceiling 0", allocs)
 	}
+}
+
+// TestFastVerifyMemo pins the last-signature memo: a hit must answer exactly
+// as a recomputation would, and anything but the same signer over the same
+// bytes must miss. Node 1 signs; hit says whether Verify then finds the memo
+// holding its signer and input, so both paths are exercised.
+func TestFastVerifyMemo(t *testing.T) {
+	data := []byte("RELAY_RQST signing input")
+	cases := []struct {
+		name      string
+		claimed   trace.NodeID // the signer Verify is told
+		flipInput bool         // flip a byte of the verified input
+		flipSig   bool         // flip a byte of the returned signature in place
+		signLater bool         // sign other inputs before verifying
+		hit, want bool
+	}{
+		{name: "verify right after its sign", claimed: 1, hit: true, want: true},
+		{name: "same bytes under another claimed signer", claimed: 2},
+		{name: "one flipped input byte", claimed: 1, flipInput: true},
+		{name: "returned signature flipped in place", claimed: 1, flipSig: true, hit: true},
+		{name: "earlier signature after later signs", claimed: 1, signLater: true, want: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := NewFast(4, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			input := append([]byte(nil), data...)
+			sig := mustIdentity(t, sys, 1).Sign(input)
+			if tc.flipInput {
+				input[3] ^= 0x01
+			}
+			if tc.flipSig {
+				sig[0] ^= 0x01
+			}
+			if tc.signLater {
+				mustIdentity(t, sys, 2).Sign([]byte("RELAY_DECLINE"))
+				mustIdentity(t, sys, 1).Sign([]byte("KEY"))
+			}
+			m := sys.(*fastSystem).last
+			if hit := m.valid && m.signer == tc.claimed && bytes.Equal(m.input, input); hit != tc.hit {
+				t.Fatalf("memo hit = %v, want %v", hit, tc.hit)
+			}
+			if got := sys.Verify(tc.claimed, input, sig); got != tc.want {
+				t.Errorf("Verify = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzFastVerifyMemo checks that a provider that has just signed answers
+// every verify exactly as a fresh provider with the same seed, whose memo is
+// empty, does. mutate%5 picks what the verifier is shown: the signed input
+// unchanged, a flipped input byte, a flipped signature byte (in the returned
+// slice, so the memo must hold its own copy), another claimed signer, or the
+// signature checked after a later sign has replaced the memo.
+func FuzzFastVerifyMemo(f *testing.F) {
+	f.Add(uint8(1), []byte("relay request"), uint8(0), uint16(0))
+	f.Add(uint8(0), []byte{}, uint8(1), uint16(3))
+	f.Add(uint8(3), []byte{0xff, 0x00}, uint8(2), uint16(31))
+	f.Add(uint8(2), []byte("decline"), uint8(3), uint16(1))
+	f.Add(uint8(1), bytes.Repeat([]byte{0x5a}, 200), uint8(4), uint16(7))
+
+	f.Fuzz(func(t *testing.T, signer uint8, input []byte, mutate uint8, pos uint16) {
+		const nodes = 4
+		sys, err := NewFast(nodes, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewFast(nodes, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		who := trace.NodeID(signer % nodes)
+		input = append([]byte(nil), input...)
+		sig := mustIdentity(t, sys, who).Sign(input)
+		claimed := who
+		switch mutate % 5 {
+		case 1:
+			if len(input) == 0 {
+				input = append(input, 0)
+			} else {
+				input[int(pos)%len(input)] ^= 0x01
+			}
+		case 2:
+			sig[int(pos)%len(sig)] ^= 0x01
+		case 3:
+			claimed = (who + 1 + trace.NodeID(pos%(nodes-1))) % nodes
+		case 4:
+			mustIdentity(t, sys, (who+1)%nodes).Sign(append(input, 0))
+		}
+		got := sys.Verify(claimed, input, sig)
+		if want := fresh.Verify(claimed, input, sig); got != want {
+			t.Fatalf("mutation %d: memo Verify = %v, fresh provider = %v", mutate%5, got, want)
+		}
+		if honest := mutate%5 == 0 || mutate%5 == 4; got != honest {
+			t.Fatalf("mutation %d: Verify = %v, want %v", mutate%5, got, honest)
+		}
+	})
+}
+
+// mustIdentity returns node n's identity from sys.
+func mustIdentity(t *testing.T, sys System, n trace.NodeID) Identity {
+	t.Helper()
+	id, err := sys.Identity(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
 }
 
 func TestFastSealOpenAllocCeilings(t *testing.T) {

@@ -237,4 +237,31 @@ func TestDelegationTransferWithoutFQClaimRefused(t *testing.T) {
 	if por := b.handleRelayTransfer(frame1, transfer); por != nil {
 		t.Error("delegation transfer accepted without an FQ claim")
 	}
+
+	// A claim answers only the RELAY of its own exchange. Node 2 answers
+	// a's FQ_RQST and does not qualify; minutes later a RELAY for h with no
+	// FQ exchange of its own must be refused all the same.
+	n2, ok := w.nodes[2].(*g2gDelegationNode)
+	if !ok {
+		t.Fatal("unexpected node type")
+	}
+	w.meet(frame1+sim.Minute, 0, 2)
+	if len(w.rec.replicated) != 0 {
+		t.Fatal("unqualified peer received the message")
+	}
+	later := frame1 + 5*sim.Minute
+	stale := wire.Sign(a.self, later, wire.RelayTransfer{Hash: h, GenAt: c.genAt, Encrypted: encrypted})
+	if por := n2.handleRelayTransfer(later, stale); por != nil {
+		t.Error("delegation transfer accepted on the claim of an earlier exchange")
+	}
+
+	// Nor does a claim answer a RELAY from anyone but its requester.
+	fqReq := wire.Sign(a.self, later, wire.FQRequest{Hash: h, DPrime: 3})
+	if n2.handleFQRequest(later, fqReq) == nil {
+		t.Fatal("FQ request refused")
+	}
+	other := wire.Sign(b.self, later, wire.RelayTransfer{Hash: h, GenAt: c.genAt, Encrypted: encrypted})
+	if por := n2.handleRelayTransfer(later, other); por != nil {
+		t.Error("delegation transfer accepted on a claim issued to another requester")
+	}
 }

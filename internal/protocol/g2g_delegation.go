@@ -31,13 +31,28 @@ type g2gDelegationNode struct {
 	// re-sorting per contact.
 	custodyOrder []g2gcrypto.Digest
 	testsOrder   []g2gcrypto.Digest
-	// claims remembers the FQ_RESP this node issued per message hash so the
-	// PoR it signs moments later is consistent with its claim.
-	claims map[g2gcrypto.Digest]wire.FQResponse
+	// claim is the FQ_RESP this node issued in the exchange under way, so
+	// the PoR it signs moments later is consistent with it. It answers only
+	// the RELAY of that exchange: the requester's relayOne drops it on
+	// return, so no claim outlives the exchange that made it.
+	claim fqClaim
 	// audited tracks (responder, frame) pairs this destination has already
 	// audited, so one liar is not reported once per arriving copy.
 	audited map[auditKey]struct{}
 	seq     uint32
+	// mem and expireAt are maintained exactly as on g2gEpidemicNode; the
+	// quality history is added on top in MemoryBytes.
+	mem      int64
+	expireAt sim.Time
+}
+
+// fqClaim is one issued FQ_RESP, bound to the message and the requester it
+// answered.
+type fqClaim struct {
+	hash      g2gcrypto.Digest
+	requester trace.NodeID
+	resp      wire.FQResponse
+	valid     bool
 }
 
 type auditKey struct {
@@ -95,7 +110,6 @@ func newG2GDelegationNode(env *Env, self g2gcrypto.Identity, behavior Behavior, 
 		custody:   make(map[g2gcrypto.Digest]*g2gDelCustody),
 		tests:     make(map[g2gcrypto.Digest][]*delPendingTest),
 		pendingIn: make(map[g2gcrypto.Digest]*delPendingTransfer),
-		claims:    make(map[g2gcrypto.Digest]wire.FQResponse),
 		audited:   make(map[auditKey]struct{}),
 	}
 }
@@ -116,13 +130,11 @@ func (n *g2gDelegationNode) Generate(now sim.Time, dest trace.NodeID, body []byt
 	}
 	h := m.Hash()
 	fm := n.quality.qualityAt(dest, now, n.frequency)
-	n.seen[h] = struct{}{}
-	n.custody[h] = &g2gDelCustody{
+	n.takeCustody(&g2gDelCustody{
 		msg: m, raw: m.Marshal(), hash: h, genAt: now, fm: fm,
 		isSource:  true,
 		relayedTo: make(map[trace.NodeID]struct{}),
-	}
-	orderedInsert(&n.custodyOrder, h)
+	})
 	n.env.Observer.Generated(h, id, n.ID(), dest, now)
 	return nil
 }
@@ -199,6 +211,8 @@ func (n *g2gDelegationNode) relayOne(now sim.Time, h g2gcrypto.Digest, c *g2gDel
 	if isDest {
 		dPrime = n.randomDecoy(other.ID())
 	}
+	// The peer's claim answers this exchange only, however it ends.
+	defer other.dropClaim()
 	fqRespEnv, fqResp, ok := n.exchangeFQ(now, h, dPrime, other)
 	if !ok {
 		return false
@@ -215,10 +229,12 @@ func (n *g2gDelegationNode) relayOne(now sim.Time, h g2gcrypto.Digest, c *g2gDel
 		// Peer does not qualify. The sender records the last two signed
 		// declarations of failed relays for the destination's audit.
 		if c.isSource && fqResp.FQ < presentedFM {
+			before := len(c.failedFQ)
 			c.failedFQ = append(c.failedFQ, *fqRespEnv)
 			if len(c.failedFQ) > 2 {
 				c.failedFQ = c.failedFQ[len(c.failedFQ)-2:]
 			}
+			n.mem += int64(len(c.failedFQ)-before) * porFootprint
 		}
 		return false
 	}
@@ -256,6 +272,7 @@ func (n *g2gDelegationNode) relayOne(now sim.Time, h g2gcrypto.Digest, c *g2gDel
 	// changed only when forwarded.
 	c.fm = fqResp.FQ
 	c.pors = append(c.pors, *por)
+	n.mem += porFootprint
 	c.relayedTo[other.ID()] = struct{}{}
 	if !isDest {
 		c.relayCount++
@@ -267,6 +284,7 @@ func (n *g2gDelegationNode) relayOne(now sim.Time, h g2gcrypto.Digest, c *g2gDel
 		orderedInsert(&n.testsOrder, h)
 	}
 	if !c.isSource && len(c.pors) >= 2 && c.relayCount >= n.env.Params.MaxRelays {
+		n.mem -= int64(len(c.raw))
 		c.raw = nil
 	}
 	n.env.Observer.Replicated(h, n.ID(), other.ID(), now)
@@ -319,10 +337,13 @@ func (n *g2gDelegationNode) handleFQRequest(now sim.Time, req wire.Signed) *wire
 		fq = 0
 	}
 	resp := wire.FQResponse{Responder: n.ID(), DPrime: body.DPrime, FQ: fq, Frame: frame}
-	n.claims[body.Hash] = resp
+	n.claim = fqClaim{hash: body.Hash, requester: req.Signer, resp: resp, valid: true}
 	env := n.signed(now, resp)
 	return &env
 }
+
+// dropClaim forgets the FQ_RESP of the exchange that just ended.
+func (n *g2gDelegationNode) dropClaim() { n.claim = fqClaim{} }
 
 func (n *g2gDelegationNode) handleRelayTransfer(now sim.Time, transfer wire.Signed) *wire.Signed {
 	body, ok := transfer.Body.(wire.RelayTransfer)
@@ -332,16 +353,20 @@ func (n *g2gDelegationNode) handleRelayTransfer(now sim.Time, transfer wire.Sign
 	if _, seen := n.seen[body.Hash]; seen {
 		return nil
 	}
-	claim, ok := n.claims[body.Hash]
-	if !ok {
-		// No preceding FQ exchange: refuse the handoff.
+	if !n.claim.valid || n.claim.hash != body.Hash || n.claim.requester != transfer.Signer {
+		// No preceding FQ exchange with this sender: refuse the handoff.
 		return nil
 	}
-	delete(n.claims, body.Hash)
+	claim := n.claim.resp
+	n.dropClaim()
+	if old, ok := n.pendingIn[body.Hash]; ok {
+		n.mem -= int64(len(old.encrypted))
+	}
 	n.pendingIn[body.Hash] = &delPendingTransfer{
 		from: transfer.Signer, fm: claim.FQ, genAt: body.GenAt,
 		encrypted: body.Encrypted, attachments: body.Attachments,
 	}
+	n.mem += int64(len(body.Encrypted))
 	por := n.signed(now, wire.ProofOfRelay{
 		Hash: body.Hash, From: transfer.Signer, To: n.ID(),
 		DPrime: claim.DPrime, FM: body.FM, FBD: claim.FQ, Frame: claim.Frame,
@@ -359,6 +384,7 @@ func (n *g2gDelegationNode) handleKeyReveal(now sim.Time, reveal wire.Signed, fr
 		return
 	}
 	delete(n.pendingIn, body.Hash)
+	n.mem -= int64(len(pending.encrypted))
 
 	raw, err := g2gcrypto.DecryptPayload(body.Key, pending.encrypted)
 	if err != nil {
@@ -368,7 +394,6 @@ func (n *g2gDelegationNode) handleKeyReveal(now sim.Time, reveal wire.Signed, fr
 	if err != nil || m.Hash() != body.Hash {
 		return
 	}
-	n.seen[body.Hash] = struct{}{}
 
 	c := &g2gDelCustody{
 		msg: m, raw: raw, hash: body.Hash, genAt: pending.genAt,
@@ -386,8 +411,17 @@ func (n *g2gDelegationNode) handleKeyReveal(now sim.Time, reveal wire.Signed, fr
 		c.dropped = true
 		c.raw = nil
 	}
-	n.custody[body.Hash] = c
-	orderedInsert(&n.custodyOrder, body.Hash)
+	n.takeCustody(c)
+}
+
+// takeCustody files a new copy: seen-set entry, custody record, sorted
+// order, and its share of the memory counter and the expiry bound.
+func (n *g2gDelegationNode) takeCustody(c *g2gDelCustody) {
+	n.seen[c.hash] = struct{}{}
+	n.custody[c.hash] = c
+	orderedInsert(&n.custodyOrder, c.hash)
+	n.mem += hashFootprint + c.footprint()
+	n.expireAt = min(n.expireAt, c.genAt.Add(n.env.Params.Delta2))
 }
 
 // auditAttachments is the test-by-destination phase: the destination checks
@@ -529,12 +563,18 @@ func (n *g2gDelegationNode) handlePORChallenge(now sim.Time, challenge wire.Sign
 }
 
 func (n *g2gDelegationNode) expire(now sim.Time) {
+	if now < n.expireAt {
+		return
+	}
 	// Walk the maintained order, compacting survivors in place: the keepers
 	// stay sorted and each deletion is O(1) against the slice.
+	next := never
 	kept := n.custodyOrder[:0]
 	for _, h := range n.custodyOrder {
 		c := n.custody[h]
-		if now >= c.genAt.Add(n.env.Params.Delta2) {
+		at := c.genAt.Add(n.env.Params.Delta2)
+		if now >= at {
+			n.mem -= hashFootprint + c.footprint()
 			delete(n.custody, h)
 			delete(n.seen, h)
 			if _, ok := n.tests[h]; ok {
@@ -543,23 +583,32 @@ func (n *g2gDelegationNode) expire(now sim.Time) {
 			}
 			continue
 		}
+		next = min(next, at)
 		kept = append(kept, h)
 	}
 	n.custodyOrder = kept
+	n.expireAt = next
 }
 
 // MemoryBytes implements MemoryMeter: payloads, proofs of relay, embedded
-// declarations, quality history, and seen-set entries.
-func (n *g2gDelegationNode) MemoryBytes() int64 {
-	var total int64
+// declarations, pending handoffs, quality history, and seen-set entries.
+func (n *g2gDelegationNode) MemoryBytes() int64 { return n.mem + n.quality.historyBytes() }
+
+// memoryWalk recomputes the buffer part of MemoryBytes (all but the quality
+// history); RestoreState seeds the maintained counter with it.
+func (n *g2gDelegationNode) memoryWalk() int64 {
+	total := int64(len(n.seen)) * hashFootprint
 	for _, c := range n.custody {
-		total += int64(len(c.raw))
-		total += int64(len(c.pors)+len(c.attachments)+len(c.failedFQ)) * porFootprint
+		total += c.footprint()
 	}
-	total += int64(len(n.seen)) * hashFootprint
 	for _, p := range n.pendingIn {
 		total += int64(len(p.encrypted))
 	}
-	total += n.quality.historyBytes()
 	return total
+}
+
+// footprint is the copy's share of MemoryBytes: payload, proofs of relay,
+// carried declarations, and failed-relay declarations.
+func (c *g2gDelCustody) footprint() int64 {
+	return int64(len(c.raw)) + int64(len(c.pors)+len(c.attachments)+len(c.failedFQ))*porFootprint
 }

@@ -31,6 +31,11 @@ type g2gEpidemicNode struct {
 	custodyOrder []g2gcrypto.Digest
 	testsOrder   []g2gcrypto.Digest
 	seq          uint32
+	// mem is MemoryBytes, kept up to date on every buffer change; expireAt
+	// is the earliest genAt+Δ2 in custody, before which expire has nothing
+	// to drop (zero forces a walk). Both are derived and never checkpointed.
+	mem      int64
+	expireAt sim.Time
 }
 
 // g2gCustody is this node's state for one message it has handled.
@@ -92,13 +97,11 @@ func (n *g2gEpidemicNode) Generate(now sim.Time, dest trace.NodeID, body []byte)
 		return err
 	}
 	h := m.Hash()
-	n.seen[h] = struct{}{}
-	n.custody[h] = &g2gCustody{
+	n.takeCustody(&g2gCustody{
 		msg: m, raw: m.Marshal(), hash: h, genAt: now,
 		isSource:  true,
 		relayedTo: make(map[trace.NodeID]struct{}),
-	}
-	orderedInsert(&n.custodyOrder, h)
+	})
 	n.env.Observer.Generated(h, id, n.ID(), dest, now)
 	return nil
 }
@@ -320,6 +323,7 @@ func (n *g2gEpidemicNode) relayOne(now sim.Time, h g2gcrypto.Digest, c *g2gCusto
 	other.noteRx(len(encrypted))
 
 	c.pors = append(c.pors, *por)
+	n.mem += porFootprint
 	c.relayedTo[other.ID()] = struct{}{}
 	if other.ID() != c.msg.Dest {
 		c.relayCount++
@@ -332,6 +336,7 @@ func (n *g2gEpidemicNode) relayOne(now sim.Time, h g2gcrypto.Digest, c *g2gCusto
 	// (the PoRs are its defence); the source keeps it to verify storage
 	// proofs during tests.
 	if !c.isSource && len(c.pors) >= 2 && c.relayCount >= n.env.Params.MaxRelays {
+		n.mem -= int64(len(c.raw))
 		c.raw = nil
 	}
 	n.env.Observer.Replicated(h, n.ID(), other.ID(), now)
@@ -364,9 +369,13 @@ func (n *g2gEpidemicNode) handleRelayTransfer(now sim.Time, transfer wire.Signed
 	if _, seen := n.seen[body.Hash]; seen {
 		return nil
 	}
+	if old, ok := n.pendingIn[body.Hash]; ok {
+		n.mem -= int64(len(old.encrypted))
+	}
 	n.pendingIn[body.Hash] = &pendingTransfer{
 		from: transfer.Signer, fm: body.FM, genAt: body.GenAt, encrypted: body.Encrypted,
 	}
+	n.mem += int64(len(body.Encrypted))
 	por := n.signed(now, wire.ProofOfRelay{
 		Hash: body.Hash, From: transfer.Signer, To: n.ID(),
 	})
@@ -383,6 +392,7 @@ func (n *g2gEpidemicNode) handleKeyReveal(now sim.Time, reveal wire.Signed, from
 		return
 	}
 	delete(n.pendingIn, body.Hash)
+	n.mem -= int64(len(pending.encrypted))
 
 	raw, err := g2gcrypto.DecryptPayload(body.Key, pending.encrypted)
 	if err != nil {
@@ -394,7 +404,6 @@ func (n *g2gEpidemicNode) handleKeyReveal(now sim.Time, reveal wire.Signed, from
 		// hash: ignore the handoff entirely.
 		return
 	}
-	n.seen[body.Hash] = struct{}{}
 
 	c := &g2gCustody{
 		msg: m, raw: raw, hash: body.Hash, genAt: pending.genAt,
@@ -411,18 +420,33 @@ func (n *g2gEpidemicNode) handleKeyReveal(now sim.Time, reveal wire.Signed, from
 		c.dropped = true
 		c.raw = nil
 	}
-	n.custody[body.Hash] = c
-	orderedInsert(&n.custodyOrder, body.Hash)
+	n.takeCustody(c)
+}
+
+// takeCustody files a new copy: seen-set entry, custody record, sorted
+// order, and its share of the memory counter and the expiry bound.
+func (n *g2gEpidemicNode) takeCustody(c *g2gCustody) {
+	n.seen[c.hash] = struct{}{}
+	n.custody[c.hash] = c
+	orderedInsert(&n.custodyOrder, c.hash)
+	n.mem += hashFootprint + c.footprint()
+	n.expireAt = min(n.expireAt, c.genAt.Add(n.env.Params.Delta2))
 }
 
 // expire drops all state for messages past Δ2.
 func (n *g2gEpidemicNode) expire(now sim.Time) {
+	if now < n.expireAt {
+		return
+	}
 	// Walk the maintained order, compacting survivors in place: the keepers
 	// stay sorted and each deletion is O(1) against the slice.
+	next := never
 	kept := n.custodyOrder[:0]
 	for _, h := range n.custodyOrder {
 		c := n.custody[h]
-		if now >= c.genAt.Add(n.env.Params.Delta2) {
+		at := c.genAt.Add(n.env.Params.Delta2)
+		if now >= at {
+			n.mem -= hashFootprint + c.footprint()
 			delete(n.custody, h)
 			delete(n.seen, h)
 			if _, ok := n.tests[h]; ok {
@@ -431,22 +455,31 @@ func (n *g2gEpidemicNode) expire(now sim.Time) {
 			}
 			continue
 		}
+		next = min(next, at)
 		kept = append(kept, h)
 	}
 	n.custodyOrder = kept
+	n.expireAt = next
 }
 
 // MemoryBytes implements MemoryMeter: stored payloads, collected proofs of
-// relay, and seen-set entries.
-func (n *g2gEpidemicNode) MemoryBytes() int64 {
-	var total int64
+// relay, pending handoffs, and seen-set entries.
+func (n *g2gEpidemicNode) MemoryBytes() int64 { return n.mem }
+
+// memoryWalk recomputes MemoryBytes from the buffers; RestoreState seeds the
+// maintained counter with it.
+func (n *g2gEpidemicNode) memoryWalk() int64 {
+	total := int64(len(n.seen)) * hashFootprint
 	for _, c := range n.custody {
-		total += int64(len(c.raw))
-		total += int64(len(c.pors)) * porFootprint
+		total += c.footprint()
 	}
-	total += int64(len(n.seen)) * hashFootprint
 	for _, p := range n.pendingIn {
 		total += int64(len(p.encrypted))
 	}
 	return total
+}
+
+// footprint is the copy's share of MemoryBytes: payload and proofs of relay.
+func (c *g2gCustody) footprint() int64 {
+	return int64(len(c.raw)) + int64(len(c.pors))*porFootprint
 }

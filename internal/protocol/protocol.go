@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -178,6 +179,10 @@ type Params struct {
 	// snapshots roll over (34 minutes in the paper).
 	QualityFrame sim.Time
 }
+
+// never is a virtual time no run reaches: the expiry bound of an empty
+// custody.
+const never = sim.Time(math.MaxInt64)
 
 // DefaultParams returns the paper's settings for a given Δ1.
 func DefaultParams(delta1 sim.Time) Params {

@@ -93,7 +93,6 @@ type G2GDelegationState struct {
 	Custody   []G2GCustodyState      // sorted by hash
 	Tests     []TestsEntry           // sorted by hash
 	PendingIn []PendingTransferState // sorted by hash
-	Claims    []ClaimState           // sorted by hash
 	Audited   []AuditedEntry         // sorted by (responder, frame)
 	Quality   []MeetingLog           // sorted by peer
 }
@@ -140,12 +139,6 @@ type PendingTransferState struct {
 	GenAt       sim.Time
 	Encrypted   []byte
 	Attachments [][]byte // delegation only, order preserved
-}
-
-// ClaimState is one FQ_RESP this node issued and still remembers.
-type ClaimState struct {
-	Hash g2gcrypto.Digest
-	Resp wire.FQResponse
 }
 
 // AuditedEntry is one (responder, frame) pair the destination has audited.
@@ -479,6 +472,7 @@ func (n *g2gEpidemicNode) RestoreState(st NodeState) error {
 	}
 	n.custodyOrder = sortedDigestsInto(&n.custodyOrder, n.custody)
 	n.testsOrder = sortedDigestsInto(&n.testsOrder, n.tests)
+	n.mem, n.expireAt = n.memoryWalk(), 0
 	return nil
 }
 
@@ -510,10 +504,6 @@ func (n *g2gDelegationNode) CaptureState() NodeState {
 			Encrypted:   append([]byte(nil), p.encrypted...),
 			Attachments: marshalSignedSlice(p.attachments),
 		})
-	}
-	st.Claims = make([]ClaimState, 0, len(n.claims))
-	for _, h := range sortedDigestsInto(&n.digestScratch, n.claims) {
-		st.Claims = append(st.Claims, ClaimState{Hash: h, Resp: n.claims[h]})
 	}
 	st.Audited = make([]AuditedEntry, 0, len(n.audited))
 	for k := range n.audited {
@@ -571,12 +561,9 @@ func (n *g2gDelegationNode) RestoreState(st NodeState) error {
 			attachments: attachments,
 		}
 	}
-	n.claims = make(map[g2gcrypto.Digest]wire.FQResponse, len(s.Claims))
-	for _, c := range s.Claims {
-		n.claims[c.Hash] = c.Resp
-	}
 	n.custodyOrder = sortedDigestsInto(&n.custodyOrder, n.custody)
 	n.testsOrder = sortedDigestsInto(&n.testsOrder, n.tests)
+	n.mem, n.expireAt = n.memoryWalk(), 0
 	n.audited = make(map[auditKey]struct{}, len(s.Audited))
 	for _, a := range s.Audited {
 		n.audited[auditKey{responder: a.Responder, frame: a.Frame}] = struct{}{}

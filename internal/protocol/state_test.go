@@ -27,8 +27,8 @@ func runSteps(w *world, steps []step) {
 }
 
 // stateScript returns a prefix that leaves every interesting structure
-// populated (custody, pending tests, quality history, leftover claims and
-// failed-FQ declarations) and a suffix whose outcome depends on all of it
+// populated (custody, pending tests, quality history, failed-FQ
+// declarations) and a suffix whose outcome depends on all of it
 // (deliveries, sender tests, a dropper detection).
 func stateScript(kind Kind) (prefix, suffix []step) {
 	switch kind {
@@ -66,7 +66,7 @@ func stateScript(kind Kind) (prefix, suffix []step) {
 			{at: 35 * sim.Minute, gen: true, a: 0, b: 5},
 			{at: 36 * sim.Minute, a: 0, b: 1},
 			{at: 37 * sim.Minute, a: 0, b: 2}, // dropper qualifies, drops
-			{at: 38 * sim.Minute, a: 0, b: 3}, // fails to qualify: claim + failed FQ
+			{at: 38 * sim.Minute, a: 0, b: 3}, // fails to qualify: failed FQ
 		}
 		suffix = []step{
 			{at: 40 * sim.Minute, a: 1, b: 5}, // delivery behind a decoy FQ exchange
@@ -112,6 +112,14 @@ func TestNodeStateRoundTrip(t *testing.T) {
 			for i, n := range w2.nodes {
 				if got := n.(Stateful).CaptureState(); !reflect.DeepEqual(states[i], got) {
 					t.Errorf("node %d: re-captured state differs from snapshot", i)
+				}
+				if got, want := n.MemoryBytes(), w1.nodes[i].MemoryBytes(); got != want {
+					t.Errorf("node %d: restored MemoryBytes = %d, original %d", i, got, want)
+				}
+				if kind.IsG2G() {
+					if got, want := n.MemoryBytes(), memoryReference(t, n); got != want {
+						t.Errorf("node %d: restored MemoryBytes = %d, walk = %d", i, got, want)
+					}
 				}
 			}
 
