@@ -75,6 +75,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseCheckpoint -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzProofMemo -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzFastVerifyMemo -fuzztime=$(FUZZTIME) ./internal/g2gcrypto
+	$(GO) test -run='^$$' -fuzz=FuzzSignMemo -fuzztime=$(FUZZTIME) ./internal/g2gcrypto
 
 # Coverage with a per-package floor (COVER_FLOOR percent) over the library
 # packages. The profile lands in cover.out for `go tool cover -html`.
@@ -108,30 +109,36 @@ trace-roundtrip:
 # killed (SIGTERM) mid-flight with checkpointing on, resumed from the
 # flushed checkpoint, and its audit digest must be byte-identical to an
 # uninterrupted reference run of the same configuration (the determinism
-# contract; see DESIGN.md "Checkpoint & recovery"). The kill waits for the
-# run's own progress rather than a wall-clock delay: the one periodic
-# checkpoint falls at 9h30m virtual, inside the preset's message workload
-# (about 9h to 11h20m), and the signal follows as soon as it appears, so it
-# lands at the same point of the run on a slow or a fast host. The poll
-# gives up after 60 s or when the run exits.
+# contract; see DESIGN.md "Checkpoint & recovery"). It runs once per G2G
+# protocol family, G2G Epidemic and G2G Delegation, whose restores rebuild
+# different derived state. The kill waits for the run's own progress rather
+# than a wall-clock delay: the one periodic checkpoint falls at 9h30m
+# virtual, inside the preset's message workload (about 9h to 11h20m), and
+# the signal follows as soon as it appears, so it lands at the same point of
+# the run on a slow or a fast host. The poll gives up after 60 s or when the
+# run exits.
 kill-resume:
-	@dir=$$(mktemp -d); status=1; \
-	$(GO) build -o $$dir/g2gsim ./cmd/g2gsim && \
-	$$dir/g2gsim -preset infocom05 -audit -seed 7 >$$dir/ref.out 2>&1 && \
-	{ $$dir/g2gsim -preset infocom05 -audit -seed 7 -checkpoint-dir $$dir/ckpt -checkpoint-every 9h30m >$$dir/int.out 2>&1 & \
-	  pid=$$!; i=0; \
-	  while [ ! -f $$dir/ckpt/run.ckpt ] && [ $$i -lt 1200 ] && kill -0 $$pid 2>/dev/null; do sleep 0.05; i=$$((i+1)); done; \
-	  kill -TERM $$pid 2>/dev/null; wait $$pid; \
-	  test -f $$dir/ckpt/run.ckpt || { echo "kill-resume: no checkpoint flushed (run finished before the kill?)"; cat $$dir/int.out; rm -rf $$dir; exit 1; }; \
-	  $$dir/g2gsim -preset infocom05 -audit -seed 7 -checkpoint-dir $$dir/ckpt -resume >$$dir/res.out 2>&1 && \
-	  grep digest= $$dir/ref.out >$$dir/ref.digest && \
-	  grep digest= $$dir/res.out >$$dir/res.digest && \
-	  cmp $$dir/ref.digest $$dir/res.digest; }; \
-	status=$$?; \
-	if [ $$status -ne 0 ]; then echo "kill-resume: FAILED"; cat $$dir/ref.out $$dir/int.out $$dir/res.out 2>/dev/null; fi; \
+	@dir=$$(mktemp -d); \
+	$(GO) build -o $$dir/g2gsim ./cmd/g2gsim || { rm -rf $$dir; exit 1; }; \
+	for proto in g2g-epidemic g2g-delegation-frequency; do \
+	  run="$$dir/g2gsim -preset infocom05 -protocol $$proto -audit -seed 7"; \
+	  rm -rf $$dir/ckpt; \
+	  $$run >$$dir/ref.out 2>&1 && \
+	  { $$run -checkpoint-dir $$dir/ckpt -checkpoint-every 9h30m >$$dir/int.out 2>&1 & \
+	    pid=$$!; i=0; \
+	    while [ ! -f $$dir/ckpt/run.ckpt ] && [ $$i -lt 1200 ] && kill -0 $$pid 2>/dev/null; do sleep 0.05; i=$$((i+1)); done; \
+	    kill -TERM $$pid 2>/dev/null; wait $$pid; \
+	    test -f $$dir/ckpt/run.ckpt || { echo "kill-resume: $$proto: no checkpoint flushed (run finished before the kill?)"; cat $$dir/int.out; rm -rf $$dir; exit 1; }; \
+	    $$run -checkpoint-dir $$dir/ckpt -resume >$$dir/res.out 2>&1 && \
+	    grep digest= $$dir/ref.out >$$dir/ref.digest && \
+	    grep digest= $$dir/res.out >$$dir/res.digest && \
+	    cmp $$dir/ref.digest $$dir/res.digest; }; \
+	  status=$$?; \
+	  if [ $$status -ne 0 ]; then echo "kill-resume: $$proto: FAILED"; cat $$dir/ref.out $$dir/int.out $$dir/res.out 2>/dev/null; break; fi; \
+	  echo "kill-resume: $$proto: audit digest identical across kill/resume"; \
+	done; \
 	rm -rf $$dir; \
-	if [ $$status -ne 0 ]; then exit $$status; fi; \
-	echo "kill-resume: audit digest identical across kill/resume"
+	exit $$status
 
 check: build vet test race
 

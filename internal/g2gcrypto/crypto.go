@@ -49,10 +49,28 @@ type Identity interface {
 	Node() trace.NodeID
 	// Sign produces a signature over data with the node's private key.
 	// Implementations must not retain data: callers may reuse the slice
-	// (wire.Scratch passes a shared encode buffer).
+	// (wire.Scratch passes a shared encode buffer). Sign(data) is
+	// SignMemo(nil, data).
 	Sign(data []byte) Signature
+	// SignMemo is Sign through a caller-held memo of one earlier signature
+	// (see SignMemo); m may be nil. The returned slice never aliases m.
+	SignMemo(m *SignMemo, data []byte) Signature
 	// Open decrypts a blob sealed for this node with SealFor.
 	Open(box []byte) ([]byte, error)
+}
+
+// SignMemo is a caller-held, one-entry memo of a signature: the signer and
+// the memo's own copies of the signing input and the MAC. The zero value is
+// empty, and only the provider reads or fills it. A caller keeps one where
+// it re-signs the same statement — a protocol node offering one custody copy
+// to every peer of an instant — so the fast provider can answer a repeat
+// from it instead of recomputing the MAC; the real provider ignores it. A
+// memo belongs to one run, like the System, and is never checkpointed. Do
+// not copy a memo once used: the copy would share its input buffer.
+type SignMemo struct {
+	signer *fastIdentity // nil while empty
+	input  []byte
+	mac    [sha256.Size]byte
 }
 
 // System models the deployed PKI: the authority has issued certificates for

@@ -31,18 +31,7 @@ type fastSystem struct {
 	// an envelope right after its signer produced it, so most verifies ask
 	// for exactly the MAC the last Sign computed. It is transient: a fresh or
 	// resumed system just recomputes.
-	last lastSig
-}
-
-// lastSig remembers one signature with its own copies of the signing input
-// and the MAC, so a caller mutating either afterwards can only miss. The MAC
-// is a pure function of (signer secret, input), so a hit answers exactly as
-// a recomputation would.
-type lastSig struct {
-	signer trace.NodeID
-	input  []byte
-	mac    [sha256.Size]byte
-	valid  bool
+	last SignMemo
 }
 
 type fastIdentity struct {
@@ -140,10 +129,10 @@ func (s *fastSystem) Verify(signer trace.NodeID, data []byte, sig Signature) boo
 	if int(signer) < 0 || int(signer) >= len(s.identities) {
 		return false
 	}
-	if m := &s.last; m.valid && m.signer == signer && bytes.Equal(m.input, data) {
-		return hmac.Equal(m.mac[:], sig)
-	}
 	id := s.identities[signer]
+	if s.last.holds(id, data) {
+		return hmac.Equal(s.last.mac[:], sig)
+	}
 	id.signMAC.Reset()
 	id.signMAC.Write(data)
 	id.verifyScratch = id.signMAC.Sum(id.verifyScratch[:0])
@@ -169,20 +158,44 @@ func (s *fastSystem) SealFor(dest trace.NodeID, plaintext []byte) ([]byte, error
 
 func (id *fastIdentity) Node() trace.NodeID { return id.node }
 
-func (id *fastIdentity) Sign(data []byte) Signature {
-	id.signMAC.Reset()
-	id.signMAC.Write(data)
+func (id *fastIdentity) Sign(data []byte) Signature { return id.SignMemo(nil, data) }
+
+// SignMemo answers a repeat of m's input by this identity from m without
+// computing the MAC, and otherwise computes it and refills m. The MAC is a
+// pure function of (secret, input), so both paths return the same bytes,
+// each in a fresh arena slot, and both make the signature the system's last,
+// so the verify that follows hits that memo either way.
+func (id *fastIdentity) SignMemo(m *SignMemo, data []byte) Signature {
 	if cap(id.sigArena)-len(id.sigArena) < sha256.Size {
 		id.sigArena = make([]byte, 0, sigArenaChunk)
 	}
 	start := len(id.sigArena)
-	id.sigArena = id.signMAC.Sum(id.sigArena)
+	if m != nil && m.holds(id, data) {
+		id.sigArena = append(id.sigArena, m.mac[:]...)
+	} else {
+		id.signMAC.Reset()
+		id.signMAC.Write(data)
+		id.sigArena = id.signMAC.Sum(id.sigArena)
+		if m != nil {
+			m.fill(id, data, id.sigArena[start:])
+		}
+	}
 	sig := id.sigArena[start:len(id.sigArena):len(id.sigArena)]
-	m := &id.system.last
-	m.signer, m.valid = id.node, true
-	m.input = append(m.input[:0], data...)
-	copy(m.mac[:], sig)
+	id.system.last.fill(id, data, sig)
 	return Signature(sig)
+}
+
+// holds reports whether the memo is id's signature over exactly data.
+func (m *SignMemo) holds(id *fastIdentity, data []byte) bool {
+	return m.signer == id && bytes.Equal(m.input, data)
+}
+
+// fill makes the memo id's signature mac over data, copying both, so a
+// caller mutating either afterwards can only make the memo miss.
+func (m *SignMemo) fill(id *fastIdentity, data, mac []byte) {
+	m.signer = id
+	m.input = append(m.input[:0], data...)
+	copy(m.mac[:], mac)
 }
 
 func (id *fastIdentity) Open(box []byte) ([]byte, error) {

@@ -84,14 +84,18 @@ type instrumentedIdentity struct {
 
 func (id *instrumentedIdentity) Node() trace.NodeID { return id.inner.Node() }
 
-func (id *instrumentedIdentity) Sign(data []byte) Signature {
+func (id *instrumentedIdentity) Sign(data []byte) Signature { return id.SignMemo(nil, data) }
+
+// SignMemo counts every call as one signature, memo hit or not: the memo
+// lives below the wrapper, so counts and timings cover what callers asked for.
+func (id *instrumentedIdentity) SignMemo(m *SignMemo, data []byte) Signature {
 	if !id.stats.Timed() {
-		sig := id.inner.Sign(data)
+		sig := id.inner.SignMemo(m, data)
 		id.stats.NoteSign(0)
 		return sig
 	}
 	start := time.Now()
-	sig := id.inner.Sign(data)
+	sig := id.inner.SignMemo(m, data)
 	id.stats.NoteSign(time.Since(start))
 	return sig
 }

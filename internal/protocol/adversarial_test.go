@@ -70,8 +70,10 @@ func TestHandleRelayTransferWithoutRequestStillSafe(t *testing.T) {
 	if _, ok := b.custody[h]; ok {
 		t.Error("custody created for payload that does not match the advertised hash")
 	}
-	if _, seen := b.seen[h]; seen {
-		t.Error("hash marked seen despite mismatched payload")
+	// Custody is the seen set: the true message must still be welcome.
+	req := wire.Sign(a.self, 2*sim.Second, wire.RelayRequest{Hash: h})
+	if resp := b.handleRelayRequest(2*sim.Second, req); resp == nil || resp.Body.Kind() != wire.KindRelayOK {
+		t.Errorf("RELAY_RQST after the mismatched payload answered %v, want RELAY_OK", resp)
 	}
 }
 

@@ -3,6 +3,7 @@ package protocol
 import (
 	"crypto/hmac"
 	"fmt"
+	"slices"
 
 	"give2get/internal/g2gcrypto"
 	"give2get/internal/message"
@@ -22,15 +23,19 @@ type g2gDelegationNode struct {
 	base
 	frequency bool
 	quality   *qualityTable
-	seen      map[g2gcrypto.Digest]struct{}
+	// custody doubles as the seen set, as on g2gEpidemicNode.
 	custody   map[g2gcrypto.Digest]*g2gDelCustody
 	tests     map[g2gcrypto.Digest][]*delPendingTest
 	pendingIn map[g2gcrypto.Digest]*delPendingTransfer
-	// custodyOrder/testsOrder mirror the custody/tests keys in sorted order
-	// (see orderedInsert); the relay and test phases iterate them instead of
-	// re-sorting per contact.
-	custodyOrder []g2gcrypto.Digest
-	testsOrder   []g2gcrypto.Digest
+	// testsOrder mirrors the tests keys in sorted order (see orderedInsert);
+	// the test phase iterates it instead of re-sorting per contact.
+	testsOrder []g2gcrypto.Digest
+	// relayable is maintained exactly as on g2gEpidemicNode.
+	relayable []*g2gDelCustody
+	// fqResp memoizes, per D′, this node's last FQ_RESP about it. The reply
+	// names neither the requester nor the message, so every peer asking
+	// about one D′ at one instant is answered with the same signed bytes.
+	fqResp map[trace.NodeID]*g2gcrypto.SignMemo
 	// claim is the FQ_RESP this node issued in the exchange under way, so
 	// the PoR it signs moments later is consistent with it. It answers only
 	// the RELAY of that exchange: the requester's relayOne drops it on
@@ -75,11 +80,18 @@ type g2gDelCustody struct {
 	attachments []wire.Signed
 	// failedFQ (source only) keeps the last two signed FQ_RESPs of nodes
 	// that failed to qualify as relays.
-	failedFQ  []wire.Signed
-	relayedTo map[trace.NodeID]struct{}
+	failedFQ []wire.Signed
+	// relayedTo lists the peers this copy was handed to; a relay's holds at
+	// most MaxRelays+1, and only membership matters.
+	relayedTo []trace.NodeID
 	// relayCount counts handoffs to non-destination relays: deliveries to
 	// the destination do not consume the fan-out budget.
 	relayCount int
+	// fqRqst memoizes this node's last FQ_RQST about the real destination,
+	// which every offer of the copy at one instant repeats. Decoy requests
+	// differ each time and never use it. Like g2gCustody.rqst, it is made by
+	// the first offer and released when the copy leaves the relayable list.
+	fqRqst *g2gcrypto.SignMemo
 }
 
 type delPendingTest struct {
@@ -106,10 +118,10 @@ func newG2GDelegationNode(env *Env, self g2gcrypto.Identity, behavior Behavior, 
 		base:      newBase(env, self, behavior),
 		frequency: frequency,
 		quality:   newQualityTable(env.Params.QualityFrame),
-		seen:      make(map[g2gcrypto.Digest]struct{}),
 		custody:   make(map[g2gcrypto.Digest]*g2gDelCustody),
 		tests:     make(map[g2gcrypto.Digest][]*delPendingTest),
 		pendingIn: make(map[g2gcrypto.Digest]*delPendingTransfer),
+		fqResp:    make(map[trace.NodeID]*g2gcrypto.SignMemo),
 		audited:   make(map[auditKey]struct{}),
 	}
 }
@@ -132,8 +144,7 @@ func (n *g2gDelegationNode) Generate(now sim.Time, dest trace.NodeID, body []byt
 	fm := n.quality.qualityAt(dest, now, n.frequency)
 	n.takeCustody(&g2gDelCustody{
 		msg: m, raw: m.Marshal(), hash: h, genAt: now, fm: fm,
-		isSource:  true,
-		relayedTo: make(map[trace.NodeID]struct{}),
+		isSource: true,
 	})
 	n.env.Observer.Generated(h, id, n.ID(), dest, now)
 	return nil
@@ -165,55 +176,61 @@ func (n *g2gDelegationNode) relayPhase(now sim.Time, other *g2gDelegationNode) b
 	n.env.spans.Enter(obs.SpanRelay)
 	defer n.env.spans.Exit()
 	transferred := false
-	// Snapshot the maintained order: relayOne may append to n.tests (and the
-	// peer mutates its own maps), but this node's custody keys are stable for
-	// the duration — the copy just guards the iteration against future edits.
-	n.digestScratch = append(n.digestScratch[:0], n.custodyOrder...)
-	for _, h := range n.digestScratch {
-		c := n.custody[h]
-		if !n.eligibleToRelay(now, c, other.ID()) {
-			continue
-		}
-		if n.relayOne(now, h, c, other) {
+	n.eachOffer(now, other.ID(), func(c *g2gDelCustody) {
+		if n.relayOne(now, c, other) {
 			transferred = true
 		}
-	}
+	})
 	return transferred
 }
 
-func (n *g2gDelegationNode) eligibleToRelay(now sim.Time, c *g2gDelCustody, peer trace.NodeID) bool {
-	if c.dropped || c.isDest || now >= c.genAt.Add(n.env.Params.Delta1) {
-		return false
-	}
-	// The fan-out cap applies to relays; the sender keeps offering the
-	// message ("the sender S tries to relay it to the first two (at least)
-	// nodes it meets"), which is what lets G2G match Epidemic's delivery
-	// while relays keep the replica count down.
-	if !c.isSource && c.relayCount >= n.env.Params.MaxRelays {
-		return false
-	}
-	if _, done := c.relayedTo[peer]; done {
-		return false
-	}
+// eachOffer is g2gEpidemicNode.eachOffer for this kind's copies.
+func (n *g2gDelegationNode) eachOffer(now sim.Time, peer trace.NodeID, offer func(*g2gDelCustody)) {
 	if n.Blacklisted(peer) {
-		return false
+		return
 	}
-	return c.raw != nil
+	kept := n.relayable[:0]
+	for _, c := range n.relayable {
+		if n.spent(c) || now >= c.genAt.Add(n.env.Params.Delta1) {
+			c.fqRqst = nil
+			continue
+		}
+		kept = append(kept, c)
+		if !slices.Contains(c.relayedTo, peer) {
+			offer(c)
+		}
+	}
+	clear(n.relayable[len(kept):])
+	n.relayable = kept
+}
+
+// spent is g2gEpidemicNode.spent for this kind's copies.
+func (n *g2gDelegationNode) spent(c *g2gDelCustody) bool {
+	return c.dropped || c.isDest || c.raw == nil ||
+		(!c.isSource && c.relayCount >= n.env.Params.MaxRelays)
 }
 
 // relayOne runs steps 8–12 of Fig. 6 against the peer.
-func (n *g2gDelegationNode) relayOne(now sim.Time, h g2gcrypto.Digest, c *g2gDelCustody, other *g2gDelegationNode) bool {
+func (n *g2gDelegationNode) relayOne(now sim.Time, c *g2gDelCustody, other *g2gDelegationNode) bool {
+	h := c.hash
 	isDest := c.msg.Dest == other.ID()
 
 	// Step 8: ask the peer its quality toward D' — the real destination, or
 	// a random decoy when the peer *is* the destination, so it cannot tell.
-	dPrime := c.msg.Dest
+	// A decoy differs every time, so only the real D' goes through the memo.
+	var dPrime trace.NodeID
+	var rqst *g2gcrypto.SignMemo
 	if isDest {
 		dPrime = n.randomDecoy(other.ID())
+	} else {
+		if c.fqRqst == nil {
+			c.fqRqst = new(g2gcrypto.SignMemo)
+		}
+		dPrime, rqst = c.msg.Dest, c.fqRqst
 	}
 	// The peer's claim answers this exchange only, however it ends.
 	defer other.dropClaim()
-	fqRespEnv, fqResp, ok := n.exchangeFQ(now, h, dPrime, other)
+	fqRespEnv, fqResp, ok := n.exchangeFQ(now, h, dPrime, rqst, other)
 	if !ok {
 		return false
 	}
@@ -273,7 +290,7 @@ func (n *g2gDelegationNode) relayOne(now sim.Time, h g2gcrypto.Digest, c *g2gDel
 	c.fm = fqResp.FQ
 	c.pors = append(c.pors, *por)
 	n.mem += porFootprint
-	c.relayedTo[other.ID()] = struct{}{}
+	c.relayedTo = append(c.relayedTo, other.ID())
 	if !isDest {
 		c.relayCount++
 	}
@@ -293,14 +310,15 @@ func (n *g2gDelegationNode) relayOne(now sim.Time, h g2gcrypto.Digest, c *g2gDel
 }
 
 // exchangeFQ runs the forwarding decision's quality exchange (Fig. 6 step 8):
-// the signed FQ_RQST to the peer and the validation of its FQ_RESP. It is the
-// "decide" span of the per-phase profile.
+// the signed FQ_RQST to the peer, through the request memo rqst (nil for a
+// decoy), and the validation of its FQ_RESP. It is the "decide" span of the
+// per-phase profile.
 func (n *g2gDelegationNode) exchangeFQ(now sim.Time, h g2gcrypto.Digest, dPrime trace.NodeID,
-	other *g2gDelegationNode) (*wire.Signed, wire.FQResponse, bool) {
+	rqst *g2gcrypto.SignMemo, other *g2gDelegationNode) (*wire.Signed, wire.FQResponse, bool) {
 
 	n.env.spans.Enter(obs.SpanDecide)
 	defer n.env.spans.Exit()
-	fqReq := n.signed(now, wire.FQRequest{Hash: h, DPrime: dPrime})
+	fqReq := n.signedMemo(now, wire.FQRequest{Hash: h, DPrime: dPrime}, rqst)
 	fqRespEnv := other.handleFQRequest(now, fqReq)
 	if fqRespEnv == nil || fqRespEnv.Signer != other.ID() || !n.verified(*fqRespEnv) {
 		return nil, wire.FQResponse{}, false
@@ -338,7 +356,12 @@ func (n *g2gDelegationNode) handleFQRequest(now sim.Time, req wire.Signed) *wire
 	}
 	resp := wire.FQResponse{Responder: n.ID(), DPrime: body.DPrime, FQ: fq, Frame: frame}
 	n.claim = fqClaim{hash: body.Hash, requester: req.Signer, resp: resp, valid: true}
-	env := n.signed(now, resp)
+	memo := n.fqResp[body.DPrime]
+	if memo == nil {
+		memo = new(g2gcrypto.SignMemo)
+		n.fqResp[body.DPrime] = memo
+	}
+	env := n.signedMemo(now, resp, memo)
 	return &env
 }
 
@@ -350,7 +373,7 @@ func (n *g2gDelegationNode) handleRelayTransfer(now sim.Time, transfer wire.Sign
 	if !ok || !n.verified(transfer) {
 		return nil
 	}
-	if _, seen := n.seen[body.Hash]; seen {
+	if _, seen := n.custody[body.Hash]; seen {
 		return nil
 	}
 	if !n.claim.valid || n.claim.hash != body.Hash || n.claim.requester != transfer.Signer {
@@ -399,7 +422,6 @@ func (n *g2gDelegationNode) handleKeyReveal(now sim.Time, reveal wire.Signed, fr
 		msg: m, raw: raw, hash: body.Hash, genAt: pending.genAt,
 		fm:          pending.fm,
 		attachments: pending.attachments,
-		relayedTo:   make(map[trace.NodeID]struct{}),
 	}
 	if m.Dest == n.ID() {
 		c.isDest = true
@@ -414,12 +436,13 @@ func (n *g2gDelegationNode) handleKeyReveal(now sim.Time, reveal wire.Signed, fr
 	n.takeCustody(c)
 }
 
-// takeCustody files a new copy: seen-set entry, custody record, sorted
-// order, and its share of the memory counter and the expiry bound.
+// takeCustody files a new copy: custody record, relayable list, and its
+// share of the memory counter and the expiry bound.
 func (n *g2gDelegationNode) takeCustody(c *g2gDelCustody) {
-	n.seen[c.hash] = struct{}{}
 	n.custody[c.hash] = c
-	orderedInsert(&n.custodyOrder, c.hash)
+	if !n.spent(c) {
+		orderedInsertCopy(&n.relayable, c)
+	}
 	n.mem += hashFootprint + c.footprint()
 	n.expireAt = min(n.expireAt, c.genAt.Add(n.env.Params.Delta2))
 }
@@ -566,17 +589,13 @@ func (n *g2gDelegationNode) expire(now sim.Time) {
 	if now < n.expireAt {
 		return
 	}
-	// Walk the maintained order, compacting survivors in place: the keepers
-	// stay sorted and each deletion is O(1) against the slice.
+	// The outcome does not depend on the walk's order: map order is fine.
 	next := never
-	kept := n.custodyOrder[:0]
-	for _, h := range n.custodyOrder {
-		c := n.custody[h]
+	for h, c := range n.custody {
 		at := c.genAt.Add(n.env.Params.Delta2)
 		if now >= at {
 			n.mem -= hashFootprint + c.footprint()
 			delete(n.custody, h)
-			delete(n.seen, h)
 			if _, ok := n.tests[h]; ok {
 				delete(n.tests, h)
 				orderedRemove(&n.testsOrder, h)
@@ -584,20 +603,19 @@ func (n *g2gDelegationNode) expire(now sim.Time) {
 			continue
 		}
 		next = min(next, at)
-		kept = append(kept, h)
 	}
-	n.custodyOrder = kept
 	n.expireAt = next
 }
 
 // MemoryBytes implements MemoryMeter: payloads, proofs of relay, embedded
-// declarations, pending handoffs, quality history, and seen-set entries.
+// declarations, pending handoffs, quality history, and the hash of every
+// handled message.
 func (n *g2gDelegationNode) MemoryBytes() int64 { return n.mem + n.quality.historyBytes() }
 
 // memoryWalk recomputes the buffer part of MemoryBytes (all but the quality
 // history); RestoreState seeds the maintained counter with it.
 func (n *g2gDelegationNode) memoryWalk() int64 {
-	total := int64(len(n.seen)) * hashFootprint
+	total := int64(len(n.custody)) * hashFootprint
 	for _, c := range n.custody {
 		total += c.footprint()
 	}
@@ -612,3 +630,6 @@ func (n *g2gDelegationNode) memoryWalk() int64 {
 func (c *g2gDelCustody) footprint() int64 {
 	return int64(len(c.raw)) + int64(len(c.pors)+len(c.attachments)+len(c.failedFQ))*porFootprint
 }
+
+// key files the copy under its message hash in the relayable list.
+func (c *g2gDelCustody) key() *g2gcrypto.Digest { return &c.hash }

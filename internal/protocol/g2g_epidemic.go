@@ -3,6 +3,7 @@ package protocol
 import (
 	"crypto/hmac"
 	"fmt"
+	"slices"
 
 	"give2get/internal/g2gcrypto"
 	"give2get/internal/message"
@@ -18,19 +19,23 @@ import (
 // storage proof), the Δ1/Δ2 timeouts, and proof-of-misbehavior broadcasts.
 type g2gEpidemicNode struct {
 	base
-	seen    map[g2gcrypto.Digest]struct{}
+	// custody holds every message this node has handled until Δ2, so it
+	// doubles as the paper's seen set: RELAY_RQST and RELAY answer from it.
 	custody map[g2gcrypto.Digest]*g2gCustody
 	// tests holds, per message this node originated, the relays it must
 	// challenge after Δ1.
 	tests map[g2gcrypto.Digest][]*pendingTest
 	// pendingIn holds relay-phase handoffs between the RELAY and KEY steps.
 	pendingIn map[g2gcrypto.Digest]*pendingTransfer
-	// custodyOrder/testsOrder mirror the custody/tests keys in sorted order
-	// (see orderedInsert); the relay and test phases iterate them instead of
-	// re-sorting per contact.
-	custodyOrder []g2gcrypto.Digest
-	testsOrder   []g2gcrypto.Digest
-	seq          uint32
+	// testsOrder mirrors the tests keys in sorted order (see orderedInsert);
+	// the test phase iterates it instead of re-sorting per contact.
+	testsOrder []g2gcrypto.Digest
+	// relayable holds, in byte-wise hash order, the copies a relay phase
+	// may still offer. takeCustody files every copy that is not spent,
+	// and each scan drops the ones spent or past Δ1 since; neither ever
+	// reverts. Derived: RestoreState rebuilds it.
+	relayable []*g2gCustody
+	seq       uint32
 	// mem is MemoryBytes, kept up to date on every buffer change; expireAt
 	// is the earliest genAt+Δ2 in custody, before which expire has nothing
 	// to drop (zero forces a walk). Both are derived and never checkpointed.
@@ -53,11 +58,20 @@ type g2gCustody struct {
 	dropped bool
 	// pors are the proofs of relay collected from onward handoffs; they are
 	// this node's defence in the test phase.
-	pors      []wire.Signed
-	relayedTo map[trace.NodeID]struct{}
+	pors []wire.Signed
+	// relayedTo lists the peers this copy was handed to; a relay's holds at
+	// most MaxRelays+1, and only membership matters.
+	relayedTo []trace.NodeID
 	// relayCount counts handoffs to non-destination relays: deliveries to
 	// the destination do not consume the fan-out budget.
 	relayCount int
+	// rqst and decline memoize this node's last RELAY_RQST and RELAY_DECLINE
+	// for the message. Neither names the peer, so every offer of the copy at
+	// one instant signs the same bytes, as does every decline of it. rqst is
+	// made by the first offer and released when the copy leaves the
+	// relayable list, since it is never offered again.
+	rqst    *g2gcrypto.SignMemo
+	decline g2gcrypto.SignMemo
 }
 
 type pendingTest struct {
@@ -78,7 +92,6 @@ var _ Node = (*g2gEpidemicNode)(nil)
 func newG2GEpidemicNode(env *Env, self g2gcrypto.Identity, behavior Behavior) *g2gEpidemicNode {
 	return &g2gEpidemicNode{
 		base:      newBase(env, self, behavior),
-		seen:      make(map[g2gcrypto.Digest]struct{}),
 		custody:   make(map[g2gcrypto.Digest]*g2gCustody),
 		tests:     make(map[g2gcrypto.Digest][]*pendingTest),
 		pendingIn: make(map[g2gcrypto.Digest]*pendingTransfer),
@@ -99,8 +112,7 @@ func (n *g2gEpidemicNode) Generate(now sim.Time, dest trace.NodeID, body []byte)
 	h := m.Hash()
 	n.takeCustody(&g2gCustody{
 		msg: m, raw: m.Marshal(), hash: h, genAt: now,
-		isSource:  true,
-		relayedTo: make(map[trace.NodeID]struct{}),
+		isSource: true,
 	})
 	n.env.Observer.Generated(h, id, n.ID(), dest, now)
 	return nil
@@ -244,46 +256,57 @@ func (n *g2gEpidemicNode) relayPhase(now sim.Time, other *g2gEpidemicNode) bool 
 	n.env.spans.Enter(obs.SpanRelay)
 	defer n.env.spans.Exit()
 	transferred := false
-	// Snapshot the maintained order: relayOne may append to n.tests (and the
-	// peer mutates its own maps), but this node's custody keys are stable for
-	// the duration — the copy just guards the iteration against future edits.
-	n.digestScratch = append(n.digestScratch[:0], n.custodyOrder...)
-	for _, h := range n.digestScratch {
-		c := n.custody[h]
-		if !n.eligibleToRelay(now, c, other.ID()) {
-			continue
-		}
-		if n.relayOne(now, h, c, other) {
+	n.eachOffer(now, other.ID(), func(c *g2gCustody) {
+		if n.relayOne(now, c, other) {
 			transferred = true
 		}
-	}
+	})
 	return transferred
 }
 
-func (n *g2gEpidemicNode) eligibleToRelay(now sim.Time, c *g2gCustody, peer trace.NodeID) bool {
-	if c.dropped || c.isDest || now >= c.genAt.Add(n.env.Params.Delta1) {
-		return false
-	}
-	// The fan-out cap applies to relays; the sender keeps offering the
-	// message ("the sender S tries to relay it to the first two (at least)
-	// nodes it meets"), which is what lets G2G match Epidemic's delivery
-	// while relays keep the replica count down.
-	if !c.isSource && c.relayCount >= n.env.Params.MaxRelays {
-		return false
-	}
-	if _, done := c.relayedTo[peer]; done {
-		return false
-	}
+// eachOffer calls offer, in hash order, with every copy this node may relay
+// to peer at now, and compacts the relayable list as it goes. relayOne never
+// files or drops one of this node's copies, so the list is compacted in
+// place under the walk.
+func (n *g2gEpidemicNode) eachOffer(now sim.Time, peer trace.NodeID, offer func(*g2gCustody)) {
 	if n.Blacklisted(peer) {
-		return false
+		return
 	}
-	return c.raw != nil
+	kept := n.relayable[:0]
+	for _, c := range n.relayable {
+		// An expired copy is past Δ1 as well, since Δ2 ≥ Δ1.
+		if n.spent(c) || now >= c.genAt.Add(n.env.Params.Delta1) {
+			c.rqst = nil
+			continue
+		}
+		kept = append(kept, c)
+		if !slices.Contains(c.relayedTo, peer) {
+			offer(c)
+		}
+	}
+	clear(n.relayable[len(kept):])
+	n.relayable = kept
+}
+
+// spent reports whether c can never be offered again: it was dropped, has
+// arrived at its destination, has given up its payload, or is a relay's
+// copy that used up its fan-out. The cap applies to relays only; the sender
+// keeps offering the message ("the sender S tries to relay it to the first
+// two (at least) nodes it meets"), which is what lets G2G match Epidemic's
+// delivery while relays keep the replica count down.
+func (n *g2gEpidemicNode) spent(c *g2gCustody) bool {
+	return c.dropped || c.isDest || c.raw == nil ||
+		(!c.isSource && c.relayCount >= n.env.Params.MaxRelays)
 }
 
 // relayOne runs the five steps of Fig. 1 against the peer.
-func (n *g2gEpidemicNode) relayOne(now sim.Time, h g2gcrypto.Digest, c *g2gCustody, other *g2gEpidemicNode) bool {
+func (n *g2gEpidemicNode) relayOne(now sim.Time, c *g2gCustody, other *g2gEpidemicNode) bool {
+	h := c.hash
 	// Step 1-2: RELAY_RQST → RELAY_OK / RELAY_DECLINE.
-	req := n.signed(now, wire.RelayRequest{Hash: h})
+	if c.rqst == nil {
+		c.rqst = new(g2gcrypto.SignMemo)
+	}
+	req := n.signedMemo(now, wire.RelayRequest{Hash: h}, c.rqst)
 	ack := other.handleRelayRequest(now, req)
 	if ack == nil || ack.Signer != other.ID() || !n.verified(*ack) {
 		return false
@@ -324,7 +347,7 @@ func (n *g2gEpidemicNode) relayOne(now sim.Time, h g2gcrypto.Digest, c *g2gCusto
 
 	c.pors = append(c.pors, *por)
 	n.mem += porFootprint
-	c.relayedTo[other.ID()] = struct{}{}
+	c.relayedTo = append(c.relayedTo, other.ID())
 	if other.ID() != c.msg.Dest {
 		c.relayCount++
 	}
@@ -353,8 +376,8 @@ func (n *g2gEpidemicNode) handleRelayRequest(now sim.Time, req wire.Signed) *wir
 	// destination, so declining without having seen the message would be
 	// against its own interest.
 	var resp wire.Signed
-	if _, seen := n.seen[body.Hash]; seen {
-		resp = n.signed(now, wire.RelayDecline{Hash: body.Hash})
+	if c, seen := n.custody[body.Hash]; seen {
+		resp = n.signedMemo(now, wire.RelayDecline{Hash: body.Hash}, &c.decline)
 	} else {
 		resp = n.signed(now, wire.RelayOK{Hash: body.Hash})
 	}
@@ -366,7 +389,7 @@ func (n *g2gEpidemicNode) handleRelayTransfer(now sim.Time, transfer wire.Signed
 	if !ok || !n.verified(transfer) {
 		return nil
 	}
-	if _, seen := n.seen[body.Hash]; seen {
+	if _, seen := n.custody[body.Hash]; seen {
 		return nil
 	}
 	if old, ok := n.pendingIn[body.Hash]; ok {
@@ -405,10 +428,7 @@ func (n *g2gEpidemicNode) handleKeyReveal(now sim.Time, reveal wire.Signed, from
 		return
 	}
 
-	c := &g2gCustody{
-		msg: m, raw: raw, hash: body.Hash, genAt: pending.genAt,
-		relayedTo: make(map[trace.NodeID]struct{}),
-	}
+	c := &g2gCustody{msg: m, raw: raw, hash: body.Hash, genAt: pending.genAt}
 	if m.Dest == n.ID() {
 		c.isDest = true
 		if res, err := m.Open(n.env.Sys, n.self); err == nil && res.Authentic {
@@ -423,12 +443,13 @@ func (n *g2gEpidemicNode) handleKeyReveal(now sim.Time, reveal wire.Signed, from
 	n.takeCustody(c)
 }
 
-// takeCustody files a new copy: seen-set entry, custody record, sorted
-// order, and its share of the memory counter and the expiry bound.
+// takeCustody files a new copy: custody record, relayable list, and its
+// share of the memory counter and the expiry bound.
 func (n *g2gEpidemicNode) takeCustody(c *g2gCustody) {
-	n.seen[c.hash] = struct{}{}
 	n.custody[c.hash] = c
-	orderedInsert(&n.custodyOrder, c.hash)
+	if !n.spent(c) {
+		orderedInsertCopy(&n.relayable, c)
+	}
 	n.mem += hashFootprint + c.footprint()
 	n.expireAt = min(n.expireAt, c.genAt.Add(n.env.Params.Delta2))
 }
@@ -438,17 +459,13 @@ func (n *g2gEpidemicNode) expire(now sim.Time) {
 	if now < n.expireAt {
 		return
 	}
-	// Walk the maintained order, compacting survivors in place: the keepers
-	// stay sorted and each deletion is O(1) against the slice.
+	// The outcome does not depend on the walk's order: map order is fine.
 	next := never
-	kept := n.custodyOrder[:0]
-	for _, h := range n.custodyOrder {
-		c := n.custody[h]
+	for h, c := range n.custody {
 		at := c.genAt.Add(n.env.Params.Delta2)
 		if now >= at {
 			n.mem -= hashFootprint + c.footprint()
 			delete(n.custody, h)
-			delete(n.seen, h)
 			if _, ok := n.tests[h]; ok {
 				delete(n.tests, h)
 				orderedRemove(&n.testsOrder, h)
@@ -456,20 +473,18 @@ func (n *g2gEpidemicNode) expire(now sim.Time) {
 			continue
 		}
 		next = min(next, at)
-		kept = append(kept, h)
 	}
-	n.custodyOrder = kept
 	n.expireAt = next
 }
 
 // MemoryBytes implements MemoryMeter: stored payloads, collected proofs of
-// relay, pending handoffs, and seen-set entries.
+// relay, pending handoffs, and the hash of every handled message.
 func (n *g2gEpidemicNode) MemoryBytes() int64 { return n.mem }
 
 // memoryWalk recomputes MemoryBytes from the buffers; RestoreState seeds the
 // maintained counter with it.
 func (n *g2gEpidemicNode) memoryWalk() int64 {
-	total := int64(len(n.seen)) * hashFootprint
+	total := int64(len(n.custody)) * hashFootprint
 	for _, c := range n.custody {
 		total += c.footprint()
 	}
@@ -483,3 +498,6 @@ func (n *g2gEpidemicNode) memoryWalk() int64 {
 func (c *g2gCustody) footprint() int64 {
 	return int64(len(c.raw)) + int64(len(c.pors))*porFootprint
 }
+
+// key files the copy under its message hash in the relayable list.
+func (c *g2gCustody) key() *g2gcrypto.Digest { return &c.hash }

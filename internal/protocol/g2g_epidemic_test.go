@@ -248,8 +248,11 @@ func TestG2GEpidemicStateExpiresAtDelta2(t *testing.T) {
 	if _, ok := n1.custody[h]; ok {
 		t.Error("custody survived Δ2")
 	}
-	if _, ok := n1.seen[h]; ok {
-		t.Error("seen record survived Δ2")
+	// Custody is the seen set: past Δ2 the message is no longer declined.
+	at := params.Delta2 + 2*sim.Minute
+	req := wire.Sign(w.nodes[2].(*g2gEpidemicNode).self, at, wire.RelayRequest{Hash: h})
+	if resp := n1.handleRelayRequest(at, req); resp == nil || resp.Body.Kind() != wire.KindRelayOK {
+		t.Errorf("RELAY_RQST past Δ2 answered %v, want RELAY_OK", resp)
 	}
 }
 

@@ -30,12 +30,14 @@ func sortedDigestsInto[T any](buf *[]g2gcrypto.Digest, m map[g2gcrypto.Digest]T)
 	return keys
 }
 
-// The session-hot buffer maps (custody, pending tests, epidemic buffers) keep
-// a companion key slice in the same byte-wise order sortedDigestsInto would
+// The session-hot buffer maps (pending tests, epidemic buffers) keep a
+// companion key slice in the same byte-wise order sortedDigestsInto would
 // produce, maintained incrementally at the handful of insert/delete sites
-// instead of re-sorted on every contact. The slice is derived state: it is
-// never serialized, and checkpoint restore rebuilds it from the map with
-// sortedDigestsInto, so the two representations cannot drift across a resume.
+// instead of re-sorted on every contact; G2G custody keeps only its
+// relayable copies in that order (orderedInsertCopy). The slice is derived
+// state: it is never serialized, and checkpoint restore rebuilds it from the
+// map with sortedDigestsInto, so the two representations cannot drift across
+// a resume.
 
 // orderedInsert adds h to the sorted key slice, keeping it sorted. Inserting
 // a digest that is already present is a no-op, matching map-key semantics.
@@ -58,4 +60,16 @@ func orderedRemove(keys *[]g2gcrypto.Digest, h g2gcrypto.Digest) {
 		return
 	}
 	*keys = slices.Delete(*keys, i, i+1)
+}
+
+// keyed is a custody copy of either G2G kind, filed under its message hash.
+type keyed interface{ key() *g2gcrypto.Digest }
+
+// orderedInsertCopy files c in a list of copies kept in the same byte-wise
+// hash order as orderedInsert's keys.
+func orderedInsertCopy[C keyed](list *[]C, c C) {
+	i, _ := slices.BinarySearchFunc(*list, c.key(), func(e C, h *g2gcrypto.Digest) int {
+		return bytes.Compare(e.key()[:], h[:])
+	})
+	*list = slices.Insert(*list, i, c)
 }

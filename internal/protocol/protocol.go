@@ -481,8 +481,15 @@ type base struct {
 // input is encoded into the Env's shared scratch buffer (runs are
 // single-threaded, and providers never retain the input).
 func (b *base) signed(at sim.Time, body wire.Body) wire.Signed {
+	return b.signedMemo(at, body, nil)
+}
+
+// signedMemo is signed through a memo the caller keeps where the node
+// re-signs one statement (see g2gcrypto.SignMemo). A memo hit is accounted
+// exactly like a fresh signature: the paper's cost model owes every one.
+func (b *base) signedMemo(at sim.Time, body wire.Body, m *g2gcrypto.SignMemo) wire.Signed {
 	b.noteSign()
-	s := b.env.wireScratch.Sign(b.self, at, body)
+	s := b.env.wireScratch.SignMemo(b.self, m, at, body)
 	b.env.stats.NoteWire(uint8(body.Kind()), wire.SizeOf(s))
 	return s
 }

@@ -1,0 +1,446 @@
+package protocol
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"testing"
+
+	"give2get/internal/g2gcrypto"
+	"give2get/internal/sim"
+	"give2get/internal/trace"
+	"give2get/internal/wire"
+)
+
+// relayView is what the relay phase's per-copy eligibility predicate read
+// before the relayable list replaced it.
+type relayView struct {
+	genAt                     sim.Time
+	dropped, isDest, isSource bool
+	hasRaw                    bool
+	relayCount                int
+	relayedTo                 []trace.NodeID
+}
+
+// eligible is that predicate, kept here as the scan's reference.
+func (v relayView) eligible(p Params, now sim.Time, peer trace.NodeID, blacklisted bool) bool {
+	if v.dropped || v.isDest || now >= v.genAt.Add(p.Delta1) {
+		return false
+	}
+	if !v.isSource && v.relayCount >= p.MaxRelays {
+		return false
+	}
+	if slices.Contains(v.relayedTo, peer) || blacklisted {
+		return false
+	}
+	return v.hasRaw
+}
+
+// byHash returns the keys of a custody map in byte-wise order, the order the
+// relay phase has always offered copies in.
+func byHash[T any](m map[g2gcrypto.Digest]T) []g2gcrypto.Digest {
+	keys := make([]g2gcrypto.Digest, 0, len(m))
+	for h := range m {
+		keys = append(keys, h)
+	}
+	slices.SortFunc(keys, func(a, b g2gcrypto.Digest) int { return bytes.Compare(a[:], b[:]) })
+	return keys
+}
+
+// relayViews returns a G2G node's copies in hash order, with their views,
+// and the node's parameters.
+func relayViews(t *testing.T, n Node) ([]g2gcrypto.Digest, []relayView, Params) {
+	t.Helper()
+	var views []relayView
+	switch n := n.(type) {
+	case *g2gEpidemicNode:
+		hashes := byHash(n.custody)
+		for _, h := range hashes {
+			c := n.custody[h]
+			views = append(views, relayView{c.genAt, c.dropped, c.isDest, c.isSource, c.raw != nil, c.relayCount, c.relayedTo})
+		}
+		return hashes, views, n.env.Params
+	case *g2gDelegationNode:
+		hashes := byHash(n.custody)
+		for _, h := range hashes {
+			c := n.custody[h]
+			views = append(views, relayView{c.genAt, c.dropped, c.isDest, c.isSource, c.raw != nil, c.relayCount, c.relayedTo})
+		}
+		return hashes, views, n.env.Params
+	}
+	t.Fatalf("%T is not a G2G node", n)
+	return nil, nil, Params{}
+}
+
+// custodyWalk lists, in hash order, the copies the relay phase offered peer
+// at now when it walked every copy in custody.
+func custodyWalk(t *testing.T, n Node, now sim.Time, peer trace.NodeID) []g2gcrypto.Digest {
+	t.Helper()
+	hashes, views, p := relayViews(t, n)
+	var out []g2gcrypto.Digest
+	for i, v := range views {
+		if v.eligible(p, now, peer, n.Blacklisted(peer)) {
+			out = append(out, hashes[i])
+		}
+	}
+	return out
+}
+
+// relayableBuild is the relayable list built afresh from custody: every
+// copy, in hash order, that is not dropped, delivered, without its payload
+// or a relay's copy out of budget.
+func relayableBuild(t *testing.T, n Node) []g2gcrypto.Digest {
+	t.Helper()
+	hashes, views, p := relayViews(t, n)
+	var out []g2gcrypto.Digest
+	for i, v := range views {
+		if !v.dropped && !v.isDest && v.hasRaw && (v.isSource || v.relayCount < p.MaxRelays) {
+			out = append(out, hashes[i])
+		}
+	}
+	return out
+}
+
+// scanOffers lists the copies a relay phase at now offers peer.
+func scanOffers(t *testing.T, n Node, now sim.Time, peer trace.NodeID) []g2gcrypto.Digest {
+	t.Helper()
+	var out []g2gcrypto.Digest
+	switch n := n.(type) {
+	case *g2gEpidemicNode:
+		n.eachOffer(now, peer, func(c *g2gCustody) { out = append(out, c.hash) })
+	case *g2gDelegationNode:
+		n.eachOffer(now, peer, func(c *g2gDelCustody) { out = append(out, c.hash) })
+	default:
+		t.Fatalf("%T is not a G2G node", n)
+	}
+	return out
+}
+
+// scanStep is one action of a relay-scan script: generate (gen), meet, run
+// every node's expiry step (expire), checkpoint and restore the whole world
+// (restore), or nothing (check). Every step ends with the scan checked
+// against the custody walk at its instant.
+type scanStep struct {
+	at   sim.Time
+	what string
+	a, b trace.NodeID
+}
+
+// relayScanScript drives a copy through every way it stops being relayable:
+// relays up to the budget, a dropper, a cheater, a destination delivery, a
+// PoM, Δ1, expiry at Δ2, and a checkpoint restore in between.
+func relayScanScript(kind Kind, p Params) []scanStep {
+	if kind == G2GEpidemic {
+		return []scanStep{
+			{at: sim.Minute, what: "gen", a: 0, b: 5},
+			{at: 2 * sim.Minute, what: "meet", a: 0, b: 1},
+			{at: 3 * sim.Minute, what: "meet", a: 0, b: 2}, // the dropper
+			{at: 4 * sim.Minute, what: "meet", a: 1, b: 3},
+			{at: 5 * sim.Minute, what: "meet", a: 1, b: 4}, // 1 spends its budget
+			{at: 6 * sim.Minute, what: "gen", a: 3, b: 7},
+			{at: 7 * sim.Minute, what: "meet", a: 3, b: 5}, // delivery
+			{at: 7 * sim.Minute, what: "restore"},
+			{at: 8 * sim.Minute, what: "meet", a: 5, b: 6},
+			{at: 9 * sim.Minute, what: "meet", a: 6, b: 1},
+			{at: sim.Minute + p.Delta1 - 1, what: "check"},
+			{at: sim.Minute + p.Delta1, what: "check"},
+			{at: sim.Minute + p.Delta1 + sim.Minute, what: "meet", a: 0, b: 2}, // PoM
+			{at: 6*sim.Minute + p.Delta1 - 1, what: "meet", a: 3, b: 2},
+			{at: 6*sim.Minute + p.Delta1, what: "check"},
+			{at: sim.Minute + p.Delta2, what: "expire"},
+			{at: sim.Minute + p.Delta2 + sim.Minute, what: "gen", a: 5, b: 0},
+			{at: sim.Minute + p.Delta2 + 2*sim.Minute, what: "meet", a: 5, b: 6},
+			{at: 6*sim.Minute + p.Delta2, what: "expire"},
+		}
+	}
+	return []scanStep{
+		{at: frame1, what: "gen", a: 0, b: 5},
+		{at: frame1 + 1*sim.Minute, what: "meet", a: 0, b: 4}, // fails to qualify
+		{at: frame1 + 2*sim.Minute, what: "meet", a: 0, b: 6}, // the dropper
+		{at: frame1 + 3*sim.Minute, what: "meet", a: 0, b: 1}, // the cheater
+		{at: frame1 + 3*sim.Minute, what: "restore"},
+		{at: frame1 + 4*sim.Minute, what: "gen", a: 2, b: 7},
+		{at: frame1 + 5*sim.Minute, what: "meet", a: 1, b: 2},
+		{at: frame1 + 6*sim.Minute, what: "meet", a: 1, b: 3}, // cheater spends its budget
+		{at: frame1 + 7*sim.Minute, what: "meet", a: 3, b: 5}, // delivery behind a decoy
+		{at: frame1 + p.Delta1 - 1, what: "check"},
+		{at: frame1 + p.Delta1, what: "check"},
+		{at: frame1 + p.Delta1 + sim.Minute, what: "meet", a: 0, b: 6},   // PoM: dropper
+		{at: frame1 + p.Delta1 + 2*sim.Minute, what: "meet", a: 0, b: 1}, // PoM: cheater
+		{at: frame1 + p.Delta1 + 3*sim.Minute, what: "meet", a: 2, b: 1},
+		{at: frame1 + 4*sim.Minute + p.Delta1, what: "check"},
+		{at: frame1 + p.Delta2, what: "expire"},
+		{at: frame1 + p.Delta2 + sim.Minute, what: "gen", a: 3, b: 5},
+		{at: frame1 + p.Delta2 + 2*sim.Minute, what: "meet", a: 3, b: 4},
+	}
+}
+
+// restoreWorld checkpoints every node and the RNG of w and restores them
+// into a fresh world of the same configuration.
+func restoreWorld(t *testing.T, w *world, kind Kind, params Params, behaviors map[trace.NodeID]Behavior) *world {
+	t.Helper()
+	w2 := newWorld(t, kind, len(w.nodes), params, behaviors)
+	if err := w2.env.RNG.Restore(w.env.RNG.State()); err != nil {
+		t.Fatalf("restore rng: %v", err)
+	}
+	for i, n := range w.nodes {
+		if err := w2.nodes[i].(Stateful).RestoreState(n.(Stateful).CaptureState()); err != nil {
+			t.Fatalf("restore node %d: %v", i, err)
+		}
+	}
+	return w2
+}
+
+// TestRelayableMatchesCustodyWalk is the oracle for the relayable scan:
+// after every step of a script that retires copies every possible way,
+// each node offers each peer exactly the copies, in order, that the old
+// walk over every custody copy with the old predicate offered. A fan-out
+// of one spends a relay's budget while it still holds the payload.
+func TestRelayableMatchesCustodyWalk(t *testing.T) {
+	for _, kind := range []Kind{G2GEpidemic, G2GDelegationFrequency} {
+		for _, maxRelays := range []int{2, 1} {
+			t.Run(fmt.Sprintf("%v/max-relays-%d", kind, maxRelays), func(t *testing.T) {
+				params := testParams()
+				params.MaxRelays = maxRelays
+				checkRelayScan(t, kind, params)
+			})
+		}
+	}
+}
+
+func checkRelayScan(t *testing.T, kind Kind, params Params) {
+	dropper, cheater := trace.NodeID(2), trace.NodeID(4)
+	if kind != G2GEpidemic {
+		dropper, cheater = 6, 1
+	}
+	behaviors := map[trace.NodeID]Behavior{dropper: {Deviation: Dropper}, cheater: {Deviation: Cheater}}
+	w := newWorld(t, kind, 8, params, behaviors)
+	if kind != G2GEpidemic {
+		primeQuality(w, 0, 5, 1, 0, sim.Minute)             // source: quality 1
+		primeQuality(w, 6, 5, 2, 5*sim.Minute, sim.Minute)  // dropper: 2
+		primeQuality(w, 1, 5, 3, 10*sim.Minute, sim.Minute) // cheater: 3
+		primeQuality(w, 2, 5, 1, 15*sim.Minute, sim.Minute)
+		primeQuality(w, 3, 5, 1, 20*sim.Minute, sim.Minute)
+		primeQuality(w, 1, 7, 1, 25*sim.Minute, sim.Minute)
+	}
+	offered, retired := 0, false
+	for i, s := range relayScanScript(kind, params) {
+		switch s.what {
+		case "gen":
+			w.generate(s.at, s.a, s.b)
+		case "meet":
+			w.meet(s.at, s.a, s.b)
+		case "expire":
+			expireAll(w, s.at)
+		case "restore":
+			w = restoreWorld(t, w, kind, params, behaviors)
+		}
+		for a, n := range w.nodes {
+			for b := range w.nodes {
+				if a == b {
+					continue
+				}
+				want := custodyWalk(t, n, s.at, trace.NodeID(b))
+				got := scanOffers(t, n, s.at, trace.NodeID(b))
+				if !slices.Equal(got, want) {
+					t.Fatalf("step %d (%s at %v): node %d offers node %d %d copies %x, the custody walk %d %x",
+						i, s.what, s.at, a, b, len(got), got, len(want), want)
+				}
+				offered += len(got)
+			}
+			if len(scanList(n)) < custodyCount(n) {
+				retired = true
+			}
+		}
+	}
+	if offered == 0 || !retired {
+		t.Fatalf("script offered %d copies and retired any: %v; it no longer exercises the scan", offered, retired)
+	}
+	if !w.rec.detectedNode(dropper) {
+		t.Error("the script's dropper went undetected")
+	}
+}
+
+// scanList returns the relayable list of a G2G node as hashes.
+func scanList(n Node) []g2gcrypto.Digest {
+	var out []g2gcrypto.Digest
+	switch n := n.(type) {
+	case *g2gEpidemicNode:
+		for _, c := range n.relayable {
+			out = append(out, c.hash)
+		}
+	case *g2gDelegationNode:
+		for _, c := range n.relayable {
+			out = append(out, c.hash)
+		}
+	}
+	return out
+}
+
+// custodyCount is the number of copies a G2G node holds.
+func custodyCount(n Node) int {
+	switch n := n.(type) {
+	case *g2gEpidemicNode:
+		return len(n.custody)
+	case *g2gDelegationNode:
+		return len(n.custody)
+	}
+	return 0
+}
+
+// memoLog applies the fast provider's hit rule to every memo a spied node
+// signs through: a sign hits when the memo last held the same signer's
+// signature over byte-equal input. TestSignMemo in g2gcrypto pins that the
+// provider answers from the memo exactly then. The log is local to one
+// test, never package state.
+type memoLog struct {
+	last               map[*g2gcrypto.SignMemo]memoEntry
+	hits, misses, bare map[wire.Kind]int
+}
+
+type memoEntry struct {
+	signer trace.NodeID
+	input  []byte
+}
+
+func newMemoLog() *memoLog {
+	return &memoLog{
+		last: make(map[*g2gcrypto.SignMemo]memoEntry),
+		hits: make(map[wire.Kind]int), misses: make(map[wire.Kind]int), bare: make(map[wire.Kind]int),
+	}
+}
+
+// reset clears the counts, keeping what each memo holds.
+func (l *memoLog) reset() {
+	clear(l.hits)
+	clear(l.misses)
+	clear(l.bare)
+}
+
+// memoSpy is a node identity that records its signs in a memoLog.
+type memoSpy struct {
+	g2gcrypto.Identity
+	log *memoLog
+}
+
+func (s *memoSpy) SignMemo(m *g2gcrypto.SignMemo, data []byte) g2gcrypto.Signature {
+	kind := wire.Kind(data[0]) // the signing input leads with the kind
+	if m == nil {
+		s.log.bare[kind]++
+	} else {
+		if e, ok := s.log.last[m]; ok && e.signer == s.Node() && bytes.Equal(e.input, data) {
+			s.log.hits[kind]++
+		} else {
+			s.log.misses[kind]++
+		}
+		s.log.last[m] = memoEntry{signer: s.Node(), input: bytes.Clone(data)}
+	}
+	return s.Identity.SignMemo(m, data)
+}
+
+func (b *base) spyOnSigns(log *memoLog) { b.self = &memoSpy{Identity: b.self, log: log} }
+
+// TestSameInstantSessionsHitSignMemos re-runs one session pair at one
+// instant: every RELAY_RQST and RELAY_DECLINE (G2G Epidemic) and every
+// FQ_RQST and FQ_RESP (G2G Delegation) repeats a statement signed moments
+// before and must hit its memo. One second later the same sessions sign new
+// statements and must all miss.
+func TestSameInstantSessionsHitSignMemos(t *testing.T) {
+	params := testParams()
+	for _, tc := range []struct {
+		kind Kind
+		memo []wire.Kind
+		// setup leaves nodes 0 and 1 holding copies they will only offer
+		// each other and decline; it returns the instant of the first pass.
+		setup func(w *world) sim.Time
+	}{
+		{
+			kind: G2GEpidemic,
+			memo: []wire.Kind{wire.KindRelayRequest, wire.KindRelayDecline},
+			setup: func(w *world) sim.Time {
+				w.generate(0, 0, 3)
+				w.generate(0, 1, 4)
+				w.generate(0, 2, 5)
+				w.meet(sim.Minute, 0, 1)
+				// Node 2 hands its message to both, so each of them offers
+				// the other, and declines, a copy of it at one instant.
+				w.meet(sim.Minute+10*sim.Second, 2, 0)
+				w.meet(sim.Minute+20*sim.Second, 2, 1)
+				return 2 * sim.Minute
+			},
+		},
+		{
+			kind: G2GDelegationFrequency,
+			memo: []wire.Kind{wire.KindFQRequest, wire.KindFQResponse},
+			setup: func(w *world) sim.Time {
+				// Each source is the better carrier toward its own
+				// destinations, so neither peer ever qualifies.
+				for i, q := range []struct {
+					node, dest trace.NodeID
+					n          int
+				}{{0, 3, 2}, {1, 3, 1}, {0, 5, 2}, {1, 5, 1}, {1, 4, 2}, {0, 4, 1}, {1, 6, 2}, {0, 6, 1}} {
+					primeQuality(w, q.node, q.dest, q.n, sim.Time(i)*3*sim.Minute, sim.Minute)
+				}
+				w.generate(frame1, 0, 3)
+				w.generate(frame1, 0, 5)
+				w.generate(frame1, 1, 4)
+				w.generate(frame1, 1, 6)
+				return frame1 + sim.Minute
+			},
+		},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			w := newWorld(t, tc.kind, 7, params, nil)
+			at := tc.setup(w)
+			log := newMemoLog()
+			for _, n := range w.nodes {
+				n.(interface{ spyOnSigns(*memoLog) }).spyOnSigns(log)
+			}
+			replicated := len(w.rec.replicated)
+
+			w.meet(at, 0, 1)
+			first := make(map[wire.Kind]int)
+			for _, k := range tc.memo {
+				if first[k] = log.hits[k] + log.misses[k]; first[k] == 0 || log.bare[k] != 0 {
+					t.Fatalf("first pass signed %d %v through memos and %d without", first[k], k, log.bare[k])
+				}
+			}
+			for _, pass := range []struct {
+				name string
+				at   sim.Time
+				hit  bool
+			}{
+				{"re-run at the same instant", at, true},
+				{"one second later", at + sim.Second, false},
+			} {
+				log.reset()
+				w.meet(pass.at, 0, 1)
+				for _, k := range tc.memo {
+					hits, misses := log.hits[k], log.misses[k]
+					if !pass.hit {
+						hits, misses = misses, hits
+					}
+					if hits != first[k] || misses != 0 || log.bare[k] != 0 {
+						t.Errorf("%s: %v signed %d hits, %d misses and %d without a memo; want %d, all hit=%v",
+							pass.name, k, log.hits[k], log.misses[k], log.bare[k], first[k], pass.hit)
+					}
+				}
+			}
+			if len(w.rec.replicated) != replicated {
+				t.Fatal("a copy changed hands; the passes no longer repeat one exchange")
+			}
+			if tc.kind == G2GDelegationFrequency {
+				// Offering a message to its destination asks about a decoy,
+				// which never goes through the request memo.
+				log.reset()
+				w.meet(at+2*sim.Second, 0, 3)
+				if log.bare[wire.KindFQRequest] != 1 {
+					t.Errorf("decoy exchange: %d FQ_RQST signed without a memo, want 1", log.bare[wire.KindFQRequest])
+				}
+				if log.misses[wire.KindFQRequest]+log.hits[wire.KindFQRequest] != 1 {
+					t.Errorf("FQ_RQST about a real destination (5) not signed through its memo: %v", log.misses)
+				}
+			}
+		})
+	}
+}

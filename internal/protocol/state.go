@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"give2get/internal/g2gcrypto"
@@ -79,17 +80,17 @@ type MeetingLog struct {
 	Times []sim.Time // ascending, as recorded
 }
 
-// G2GEpidemicState is a g2gEpidemicNode's protocol state.
+// G2GEpidemicState is a g2gEpidemicNode's protocol state. The seen set is
+// the custody keys; gob skips the Seen field older checkpoints carry.
 type G2GEpidemicState struct {
-	Seen      []g2gcrypto.Digest     // sorted
 	Custody   []G2GCustodyState      // sorted by hash
 	Tests     []TestsEntry           // sorted by hash
 	PendingIn []PendingTransferState // sorted by hash
 }
 
-// G2GDelegationState is a g2gDelegationNode's protocol state.
+// G2GDelegationState is a g2gDelegationNode's protocol state, without a
+// seen set for the same reason as G2GEpidemicState.
 type G2GDelegationState struct {
-	Seen      []g2gcrypto.Digest     // sorted
 	Custody   []G2GCustodyState      // sorted by hash
 	Tests     []TestsEntry           // sorted by hash
 	PendingIn []PendingTransferState // sorted by hash
@@ -192,20 +193,12 @@ func restoreSeen(hashes []g2gcrypto.Digest) map[g2gcrypto.Digest]struct{} {
 	return out
 }
 
-func sortedPeers(m map[trace.NodeID]struct{}) []trace.NodeID {
-	out := make([]trace.NodeID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func restorePeers(ids []trace.NodeID) map[trace.NodeID]struct{} {
-	out := make(map[trace.NodeID]struct{}, len(ids))
-	for _, id := range ids {
-		out[id] = struct{}{}
-	}
+// sortedPeers returns a sorted copy of a relayedTo list, which holds peers
+// in handoff order; only membership matters to the protocol.
+func sortedPeers(ids []trace.NodeID) []trace.NodeID {
+	out := make([]trace.NodeID, len(ids))
+	copy(out, ids)
+	slices.Sort(out)
 	return out
 }
 
@@ -347,7 +340,7 @@ func restoreG2GCustody(e G2GCustodyState) (*g2gCustody, error) {
 		msg: m, hash: m.Hash(), genAt: e.GenAt,
 		isSource: e.IsSource, isDest: e.IsDest, dropped: e.Dropped,
 		pors:       pors,
-		relayedTo:  restorePeers(e.RelayedTo),
+		relayedTo:  slices.Clone(e.RelayedTo),
 		relayCount: e.RelayCount,
 	}
 	if e.RawPresent {
@@ -396,7 +389,7 @@ func restoreDelCustody(e G2GCustodyState) (*g2gDelCustody, error) {
 		pors:        pors,
 		attachments: attachments,
 		failedFQ:    failedFQ,
-		relayedTo:   restorePeers(e.RelayedTo),
+		relayedTo:   slices.Clone(e.RelayedTo),
 		relayCount:  e.RelayCount,
 	}
 	if e.RawPresent {
@@ -409,7 +402,7 @@ func restoreDelCustody(e G2GCustodyState) (*g2gDelCustody, error) {
 
 // CaptureState implements Stateful.
 func (n *g2gEpidemicNode) CaptureState() NodeState {
-	st := &G2GEpidemicState{Seen: sortedSeen(n.seen)}
+	st := &G2GEpidemicState{}
 	st.Custody = make([]G2GCustodyState, 0, len(n.custody))
 	for _, h := range sortedDigestsInto(&n.digestScratch, n.custody) {
 		st.Custody = append(st.Custody, captureG2GCustody(n.custody[h]))
@@ -442,7 +435,6 @@ func (n *g2gEpidemicNode) RestoreState(st NodeState) error {
 	}
 	s := st.G2GEpidemic
 	n.seq = n.restoreBase(st.Base)
-	n.seen = restoreSeen(s.Seen)
 	n.custody = make(map[g2gcrypto.Digest]*g2gCustody, len(s.Custody))
 	for _, e := range s.Custody {
 		c, err := restoreG2GCustody(e)
@@ -470,8 +462,13 @@ func (n *g2gEpidemicNode) RestoreState(st NodeState) error {
 			encrypted: append([]byte(nil), p.Encrypted...),
 		}
 	}
-	n.custodyOrder = sortedDigestsInto(&n.custodyOrder, n.custody)
 	n.testsOrder = sortedDigestsInto(&n.testsOrder, n.tests)
+	n.relayable = n.relayable[:0]
+	for _, h := range sortedDigestsInto(&n.digestScratch, n.custody) {
+		if c := n.custody[h]; !n.spent(c) {
+			n.relayable = append(n.relayable, c)
+		}
+	}
 	n.mem, n.expireAt = n.memoryWalk(), 0
 	return nil
 }
@@ -480,7 +477,7 @@ func (n *g2gEpidemicNode) RestoreState(st NodeState) error {
 
 // CaptureState implements Stateful.
 func (n *g2gDelegationNode) CaptureState() NodeState {
-	st := &G2GDelegationState{Seen: sortedSeen(n.seen), Quality: n.quality.capture()}
+	st := &G2GDelegationState{Quality: n.quality.capture()}
 	st.Custody = make([]G2GCustodyState, 0, len(n.custody))
 	for _, h := range sortedDigestsInto(&n.digestScratch, n.custody) {
 		st.Custody = append(st.Custody, captureDelCustody(n.custody[h]))
@@ -525,7 +522,6 @@ func (n *g2gDelegationNode) RestoreState(st NodeState) error {
 	}
 	s := st.G2GDelegation
 	n.seq = n.restoreBase(st.Base)
-	n.seen = restoreSeen(s.Seen)
 	n.quality.restore(s.Quality)
 	n.custody = make(map[g2gcrypto.Digest]*g2gDelCustody, len(s.Custody))
 	for _, e := range s.Custody {
@@ -561,8 +557,13 @@ func (n *g2gDelegationNode) RestoreState(st NodeState) error {
 			attachments: attachments,
 		}
 	}
-	n.custodyOrder = sortedDigestsInto(&n.custodyOrder, n.custody)
 	n.testsOrder = sortedDigestsInto(&n.testsOrder, n.tests)
+	n.relayable = n.relayable[:0]
+	for _, h := range sortedDigestsInto(&n.digestScratch, n.custody) {
+		if c := n.custody[h]; !n.spent(c) {
+			n.relayable = append(n.relayable, c)
+		}
+	}
 	n.mem, n.expireAt = n.memoryWalk(), 0
 	n.audited = make(map[auditKey]struct{}, len(s.Audited))
 	for _, a := range s.Audited {

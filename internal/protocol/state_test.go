@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"give2get/internal/sim"
@@ -119,6 +120,9 @@ func TestNodeStateRoundTrip(t *testing.T) {
 				if kind.IsG2G() {
 					if got, want := n.MemoryBytes(), memoryReference(t, n); got != want {
 						t.Errorf("node %d: restored MemoryBytes = %d, walk = %d", i, got, want)
+					}
+					if got, want := scanList(n), relayableBuild(t, w1.nodes[i]); !slices.Equal(got, want) {
+						t.Errorf("node %d: restored relayable %x, a fresh build %x", i, got, want)
 					}
 				}
 			}

@@ -80,7 +80,7 @@ func memoryReference(t *testing.T, n Node) int64 {
 		for _, c := range n.custody {
 			total += int64(len(c.raw)) + int64(len(c.pors))*porFootprint
 		}
-		total += int64(len(n.seen)) * hashFootprint
+		total += int64(len(n.custody)) * hashFootprint
 		for _, p := range n.pendingIn {
 			total += int64(len(p.encrypted))
 		}
@@ -89,7 +89,7 @@ func memoryReference(t *testing.T, n Node) int64 {
 			total += int64(len(c.raw))
 			total += int64(len(c.pors)+len(c.attachments)+len(c.failedFQ)) * porFootprint
 		}
-		total += int64(len(n.seen)) * hashFootprint
+		total += int64(len(n.custody)) * hashFootprint
 		for _, p := range n.pendingIn {
 			total += int64(len(p.encrypted))
 		}

@@ -119,12 +119,18 @@ type Scratch struct {
 
 // Sign is the scratch-buffered equivalent of the package-level Sign.
 func (sc *Scratch) Sign(id g2gcrypto.Identity, at sim.Time, body Body) Signed {
+	return sc.SignMemo(id, nil, at, body)
+}
+
+// SignMemo is Sign through a caller-held signature memo (see
+// g2gcrypto.SignMemo); m may be nil.
+func (sc *Scratch) SignMemo(id g2gcrypto.Identity, m *g2gcrypto.SignMemo, at sim.Time, body Body) Signed {
 	sc.buf = appendSigningInput(sc.buf[:0], id.Node(), at, body)
 	return Signed{
 		Signer: id.Node(),
 		At:     at,
 		Body:   body,
-		Sig:    id.Sign(sc.buf),
+		Sig:    id.SignMemo(m, sc.buf),
 	}
 }
 
