@@ -13,7 +13,7 @@ BENCH_NS_TOLERANCE ?= 25
 # the wall gate: at -benchtime=1x they are a single timer sample.
 BENCH_NS_FLOOR ?= 1000000
 
-.PHONY: all build test vet race bench bench-smoke bench-diff fuzz cover trace-roundtrip kill-resume check ci
+.PHONY: all build test vet fmt race bench bench-smoke bench-diff fuzz cover trace-roundtrip kill-resume check ci
 
 all: check
 
@@ -25,6 +25,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails when gofmt would rewrite any file, listing them.
+fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "fmt: gofmt would reformat:"; echo "$$out"; exit 1; fi; \
+	echo "fmt: gofmt clean"
 
 # The concurrency-sensitive packages: atomic counters and sinks shared across
 # goroutines (obs, metrics), the engine run under the runner's worker pool,
@@ -142,12 +148,13 @@ kill-resume:
 
 check: build vet test race
 
-# ci is the documented verification entry point: build, vet, the coverage
-# floor, the race pass, the benchmark smoke pass, the trace-format round-trip
-# gate, the kill/resume crash-safety gate, a quick-mode experiment smoke run
-# through the parallel scheduler, and a fully audited honest run on each
-# preset (the auditor fails the command on any invariant violation).
-ci: build vet cover race bench-smoke trace-roundtrip kill-resume
+# ci is the documented verification entry point: build, vet, the gofmt
+# gate, the coverage floor, the race pass, the benchmark smoke pass, the
+# trace-format round-trip gate, the kill/resume crash-safety gate, a
+# quick-mode experiment smoke run through the parallel scheduler, and a fully
+# audited honest run on each preset (the auditor fails the command on any
+# invariant violation).
+ci: build vet fmt cover race bench-smoke trace-roundtrip kill-resume
 	$(GO) run ./cmd/g2gexp -experiment secV -quick -jobs 0 >/dev/null
 	$(GO) run ./cmd/g2gsim -preset infocom05 -protocol g2g-epidemic -ttl 10m -interval 60s -audit >/dev/null
 	$(GO) run ./cmd/g2gsim -preset cambridge06 -protocol g2g-delegation-frequency -ttl 10m -interval 60s -audit >/dev/null

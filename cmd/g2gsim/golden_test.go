@@ -67,6 +67,20 @@ func TestGolden(t *testing.T) {
 			args: []string{"-preset", "cambridge06", "-protocol", "delegation-frequency",
 				"-ttl", "10m", "-interval", "2m", "-repeats", "2", "-jobs", "2", "-audit"},
 		},
+		{
+			// G2G Delegation with cheaters: the sender's chain audit of
+			// the declared forwarding qualities exposes them.
+			name: "preset-g2g-delegation-cheaters-audit",
+			args: []string{"-preset", "infocom05", "-protocol", "g2g-delegation-frequency",
+				"-ttl", "30m", "-interval", "60s", "-deviants", "6", "-deviation", "cheater", "-audit"},
+		},
+		{
+			// G2G Delegation with liars: the destination's audit of the
+			// declarations a copy carries exposes them.
+			name: "preset-g2g-delegation-liars-audit",
+			args: []string{"-preset", "infocom05", "-protocol", "g2g-delegation-last-contact",
+				"-ttl", "30m", "-interval", "60s", "-deviants", "6", "-deviation", "liar", "-audit"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

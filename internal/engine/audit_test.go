@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"give2get/internal/invariant"
+	"give2get/internal/obs"
 	"give2get/internal/protocol"
+	"give2get/internal/sim"
 	"give2get/internal/trace"
 )
 
@@ -202,12 +204,83 @@ func TestAuditDifferentialCrypto(t *testing.T) {
 	})
 }
 
+// runPreScheduled is the reference run of TestAuditDifferentialScheduling:
+// the run as the engine made it before streaming scheduling, with one
+// closure per contact start, contact end and generation pre-materialized
+// before the kernel starts. The engine, the memory sampler, the phase probes
+// and the result assembly are the production ones.
+func runPreScheduled(cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s := sim.New()
+	s.SetStats(&e.metrics.Sim)
+	tr, err := trace.Materialize(cfg.Trace)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range tr.Contacts() {
+		if c.End <= e.startAt || c.Start >= e.endAt {
+			continue
+		}
+		start, end := e.clampContact(c)
+		if _, err := s.Schedule(start, func(s *sim.Simulator) {
+			e.contactStart(s.Now(), c.A, c.B)
+		}); err != nil {
+			return nil, err
+		}
+		if _, err := s.Schedule(end, func(*sim.Simulator) {
+			e.contactEnd(c.A, c.B)
+		}); err != nil {
+			return nil, err
+		}
+	}
+	genEnd := cfg.WindowTo - cfg.GenerationQuiet
+	population := cfg.Trace.Nodes()
+	at := cfg.WindowFrom + e.workloadRNG.Exp(cfg.MessageInterval)
+	for at < genEnd {
+		src := trace.NodeID(e.workloadRNG.Intn(population))
+		dst := trace.NodeID(e.workloadRNG.Intn(population))
+		for dst == src {
+			dst = trace.NodeID(e.workloadRNG.Intn(population))
+		}
+		body := make([]byte, e.cfg.PayloadBytes)
+		e.workloadRNG.Bytes(body)
+		if _, err := s.Schedule(at, func(s *sim.Simulator) {
+			e.generate(s.Now(), src, dst, body)
+		}); err != nil {
+			return nil, err
+		}
+		at += e.workloadRNG.Exp(cfg.MessageInterval)
+	}
+	if err := e.scheduleMemorySampling(s); err != nil {
+		return nil, err
+	}
+	if cfg.WindowFrom >= e.startAt {
+		if _, err := s.Schedule(cfg.WindowFrom, e.probeWindowFrom); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := s.Schedule(cfg.WindowTo, e.probeWindowTo); err != nil {
+		return nil, err
+	}
+	if e.startAt < cfg.WindowFrom {
+		e.emitPhase(e.startAt, obs.PhaseWarmup)
+	}
+	return e.finishRun(s)
+}
+
 // TestAuditDifferentialScheduling is the in-process differential oracle for
 // the streaming event-queue rewrite: the same audited quick run executed
-// with the legacy pre-scheduled closures and with streaming typed events
-// must produce byte-identical audit digests, deliveries, and detections.
-// Any drift in same-instant event ordering — the subtle failure mode of
-// lazy scheduling — shows up here as a digest mismatch.
+// with the legacy pre-scheduled closures (runPreScheduled) and with
+// streaming typed events must produce byte-identical audit digests,
+// deliveries, and detections. Any drift in same-instant event ordering — the
+// subtle failure mode of lazy scheduling — shows up here as a digest
+// mismatch.
 func TestAuditDifferentialScheduling(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -223,12 +296,15 @@ func TestAuditDifferentialScheduling(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(legacy bool) *invariant.Report {
 				cfg := auditConfig(t, tc.kind)
-				cfg.legacyScheduling = legacy
 				if tc.deviation != protocol.Honest {
 					cfg.Deviants = []trace.NodeID{2, 7, 10}
 					cfg.Deviation = tc.deviation
 				}
-				res, err := Run(cfg)
+				runner := Run
+				if legacy {
+					runner = runPreScheduled
+				}
+				res, err := runner(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

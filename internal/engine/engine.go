@@ -134,13 +134,6 @@ type Config struct {
 	// Communities overrides k-clique detection (mostly for tests); when nil
 	// and OnlyOutsiders is set, communities are detected on the trace.
 	Communities *kclique.Communities
-
-	// legacyScheduling pre-materializes every contact and workload event as
-	// a closure before Run, the strategy the engine used before streaming
-	// scheduling. It exists only so in-package tests can differentially
-	// verify that streaming reproduces the exact same event order (identical
-	// audit digests); it is not reachable from outside the package.
-	legacyScheduling bool
 }
 
 // Validate checks the configuration.
@@ -150,6 +143,9 @@ func (c Config) Validate() error {
 		return errors.New("engine: nil trace")
 	case c.Trace.Nodes() < 2:
 		return errors.New("engine: need at least two nodes")
+	case c.Protocol.IsG2G() && c.Protocol.IsDelegation() && c.Trace.Nodes() < 3:
+		return fmt.Errorf("engine: %v needs at least three nodes: Fig. 6's decoy D′ must differ from both session peers",
+			c.Protocol)
 	case c.WindowTo <= c.WindowFrom:
 		return fmt.Errorf("engine: empty window [%v,%v)", c.WindowFrom, c.WindowTo)
 	case c.MessageInterval <= 0:
@@ -166,8 +162,6 @@ func (c Config) Validate() error {
 		return errors.New("engine: checkpoint interval set without a checkpoint path")
 	case c.Checkpoint.Path != "" && c.Crypto == CryptoReal:
 		return errors.New("engine: checkpointing requires the deterministic fast crypto provider")
-	case c.Checkpoint.Path != "" && c.legacyScheduling:
-		return errors.New("engine: checkpointing requires streaming scheduling")
 	}
 	if err := c.Params.Validate(); err != nil {
 		return err
@@ -631,23 +625,13 @@ func (e *engine) finishRun(s *sim.Simulator) (*Result, error) {
 }
 
 // scheduleAll seeds the run's event queue: the contact cursor, the workload
-// cursor, and the memory sampler (or the legacy pre-materialized schedule in
-// differential tests).
+// cursor, and the memory sampler.
 func (e *engine) scheduleAll(s *sim.Simulator) error {
-	if e.cfg.legacyScheduling {
-		if err := e.scheduleContactsLegacy(s); err != nil {
-			return err
-		}
-		if err := e.scheduleWorkloadLegacy(s); err != nil {
-			return err
-		}
-	} else {
-		if err := e.scheduleContacts(s); err != nil {
-			return err
-		}
-		if err := e.scheduleWorkload(s); err != nil {
-			return err
-		}
+	if err := e.scheduleContacts(s); err != nil {
+		return err
+	}
+	if err := e.scheduleWorkload(s); err != nil {
+		return err
 	}
 	return e.scheduleMemorySampling(s)
 }
@@ -900,59 +884,6 @@ func (e *engine) HandleEvent(s *sim.Simulator, ev sim.Event) {
 		e.spans.Exit()
 		e.generate(s.Now(), g.src, g.dst, g.body)
 	}
-}
-
-// scheduleContactsLegacy pre-materializes two closures per contact, exactly
-// as the engine did before streaming scheduling. Test-only: the differential
-// oracle for the streaming rewrite.
-func (e *engine) scheduleContactsLegacy(s *sim.Simulator) error {
-	tr, err := trace.Materialize(e.cfg.Trace)
-	if err != nil {
-		return err
-	}
-	for _, c := range tr.Contacts() {
-		if c.End <= e.startAt || c.Start >= e.endAt {
-			continue
-		}
-		c := c
-		start, end := e.clampContact(c)
-		if _, err := s.Schedule(start, func(s *sim.Simulator) {
-			e.contactStart(s.Now(), c.A, c.B)
-		}); err != nil {
-			return err
-		}
-		if _, err := s.Schedule(end, func(*sim.Simulator) {
-			e.contactEnd(c.A, c.B)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scheduleWorkloadLegacy is the pre-streaming closure-per-generation
-// workload scheduler. Test-only, paired with scheduleContactsLegacy.
-func (e *engine) scheduleWorkloadLegacy(s *sim.Simulator) error {
-	genEnd := e.cfg.WindowTo - e.cfg.GenerationQuiet
-	population := e.cfg.Trace.Nodes()
-	at := e.cfg.WindowFrom + e.workloadRNG.Exp(e.cfg.MessageInterval)
-	for at < genEnd {
-		src := trace.NodeID(e.workloadRNG.Intn(population))
-		dst := trace.NodeID(e.workloadRNG.Intn(population))
-		for dst == src {
-			dst = trace.NodeID(e.workloadRNG.Intn(population))
-		}
-		body := make([]byte, e.cfg.PayloadBytes)
-		e.workloadRNG.Bytes(body)
-		genAt := at
-		if _, err := s.Schedule(genAt, func(s *sim.Simulator) {
-			e.generate(s.Now(), src, dst, body)
-		}); err != nil {
-			return err
-		}
-		at += e.workloadRNG.Exp(e.cfg.MessageInterval)
-	}
-	return nil
 }
 
 func (e *engine) generate(now sim.Time, src, dst trace.NodeID, body []byte) {

@@ -254,6 +254,50 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestG2GDelegationNeedsThreeNodes: when a G2G Delegation source meets its
+// destination it asks about a decoy D′ other than both peers (Fig. 6), and
+// on two nodes there is none. Validate must refuse the run up front rather
+// than let the decoy draw spin forever; G2G Epidemic needs no decoy and
+// still runs.
+func TestG2GDelegationNeedsThreeNodes(t *testing.T) {
+	var contacts []trace.Contact
+	for i := 0; i < 400; i++ {
+		at := sim.Time(i) * 5 * sim.Minute
+		contacts = append(contacts, trace.Contact{A: 0, B: 1, Start: at, End: at + sim.Minute})
+	}
+	tr, err := trace.New("pair", 2, contacts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Trace:           tr,
+		Params:          protocol.DefaultParams(10 * sim.Minute),
+		Seed:            1,
+		WindowFrom:      13 * sim.Hour,
+		WindowTo:        16 * sim.Hour,
+		MessageInterval: sim.Minute,
+		GenerationQuiet: sim.Hour,
+	}
+	for _, kind := range []protocol.Kind{protocol.G2GDelegationFrequency, protocol.G2GDelegationLastContact} {
+		cfg.Protocol = kind
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), "decoy") {
+			t.Fatalf("%v on two nodes: Validate = %v, want the decoy error", kind, err)
+		}
+		if _, runErr := Run(cfg); runErr == nil || runErr.Error() != err.Error() {
+			t.Errorf("%v on two nodes: Run = %v, want %v", kind, runErr, err)
+		}
+	}
+	cfg.Protocol = protocol.G2GEpidemic
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Summary.Generated == 0 || res.Summary.Delivered != res.Summary.Generated {
+		t.Errorf("G2G Epidemic on two nodes delivered %d of %d", res.Summary.Delivered, res.Summary.Generated)
+	}
+}
+
 func TestCascadeDeliversWithinOneContactComponent(t *testing.T) {
 	// Chain topology alive at the same instant: 0-1, 1-2, 2-3. A message
 	// generated mid-contact must traverse the whole component at once.

@@ -62,7 +62,9 @@ const (
 	// RuleSelfRelay: a handoff from a node to itself.
 	RuleSelfRelay = "self-relay"
 	// RuleDuplicateHandoff: the same (message, from, to) custody transfer
-	// observed twice — the protocols' relayedTo/seen sets forbid it.
+	// observed twice — a G2G sender's relayedTo list and the receiver's
+	// custody membership (the seen set of vanilla Epidemic and Delegation)
+	// forbid it.
 	RuleDuplicateHandoff = "duplicate-handoff"
 	// RuleTimeTravel: an event before its message's generation instant.
 	RuleTimeTravel = "time-travel"

@@ -12,14 +12,14 @@ import (
 // inputs: the handlers must refuse without changing state, because in the
 // deployed system they would face arbitrary radios, not just our engine.
 
-func g2gNodePair(t *testing.T) (*world, *g2gEpidemicNode, *g2gEpidemicNode) {
+func g2gNodePair(t *testing.T) (*world, *g2gNode, *g2gNode) {
 	t.Helper()
 	w := newWorld(t, G2GEpidemic, 4, testParams(), nil)
-	a, ok := w.nodes[0].(*g2gEpidemicNode)
+	a, ok := w.nodes[0].(*g2gNode)
 	if !ok {
 		t.Fatal("unexpected node type")
 	}
-	b, ok := w.nodes[1].(*g2gEpidemicNode)
+	b, ok := w.nodes[1].(*g2gNode)
 	if !ok {
 		t.Fatal("unexpected node type")
 	}
@@ -118,7 +118,7 @@ func TestHandleKeyRevealFromWrongPartyIgnored(t *testing.T) {
 		t.Fatal("transfer refused")
 	}
 	// Node 2 (not the handoff initiator) tries to complete the reveal.
-	other, ok := w.nodes[2].(*g2gEpidemicNode)
+	other, ok := w.nodes[2].(*g2gNode)
 	if !ok {
 		t.Fatal("unexpected node type")
 	}
@@ -147,11 +147,11 @@ func TestEvaluateTestResponseRejectsDuplicatePORs(t *testing.T) {
 	h := w.generate(0, 0, 4)
 	w.meet(1*sim.Minute, 0, 1)
 	w.meet(2*sim.Minute, 1, 2) // relay 1 collects one genuine PoR
-	n0, ok := w.nodes[0].(*g2gEpidemicNode)
+	n0, ok := w.nodes[0].(*g2gNode)
 	if !ok {
 		t.Fatal("unexpected node type")
 	}
-	n1, ok := w.nodes[1].(*g2gEpidemicNode)
+	n1, ok := w.nodes[1].(*g2gNode)
 	if !ok {
 		t.Fatal("unexpected node type")
 	}
@@ -216,11 +216,11 @@ func TestAcceptPoMRejectsInvalidEvidence(t *testing.T) {
 
 func TestDelegationTransferWithoutFQClaimRefused(t *testing.T) {
 	w := newWorld(t, G2GDelegationFrequency, 4, testParams(), nil)
-	a, ok := w.nodes[0].(*g2gDelegationNode)
+	a, ok := w.nodes[0].(*g2gNode)
 	if !ok {
 		t.Fatal("unexpected node type")
 	}
-	b, ok := w.nodes[1].(*g2gDelegationNode)
+	b, ok := w.nodes[1].(*g2gNode)
 	if !ok {
 		t.Fatal("unexpected node type")
 	}
@@ -243,7 +243,7 @@ func TestDelegationTransferWithoutFQClaimRefused(t *testing.T) {
 	// A claim answers only the RELAY of its own exchange. Node 2 answers
 	// a's FQ_RQST and does not qualify; minutes later a RELAY for h with no
 	// FQ exchange of its own must be refused all the same.
-	n2, ok := w.nodes[2].(*g2gDelegationNode)
+	n2, ok := w.nodes[2].(*g2gNode)
 	if !ok {
 		t.Fatal("unexpected node type")
 	}

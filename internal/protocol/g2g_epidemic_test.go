@@ -3,6 +3,7 @@ package protocol
 import (
 	"testing"
 
+	"give2get/internal/g2gcrypto"
 	"give2get/internal/sim"
 	"give2get/internal/trace"
 	"give2get/internal/wire"
@@ -206,7 +207,7 @@ func TestG2GEpidemicRelayDiscardsPayloadAfterTwoPORs(t *testing.T) {
 	w := newWorld(t, G2GEpidemic, 5, testParams(), nil)
 	h := w.generate(0, 0, 4)
 	w.meet(1*sim.Minute, 0, 1)
-	n1, ok := w.nodes[1].(*g2gEpidemicNode)
+	n1, ok := w.nodes[1].(*g2gNode)
 	if !ok {
 		t.Fatal("unexpected node type")
 	}
@@ -223,7 +224,7 @@ func TestG2GEpidemicRelayDiscardsPayloadAfterTwoPORs(t *testing.T) {
 		t.Errorf("pors = %d, want 2", len(c.pors))
 	}
 	// The source never discards: it verifies storage proofs.
-	n0, ok := w.nodes[0].(*g2gEpidemicNode)
+	n0, ok := w.nodes[0].(*g2gNode)
 	if !ok {
 		t.Fatal("unexpected node type")
 	}
@@ -237,7 +238,7 @@ func TestG2GEpidemicStateExpiresAtDelta2(t *testing.T) {
 	w := newWorld(t, G2GEpidemic, 3, params, nil)
 	h := w.generate(0, 0, 2)
 	w.meet(1*sim.Minute, 0, 1)
-	n1, ok := w.nodes[1].(*g2gEpidemicNode)
+	n1, ok := w.nodes[1].(*g2gNode)
 	if !ok {
 		t.Fatal("unexpected node type")
 	}
@@ -250,7 +251,7 @@ func TestG2GEpidemicStateExpiresAtDelta2(t *testing.T) {
 	}
 	// Custody is the seen set: past Δ2 the message is no longer declined.
 	at := params.Delta2 + 2*sim.Minute
-	req := wire.Sign(w.nodes[2].(*g2gEpidemicNode).self, at, wire.RelayRequest{Hash: h})
+	req := wire.Sign(w.nodes[2].(*g2gNode).self, at, wire.RelayRequest{Hash: h})
 	if resp := n1.handleRelayRequest(at, req); resp == nil || resp.Body.Kind() != wire.KindRelayOK {
 		t.Errorf("RELAY_RQST past Δ2 answered %v, want RELAY_OK", resp)
 	}
@@ -301,5 +302,54 @@ func TestG2GEpidemicCostBelowEpidemic(t *testing.T) {
 	}
 	if g2g != 3 {
 		t.Errorf("g2g epidemic cost = %d, want 3 (one source handoff + two relay forwards)", g2g)
+	}
+}
+
+// TestG2GEpidemicIgnoresDelegationFields hands a G2G Epidemic node a validly
+// signed RELAY that carries a quality label and an FQ_RESP attachment, which
+// only G2G Delegation sends, followed by the key. The node must sign a PoR
+// naming only the hash, the sender and itself, and keep a copy without label
+// or attachments. As the destination it must not audit the attachment, whose
+// claim a G2G Delegation destination would expose as a lie.
+func TestG2GEpidemicIgnoresDelegationFields(t *testing.T) {
+	for _, dest := range []trace.NodeID{2, 1} {
+		w := newWorld(t, G2GEpidemic, 4, testParams(), nil)
+		a, b := w.nodes[0].(*g2gNode), w.nodes[1].(*g2gNode)
+		h := w.generate(frame1, 0, dest)
+		c := a.custody[h]
+		at := frame1 + sim.Minute
+		// Node 3 declares quality 5 toward node 1 in frame 0; node 1 never
+		// met it, so the claim is false.
+		lie := wire.Sign(w.nodes[3].(*g2gNode).self, at, wire.FQResponse{Responder: 3, DPrime: 1, FQ: 5, Frame: 0})
+		key := newSessionKey(w.env.RNG)
+		encrypted, err := g2gcrypto.EncryptPayload(key, c.raw, rngReader{w.env.RNG})
+		if err != nil {
+			t.Fatal(err)
+		}
+		transfer := wire.Sign(a.self, at, wire.RelayTransfer{
+			Hash: h, FM: 7, GenAt: c.genAt, Encrypted: encrypted, Attachments: []wire.Signed{lie},
+		})
+		por := b.handleRelayTransfer(at, transfer)
+		if por == nil {
+			t.Fatal("transfer refused")
+		}
+		if body, ok := por.Body.(wire.ProofOfRelay); !ok || body != (wire.ProofOfRelay{Hash: h, From: a.ID(), To: b.ID()}) {
+			t.Errorf("dest %d: PoR %+v names more than the hash, the sender and the receiver", dest, por.Body)
+		}
+		b.handleKeyReveal(at, wire.Sign(a.self, at, wire.KeyReveal{Hash: h, Key: key}), a.ID())
+		st := b.CaptureState().G2GEpidemic
+		if st == nil || len(st.Custody) != 1 {
+			t.Fatalf("dest %d: captured custody %+v, want the one copy", dest, st)
+		}
+		if got := st.Custody[0]; got.FM != 0 || got.Attachments != nil || got.FailedFQ != nil {
+			t.Errorf("dest %d: copy captured with FM %v, %d attachments, %d failed FQs; want none",
+				dest, got.FM, len(got.Attachments), len(got.FailedFQ))
+		}
+		if _, delivered := w.rec.delivered[h]; delivered != (dest == 1) {
+			t.Errorf("dest %d: delivered = %v", dest, delivered)
+		}
+		if len(w.rec.detected) != 0 {
+			t.Errorf("dest %d: G2G Epidemic audited a delegation declaration: %+v", dest, w.rec.detected)
+		}
 	}
 }

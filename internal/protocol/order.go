@@ -62,14 +62,11 @@ func orderedRemove(keys *[]g2gcrypto.Digest, h g2gcrypto.Digest) {
 	*keys = slices.Delete(*keys, i, i+1)
 }
 
-// keyed is a custody copy of either G2G kind, filed under its message hash.
-type keyed interface{ key() *g2gcrypto.Digest }
-
 // orderedInsertCopy files c in a list of copies kept in the same byte-wise
 // hash order as orderedInsert's keys.
-func orderedInsertCopy[C keyed](list *[]C, c C) {
-	i, _ := slices.BinarySearchFunc(*list, c.key(), func(e C, h *g2gcrypto.Digest) int {
-		return bytes.Compare(e.key()[:], h[:])
+func orderedInsertCopy(list *[]*g2gCustody, c *g2gCustody) {
+	i, _ := slices.BinarySearchFunc(*list, &c.hash, func(e *g2gCustody, h *g2gcrypto.Digest) int {
+		return bytes.Compare(e.hash[:], h[:])
 	})
 	*list = slices.Insert(*list, i, c)
 }

@@ -453,12 +453,10 @@ func New(kind Kind, env *Env, self g2gcrypto.Identity, behavior Behavior) (Node,
 	switch kind {
 	case Epidemic:
 		return newEpidemicNode(env, self, behavior), nil
-	case G2GEpidemic:
-		return newG2GEpidemicNode(env, self, behavior), nil
 	case DelegationFrequency, DelegationLastContact:
 		return newDelegationNode(env, self, behavior, kind.UsesFrequency()), nil
-	case G2GDelegationFrequency, G2GDelegationLastContact:
-		return newG2GDelegationNode(env, self, behavior, kind.UsesFrequency()), nil
+	case G2GEpidemic, G2GDelegationFrequency, G2GDelegationLastContact:
+		return newG2GNode(env, self, behavior, kind), nil
 	default:
 		return nil, fmt.Errorf("protocol: unknown kind %v", kind)
 	}

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"errors"
 	"sort"
 	"strings"
 	"testing"
@@ -334,6 +335,23 @@ func TestSessionProtocolMismatch(t *testing.T) {
 		}
 		if _, err := a.RunSession(0, b); err == nil {
 			t.Errorf("%v session with %v accepted", kind, other)
+		}
+	}
+	// The two G2G protocols refuse each other in either direction.
+	for _, pair := range [][2]Kind{
+		{G2GEpidemic, G2GDelegationFrequency}, {G2GDelegationFrequency, G2GEpidemic},
+		{G2GEpidemic, G2GDelegationLastContact}, {G2GDelegationLastContact, G2GEpidemic},
+	} {
+		a, err := New(pair[0], env, id0, Behavior{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := New(pair[1], env, id1, Behavior{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.RunSession(0, b); !errors.Is(err, ErrProtocolMismatch) {
+			t.Errorf("%v session with %v: err = %v, want ErrProtocolMismatch", pair[0], pair[1], err)
 		}
 	}
 }

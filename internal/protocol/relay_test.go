@@ -53,18 +53,11 @@ func relayViews(t *testing.T, n Node) ([]g2gcrypto.Digest, []relayView, Params) 
 	t.Helper()
 	var views []relayView
 	switch n := n.(type) {
-	case *g2gEpidemicNode:
+	case *g2gNode:
 		hashes := byHash(n.custody)
 		for _, h := range hashes {
 			c := n.custody[h]
-			views = append(views, relayView{c.genAt, c.dropped, c.isDest, c.isSource, c.raw != nil, c.relayCount, c.relayedTo})
-		}
-		return hashes, views, n.env.Params
-	case *g2gDelegationNode:
-		hashes := byHash(n.custody)
-		for _, h := range hashes {
-			c := n.custody[h]
-			views = append(views, relayView{c.genAt, c.dropped, c.isDest, c.isSource, c.raw != nil, c.relayCount, c.relayedTo})
+			views = append(views, relayView{c.genAt, c.dropped, c.isDest, c.isSource, c.raw != nil, int(c.relayCount), c.relayedTo})
 		}
 		return hashes, views, n.env.Params
 	}
@@ -106,10 +99,8 @@ func scanOffers(t *testing.T, n Node, now sim.Time, peer trace.NodeID) []g2gcryp
 	t.Helper()
 	var out []g2gcrypto.Digest
 	switch n := n.(type) {
-	case *g2gEpidemicNode:
+	case *g2gNode:
 		n.eachOffer(now, peer, func(c *g2gCustody) { out = append(out, c.hash) })
-	case *g2gDelegationNode:
-		n.eachOffer(now, peer, func(c *g2gDelCustody) { out = append(out, c.hash) })
 	default:
 		t.Fatalf("%T is not a G2G node", n)
 	}
@@ -265,11 +256,7 @@ func checkRelayScan(t *testing.T, kind Kind, params Params) {
 func scanList(n Node) []g2gcrypto.Digest {
 	var out []g2gcrypto.Digest
 	switch n := n.(type) {
-	case *g2gEpidemicNode:
-		for _, c := range n.relayable {
-			out = append(out, c.hash)
-		}
-	case *g2gDelegationNode:
+	case *g2gNode:
 		for _, c := range n.relayable {
 			out = append(out, c.hash)
 		}
@@ -280,9 +267,7 @@ func scanList(n Node) []g2gcrypto.Digest {
 // custodyCount is the number of copies a G2G node holds.
 func custodyCount(n Node) int {
 	switch n := n.(type) {
-	case *g2gEpidemicNode:
-		return len(n.custody)
-	case *g2gDelegationNode:
+	case *g2gNode:
 		return len(n.custody)
 	}
 	return 0

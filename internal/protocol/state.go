@@ -80,7 +80,7 @@ type MeetingLog struct {
 	Times []sim.Time // ascending, as recorded
 }
 
-// G2GEpidemicState is a g2gEpidemicNode's protocol state. The seen set is
+// G2GEpidemicState is a G2G Epidemic node's protocol state. The seen set is
 // the custody keys; gob skips the Seen field older checkpoints carry.
 type G2GEpidemicState struct {
 	Custody   []G2GCustodyState      // sorted by hash
@@ -88,7 +88,7 @@ type G2GEpidemicState struct {
 	PendingIn []PendingTransferState // sorted by hash
 }
 
-// G2GDelegationState is a g2gDelegationNode's protocol state, without a
+// G2GDelegationState is a G2G Delegation node's protocol state, without a
 // seen set for the same reason as G2GEpidemicState.
 type G2GDelegationState struct {
 	Custody   []G2GCustodyState      // sorted by hash
@@ -150,9 +150,8 @@ type AuditedEntry struct {
 
 var (
 	_ Stateful = (*epidemicNode)(nil)
-	_ Stateful = (*g2gEpidemicNode)(nil)
 	_ Stateful = (*delegationNode)(nil)
-	_ Stateful = (*g2gDelegationNode)(nil)
+	_ Stateful = (*g2gNode)(nil)
 )
 
 // --- shared helpers ---
@@ -311,178 +310,39 @@ func (n *delegationNode) RestoreState(st NodeState) error {
 	return nil
 }
 
-// --- G2G custody, shared by both G2G protocols ---
+// --- G2G ---
 
-func captureG2GCustody(c *g2gCustody) G2GCustodyState {
-	return G2GCustodyState{
-		Msg:        c.msg.Marshal(),
-		RawPresent: c.raw != nil,
-		GenAt:      c.genAt,
-		IsSource:   c.isSource,
-		IsDest:     c.isDest,
-		Dropped:    c.dropped,
-		PoRs:       marshalSignedSlice(c.pors),
-		RelayedTo:  sortedPeers(c.relayedTo),
-		RelayCount: c.relayCount,
-	}
-}
-
-func restoreG2GCustody(e G2GCustodyState) (*g2gCustody, error) {
-	m, err := message.Unmarshal(e.Msg)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: restore custody message: %w", err)
-	}
-	pors, err := unmarshalSignedSlice(e.PoRs)
-	if err != nil {
-		return nil, err
-	}
-	c := &g2gCustody{
-		msg: m, hash: m.Hash(), genAt: e.GenAt,
-		isSource: e.IsSource, isDest: e.IsDest, dropped: e.Dropped,
-		pors:       pors,
-		relayedTo:  slices.Clone(e.RelayedTo),
-		relayCount: e.RelayCount,
-	}
-	if e.RawPresent {
-		c.raw = e.Msg
-	}
-	return c, nil
-}
-
-func captureDelCustody(c *g2gDelCustody) G2GCustodyState {
-	return G2GCustodyState{
-		Msg:         c.msg.Marshal(),
-		RawPresent:  c.raw != nil,
-		GenAt:       c.genAt,
-		FM:          c.fm,
-		IsSource:    c.isSource,
-		IsDest:      c.isDest,
-		Dropped:     c.dropped,
-		PoRs:        marshalSignedSlice(c.pors),
-		RelayedTo:   sortedPeers(c.relayedTo),
-		RelayCount:  c.relayCount,
-		Attachments: marshalSignedSlice(c.attachments),
-		FailedFQ:    marshalSignedSlice(c.failedFQ),
-	}
-}
-
-func restoreDelCustody(e G2GCustodyState) (*g2gDelCustody, error) {
-	m, err := message.Unmarshal(e.Msg)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: restore custody message: %w", err)
-	}
-	pors, err := unmarshalSignedSlice(e.PoRs)
-	if err != nil {
-		return nil, err
-	}
-	attachments, err := unmarshalSignedSlice(e.Attachments)
-	if err != nil {
-		return nil, err
-	}
-	failedFQ, err := unmarshalSignedSlice(e.FailedFQ)
-	if err != nil {
-		return nil, err
-	}
-	c := &g2gDelCustody{
-		msg: m, hash: m.Hash(), genAt: e.GenAt, fm: e.FM,
-		isSource: e.IsSource, isDest: e.IsDest, dropped: e.Dropped,
-		pors:        pors,
-		attachments: attachments,
-		failedFQ:    failedFQ,
-		relayedTo:   slices.Clone(e.RelayedTo),
-		relayCount:  e.RelayCount,
-	}
-	if e.RawPresent {
-		c.raw = e.Msg
-	}
-	return c, nil
-}
-
-// --- G2G epidemic ---
-
-// CaptureState implements Stateful.
-func (n *g2gEpidemicNode) CaptureState() NodeState {
-	st := &G2GEpidemicState{}
-	st.Custody = make([]G2GCustodyState, 0, len(n.custody))
+// CaptureState implements Stateful. G2G Epidemic fills G2GEpidemicState,
+// leaving the quality fields of its records zero; G2G Delegation fills
+// G2GDelegationState.
+func (n *g2gNode) CaptureState() NodeState {
+	custody := make([]G2GCustodyState, 0, len(n.custody))
 	for _, h := range sortedDigestsInto(&n.digestScratch, n.custody) {
-		st.Custody = append(st.Custody, captureG2GCustody(n.custody[h]))
-	}
-	st.Tests = make([]TestsEntry, 0, len(n.tests))
-	for _, h := range sortedDigestsInto(&n.digestScratch, n.tests) {
-		entry := TestsEntry{Hash: h}
-		for _, pt := range n.tests[h] {
-			entry.Tests = append(entry.Tests, PendingTestState{
-				Relay: pt.relay, PoR: pt.por.Marshal(), Tested: pt.tested,
-			})
+		c := n.custody[h]
+		e := G2GCustodyState{
+			Msg:        c.msg.Marshal(),
+			RawPresent: c.raw != nil,
+			GenAt:      c.genAt,
+			IsSource:   c.isSource,
+			IsDest:     c.isDest,
+			Dropped:    c.dropped,
+			PoRs:       marshalSignedSlice(c.pors),
+			RelayedTo:  sortedPeers(c.relayedTo),
+			RelayCount: int(c.relayCount),
 		}
-		st.Tests = append(st.Tests, entry)
-	}
-	st.PendingIn = make([]PendingTransferState, 0, len(n.pendingIn))
-	for _, h := range sortedDigestsInto(&n.digestScratch, n.pendingIn) {
-		p := n.pendingIn[h]
-		st.PendingIn = append(st.PendingIn, PendingTransferState{
-			Hash: h, From: p.from, FM: p.fm, GenAt: p.genAt,
-			Encrypted: append([]byte(nil), p.encrypted...),
-		})
-	}
-	return NodeState{Base: n.captureBase(n.seq), G2GEpidemic: st}
-}
-
-// RestoreState implements Stateful.
-func (n *g2gEpidemicNode) RestoreState(st NodeState) error {
-	if st.G2GEpidemic == nil {
-		return errors.New("protocol: state is not a g2g-epidemic node's")
-	}
-	s := st.G2GEpidemic
-	n.seq = n.restoreBase(st.Base)
-	n.custody = make(map[g2gcrypto.Digest]*g2gCustody, len(s.Custody))
-	for _, e := range s.Custody {
-		c, err := restoreG2GCustody(e)
-		if err != nil {
-			return err
-		}
-		n.custody[c.hash] = c
-	}
-	n.tests = make(map[g2gcrypto.Digest][]*pendingTest, len(s.Tests))
-	for _, entry := range s.Tests {
-		list := make([]*pendingTest, len(entry.Tests))
-		for i, t := range entry.Tests {
-			por, err := wire.UnmarshalSigned(t.PoR)
-			if err != nil {
-				return fmt.Errorf("protocol: restore pending test: %w", err)
+		if d := c.del; d != nil {
+			// The source records its failed-relay declarations; every other
+			// copy carries them as attachments.
+			e.FM = d.fm
+			if c.isSource {
+				e.FailedFQ = marshalSignedSlice(d.failedFQ)
+			} else {
+				e.Attachments = marshalSignedSlice(d.failedFQ)
 			}
-			list[i] = &pendingTest{relay: t.Relay, por: por, tested: t.Tested}
 		}
-		n.tests[entry.Hash] = list
+		custody = append(custody, e)
 	}
-	n.pendingIn = make(map[g2gcrypto.Digest]*pendingTransfer, len(s.PendingIn))
-	for _, p := range s.PendingIn {
-		n.pendingIn[p.Hash] = &pendingTransfer{
-			from: p.From, fm: p.FM, genAt: p.GenAt,
-			encrypted: append([]byte(nil), p.Encrypted...),
-		}
-	}
-	n.testsOrder = sortedDigestsInto(&n.testsOrder, n.tests)
-	n.relayable = n.relayable[:0]
-	for _, h := range sortedDigestsInto(&n.digestScratch, n.custody) {
-		if c := n.custody[h]; !n.spent(c) {
-			n.relayable = append(n.relayable, c)
-		}
-	}
-	n.mem, n.expireAt = n.memoryWalk(), 0
-	return nil
-}
-
-// --- G2G delegation ---
-
-// CaptureState implements Stateful.
-func (n *g2gDelegationNode) CaptureState() NodeState {
-	st := &G2GDelegationState{Quality: n.quality.capture()}
-	st.Custody = make([]G2GCustodyState, 0, len(n.custody))
-	for _, h := range sortedDigestsInto(&n.digestScratch, n.custody) {
-		st.Custody = append(st.Custody, captureDelCustody(n.custody[h]))
-	}
-	st.Tests = make([]TestsEntry, 0, len(n.tests))
+	tests := make([]TestsEntry, 0, len(n.tests))
 	for _, h := range sortedDigestsInto(&n.digestScratch, n.tests) {
 		entry := TestsEntry{Hash: h}
 		for _, pt := range n.tests[h] {
@@ -491,67 +351,90 @@ func (n *g2gDelegationNode) CaptureState() NodeState {
 				LabelGiven: pt.labelGiven, Tested: pt.tested,
 			})
 		}
-		st.Tests = append(st.Tests, entry)
+		tests = append(tests, entry)
 	}
-	st.PendingIn = make([]PendingTransferState, 0, len(n.pendingIn))
+	pendingIn := make([]PendingTransferState, 0, len(n.pendingIn))
 	for _, h := range sortedDigestsInto(&n.digestScratch, n.pendingIn) {
 		p := n.pendingIn[h]
-		st.PendingIn = append(st.PendingIn, PendingTransferState{
+		pendingIn = append(pendingIn, PendingTransferState{
 			Hash: h, From: p.from, FM: p.fm, GenAt: p.genAt,
 			Encrypted:   append([]byte(nil), p.encrypted...),
 			Attachments: marshalSignedSlice(p.attachments),
 		})
 	}
-	st.Audited = make([]AuditedEntry, 0, len(n.audited))
-	for k := range n.audited {
-		st.Audited = append(st.Audited, AuditedEntry{Responder: k.responder, Frame: k.frame})
+	st := NodeState{Base: n.captureBase(n.seq)}
+	if n.del == nil {
+		st.G2GEpidemic = &G2GEpidemicState{Custody: custody, Tests: tests, PendingIn: pendingIn}
+		return st
 	}
-	sort.Slice(st.Audited, func(i, j int) bool {
-		if st.Audited[i].Responder != st.Audited[j].Responder {
-			return st.Audited[i].Responder < st.Audited[j].Responder
+	audited := make([]AuditedEntry, 0, len(n.del.audited))
+	for k := range n.del.audited {
+		audited = append(audited, AuditedEntry{Responder: k.responder, Frame: k.frame})
+	}
+	sort.Slice(audited, func(i, j int) bool {
+		if audited[i].Responder != audited[j].Responder {
+			return audited[i].Responder < audited[j].Responder
 		}
-		return st.Audited[i].Frame < st.Audited[j].Frame
+		return audited[i].Frame < audited[j].Frame
 	})
-	return NodeState{Base: n.captureBase(n.seq), G2GDelegation: st}
+	st.G2GDelegation = &G2GDelegationState{
+		Custody: custody, Tests: tests, PendingIn: pendingIn,
+		Audited: audited, Quality: n.del.quality.capture(),
+	}
+	return st
 }
 
 // RestoreState implements Stateful.
-func (n *g2gDelegationNode) RestoreState(st NodeState) error {
-	if st.G2GDelegation == nil {
-		return errors.New("protocol: state is not a g2g-delegation node's")
+func (n *g2gNode) RestoreState(st NodeState) error {
+	var custody []G2GCustodyState
+	var tests []TestsEntry
+	var pendingIn []PendingTransferState
+	if n.del == nil {
+		s := st.G2GEpidemic
+		if s == nil {
+			return errors.New("protocol: state is not a g2g-epidemic node's")
+		}
+		custody, tests, pendingIn = s.Custody, s.Tests, s.PendingIn
+	} else {
+		s := st.G2GDelegation
+		if s == nil {
+			return errors.New("protocol: state is not a g2g-delegation node's")
+		}
+		custody, tests, pendingIn = s.Custody, s.Tests, s.PendingIn
+		n.del.quality.restore(s.Quality)
+		n.del.audited = make(map[auditKey]struct{}, len(s.Audited))
+		for _, a := range s.Audited {
+			n.del.audited[auditKey{responder: a.Responder, frame: a.Frame}] = struct{}{}
+		}
 	}
-	s := st.G2GDelegation
 	n.seq = n.restoreBase(st.Base)
-	n.quality.restore(s.Quality)
-	n.custody = make(map[g2gcrypto.Digest]*g2gDelCustody, len(s.Custody))
-	for _, e := range s.Custody {
-		c, err := restoreDelCustody(e)
+	n.custody = make(map[g2gcrypto.Digest]*g2gCustody, len(custody))
+	for _, e := range custody {
+		c, err := restoreG2GCustody(e, n.del != nil)
 		if err != nil {
 			return err
 		}
 		n.custody[c.hash] = c
 	}
-	n.tests = make(map[g2gcrypto.Digest][]*delPendingTest, len(s.Tests))
-	for _, entry := range s.Tests {
-		list := make([]*delPendingTest, len(entry.Tests))
+	n.tests = make(map[g2gcrypto.Digest][]*pendingTest, len(tests))
+	for _, entry := range tests {
+		list := make([]*pendingTest, len(entry.Tests))
 		for i, t := range entry.Tests {
 			por, err := wire.UnmarshalSigned(t.PoR)
 			if err != nil {
 				return fmt.Errorf("protocol: restore pending test: %w", err)
 			}
-			list[i] = &delPendingTest{
-				relay: t.Relay, por: por, labelGiven: t.LabelGiven, tested: t.Tested,
-			}
+			list[i] = &pendingTest{relay: t.Relay, por: por, labelGiven: t.LabelGiven, tested: t.Tested}
 		}
 		n.tests[entry.Hash] = list
 	}
-	n.pendingIn = make(map[g2gcrypto.Digest]*delPendingTransfer, len(s.PendingIn))
-	for _, p := range s.PendingIn {
+	n.pendingIn = make(map[g2gcrypto.Digest]*pendingTransfer, len(pendingIn))
+	for _, p := range pendingIn {
 		attachments, err := unmarshalSignedSlice(p.Attachments)
 		if err != nil {
 			return err
 		}
-		n.pendingIn[p.Hash] = &delPendingTransfer{
+		n.pendingIn[p.Hash] = &pendingTransfer{
 			from: p.From, fm: p.FM, genAt: p.GenAt,
 			encrypted:   append([]byte(nil), p.Encrypted...),
 			attachments: attachments,
@@ -565,9 +448,40 @@ func (n *g2gDelegationNode) RestoreState(st NodeState) error {
 		}
 	}
 	n.mem, n.expireAt = n.memoryWalk(), 0
-	n.audited = make(map[auditKey]struct{}, len(s.Audited))
-	for _, a := range s.Audited {
-		n.audited[auditKey{responder: a.Responder, frame: a.Frame}] = struct{}{}
-	}
 	return nil
+}
+
+// restoreG2GCustody rebuilds one copy; G2G Epidemic ignores the quality
+// fields, which it leaves zero.
+func restoreG2GCustody(e G2GCustodyState, delegation bool) (*g2gCustody, error) {
+	m, err := message.Unmarshal(e.Msg)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: restore custody message: %w", err)
+	}
+	pors, err := unmarshalSignedSlice(e.PoRs)
+	if err != nil {
+		return nil, err
+	}
+	c := &g2gCustody{
+		msg: m, hash: m.Hash(), genAt: e.GenAt,
+		isSource: e.IsSource, isDest: e.IsDest, dropped: e.Dropped,
+		pors:       pors,
+		relayedTo:  slices.Clone(e.RelayedTo),
+		relayCount: int32(e.RelayCount),
+	}
+	if delegation {
+		declared := e.Attachments
+		if e.IsSource {
+			declared = e.FailedFQ
+		}
+		failedFQ, err := unmarshalSignedSlice(declared)
+		if err != nil {
+			return nil, err
+		}
+		c.del = &copyDelegation{fm: e.FM, failedFQ: failedFQ}
+	}
+	if e.RawPresent {
+		c.raw = e.Msg
+	}
+	return c, nil
 }

@@ -76,31 +76,31 @@ func memoryReference(t *testing.T, n Node) int64 {
 	t.Helper()
 	var total int64
 	switch n := n.(type) {
-	case *g2gEpidemicNode:
+	case *g2gNode:
 		for _, c := range n.custody {
-			total += int64(len(c.raw)) + int64(len(c.pors))*porFootprint
-		}
-		total += int64(len(n.custody)) * hashFootprint
-		for _, p := range n.pendingIn {
-			total += int64(len(p.encrypted))
-		}
-	case *g2gDelegationNode:
-		for _, c := range n.custody {
+			if (c.del == nil) != (n.del == nil) {
+				t.Fatalf("copy %x has delegation state: %v; its node: %v", c.hash[:4], c.del != nil, n.del != nil)
+			}
 			total += int64(len(c.raw))
-			total += int64(len(c.pors)+len(c.attachments)+len(c.failedFQ)) * porFootprint
+			total += int64(len(c.pors)) * porFootprint
+			if c.del != nil {
+				total += int64(len(c.del.failedFQ)) * porFootprint
+			}
 		}
 		total += int64(len(n.custody)) * hashFootprint
 		for _, p := range n.pendingIn {
 			total += int64(len(p.encrypted))
 		}
-		total += n.quality.historyBytes()
+		if n.del != nil {
+			total += n.del.quality.historyBytes()
+		}
 	default:
 		t.Fatalf("%T is not a G2G node", n)
 	}
 	return total
 }
 
-// expirer is the session-start expiry step of both G2G node kinds.
+// expirer is the session-start expiry step of the G2G node.
 type expirer interface{ expire(now sim.Time) }
 
 // holds reports whether a G2G node has custody of h.
@@ -108,9 +108,7 @@ func holds(t *testing.T, n Node, h g2gcrypto.Digest) bool {
 	t.Helper()
 	var ok bool
 	switch n := n.(type) {
-	case *g2gEpidemicNode:
-		_, ok = n.custody[h]
-	case *g2gDelegationNode:
+	case *g2gNode:
 		_, ok = n.custody[h]
 	default:
 		t.Fatalf("%T is not a G2G node", n)
@@ -145,7 +143,7 @@ func TestG2GEpidemicMemoryCounterMatchesWalk(t *testing.T) {
 	w.meet(2*sim.Minute, 0, 1)
 	w.meet(3*sim.Minute, 1, 3)
 	w.meet(4*sim.Minute, 1, 4)
-	if w.nodes[1].(*g2gEpidemicNode).custody[h].raw != nil {
+	if w.nodes[1].(*g2gNode).custody[h].raw != nil {
 		t.Fatal("relay kept its payload after two PoRs")
 	}
 	checkMemory(w, "relays dropping the payload after two PoRs")
@@ -155,7 +153,7 @@ func TestG2GEpidemicMemoryCounterMatchesWalk(t *testing.T) {
 
 	// A handoff whose key never opens it: the pending entry is inserted,
 	// overwritten by a second RELAY, and deleted by the failed reveal.
-	from, to := w.nodes[3].(*g2gEpidemicNode), w.nodes[5].(*g2gEpidemicNode)
+	from, to := w.nodes[3].(*g2gNode), w.nodes[5].(*g2gNode)
 	c := from.custody[h]
 	for i := 0; i < 2; i++ {
 		encrypted, err := g2gcrypto.EncryptPayload(newSessionKey(w.env.RNG), c.raw, rngReader{w.env.RNG})
@@ -221,9 +219,9 @@ func TestG2GDelegationMemoryCounterMatchesWalk(t *testing.T) {
 
 	w.meet(frame1+4*sim.Minute, 0, 1) // the cheater qualifies (label 3)
 	w.meet(frame1+5*sim.Minute, 0, 3) // quality 1 < 3: third failed FQ, trimmed
-	src := w.nodes[0].(*g2gDelegationNode).custody[h]
-	if len(src.failedFQ) != 2 {
-		t.Fatalf("source keeps %d failed FQ declarations, want 2", len(src.failedFQ))
+	src := w.nodes[0].(*g2gNode).custody[h]
+	if len(src.del.failedFQ) != 2 {
+		t.Fatalf("source keeps %d failed FQ declarations, want 2", len(src.del.failedFQ))
 	}
 	checkMemory(w, "the failed-FQ trim")
 
@@ -231,7 +229,7 @@ func TestG2GDelegationMemoryCounterMatchesWalk(t *testing.T) {
 	// drops the payload after two PoRs.
 	w.meet(frame1+6*sim.Minute, 1, 2)
 	w.meet(frame1+7*sim.Minute, 1, 3)
-	if w.nodes[1].(*g2gDelegationNode).custody[h].raw != nil {
+	if w.nodes[1].(*g2gNode).custody[h].raw != nil {
 		t.Fatal("cheater kept its payload after two PoRs")
 	}
 	checkMemory(w, "a cheater dropping the payload after two PoRs")
