@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseKind -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzParamsValidate -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzParseCheckpoint -fuzztime=$(FUZZTIME) ./internal/engine
+	$(GO) test -run='^$$' -fuzz=FuzzRestoreCheckpoint -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzProofMemo -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzFastVerifyMemo -fuzztime=$(FUZZTIME) ./internal/g2gcrypto
 	$(GO) test -run='^$$' -fuzz=FuzzSignMemo -fuzztime=$(FUZZTIME) ./internal/g2gcrypto

@@ -155,7 +155,8 @@ var (
 	// (if configured) was flushed.
 	ErrInterrupted = engine.ErrInterrupted
 	// ErrCheckpointCorrupt marks a checkpoint that failed validation
-	// (truncation, bit flips, bad checksum); Resume refuses it cleanly.
+	// (truncation, bit flips, bad checksum, or a stored event that cannot
+	// belong to the run); Resume refuses it cleanly.
 	ErrCheckpointCorrupt = engine.ErrCheckpointCorrupt
 	// ErrCheckpointMismatch marks a checkpoint captured under a different
 	// configuration or trace.

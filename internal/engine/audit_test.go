@@ -204,11 +204,42 @@ func TestAuditDifferentialCrypto(t *testing.T) {
 	})
 }
 
+// preScheduled handles the reference run's pre-materialized events: one per
+// contact start (Op preStart), contact end (preEnd) and generation (preGen),
+// P indexing the contact or generation.
+type preScheduled struct {
+	e        *engine
+	contacts []trace.Contact
+	gens     []workloadGen
+}
+
+const (
+	preStart uint32 = iota
+	preEnd
+	preGen
+)
+
+func (p *preScheduled) HandleEvent(s *sim.Simulator, ev sim.Event) {
+	switch ev.Op {
+	case preStart:
+		c := p.contacts[ev.P]
+		p.e.contactStart(s.Now(), c.A, c.B)
+	case preEnd:
+		c := p.contacts[ev.P]
+		p.e.contactEnd(c.A, c.B)
+	case preGen:
+		g := p.gens[ev.P]
+		p.e.generate(s.Now(), g.src, g.dst, g.body)
+	}
+}
+
 // runPreScheduled is the reference run of TestAuditDifferentialScheduling:
-// the run as the engine made it before streaming scheduling, with one
-// closure per contact start, contact end and generation pre-materialized
-// before the kernel starts. The engine, the memory sampler, the phase probes
-// and the result assembly are the production ones.
+// the run as the engine made it before streaming scheduling, with every
+// contact start, contact end and generation pre-materialized before the
+// kernel starts, all in the periodic band, so scheduling order alone decides
+// which of them, the memory ticks and the phase probes fires first within
+// an instant. The engine, the memory sampler, the phase probes and the
+// result assembly are the production ones.
 func runPreScheduled(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -223,19 +254,20 @@ func runPreScheduled(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	p := &preScheduled{e: e}
+	schedule := func(at sim.Time, op uint32, idx int) error {
+		return s.ScheduleEvent(sim.Event{At: at, Pri: priPeriodic, H: p, Op: op, P: uint64(idx)})
+	}
 	for _, c := range tr.Contacts() {
 		if c.End <= e.startAt || c.Start >= e.endAt {
 			continue
 		}
 		start, end := e.clampContact(c)
-		if _, err := s.Schedule(start, func(s *sim.Simulator) {
-			e.contactStart(s.Now(), c.A, c.B)
-		}); err != nil {
+		p.contacts = append(p.contacts, c)
+		if err := schedule(start, preStart, len(p.contacts)-1); err != nil {
 			return nil, err
 		}
-		if _, err := s.Schedule(end, func(*sim.Simulator) {
-			e.contactEnd(c.A, c.B)
-		}); err != nil {
+		if err := schedule(end, preEnd, len(p.contacts)-1); err != nil {
 			return nil, err
 		}
 	}
@@ -250,9 +282,8 @@ func runPreScheduled(cfg Config) (*Result, error) {
 		}
 		body := make([]byte, e.cfg.PayloadBytes)
 		e.workloadRNG.Bytes(body)
-		if _, err := s.Schedule(at, func(s *sim.Simulator) {
-			e.generate(s.Now(), src, dst, body)
-		}); err != nil {
+		p.gens = append(p.gens, workloadGen{at: at, src: src, dst: dst, body: body})
+		if err := schedule(at, preGen, len(p.gens)-1); err != nil {
 			return nil, err
 		}
 		at += e.workloadRNG.Exp(cfg.MessageInterval)
@@ -261,11 +292,11 @@ func runPreScheduled(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if cfg.WindowFrom >= e.startAt {
-		if _, err := s.Schedule(cfg.WindowFrom, e.probeWindowFrom); err != nil {
+		if err := e.schedulePeriodic(s, cfg.WindowFrom, opWindowFrom); err != nil {
 			return nil, err
 		}
 	}
-	if _, err := s.Schedule(cfg.WindowTo, e.probeWindowTo); err != nil {
+	if err := e.schedulePeriodic(s, cfg.WindowTo, opWindowTo); err != nil {
 		return nil, err
 	}
 	if e.startAt < cfg.WindowFrom {
@@ -276,11 +307,11 @@ func runPreScheduled(cfg Config) (*Result, error) {
 
 // TestAuditDifferentialScheduling is the in-process differential oracle for
 // the streaming event-queue rewrite: the same audited quick run executed
-// with the legacy pre-scheduled closures (runPreScheduled) and with
-// streaming typed events must produce byte-identical audit digests,
-// deliveries, and detections. Any drift in same-instant event ordering — the
-// subtle failure mode of lazy scheduling — shows up here as a digest
-// mismatch.
+// with every event pre-scheduled in one band (runPreScheduled) and with
+// streaming typed events in per-contact bands must produce byte-identical
+// audit digests, deliveries, and detections. Any drift in same-instant event
+// ordering — the subtle failure mode of lazy scheduling — shows up here as a
+// digest mismatch.
 func TestAuditDifferentialScheduling(t *testing.T) {
 	cases := []struct {
 		name      string

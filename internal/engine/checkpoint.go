@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"give2get/internal/invariant"
 	"give2get/internal/metrics"
@@ -42,8 +41,8 @@ type CheckpointConfig struct {
 // Checkpoint and resume errors.
 var (
 	// ErrCheckpointCorrupt marks a checkpoint file that failed structural
-	// validation: bad magic, truncation, checksum mismatch, or an
-	// undecodable payload.
+	// validation: bad magic, truncation, checksum mismatch, an undecodable
+	// payload, or a stored event that cannot belong to the run.
 	ErrCheckpointCorrupt = errors.New("engine: corrupt checkpoint")
 	// ErrCheckpointVersion marks a checkpoint from an incompatible format
 	// version.
@@ -58,16 +57,16 @@ var (
 
 const (
 	checkpointMagic   = "G2GC"
-	checkpointVersion = 1
+	checkpointVersion = 2
 	// checkpointHeaderLen is magic + version + SHA-256 checksum.
 	checkpointHeaderLen = 4 + 4 + sha256.Size
 )
 
 // PriControl is the priority band of the engine's control events (periodic
-// checkpoints, graceful stops). It sits above sim.PriNormal, so a control
-// event fires only after every same-instant protocol event — the barrier
-// that makes a mid-run snapshot equivalent to a between-instants one.
-const PriControl int64 = sim.PriNormal + 1
+// checkpoints, graceful stops). It is the last band, so a control event
+// fires only after every same-instant protocol event — the barrier that
+// makes a mid-run snapshot equivalent to a between-instants one.
+const PriControl int64 = priPeriodic + 1
 
 // Control-event payloads (sim.Event.P).
 const (
@@ -75,12 +74,15 @@ const (
 	ctrlStop
 )
 
-// contactEndEvent is one queued contact-end, i.e. one currently active
-// contact.
-type contactEndEvent struct {
+// queuedEvent is one future event as a checkpoint stores it: a sim.Event
+// without its handler (always the engine) and its scheduling order (the
+// list order).
+type queuedEvent struct {
 	At   sim.Time
 	Pri  int64
-	A, B trace.NodeID
+	Op   uint32
+	A, B int32
+	P    uint64
 }
 
 // checkpoint is the serialized run state. Every map beneath it is flattened
@@ -89,20 +91,18 @@ type checkpoint struct {
 	Fingerprint [32]byte
 	Now         sim.Time
 
-	// Contact scheduler: how many contacts the cursor has yielded, the
-	// contact whose start event is in flight (when the stream is not yet
-	// exhausted), and the end events of every active contact.
+	// Contact scheduler: how many contacts the cursor has yielded and, while
+	// the stream is open, the contact whose start event is queued.
 	CursorClosed bool
 	CursorIdx    int
 	Pending      trace.Contact
-	PendingAt    sim.Time
-	PendingPri   int64
-	PendingIdx   uint64
-	ContactEnds  []contactEndEvent
 
-	// NextGen is the index of the next workload generation to fire; the
-	// generations themselves are redrawn from the seed on resume.
-	NextGen int
+	// Events is the future event set in firing order, control events left
+	// out: one contact end per active contact, the contact start while the
+	// cursor is open, the next workload generation (the generations
+	// themselves are redrawn from the seed on resume), the next memory tick
+	// and the phase probes still ahead.
+	Events []queuedEvent
 
 	EnvRNG sim.RNGState
 
@@ -202,63 +202,30 @@ func atomicWriteFile(path string, data []byte) error {
 
 // captureCheckpoint snapshots the run at a control barrier. Everything still
 // in the queue is strictly in the future (the barrier fired after all
-// same-instant events), so the future event set is exactly: the active
-// contacts' ends, at most one pending contact start, at most one pending
-// workload generation, and the rule-reconstructible closures (memory ticks
-// and phase probes).
+// same-instant events), so the stored event list is the whole future of the
+// run apart from the control events, which the resuming process schedules
+// for itself.
 func (e *engine) captureCheckpoint(s *sim.Simulator) (*checkpoint, error) {
 	ck := &checkpoint{
 		Fingerprint:  configFingerprint(e.cfg),
 		Now:          s.Now(),
 		CursorClosed: e.cursor == nil,
 		CursorIdx:    e.cursorIdx,
-		NextGen:      len(e.gens),
 		EnvRNG:       e.env.RNG.State(),
 		Collector:    e.collector.State(),
 		Counters:     e.metrics.CounterState(),
 	}
-	var scanErr error
-	havePending, haveGen := false, false
+	if e.cursor != nil {
+		ck.Pending = e.pending
+	}
 	s.PendingEvents(func(ev sim.Event) {
-		switch {
-		case ev.Pri >= sim.PriNormal:
-			// Closures (probes, memory ticks) and control events are
-			// reconstructed by rule on resume.
-		case ev.Op == opContactStart:
-			if havePending {
-				scanErr = errors.New("engine: checkpoint found two pending contact starts")
-				return
-			}
-			havePending = true
-			ck.Pending = e.pending
-			ck.PendingAt = ev.At
-			ck.PendingPri = ev.Pri
-			ck.PendingIdx = ev.P
-		case ev.Op == opContactEnd:
-			ck.ContactEnds = append(ck.ContactEnds, contactEndEvent{
-				At: ev.At, Pri: ev.Pri, A: trace.NodeID(ev.A), B: trace.NodeID(ev.B),
-			})
-		case ev.Op == opWorkloadGen:
-			if haveGen {
-				scanErr = errors.New("engine: checkpoint found two pending workload events")
-				return
-			}
-			haveGen = true
-			ck.NextGen = int(ev.P)
+		if ev.Op != opControl {
+			ck.Events = append(ck.Events, queuedEvent{At: ev.At, Pri: ev.Pri, Op: ev.Op, A: ev.A, B: ev.B, P: ev.P})
 		}
 	})
-	if scanErr != nil {
-		return nil, scanErr
+	if err := e.checkEvents(ck); err != nil {
+		return nil, err
 	}
-	if havePending == ck.CursorClosed {
-		return nil, errors.New("engine: contact cursor and pending start disagree")
-	}
-	sort.Slice(ck.ContactEnds, func(i, j int) bool {
-		if ck.ContactEnds[i].At != ck.ContactEnds[j].At {
-			return ck.ContactEnds[i].At < ck.ContactEnds[j].At
-		}
-		return ck.ContactEnds[i].Pri < ck.ContactEnds[j].Pri
-	})
 	ck.Nodes = make([]protocol.NodeState, len(e.nodes))
 	for i, n := range e.nodes {
 		sn, ok := n.(protocol.Stateful)
@@ -322,15 +289,65 @@ func Resume(path string, cfg Config) (*Result, error) {
 	if err := e.restoreCheckpoint(s, ck); err != nil {
 		return nil, err
 	}
-	if err := e.scheduleResumedClosures(s); err != nil {
-		return nil, err
+	switch now := s.Now(); {
+	case now < e.cfg.WindowFrom:
+		e.emitPhase(now, obs.PhaseWarmup)
+	case now < e.cfg.WindowTo:
+		e.emitPhase(now, obs.PhaseWindow)
+	default:
+		e.emitPhase(now, obs.PhaseDrain)
 	}
 	return e.finishRun(s)
+}
+
+// checkEvents validates a checkpoint's event list against the run before
+// any of it is replayed. The file checksum is unkeyed, so an edited or
+// foreign file passes it; a node id outside the population would otherwise
+// panic deep inside the restore. Capture runs the same check on what it is
+// about to write. The workload must already be drawn.
+func (e *engine) checkEvents(ck *checkpoint) error {
+	population := int32(len(e.nodes))
+	starts, gens := 0, 0
+	for _, ev := range ck.Events {
+		if ev.At < ck.Now {
+			return fmt.Errorf("%w: event at %v precedes the snapshot at %v", ErrCheckpointCorrupt, ev.At, ck.Now)
+		}
+		switch ev.Op {
+		case opContactStart:
+			starts++
+			if ck.CursorIdx < 1 || ev.P != uint64(ck.CursorIdx-1) || ev.Pri != 2*int64(ev.P) {
+				return fmt.Errorf("%w: contact start disagrees with the cursor position", ErrCheckpointCorrupt)
+			}
+		case opContactEnd:
+			if ev.A < 0 || ev.A >= population || ev.B < 0 || ev.B >= population || ev.A == ev.B {
+				return fmt.Errorf("%w: contact end names a node outside the population", ErrCheckpointCorrupt)
+			}
+		case opWorkloadGen:
+			gens++
+			if ev.P >= uint64(len(e.gens)) {
+				return fmt.Errorf("%w: workload position %d of %d", ErrCheckpointCorrupt, ev.P, len(e.gens))
+			}
+		case opMemoryTick, opWindowFrom, opWindowTo:
+		default:
+			return fmt.Errorf("%w: unknown event op %d", ErrCheckpointCorrupt, ev.Op)
+		}
+	}
+	if starts > 1 || gens > 1 || (starts == 1) == ck.CursorClosed {
+		return fmt.Errorf("%w: %d contact starts and %d generations queued (cursor closed: %t)",
+			ErrCheckpointCorrupt, starts, gens, ck.CursorClosed)
+	}
+	return nil
 }
 
 // restoreCheckpoint rebuilds the engine and the kernel's future event set
 // from a snapshot.
 func (e *engine) restoreCheckpoint(s *sim.Simulator, ck *checkpoint) error {
+	// The workload is redrawn from the seed (same draws, same bodies) first,
+	// so the stored events can be checked against it.
+	e.drawWorkload()
+	if err := e.checkEvents(ck); err != nil {
+		return err
+	}
 	if err := s.SetNow(ck.Now); err != nil {
 		return err
 	}
@@ -360,28 +377,10 @@ func (e *engine) restoreCheckpoint(s *sim.Simulator, ck *checkpoint) error {
 		}
 	}
 
-	// Workload: redraw every generation from the seed (same draws, same
-	// bodies), discard the consumed prefix, and schedule the next one.
-	e.drawWorkload()
-	if ck.NextGen < 0 || ck.NextGen > len(e.gens) {
-		return fmt.Errorf("%w: workload position %d of %d", ErrCheckpointCorrupt, ck.NextGen, len(e.gens))
-	}
-	for i := 0; i < ck.NextGen; i++ {
-		e.gens[i].body = nil
-	}
-	if err := e.scheduleNextGen(s, ck.NextGen); err != nil {
-		return err
-	}
-
 	// Contacts: replay the cursor to the checkpointed position and verify
-	// the trace still agrees with the snapshot, then re-enqueue the pending
-	// start exactly as it was.
+	// the trace still agrees with the snapshot.
 	e.cursorIdx = ck.CursorIdx
 	if !ck.CursorClosed {
-		if ck.CursorIdx < 1 || ck.PendingIdx != uint64(ck.CursorIdx-1) ||
-			ck.PendingPri != 2*int64(ck.PendingIdx) {
-			return fmt.Errorf("%w: inconsistent contact cursor position", ErrCheckpointCorrupt)
-		}
 		cur, err := e.cfg.Trace.Cursor()
 		if err != nil {
 			return err
@@ -404,83 +403,25 @@ func (e *engine) restoreCheckpoint(s *sim.Simulator, ck *checkpoint) error {
 				ErrCheckpointMismatch, ck.CursorIdx-1)
 		}
 		e.pending = ck.Pending
-		if err := s.ScheduleEvent(sim.Event{
-			At:  ck.PendingAt,
-			Pri: ck.PendingPri,
-			H:   e,
-			Op:  opContactStart,
-			P:   ck.PendingIdx,
-		}); err != nil {
-			return err
-		}
 	}
 
-	// Active contacts: each queued end event is one contact in progress;
-	// re-enqueue it and rebuild the refcounts and neighbor lists it implies.
-	for _, ce := range ck.ContactEnds {
-		if err := s.ScheduleEvent(sim.Event{
-			At:  ce.At,
-			Pri: ce.Pri,
-			H:   e,
-			Op:  opContactEnd,
-			A:   int32(ce.A),
-			B:   int32(ce.B),
-		}); err != nil {
+	// Events: re-scheduled in firing order, they keep their relative order.
+	// Each contact end is one active contact, and the queued generation (if
+	// any) is the workload position: every earlier one has fired.
+	nextGen := len(e.gens)
+	for _, ev := range ck.Events {
+		if err := s.ScheduleEvent(sim.Event{At: ev.At, Pri: ev.Pri, H: e, Op: ev.Op, A: ev.A, B: ev.B, P: ev.P}); err != nil {
 			return err
 		}
-		key := trace.MakePairKey(ce.A, ce.B)
-		e.active[key]++
-		if e.active[key] == 1 {
-			e.neighbors[ce.A] = insertNeighbor(e.neighbors[ce.A], ce.B)
-			e.neighbors[ce.B] = insertNeighbor(e.neighbors[ce.B], ce.A)
+		switch ev.Op {
+		case opContactEnd:
+			e.activate(trace.NodeID(ev.A), trace.NodeID(ev.B))
+		case opWorkloadGen:
+			nextGen = int(ev.P)
 		}
 	}
-	return nil
-}
-
-// scheduleResumedClosures re-creates the closure events (memory ticks and
-// phase probes) a fresh run schedules up front, preserving their original
-// same-instant scheduling order:
-//   - before the window: the first memory tick at WindowFrom precedes the
-//     WindowFrom probe (scheduleAll runs before the probes), and both
-//     precede the WindowTo probe;
-//   - inside the window (or the drain): the WindowTo probe was scheduled at
-//     setup, so it precedes any chained memory tick landing on the same
-//     instant.
-func (e *engine) scheduleResumedClosures(s *sim.Simulator) error {
-	now := s.Now()
-	interval := protocol.MemorySampleInterval()
-	tick := e.memoryTick()
-	if now < e.cfg.WindowFrom {
-		if _, err := s.Schedule(e.cfg.WindowFrom, tick); err != nil {
-			return err
-		}
-		if _, err := s.Schedule(e.cfg.WindowFrom, e.probeWindowFrom); err != nil {
-			return err
-		}
-		if _, err := s.Schedule(e.cfg.WindowTo, e.probeWindowTo); err != nil {
-			return err
-		}
-		e.emitPhase(now, obs.PhaseWarmup)
-		return nil
-	}
-	if now < e.cfg.WindowTo {
-		if _, err := s.Schedule(e.cfg.WindowTo, e.probeWindowTo); err != nil {
-			return err
-		}
-		e.emitPhase(now, obs.PhaseWindow)
-	} else {
-		e.emitPhase(now, obs.PhaseDrain)
-	}
-	// The barrier fired after any tick at the snapshot instant, so the next
-	// tick is the first multiple of the interval strictly after it, chained
-	// under the same guard the tick itself uses.
-	k := (now-e.cfg.WindowFrom)/interval + 1
-	next := e.cfg.WindowFrom + sim.Time(k)*interval
-	if next < e.endAt {
-		if _, err := s.Schedule(next, tick); err != nil {
-			return err
-		}
+	for i := range e.gens[:nextGen] {
+		e.gens[i].body = nil
 	}
 	return nil
 }

@@ -58,7 +58,9 @@ func assertSameOutcome(t *testing.T, ref, got *Result) {
 // arbitrary instant and resumed from its flushed checkpoint must be
 // indistinguishable — byte-identical audit digest, identical summaries —
 // from the same run left alone. The kill points cover all three phases
-// (warmup, window, drain) across three protocol/deviant configurations.
+// (warmup, window, drain) across three protocol/deviant configurations, and
+// both window boundaries, where a phase probe and a memory tick share the
+// stop instant.
 func TestKillResumeDigestIdentical(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -76,6 +78,15 @@ func TestKillResumeDigestIdentical(t *testing.T) {
 		// Killed during the drain: generation over, test phases resolving.
 		{"g2g-delegation-drain-kill", protocol.G2GDelegationFrequency,
 			[]trace.NodeID{2, 7, 10}, protocol.Cheater, 16*sim.Hour + 20*sim.Minute},
+		// Killed exactly at WindowFrom: the first memory tick and the
+		// window probe fire before the barrier, so the resumed run holds
+		// the second tick and the WindowTo probe.
+		{"g2g-epidemic-window-from-kill", protocol.G2GEpidemic,
+			[]trace.NodeID{2, 7, 10}, protocol.Dropper, 13 * sim.Hour},
+		// Killed exactly at WindowTo: the drain probe and a chained memory
+		// tick share the instant and both fire before the barrier.
+		{"g2g-delegation-window-to-kill", protocol.G2GDelegationFrequency,
+			[]trace.NodeID{2, 7, 10}, protocol.Dropper, 16 * sim.Hour},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -238,6 +249,42 @@ func TestResumeRejectsCorruption(t *testing.T) {
 	mangle("checksum-flip", flip(10), ErrCheckpointCorrupt)
 	mangle("payload-flip", flip(checkpointHeaderLen+17), ErrCheckpointCorrupt)
 	mangle("payload-tail-flip", flip(len(valid)-5), ErrCheckpointCorrupt)
+
+	// The checksum is unkeyed: an edited file re-encoded with a fresh
+	// checksum parses. Resume must still refuse stored events that cannot
+	// belong to the run, before they reach the engine.
+	reencode := func(name string, edit func(*checkpoint)) {
+		t.Run(name, func(t *testing.T) {
+			ck, err := parseCheckpoint(valid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edit(ck)
+			data, err := encodeCheckpoint(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "edited.ckpt")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := Resume(path, cfg); !errors.Is(err, ErrCheckpointCorrupt) {
+				t.Fatalf("got (%v, %v), want ErrCheckpointCorrupt", res, err)
+			}
+		})
+	}
+	reencode("contact-end-node-out-of-range", func(ck *checkpoint) {
+		for i := range ck.Events {
+			if ck.Events[i].Op == opContactEnd {
+				ck.Events[i].A = 9999
+				return
+			}
+		}
+		t.Fatal("checkpoint holds no active contact")
+	})
+	reencode("unknown-op", func(ck *checkpoint) {
+		ck.Events[len(ck.Events)-1].Op = 99
+	})
 }
 
 // TestResumeRejectsMismatchedConfig pins the fingerprint gate: a checkpoint
@@ -307,5 +354,47 @@ func FuzzParseCheckpoint(f *testing.F) {
 		if err == nil && ck == nil {
 			t.Fatal("nil checkpoint without an error")
 		}
+	})
+}
+
+// FuzzRestoreCheckpoint edits one event of a real mid-run checkpoint (its
+// Op, A, B, P, Pri and At) and the cursor position, then restores the result
+// into a fresh engine: whatever the values, the restore must return an error
+// or succeed — never panic. Only the restore runs, not the simulation, so
+// each execution is cheap.
+func FuzzRestoreCheckpoint(f *testing.F) {
+	cfg := auditConfig(f, protocol.G2GEpidemic)
+	cfg.Deviants = []trace.NodeID{2, 7}
+	cfg.Deviation = protocol.Dropper
+	kill := cfg
+	kill.Checkpoint = CheckpointConfig{Path: filepath.Join(f.TempDir(), "run.ckpt")}
+	kill.stopAt = 14*sim.Hour + 17*sim.Minute
+	if res, err := Run(kill); !errors.Is(err, ErrInterrupted) {
+		f.Fatalf("interrupted run: got (%v, %v), want ErrInterrupted", res, err)
+	}
+	data, err := os.ReadFile(kill.Checkpoint.Path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	base, err := parseCheckpoint(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, ev := range base.Events {
+		f.Add(i, ev.Op, ev.A, ev.B, ev.P, ev.Pri, int64(ev.At), base.CursorIdx)
+	}
+	f.Fuzz(func(t *testing.T, i int, op uint32, a, b int32, p uint64, pri, at int64, cursorIdx int) {
+		// Restore only reads the stored state, so every execution can share
+		// base apart from the edited fields.
+		ck := *base
+		ck.Events = append([]queuedEvent(nil), base.Events...)
+		ck.Events[uint(i)%uint(len(ck.Events))] = queuedEvent{At: sim.Time(at), Pri: pri, Op: op, A: a, B: b, P: p}
+		ck.CursorIdx = cursorIdx
+		e, err := newEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.closeCursor()
+		_ = e.restoreCheckpoint(sim.New(), &ck)
 	})
 }

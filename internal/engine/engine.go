@@ -97,12 +97,6 @@ type Config struct {
 	// run — callers decide what a failed audit means (see
 	// runner.Options.StrictAudit).
 	Audit *invariant.Options
-	// FlightRecorder sizes the bounded ring buffer of recent trace records
-	// kept for post-mortems (Result.FlightRecords). 0 means auto: on (64
-	// records) when an auditor is attached, off otherwise; negative disables
-	// explicitly. The recorder is observation-only — it never changes the
-	// run, its trace output, or its audit digest.
-	FlightRecorder int
 	// Progress, when non-nil, receives periodic one-line progress reports
 	// every ProgressEvery of wall time (default 10s) while the run executes.
 	Progress io.Writer
@@ -194,11 +188,6 @@ type Result struct {
 	// Config.Audit was set. A report with violations does not make the run
 	// fail here — see Report.Err for the strict form.
 	Audit *invariant.Report
-	// FlightRecords is the flight recorder's tail — the run's most recent
-	// trace records, oldest first — when Config.FlightRecorder enabled it;
-	// nil otherwise. The runner dumps it when a strict audit fails (see
-	// obs.WriteFlightDump).
-	FlightRecords []obs.Record
 }
 
 // DefaultWorkload fills in the paper's standard workload settings for a
@@ -232,8 +221,6 @@ type engine struct {
 	metrics   *obs.Metrics
 	auditor   *invariant.Auditor
 	spans     *obs.SpanRecorder
-	flight    *obs.RingSink
-	sink      obs.TraceSink
 	nodes     []protocol.Node
 	comms     *kclique.Communities
 
@@ -263,7 +250,7 @@ type engine struct {
 	// and run() surfaces it once the kernel drains.
 	cursorErr error
 	// gens is the pre-drawn Poisson workload (drawing everything up front
-	// preserves the seeded RNG draw order the closures used to lock in).
+	// keeps the seeded RNG draw order independent of when generations fire).
 	gens []workloadGen
 
 	workloadRNG *sim.RNG
@@ -298,14 +285,21 @@ const (
 	opContactEnd
 	opWorkloadGen
 	opControl
+	opMemoryTick
+	opWindowFrom // phase probe: the window opens
+	opWindowTo   // phase probe: the drain begins
 )
 
-// Same-instant priority bands. Contact events use 2*index (start) and
-// 2*index+1 (end), so lazily streamed contacts fire in the exact order the
-// old pre-scheduled closures did; the workload band sits above every
-// possible contact priority and below sim.PriNormal (probes, memory ticks),
-// again matching the old schedule-order-derived sequence.
-const priWorkloadBase int64 = 1 << 41
+// Same-instant priority bands, all owned by the engine. Contact events use
+// 2*index (start) and 2*index+1 (end), so lazily streamed contacts fire in
+// the exact order a full up-front schedule would give them; the workload
+// band sits above every possible contact priority; the periodic band (memory
+// ticks and phase probes, ordered among themselves by scheduling order) sits
+// above both; PriControl comes last.
+const (
+	priWorkloadBase int64 = 1 << 41
+	priPeriodic     int64 = 1 << 62
+)
 
 func newEngine(cfg Config) (*engine, error) {
 	if cfg.PayloadBytes == 0 {
@@ -342,23 +336,8 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	sys = g2gcrypto.Instrument(sys, &m.Crypto)
 
-	// The flight recorder rides the trace-sink chain: a bounded ring of the
-	// most recent records, defaulted on for audited runs so a violation can
-	// dump its immediate past.
-	var flight *obs.RingSink
-	flightCap := cfg.FlightRecorder
-	if flightCap == 0 && cfg.Audit != nil {
-		flightCap = 64
-	}
-	if flightCap > 0 {
-		flight = obs.NewRingSink(flightCap, obs.LevelDebug)
-	}
-	sink := cfg.TraceSink
-	if flight != nil {
-		sink = obs.Multi(sink, flight)
-	}
 	collector := metrics.NewCollector()
-	observer := &runObserver{inner: collector, eng: &m.Engine, sink: sink, spans: spans}
+	observer := &runObserver{inner: collector, eng: &m.Engine, sink: cfg.TraceSink, spans: spans}
 	var auditor *invariant.Auditor
 	if cfg.Audit != nil {
 		groundTruth, groundDeviation := cfg.Deviants, cfg.Deviation
@@ -395,8 +374,6 @@ func newEngine(cfg Config) (*engine, error) {
 		metrics:     m,
 		auditor:     auditor,
 		spans:       spans,
-		flight:      flight,
-		sink:        sink,
 		active:      make(map[trace.PairKey]int),
 		neighbors:   make([][]trace.NodeID, population),
 		workloadRNG: sim.StreamFromSeed(cfg.Seed, "workload"),
@@ -484,16 +461,16 @@ func (e *engine) run() (*Result, error) {
 	}
 
 	// Phase probes capture the wall clock as the virtual clock crosses the
-	// window boundaries. They are no-op events scheduled after everything
-	// else, so same-instant protocol events keep their order and the run
-	// stays deterministic in virtual time. They double as the phase markers
-	// for the live inspector and the trace/flight sinks.
+	// window boundaries. They touch no simulation state and are scheduled
+	// last into the periodic band, so same-instant protocol events keep their
+	// order and the run stays deterministic in virtual time. They double as
+	// the phase markers for the live inspector and the trace sink.
 	if e.cfg.WindowFrom >= e.startAt {
-		if _, err := s.Schedule(e.cfg.WindowFrom, e.probeWindowFrom); err != nil {
+		if err := e.schedulePeriodic(s, e.cfg.WindowFrom, opWindowFrom); err != nil {
 			return nil, err
 		}
 	}
-	if _, err := s.Schedule(e.cfg.WindowTo, e.probeWindowTo); err != nil {
+	if err := e.schedulePeriodic(s, e.cfg.WindowTo, opWindowTo); err != nil {
 		return nil, err
 	}
 
@@ -503,17 +480,10 @@ func (e *engine) run() (*Result, error) {
 	return e.finishRun(s)
 }
 
-// probeWindowFrom / probeWindowTo are the phase-boundary probe events. They
-// are methods (not run()-local closures) so a resumed run can re-schedule
-// whichever ones are still in its future.
-func (e *engine) probeWindowFrom(*sim.Simulator) {
-	e.wallAtWindowFrom = time.Now()
-	e.emitPhase(e.cfg.WindowFrom, obs.PhaseWindow)
-}
-
-func (e *engine) probeWindowTo(*sim.Simulator) {
-	e.wallAtWindowTo = time.Now()
-	e.emitPhase(e.cfg.WindowTo, obs.PhaseDrain)
+// schedulePeriodic enqueues one event of the periodic band: a memory tick or
+// a phase probe.
+func (e *engine) schedulePeriodic(s *sim.Simulator, at sim.Time, op uint32) error {
+	return s.ScheduleEvent(sim.Event{At: at, Pri: priPeriodic, H: e, Op: op})
 }
 
 // finishRun drives a fully scheduled kernel to completion and assembles the
@@ -598,9 +568,6 @@ func (e *engine) finishRun(s *sim.Simulator) (*Result, error) {
 		EndedAt:     endedAt,
 		Telemetry:   e.metrics.Snapshot(),
 	}
-	if e.flight != nil {
-		result.FlightRecords = e.flight.Records()
-	}
 	if e.auditor != nil {
 		fin := invariant.Finalization{
 			SummaryGenerated:   result.Summary.Generated,
@@ -637,16 +604,16 @@ func (e *engine) scheduleAll(s *sim.Simulator) error {
 }
 
 // emitPhase marks a phase transition: the current-phase gauge the live
-// inspector reads and one "phase" milestone record for the trace and flight
-// sinks. The legacy event-log sink drops milestone records, keeping its output
+// inspector reads and one "phase" milestone record for the trace sink. The
+// legacy event-log sink drops milestone records, keeping its output
 // byte-identical to the pre-telemetry format.
 func (e *engine) emitPhase(at sim.Time, p obs.Phase) {
 	e.metrics.Engine.EnterPhase(p)
-	if e.sink != nil && e.sink.Enabled(obs.LevelInfo) {
+	if sink := e.cfg.TraceSink; sink != nil && sink.Enabled(obs.LevelInfo) {
 		rec := obs.NewRecord(time.Duration(at), obs.LevelInfo, "phase")
 		rec.Wall = time.Now()
 		rec.Reason = p.String()
-		e.sink.Emit(rec)
+		sink.Emit(rec)
 	}
 }
 
@@ -695,30 +662,25 @@ func (e *engine) startProgress() (stop func()) {
 // experiment window ("using one KByte for one second or for one year does
 // not have the same cost").
 func (e *engine) scheduleMemorySampling(s *sim.Simulator) error {
-	_, err := s.Schedule(e.cfg.WindowFrom, e.memoryTick())
-	return err
+	return e.schedulePeriodic(s, e.cfg.WindowFrom, opMemoryTick)
 }
 
-// memoryTick builds the self-chaining memory sampler closure. It doubles as
-// a cancellation poll point: during the drain the queue may hold nothing but
-// ticks, and without the check here a cancelled context would only be
-// honored at the natural end of the run.
-func (e *engine) memoryTick() func(s *sim.Simulator) {
+// memoryTick samples every node's buffer occupancy and chains the next tick.
+// Ticks double as cancellation poll points (HandleEvent polls before each
+// event): during the drain the queue may hold nothing but ticks, and without
+// them a cancelled context would only be honored at the natural end of the
+// run.
+func (e *engine) memoryTick(s *sim.Simulator) {
 	interval := protocol.MemorySampleInterval()
-	var tick func(s *sim.Simulator)
-	tick = func(s *sim.Simulator) {
-		e.maybeScheduleStop(s)
-		dt := sim.SecondsOf(interval)
-		for _, n := range e.nodes {
-			n.AddMemorySample(float64(n.MemoryBytes()) * dt)
-		}
-		if s.Now().Add(interval) < e.endAt {
-			if _, err := s.After(interval, tick); err != nil {
-				panic(fmt.Sprintf("engine: memory sampler: %v", err))
-			}
+	dt := sim.SecondsOf(interval)
+	for _, n := range e.nodes {
+		n.AddMemorySample(float64(n.MemoryBytes()) * dt)
+	}
+	if next := s.Now() + interval; next < e.endAt {
+		if err := e.schedulePeriodic(s, next, opMemoryTick); err != nil {
+			panic(fmt.Sprintf("engine: memory sampler: %v", err))
 		}
 	}
-	return tick
 }
 
 // clampContact clips a contact to the run interval [startAt, endAt].
@@ -883,6 +845,14 @@ func (e *engine) HandleEvent(s *sim.Simulator, ev sim.Event) {
 		}
 		e.spans.Exit()
 		e.generate(s.Now(), g.src, g.dst, g.body)
+	case opMemoryTick:
+		e.memoryTick(s)
+	case opWindowFrom:
+		e.wallAtWindowFrom = time.Now()
+		e.emitPhase(e.cfg.WindowFrom, obs.PhaseWindow)
+	case opWindowTo:
+		e.wallAtWindowTo = time.Now()
+		e.emitPhase(e.cfg.WindowTo, obs.PhaseDrain)
 	}
 }
 
@@ -900,18 +870,24 @@ func (e *engine) contactStart(now sim.Time, a, b trace.NodeID) {
 	e.metrics.Engine.NoteContact()
 	e.nodes[a].ObserveMeeting(now, b)
 	e.nodes[b].ObserveMeeting(now, a)
-	key := trace.MakePairKey(a, b)
-	e.active[key]++
-	if e.active[key] == 1 {
-		e.neighbors[a] = insertNeighbor(e.neighbors[a], b)
-		e.neighbors[b] = insertNeighbor(e.neighbors[b], a)
-	}
+	e.activate(a, b)
 	if now < e.cfg.WindowFrom {
 		return // warm-up: quality bookkeeping only
 	}
 	if e.sessionPair(now, a, b) {
 		e.cascadeFrom(now, a)
 		e.cascadeFrom(now, b)
+	}
+}
+
+// activate counts one more overlapping contact of the pair; the first puts
+// each node in the other's neighborhood.
+func (e *engine) activate(a, b trace.NodeID) {
+	key := trace.MakePairKey(a, b)
+	e.active[key]++
+	if e.active[key] == 1 {
+		e.neighbors[a] = insertNeighbor(e.neighbors[a], b)
+		e.neighbors[b] = insertNeighbor(e.neighbors[b], a)
 	}
 }
 
@@ -960,8 +936,11 @@ func (e *engine) cascadeFrom(now sim.Time, origin trace.NodeID) {
 	// of re-slicing so append can keep using the same backing array.
 	queue := append(e.cascadeBuf[:0], origin)
 	head := 0
-	// The budget bounds pathological cascades; seen-sets guarantee natural
-	// termination long before it is hit.
+	// The budget bounds pathological cascades. Termination comes long
+	// before it is hit: a session moves a message only to a peer that has
+	// never held it (G2G nodes check custody, which keeps every handled
+	// message until Δ2; plain Epidemic and Delegation check their seen
+	// sets), so each message enters each node at most once.
 	budget := 4 * len(e.nodes) * len(e.nodes)
 	for head < len(queue) && budget > 0 {
 		n := queue[head]

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -128,8 +129,8 @@ func TestTracingDoesNotPerturbRun(t *testing.T) {
 	}
 
 	traced := baseConfig(t, protocol.G2GEpidemic)
-	ring := obs.NewRingSink(64, obs.LevelInfo)
-	traced.TraceSink = obs.Multi(ring, obs.NewJSONSink(io.Discard, obs.LevelDebug))
+	info := &collectSink{min: obs.LevelInfo}
+	traced.TraceSink = obs.Multi(info, obs.NewJSONSink(io.Discard, obs.LevelDebug))
 	traced.Telemetry = obs.NewMetrics()
 	got, err := Run(traced)
 	if err != nil {
@@ -141,18 +142,33 @@ func TestTracingDoesNotPerturbRun(t *testing.T) {
 	if ref.EndedAt != got.EndedAt {
 		t.Fatalf("tracing changed the end time: %v vs %v", ref.EndedAt, got.EndedAt)
 	}
-	recs := ring.Records()
-	if len(recs) == 0 {
-		t.Fatal("ring sink captured nothing")
+	if len(info.recs) == 0 {
+		t.Fatal("info sink captured nothing")
 	}
-	for _, r := range recs {
+	for _, r := range info.recs {
 		if r.Wall.IsZero() {
 			t.Fatalf("trace record missing wall time: %+v", r)
 		}
 		if r.Level < obs.LevelInfo {
-			t.Fatalf("ring sink captured below its level: %+v", r)
+			t.Fatalf("info sink was handed a record below its level: %+v", r)
 		}
 	}
+}
+
+// collectSink keeps every record it is handed. Its Emit does not filter, so
+// a record below min that reaches it was sent despite Enabled saying no.
+type collectSink struct {
+	mu   sync.Mutex
+	min  obs.Level
+	recs []obs.Record
+}
+
+func (c *collectSink) Enabled(l obs.Level) bool { return l >= c.min }
+
+func (c *collectSink) Emit(r obs.Record) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.recs = append(c.recs, r)
 }
 
 // TestSharedTelemetryAggregates: one registry across two runs sums counters.

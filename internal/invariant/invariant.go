@@ -126,8 +126,8 @@ type Options struct {
 	// detection then violates the honest-run rules (unexpected-detection,
 	// false-accusation). It is the supported way to drive the violation
 	// machinery end-to-end with a genuine run — a faithful audit of a
-	// faithful engine cannot fail by construction — and is what the runner's
-	// flight-recorder dump test seeds.
+	// faithful engine cannot fail by construction — and is how the runner's
+	// TestAssumeHonestFailsStrictAudit makes a real run fail StrictAudit.
 	AssumeHonest bool
 }
 

@@ -216,56 +216,6 @@ func (s *JSONSink) Emit(rec Record) {
 	_, _ = s.w.Write(s.buf)
 }
 
-// RingSink keeps the last N records in a bounded ring buffer: cheap
-// always-on capture whose tail can be attached to failure reports or the
-// telemetry JSON. It is safe for concurrent use.
-type RingSink struct {
-	mu   sync.Mutex
-	recs []Record
-	next int
-	full bool
-	min  Level
-}
-
-// NewRingSink returns a ring holding the most recent capacity records at or
-// above min. Capacity below 1 is raised to 1.
-func NewRingSink(capacity int, min Level) *RingSink {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &RingSink{recs: make([]Record, capacity), min: min}
-}
-
-// Enabled implements TraceSink.
-func (s *RingSink) Enabled(l Level) bool { return s != nil && l >= s.min }
-
-// Emit implements TraceSink.
-func (s *RingSink) Emit(rec Record) {
-	if !s.Enabled(rec.Level) {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.recs[s.next] = rec
-	s.next++
-	if s.next == len(s.recs) {
-		s.next = 0
-		s.full = true
-	}
-}
-
-// Records returns the buffered records, oldest first.
-func (s *RingSink) Records() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.full {
-		return append([]Record(nil), s.recs[:s.next]...)
-	}
-	out := make([]Record, 0, len(s.recs))
-	out = append(out, s.recs[s.next:]...)
-	return append(out, s.recs[:s.next]...)
-}
-
 // multiSink fans records out to several sinks, honoring each sink's level.
 type multiSink struct {
 	sinks []TraceSink

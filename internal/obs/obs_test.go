@@ -183,29 +183,6 @@ func TestJSONSinkConcurrent(t *testing.T) {
 	}
 }
 
-func TestRingSinkWraparound(t *testing.T) {
-	s := NewRingSink(3, LevelDebug)
-	for i := 0; i < 5; i++ {
-		s.Emit(NewRecord(time.Duration(i), LevelInfo, "e"))
-	}
-	recs := s.Records()
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want 3", len(recs))
-	}
-	for i, want := range []time.Duration{2, 3, 4} {
-		if recs[i].Sim != want {
-			t.Fatalf("record %d at %v, want %v", i, recs[i].Sim, want)
-		}
-	}
-
-	// Partial fill returns only what was captured, oldest first.
-	p := NewRingSink(4, LevelDebug)
-	p.Emit(NewRecord(7, LevelInfo, "e"))
-	if got := p.Records(); len(got) != 1 || got[0].Sim != 7 {
-		t.Fatalf("partial ring = %+v", got)
-	}
-}
-
 func TestMulti(t *testing.T) {
 	if Multi() != nil {
 		t.Fatal("Multi() should be nil")
@@ -213,20 +190,21 @@ func TestMulti(t *testing.T) {
 	if Multi(nil, nil) != nil {
 		t.Fatal("Multi(nil, nil) should be nil")
 	}
-	r := NewRingSink(2, LevelDebug)
-	if Multi(nil, r) != TraceSink(r) {
+	var debugBuf bytes.Buffer
+	d := NewJSONSink(&debugBuf, LevelDebug)
+	if Multi(nil, d) != TraceSink(d) {
 		t.Fatal("Multi with one live sink should unwrap it")
 	}
 	var buf bytes.Buffer
 	j := NewJSONSink(&buf, LevelWarn)
-	m := Multi(r, j)
+	m := Multi(d, j)
 	if !m.Enabled(LevelDebug) {
-		t.Fatal("multi should be enabled at debug (ring accepts it)")
+		t.Fatal("multi should be enabled at debug (the debug sink accepts it)")
 	}
 	m.Emit(NewRecord(0, LevelDebug, "test"))
 	m.Emit(NewRecord(0, LevelWarn, "detect"))
-	if got := len(r.Records()); got != 2 {
-		t.Fatalf("ring got %d records, want 2", got)
+	if got := strings.Count(debugBuf.String(), "\n"); got != 2 {
+		t.Fatalf("debug sink got %d records, want 2", got)
 	}
 	if got := strings.Count(buf.String(), "\n"); got != 1 {
 		t.Fatalf("json sink got %d records, want 1 (warn only)", got)
@@ -238,7 +216,6 @@ func TestMetricsSnapshot(t *testing.T) {
 	m.Sim.NoteScheduled(3)
 	m.Sim.NoteScheduled(9)
 	m.Sim.NoteFired(2 * time.Second)
-	m.Sim.NoteCancelled()
 	m.Engine.NoteContact()
 	m.Engine.NoteSession(true)
 	m.Engine.NoteSession(false)
@@ -274,7 +251,7 @@ func TestMetricsSnapshot(t *testing.T) {
 	if s.Schema != SchemaVersion {
 		t.Fatalf("schema = %q", s.Schema)
 	}
-	if s.Sim.EventsScheduled != 2 || s.Sim.EventsFired != 1 || s.Sim.EventsCancelled != 1 {
+	if s.Sim.EventsScheduled != 2 || s.Sim.EventsFired != 1 {
 		t.Fatalf("sim snapshot = %+v", s.Sim)
 	}
 	if s.Sim.QueueHighWater != 9 {
@@ -335,7 +312,6 @@ func TestNilSafety(t *testing.T) {
 	var sim *SimStats
 	sim.NoteScheduled(1)
 	sim.NoteFired(time.Second)
-	sim.NoteCancelled()
 	if sim.SimNow() != 0 {
 		t.Fatal("nil SimStats.SimNow should be 0")
 	}

@@ -50,7 +50,6 @@ func (m *Metrics) Snapshot() *Snapshot {
 type SimStats struct {
 	EventsScheduled Counter
 	EventsFired     Counter
-	EventsCancelled Counter
 	// QueueHighWater is the deepest the event queue ever got.
 	QueueHighWater MaxGauge
 	// simNow mirrors the kernel clock (nanoseconds) so concurrent progress
@@ -77,14 +76,6 @@ func (s *SimStats) NoteFired(at time.Duration) {
 	s.simNow.Store(int64(at))
 }
 
-// NoteCancelled records one cancelled event.
-func (s *SimStats) NoteCancelled() {
-	if s == nil {
-		return
-	}
-	s.EventsCancelled.Inc()
-}
-
 // SimNow returns the virtual time of the most recently fired event. It is
 // safe to call from other goroutines while the simulation runs.
 func (s *SimStats) SimNow() time.Duration {
@@ -98,7 +89,6 @@ func (s *SimStats) SimNow() time.Duration {
 type SimSnapshot struct {
 	EventsScheduled int64 `json:"events_scheduled"`
 	EventsFired     int64 `json:"events_fired"`
-	EventsCancelled int64 `json:"events_cancelled"`
 	QueueHighWater  int64 `json:"queue_high_water"`
 	// SimEndNS is the virtual time of the last fired event, in nanoseconds.
 	SimEndNS int64 `json:"sim_end_ns"`
@@ -108,7 +98,6 @@ func (s *SimStats) snapshot() SimSnapshot {
 	return SimSnapshot{
 		EventsScheduled: s.EventsScheduled.Load(),
 		EventsFired:     s.EventsFired.Load(),
-		EventsCancelled: s.EventsCancelled.Load(),
 		QueueHighWater:  s.QueueHighWater.Load(),
 		SimEndNS:        s.simNow.Load(),
 	}
@@ -597,8 +586,6 @@ type Snapshot struct {
 	// recorded. The field is additive: schema "g2g.telemetry/1" consumers that
 	// predate it keep decoding.
 	Spans []SpanSnapshot `json:"spans,omitempty"`
-	// TraceTail optionally carries the last records of a ring sink.
-	TraceTail []Record `json:"trace_tail,omitempty"`
 }
 
 // EventsPerSec derives the kernel's event throughput from the snapshot:

@@ -62,6 +62,32 @@ func TestAuditDigestsStableAcrossJobs(t *testing.T) {
 	}
 }
 
+// TestAssumeHonestFailsStrictAudit drives a real run through a failing
+// StrictAudit: a genuine dropper run audited under AssumeHonest. The engine
+// detects the droppers as designed, and the auditor — told the run has no
+// deviants — flags every detection as an honest-run violation. That is the
+// supported way to make a real run fail StrictAudit (a faithful audit of a
+// faithful engine cannot fail, see TestPromoteAudit).
+func TestAssumeHonestFailsStrictAudit(t *testing.T) {
+	cfg := baseConfig(testTrace(t), DeriveSeed(1, 0))
+	cfg.Audit = &invariant.Options{Label: "assume-honest", AssumeHonest: true}
+	out, err := Run([]Spec{{Label: "assume-honest", Config: cfg}}, Options{
+		Jobs:        1,
+		Policy:      CollectAll,
+		StrictAudit: true,
+	})
+	if err == nil {
+		t.Fatal("AssumeHonest audit of a deviant run did not fail StrictAudit")
+	}
+	if !strings.Contains(err.Error(), invariant.RuleUnexpectedDetection) {
+		t.Errorf("error does not carry the violated rule: %v", err)
+	}
+	res := out[0].Result
+	if res == nil || res.Audit == nil || res.Audit.Ok() {
+		t.Fatalf("expected a failing audit report, got %+v", out[0])
+	}
+}
+
 // TestPromoteAudit pins the StrictAudit semantics. A genuine engine run
 // cannot fail its own audit (that is the auditor's core claim, tested in
 // the engine package), so the failing report is built by hand here.

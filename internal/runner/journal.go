@@ -52,8 +52,8 @@ type journalEntry struct {
 const journalVersion = 1
 
 // resultSnapshot is the serializable core of an engine.Result: everything
-// experiment rendering consumes. Wall-clock telemetry and flight records are
-// process-local and deliberately not journaled.
+// experiment rendering consumes. Wall-clock telemetry is process-local and
+// deliberately not journaled.
 type resultSnapshot struct {
 	Summary   metrics.Summary
 	Detection metrics.DetectionSummary

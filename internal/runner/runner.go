@@ -78,12 +78,6 @@ type Options struct {
 	// violations) to a run error, subject to Policy like any other failure.
 	// Runs without an audit report are unaffected.
 	StrictAudit bool
-	// FlightDump, when non-nil, receives a flight-recorder dump (the run's
-	// last trace events, see obs.WriteFlightDump) for every failed run that
-	// captured one — audited runs keep a bounded ring by default. Dumps from
-	// concurrent workers are serialized; within one run the dump is
-	// deterministic (simulation-time stamps only).
-	FlightDump io.Writer
 	// Context, when non-nil, cancels the batch gracefully: in-flight runs
 	// finish their current instant, flush their checkpoints, and return
 	// engine.ErrInterrupted; undispatched specs are marked Skipped. It is
@@ -198,7 +192,6 @@ func Run(specs []Spec, opts Options) ([]Outcome, error) {
 		interrupted atomic.Bool  // cancellation latch, any policy
 		completed   atomic.Int64 // finished runs, for progress numbering
 		progMu      sync.Mutex   // serializes progress lines
-		dumpMu      sync.Mutex   // serializes flight-recorder dumps
 		wg          sync.WaitGroup
 	)
 	worker := func() {
@@ -260,11 +253,6 @@ func Run(specs []Spec, opts Options) ([]Outcome, error) {
 				// own phases.
 				d := out[i].Wall - runWall
 				opts.Telemetry.Spans.Note(obs.SpanDispatch, d, d)
-			}
-			if err != nil && opts.FlightDump != nil && res != nil && len(res.FlightRecords) > 0 {
-				dumpMu.Lock()
-				obs.WriteFlightDump(opts.FlightDump, specs[i].Label, err.Error(), res.FlightRecords)
-				dumpMu.Unlock()
 			}
 			if err != nil && opts.Policy == FailFast {
 				stop.Store(true)

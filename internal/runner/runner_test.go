@@ -233,3 +233,35 @@ func TestProgressReportsEveryRun(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepSpansAggregateAcrossWorkers runs a batch on four workers sharing
+// one registry and requires the per-phase span table to have aggregated every
+// run: one sweep_dispatch note per spec, and engine/protocol/crypto spans
+// from inside the runs. Under `go test -race ./internal/runner` (see `make
+// race`) this doubles as the data-race check for concurrent span recording
+// into a shared SpanStats.
+func TestSweepSpansAggregateAcrossWorkers(t *testing.T) {
+	tr := testTrace(t)
+	shared := obs.NewMetrics()
+	const runs = 8
+	specs := make([]Spec, runs)
+	for i := range specs {
+		specs[i] = Spec{Label: labelFor(i), Config: baseConfig(tr, DeriveSeed(1, i))}
+	}
+	if _, err := Run(specs, Options{Jobs: 4, Telemetry: shared}); err != nil {
+		t.Fatal(err)
+	}
+	if got := shared.Spans.Count(obs.SpanDispatch); got != runs {
+		t.Errorf("sweep_dispatch count = %d, want %d (one per spec)", got, runs)
+	}
+	for _, sp := range []obs.Span{obs.SpanSchedule, obs.SpanSession, obs.SpanRelay, obs.SpanTest, obs.SpanPoR, obs.SpanCrypto} {
+		if shared.Spans.Count(sp) == 0 {
+			t.Errorf("span %s never recorded across the sweep", sp)
+		}
+	}
+	// The snapshot orders spans by declaration, dispatch last among these.
+	snap := shared.Snapshot()
+	if len(snap.Spans) == 0 || snap.Spans[len(snap.Spans)-1].Name != obs.SpanDispatch.String() {
+		t.Errorf("snapshot span table missing or misordered: %+v", snap.Spans)
+	}
+}

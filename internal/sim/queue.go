@@ -23,12 +23,10 @@ type Handler interface {
 type Event struct {
 	// At is the virtual instant the event fires.
 	At Time
-	// Pri orders events that share an instant; lower fires first. Closure
-	// events scheduled with Schedule/After use PriNormal. Typed producers
-	// pick bands below (or above) it.
+	// Pri orders events that share an instant; lower fires first. The
+	// kernel assigns no bands: each producer picks its own.
 	Pri int64
-	// H is the typed event handler. For closure events it is the internal
-	// func adapter.
+	// H is the typed event handler.
 	H Handler
 	// Op is a handler-defined opcode discriminating event types.
 	Op uint32
@@ -36,36 +34,8 @@ type Event struct {
 	A, B int32
 	// P is an extra integer payload (a cursor position, an encoded time).
 	P uint64
-	// Data is an optional pointer-shaped payload. Pointers and func values
-	// convert to the interface without allocating.
-	Data any
 
-	seq  int64 // scheduling order, breaks (At, Pri) ties deterministically
-	slot int32 // handle-table index for cancellable events, -1 otherwise
-}
-
-// PriNormal is the priority band of Schedule/After closure events. Typed
-// events with smaller Pri fire before all closure events at the same
-// instant; ties within a band fall back to scheduling order.
-const PriNormal int64 = 1 << 62
-
-// EventRef is a cancellation handle for an event scheduled with Schedule or
-// After. The zero value references nothing. Refs are plain values: handing
-// one out allocates nothing, and a ref whose event already fired or was
-// cancelled is simply inert (its table slot was recycled under a new
-// generation).
-type EventRef struct {
-	slot int32
-	gen  uint32
-}
-
-// slotEntry maps a handle slot to the event's current heap position. Freed
-// slots bump gen, which invalidates any outstanding EventRef, and go on the
-// free list for the next cancellable event — steady-state scheduling
-// allocates nothing.
-type slotEntry struct {
-	pos int32 // heap index, -1 while the slot is free
-	gen uint32
+	seq int64 // scheduling order, breaks (At, Pri) ties deterministically
 }
 
 // eventQueue is a binary min-heap of Event values ordered by (At, Pri, seq).
@@ -74,9 +44,6 @@ type slotEntry struct {
 // run.
 type eventQueue struct {
 	items []Event
-	// slots is the cancellation handle table; freeSlots is its free list.
-	slots     []slotEntry
-	freeSlots []int32
 }
 
 func (q *eventQueue) Len() int { return len(q.items) }
@@ -94,55 +61,11 @@ func (q *eventQueue) less(i, j int) bool {
 
 func (q *eventQueue) swap(i, j int) {
 	q.items[i], q.items[j] = q.items[j], q.items[i]
-	if s := q.items[i].slot; s >= 0 {
-		q.slots[s].pos = int32(i)
-	}
-	if s := q.items[j].slot; s >= 0 {
-		q.slots[s].pos = int32(j)
-	}
-}
-
-// allocSlot reserves a handle slot pointing at heap position pos and returns
-// a ref for it, recycling freed slots before growing the table.
-func (q *eventQueue) allocSlot(pos int32) (int32, EventRef) {
-	if n := len(q.freeSlots); n > 0 {
-		s := q.freeSlots[n-1]
-		q.freeSlots = q.freeSlots[:n-1]
-		q.slots[s].pos = pos
-		return s, EventRef{slot: s, gen: q.slots[s].gen}
-	}
-	q.slots = append(q.slots, slotEntry{pos: pos, gen: 1})
-	s := int32(len(q.slots) - 1)
-	return s, EventRef{slot: s, gen: 1}
-}
-
-// freeSlot retires a handle slot: the generation bump invalidates any
-// outstanding EventRef before the slot is reused.
-func (q *eventQueue) freeSlot(s int32) {
-	q.slots[s].pos = -1
-	q.slots[s].gen++
-	q.freeSlots = append(q.freeSlots, s)
-}
-
-// lookup resolves a ref to the heap position of its live event, or -1.
-func (q *eventQueue) lookup(ref EventRef) int32 {
-	if ref.slot < 0 || int(ref.slot) >= len(q.slots) {
-		return -1
-	}
-	e := q.slots[ref.slot]
-	if e.gen != ref.gen {
-		return -1
-	}
-	return e.pos
 }
 
 func (q *eventQueue) push(e Event) {
-	pos := len(q.items)
 	q.items = append(q.items, e)
-	if e.slot >= 0 {
-		q.slots[e.slot].pos = int32(pos)
-	}
-	q.up(pos)
+	q.up(len(q.items) - 1)
 }
 
 // pop removes and returns the earliest event; ok is false on an empty queue.
@@ -153,32 +76,12 @@ func (q *eventQueue) pop() (e Event, ok bool) {
 	}
 	top := q.items[0]
 	q.swap(0, n-1)
-	q.items[n-1] = Event{} // release Data/H references held by the slot
+	q.items[n-1] = Event{} // release the handler reference held by the slot
 	q.items = q.items[:n-1]
 	if n > 1 {
 		q.down(0)
 	}
-	if top.slot >= 0 {
-		q.freeSlot(top.slot)
-	}
 	return top, true
-}
-
-// remove deletes the event at heap index i.
-func (q *eventQueue) remove(i int) {
-	n := len(q.items)
-	slot := q.items[i].slot
-	q.swap(i, n-1)
-	q.items[n-1] = Event{}
-	q.items = q.items[:n-1]
-	if i < n-1 {
-		if !q.down(i) {
-			q.up(i)
-		}
-	}
-	if slot >= 0 {
-		q.freeSlot(slot)
-	}
 }
 
 func (q *eventQueue) up(i int) {
@@ -192,25 +95,22 @@ func (q *eventQueue) up(i int) {
 	}
 }
 
-// down sifts the item at index i toward the leaves; it reports whether the
-// item moved.
-func (q *eventQueue) down(i int) bool {
-	start := i
+// down sifts the item at index i toward the leaves.
+func (q *eventQueue) down(i int) {
 	n := len(q.items)
 	for {
 		left := 2*i + 1
 		if left >= n {
-			break
+			return
 		}
 		smallest := left
 		if right := left + 1; right < n && q.less(right, left) {
 			smallest = right
 		}
 		if !q.less(smallest, i) {
-			break
+			return
 		}
 		q.swap(i, smallest)
 		i = smallest
 	}
-	return i > start
 }

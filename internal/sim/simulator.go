@@ -8,8 +8,8 @@ import (
 	"give2get/internal/obs"
 )
 
-// ErrPastEvent is returned by Schedule when an event is scheduled strictly
-// before the current virtual time.
+// ErrPastEvent is returned by ScheduleEvent when an event is scheduled
+// strictly before the current virtual time.
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
 // Simulator owns the virtual clock and the event queue. It is single
@@ -60,78 +60,35 @@ func (s *Simulator) SetNow(t Time) error {
 }
 
 // PendingEvents calls fn once per queued event with a copy of the event, in
-// heap (arbitrary) order. Checkpointing uses it to snapshot the future event
-// set; callers must not schedule or cancel from within fn.
+// firing order. Checkpointing uses it to snapshot the future event set: the
+// copies carry (At, Pri) and are visited in scheduling order within a tie, so
+// re-scheduling them in visit order reproduces the queue. Callers must not
+// schedule from within fn.
 func (s *Simulator) PendingEvents(fn func(Event)) {
-	for i := range s.queue.items {
-		fn(s.queue.items[i])
+	q := eventQueue{items: append([]Event(nil), s.queue.items...)}
+	for {
+		ev, ok := q.pop()
+		if !ok {
+			return
+		}
+		fn(ev)
 	}
 }
 
-// funcAdapter dispatches closure events scheduled with Schedule/After: the
-// closure rides in Event.Data (func values are pointer-shaped, so the
-// conversion does not allocate).
-type funcAdapter struct{}
-
-func (funcAdapter) HandleEvent(s *Simulator, ev Event) {
-	ev.Data.(func(*Simulator))(s)
-}
-
-var theFuncAdapter funcAdapter
-
 // ScheduleEvent enqueues a typed event. The caller fills At, Pri, H, and the
-// argument fields; seq and bookkeeping are assigned here. Typed events carry
-// no cancellation handle, which keeps the steady-state push/pop path free of
-// allocations entirely. Scheduling in the past is an error: trace replays
-// must never rewind the clock.
+// argument fields; the scheduling order that breaks (At, Pri) ties is
+// assigned here. The steady-state push/pop path allocates nothing.
+// Scheduling in the past is an error: trace replays must never rewind the
+// clock.
 func (s *Simulator) ScheduleEvent(ev Event) error {
 	if ev.At < s.now {
 		return fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, ev.At, s.now)
 	}
 	ev.seq = s.nextSeq
 	s.nextSeq++
-	ev.slot = -1
 	s.queue.push(ev)
 	s.stats.NoteScheduled(s.queue.Len())
 	return nil
-}
-
-// Schedule enqueues fn to run at instant at. It returns a handle which can
-// later be passed to Cancel. Scheduling in the past is an error: trace
-// replays must never rewind the clock.
-func (s *Simulator) Schedule(at Time, fn func(s *Simulator)) (EventRef, error) {
-	if at < s.now {
-		return EventRef{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, s.now)
-	}
-	slot, ref := s.queue.allocSlot(int32(s.queue.Len()))
-	s.queue.push(Event{
-		At:   at,
-		Pri:  PriNormal,
-		H:    theFuncAdapter,
-		Data: fn,
-		seq:  s.nextSeq,
-		slot: slot,
-	})
-	s.nextSeq++
-	s.stats.NoteScheduled(s.queue.Len())
-	return ref, nil
-}
-
-// After enqueues fn to run d after the current virtual time.
-func (s *Simulator) After(d Time, fn func(s *Simulator)) (EventRef, error) {
-	return s.Schedule(s.now.Add(d), fn)
-}
-
-// Cancel removes a scheduled event from the queue. Cancelling an event that
-// already fired or was already cancelled is a no-op and reports false.
-func (s *Simulator) Cancel(ref EventRef) bool {
-	pos := s.queue.lookup(ref)
-	if pos < 0 {
-		return false
-	}
-	s.queue.remove(int(pos))
-	s.stats.NoteCancelled()
-	return true
 }
 
 // Stop makes Run return after the currently executing event completes.

@@ -2,22 +2,32 @@ package sim
 
 import (
 	"errors"
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// fn adapts a test closure to Handler. Func values are pointer-shaped, so
+// storing one in Event.H does not allocate.
+type fn func(*Simulator)
+
+func (f fn) HandleEvent(s *Simulator, _ Event) { f(s) }
+
+// schedule enqueues f at instant at, failing the test on error.
+func schedule(t testing.TB, s *Simulator, at Time, f fn) {
+	t.Helper()
+	if err := s.ScheduleEvent(Event{At: at, H: f}); err != nil {
+		t.Fatalf("ScheduleEvent(%v): %v", at, err)
+	}
+}
+
 func TestScheduleAndRunOrder(t *testing.T) {
 	s := New()
 	var got []Time
 	for _, at := range []Time{5 * Second, Second, 3 * Second, 2 * Second, 4 * Second} {
-		at := at
-		if _, err := s.Schedule(at, func(s *Simulator) {
+		schedule(t, s, at, func(s *Simulator) {
 			got = append(got, s.Now())
-		}); err != nil {
-			t.Fatalf("Schedule(%v): %v", at, err)
-		}
+		})
 	}
 	end, err := s.Run()
 	if err != nil {
@@ -42,9 +52,7 @@ func TestEqualTimestampsRunFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		if _, err := s.Schedule(Second, func(*Simulator) { order = append(order, i) }); err != nil {
-			t.Fatal(err)
-		}
+		schedule(t, s, Second, func(*Simulator) { order = append(order, i) })
 	}
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -58,13 +66,11 @@ func TestEqualTimestampsRunFIFO(t *testing.T) {
 
 func TestSchedulePastRejected(t *testing.T) {
 	s := New()
-	if _, err := s.Schedule(2*Second, func(*Simulator) {}); err != nil {
-		t.Fatal(err)
-	}
+	schedule(t, s, 2*Second, func(*Simulator) {})
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Schedule(Second, func(*Simulator) {}); !errors.Is(err, ErrPastEvent) {
+	if err := s.ScheduleEvent(Event{At: Second, H: fn(func(*Simulator) {})}); !errors.Is(err, ErrPastEvent) {
 		t.Errorf("scheduling in the past: err = %v, want ErrPastEvent", err)
 	}
 }
@@ -72,18 +78,16 @@ func TestSchedulePastRejected(t *testing.T) {
 func TestEventsScheduleFollowUps(t *testing.T) {
 	s := New()
 	count := 0
-	var tick func(s *Simulator)
+	var tick fn
 	tick = func(s *Simulator) {
 		count++
 		if count < 5 {
-			if _, err := s.After(Minute, tick); err != nil {
-				t.Errorf("After: %v", err)
+			if err := s.ScheduleEvent(Event{At: s.Now() + Minute, H: tick}); err != nil {
+				t.Errorf("ScheduleEvent: %v", err)
 			}
 		}
 	}
-	if _, err := s.Schedule(0, tick); err != nil {
-		t.Fatal(err)
-	}
+	schedule(t, s, 0, tick)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -96,75 +100,16 @@ func TestEventsScheduleFollowUps(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	s := New()
-	fired := false
-	e, err := s.Schedule(Second, func(*Simulator) { fired = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Cancel(e) {
-		t.Fatal("Cancel returned false for a pending event")
-	}
-	if s.Cancel(e) {
-		t.Error("double Cancel returned true")
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Error("cancelled event still fired")
-	}
-}
-
-func TestCancelMiddleOfHeap(t *testing.T) {
-	s := New()
-	var ran []int
-	events := make([]EventRef, 0, 20)
-	for i := 0; i < 20; i++ {
-		i := i
-		e, err := s.Schedule(Time(i)*Second, func(*Simulator) { ran = append(ran, i) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		events = append(events, e)
-	}
-	// Cancel every third event.
-	want := make([]int, 0, 20)
-	for i := 0; i < 20; i++ {
-		if i%3 == 0 {
-			if !s.Cancel(events[i]) {
-				t.Fatalf("Cancel(%d) failed", i)
-			}
-		} else {
-			want = append(want, i)
-		}
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ran) != len(want) {
-		t.Fatalf("ran %v, want %v", ran, want)
-	}
-	for i := range want {
-		if ran[i] != want[i] {
-			t.Fatalf("ran %v, want %v", ran, want)
-		}
-	}
-}
-
 func TestStop(t *testing.T) {
 	s := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		if _, err := s.Schedule(Time(i)*Second, func(s *Simulator) {
+		schedule(t, s, Time(i)*Second, func(s *Simulator) {
 			count++
 			if count == 3 {
 				s.Stop()
 			}
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
 	end, err := s.Run()
 	if err != nil {
@@ -185,9 +130,7 @@ func TestRunUntil(t *testing.T) {
 	s := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		if _, err := s.Schedule(Time(i)*Minute, func(*Simulator) { count++ }); err != nil {
-			t.Fatal(err)
-		}
+		schedule(t, s, Time(i)*Minute, func(*Simulator) { count++ })
 	}
 	end, err := s.RunUntil(5 * Minute)
 	if err != nil {
@@ -216,8 +159,9 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-// TestQueueProperty drains random schedules and checks the pop order is the
-// sorted order of the scheduled times.
+// TestQueueProperty drains random schedules and checks the heap invariant
+// after every push and that the pop order is the sorted order of the
+// scheduled times.
 func TestQueueProperty(t *testing.T) {
 	property := func(raw []uint32) bool {
 		if len(raw) > 256 {
@@ -228,7 +172,10 @@ func TestQueueProperty(t *testing.T) {
 		for _, v := range raw {
 			at := Time(v % 100000)
 			want = append(want, at)
-			if _, err := s.Schedule(at, func(*Simulator) {}); err != nil {
+			if err := s.ScheduleEvent(Event{At: at, Pri: int64(v % 3)}); err != nil {
+				return false
+			}
+			if !heapInvariantHolds(&s.queue) {
 				return false
 			}
 		}
@@ -256,53 +203,8 @@ func TestQueueProperty(t *testing.T) {
 	}
 }
 
-// TestQueueRandomCancelProperty interleaves random schedules and cancels and
-// checks heap integrity is preserved throughout.
-func TestQueueRandomCancelProperty(t *testing.T) {
-	property := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		s := New()
-		live := make([]EventRef, 0, 64)
-		for op := 0; op < 500; op++ {
-			if len(live) == 0 || r.Intn(3) != 0 {
-				e, err := s.Schedule(Time(r.Intn(1_000_000)), func(*Simulator) {})
-				if err != nil {
-					return false
-				}
-				live = append(live, e)
-			} else {
-				i := r.Intn(len(live))
-				s.Cancel(live[i])
-				live = append(live[:i], live[i+1:]...)
-			}
-			if !heapInvariantHolds(&s.queue) {
-				return false
-			}
-		}
-		// Everything left must still drain in order.
-		var prev Time = -1
-		for {
-			e, ok := s.queue.pop()
-			if !ok {
-				break
-			}
-			if e.At < prev {
-				return false
-			}
-			prev = e.At
-		}
-		return true
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 func heapInvariantHolds(q *eventQueue) bool {
 	for i := range q.items {
-		if s := q.items[i].slot; s >= 0 && q.slots[s].pos != int32(i) {
-			return false
-		}
 		left, right := 2*i+1, 2*i+2
 		if left < len(q.items) && q.less(left, i) {
 			return false

@@ -126,7 +126,7 @@ func TestSetNow(t *testing.T) {
 	if err := s.SetNow(41 * Second); !errors.Is(err, ErrPastEvent) {
 		t.Fatalf("SetNow rewind: err = %v, want ErrPastEvent", err)
 	}
-	if _, err := s.Schedule(50*Second, func(*Simulator) {}); err != nil {
+	if err := s.ScheduleEvent(Event{At: 50 * Second, H: fn(func(*Simulator) {})}); err != nil {
 		t.Fatalf("schedule after SetNow: %v", err)
 	}
 	if err := s.SetNow(60 * Second); err == nil {
@@ -134,26 +134,48 @@ func TestSetNow(t *testing.T) {
 	}
 }
 
+// TestPendingEvents checks the snapshot walk: every queued event is visited
+// once, in firing order — (At, Pri), then scheduling order — with its fields
+// intact, and the walk leaves the queue as it was.
 func TestPendingEvents(t *testing.T) {
 	s := New()
-	if err := s.ScheduleEvent(Event{At: 3 * Second, Pri: 4, Op: 9, A: 1, B: 2, P: 5}); err != nil {
+	h := &recordingHandler{}
+	// Scheduled out of firing order; P is each event's firing position.
+	for _, ev := range []Event{
+		{At: 7 * Second, P: 4},
+		{At: 3 * Second, Pri: 4, Op: 9, A: 1, B: 2, P: 1},
+		{At: 5 * Second, Pri: 2, P: 2},
+		{At: 3 * Second, Pri: 1, P: 0},
+		{At: 5 * Second, Pri: 2, P: 3}, // same (At, Pri) as P 2: scheduled later
+	} {
+		ev.H = h
+		if err := s.ScheduleEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var seen []Event
+	s.PendingEvents(func(ev Event) { seen = append(seen, ev) })
+	if len(seen) != 5 || s.Pending() != 5 {
+		t.Fatalf("snapshot saw %d events, queue holds %d; want 5 and 5", len(seen), s.Pending())
+	}
+	for i, ev := range seen {
+		if ev.P != uint64(i) {
+			t.Fatalf("visit %d is event P=%d, want firing order: %+v", i, ev.P, seen)
+		}
+	}
+	if ev := seen[1]; ev.At != 3*Second || ev.Pri != 4 || ev.H != Handler(h) ||
+		ev.Op != 9 || ev.A != 1 || ev.B != 2 {
+		t.Fatalf("event fields lost in snapshot: %+v", ev)
+	}
+	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Schedule(7*Second, func(*Simulator) {}); err != nil {
-		t.Fatal(err)
+	if len(h.fired) != 5 {
+		t.Fatalf("fired %d events after the walk, want 5", len(h.fired))
 	}
-	var typed, closures int
-	s.PendingEvents(func(ev Event) {
-		if ev.Pri == PriNormal {
-			closures++
-			return
+	for i, ev := range h.fired {
+		if ev.P != uint64(i) {
+			t.Fatalf("fired %d is event P=%d, want the visit order", i, ev.P)
 		}
-		typed++
-		if ev.At != 3*Second || ev.Op != 9 || ev.A != 1 || ev.B != 2 || ev.P != 5 {
-			t.Fatalf("typed event fields lost in snapshot: %+v", ev)
-		}
-	})
-	if typed != 1 || closures != 1 {
-		t.Fatalf("snapshot saw %d typed + %d closures, want 1 + 1", typed, closures)
 	}
 }

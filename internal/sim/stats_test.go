@@ -14,18 +14,10 @@ func TestSimulatorStats(t *testing.T) {
 
 	fired := 0
 	for i := 1; i <= 3; i++ {
-		if _, err := s.Schedule(Time(i)*Second, func(*Simulator) { fired++ }); err != nil {
-			t.Fatal(err)
-		}
+		schedule(t, s, Time(i)*Second, func(*Simulator) { fired++ })
 	}
-	ev, err := s.Schedule(10*Second, func(*Simulator) { t.Fatal("cancelled event ran") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Cancel(ev) {
-		t.Fatal("cancel failed")
-	}
-	if _, err := s.Run(); err != nil {
+	schedule(t, s, 10*Second, func(*Simulator) { t.Fatal("event past the horizon ran") })
+	if _, err := s.RunUntil(5 * Second); err != nil {
 		t.Fatal(err)
 	}
 	if fired != 3 {
@@ -36,9 +28,6 @@ func TestSimulatorStats(t *testing.T) {
 	}
 	if got := st.EventsFired.Load(); got != 3 {
 		t.Fatalf("fired counter = %d, want 3", got)
-	}
-	if got := st.EventsCancelled.Load(); got != 1 {
-		t.Fatalf("cancelled = %d, want 1", got)
 	}
 	if got := st.QueueHighWater.Load(); got != 4 {
 		t.Fatalf("queue high water = %d, want 4", got)
@@ -58,9 +47,7 @@ func TestSimulatorStatsDeterminism(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			i := i
 			at := Time((i * 7 % 5)) * Second
-			if _, err := s.Schedule(at, func(*Simulator) { order = append(order, i) }); err != nil {
-				t.Fatal(err)
-			}
+			schedule(t, s, at, func(*Simulator) { order = append(order, i) })
 		}
 		end, err := s.Run()
 		if err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 )
 
 // recordingHandler appends (Op, A, B, P) tuples as its events fire.
@@ -50,17 +51,17 @@ func TestTypedEventPastRejected(t *testing.T) {
 }
 
 // TestPriorityBandsOrderSameInstant checks that at a shared instant, events
-// fire in ascending Pri regardless of scheduling order, and that closure
-// events (PriNormal) come after low-band typed events.
+// fire in ascending Pri regardless of scheduling order, and that an event in
+// a high band comes after low-band events.
 func TestPriorityBandsOrderSameInstant(t *testing.T) {
 	s := New()
 	h := &recordingHandler{}
-	var closureRanAfter bool
-	// Schedule the closure first: despite the lower seq, its PriNormal band
+	var highRanAfter bool
+	// Schedule the high-band event first: despite the lower seq, its band
 	// must place it after the typed events below.
-	if _, err := s.Schedule(Second, func(*Simulator) {
-		closureRanAfter = len(h.fired) == 3
-	}); err != nil {
+	if err := s.ScheduleEvent(Event{At: Second, Pri: 1 << 62, H: fn(func(*Simulator) {
+		highRanAfter = len(h.fired) == 3
+	})}); err != nil {
 		t.Fatal(err)
 	}
 	for _, pri := range []int64{40, 10, 20} {
@@ -77,8 +78,8 @@ func TestPriorityBandsOrderSameInstant(t *testing.T) {
 			t.Fatalf("band order %v, want %v", h.fired, want)
 		}
 	}
-	if !closureRanAfter {
-		t.Error("PriNormal closure ran before low-band typed events")
+	if !highRanAfter {
+		t.Error("high-band event ran before low-band typed events")
 	}
 }
 
@@ -98,40 +99,6 @@ func TestSamePriTieBreaksFIFO(t *testing.T) {
 		if ev.P != uint64(i) {
 			t.Fatalf("tie order broken at %d: %+v", i, h.fired)
 		}
-	}
-}
-
-// TestCancelRefInertAfterReuse checks a stale ref cannot cancel the event
-// that recycled its slot.
-func TestCancelRefInertAfterReuse(t *testing.T) {
-	s := New()
-	ref1, err := s.Schedule(Second, func(*Simulator) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Cancel(ref1) {
-		t.Fatal("first cancel failed")
-	}
-	fired := false
-	// This reuses ref1's slot under a newer generation.
-	if _, err := s.Schedule(Second, func(*Simulator) { fired = true }); err != nil {
-		t.Fatal(err)
-	}
-	if s.Cancel(ref1) {
-		t.Error("stale ref cancelled a recycled slot")
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Error("recycled-slot event did not fire")
-	}
-}
-
-func TestZeroEventRefIsInert(t *testing.T) {
-	s := New()
-	if s.Cancel(EventRef{}) {
-		t.Error("zero EventRef cancelled something")
 	}
 }
 
@@ -172,41 +139,14 @@ func TestTypedSchedulePopAllocFree(t *testing.T) {
 	}
 }
 
-// TestClosureScheduleSteadyStateAllocs pins the compat path: beyond the
-// closure value itself (allocated by the caller's capture, not the queue),
-// Schedule/Cancel must not allocate once the slot table is warm.
-func TestClosureScheduleSteadyStateAllocs(t *testing.T) {
-	s := New()
-	fn := func(*Simulator) {} // captures nothing: no per-call closure alloc
-	// Warm heap and slot table.
-	for i := 0; i < 64; i++ {
-		if _, err := s.Schedule(Time(i), fn); err != nil {
-			t.Fatal(err)
-		}
+// TestEventSize pins the queue's element size on 64-bit platforms: every
+// push, pop and sift moves whole Event values, so a new field is a cost on
+// the hottest path in the simulator.
+func TestEventSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit platforms")
 	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		base := s.Now()
-		refs := [64]EventRef{}
-		for i := 0; i < 64; i++ {
-			ref, err := s.Schedule(base+Time(i), fn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refs[i] = ref
-		}
-		for i := 0; i < 64; i += 2 {
-			if !s.Cancel(refs[i]) {
-				t.Fatal("cancel failed")
-			}
-		}
-		if _, err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("closure schedule steady state allocated %.1f allocs/op, want 0", allocs)
+	if got := unsafe.Sizeof(Event{}); got != 64 {
+		t.Errorf("sizeof(Event) = %d bytes, want 64", got)
 	}
 }
