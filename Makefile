@@ -13,7 +13,7 @@ BENCH_NS_TOLERANCE ?= 25
 # the wall gate: at -benchtime=1x they are a single timer sample.
 BENCH_NS_FLOOR ?= 1000000
 
-.PHONY: all build test vet fmt race bench bench-smoke bench-diff fuzz cover trace-roundtrip kill-resume check ci
+.PHONY: all build test vet fmt race bench bench-smoke bench-diff bench-tests fuzz cover trace-roundtrip kill-resume check ci
 
 all: check
 
@@ -61,6 +61,12 @@ bench-smoke:
 	$(GO) run ./cmd/benchjson -phases bench_telemetry.json
 	@rm -f bench_telemetry.json
 
+# The benchmark module's own tests. g2gbench/ is a module of its own that
+# imports this one's internal packages, so `go test ./...` at the root does
+# not reach it, and a change to those packages can break it unseen.
+bench-tests:
+	cd g2gbench && $(GO) test ./...
+
 # Compare two BENCH_*.json reports; exits non-zero when allocs/op on any
 # shared benchmark regresses by more than BENCH_MAX_REGRESS percent, or ns/op
 # by more than BENCH_NS_TOLERANCE percent (benchmarks with a baseline under
@@ -81,6 +87,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseCheckpoint -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzRestoreCheckpoint -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzProofMemo -fuzztime=$(FUZZTIME) ./internal/protocol
+	$(GO) test -run='^$$' -fuzz=FuzzDeclineRecord -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzFastVerifyMemo -fuzztime=$(FUZZTIME) ./internal/g2gcrypto
 	$(GO) test -run='^$$' -fuzz=FuzzSignMemo -fuzztime=$(FUZZTIME) ./internal/g2gcrypto
 
@@ -150,12 +157,12 @@ kill-resume:
 check: build vet test race
 
 # ci is the documented verification entry point: build, vet, the gofmt
-# gate, the coverage floor, the race pass, the benchmark smoke pass, the
-# trace-format round-trip gate, the kill/resume crash-safety gate, a
-# quick-mode experiment smoke run through the parallel scheduler, and a fully
-# audited honest run on each preset (the auditor fails the command on any
-# invariant violation).
-ci: build vet fmt cover race bench-smoke trace-roundtrip kill-resume
+# gate, the coverage floor, the race pass, the benchmark module's tests, the
+# benchmark smoke pass, the trace-format round-trip gate, the kill/resume
+# crash-safety gate, a quick-mode experiment smoke run through the parallel
+# scheduler, and a fully audited honest run on each preset (the auditor fails
+# the command on any invariant violation).
+ci: build vet fmt cover race bench-tests bench-smoke trace-roundtrip kill-resume
 	$(GO) run ./cmd/g2gexp -experiment secV -quick -jobs 0 >/dev/null
 	$(GO) run ./cmd/g2gsim -preset infocom05 -protocol g2g-epidemic -ttl 10m -interval 60s -audit >/dev/null
 	$(GO) run ./cmd/g2gsim -preset cambridge06 -protocol g2g-delegation-frequency -ttl 10m -interval 60s -audit >/dev/null

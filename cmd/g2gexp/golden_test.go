@@ -43,6 +43,9 @@ func TestGolden(t *testing.T) {
 		// audited-experiment regression (violations would fail the run).
 		{name: "secV-tiny-audit", args: []string{"-experiment", "secV", "-tiny", "-audit"}},
 		{name: "memory-tiny-csv", args: []string{"-experiment", "memory", "-tiny", "-format", "csv"}},
+		// payoff prices each node's usage counters in §IV-C's energy model,
+		// so it pins the verification charges that no audit reconciles.
+		{name: "payoff-tiny-audit", args: []string{"-experiment", "payoff", "-tiny", "-audit"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -57,7 +57,7 @@ var (
 
 const (
 	checkpointMagic   = "G2GC"
-	checkpointVersion = 2
+	checkpointVersion = 3
 	// checkpointHeaderLen is magic + version + SHA-256 checksum.
 	checkpointHeaderLen = 4 + 4 + sha256.Size
 )
@@ -91,11 +91,15 @@ type checkpoint struct {
 	Fingerprint [32]byte
 	Now         sim.Time
 
-	// Contact scheduler: how many contacts the cursor has yielded and, while
-	// the stream is open, the contact whose start event is queued.
+	// Contact scheduler: how many contacts the cursor has yielded, the
+	// running SHA-256 over them (see engine.noteContact), and whether the
+	// cursor is closed, at the end of the stream or at the run's end. While
+	// it is open, the last contact yielded is the one whose start event is
+	// queued.
 	CursorClosed bool
+	StreamEnded  bool
 	CursorIdx    int
-	Pending      trace.Contact
+	Contacts     [sha256.Size]byte
 
 	// Events is the future event set in firing order, control events left
 	// out: one contact end per active contact, the contact start while the
@@ -210,14 +214,13 @@ func (e *engine) captureCheckpoint(s *sim.Simulator) (*checkpoint, error) {
 		Fingerprint:  configFingerprint(e.cfg),
 		Now:          s.Now(),
 		CursorClosed: e.cursor == nil,
+		StreamEnded:  e.streamEnded,
 		CursorIdx:    e.cursorIdx,
 		EnvRNG:       e.env.RNG.State(),
 		Collector:    e.collector.State(),
 		Counters:     e.metrics.CounterState(),
 	}
-	if e.cursor != nil {
-		ck.Pending = e.pending
-	}
+	e.contacts.Sum(ck.Contacts[:0])
 	s.PendingEvents(func(ev sim.Event) {
 		if ev.Op != opControl {
 			ck.Events = append(ck.Events, queuedEvent{At: ev.At, Pri: ev.Pri, Op: ev.Op, A: ev.A, B: ev.B, P: ev.P})
@@ -332,9 +335,9 @@ func (e *engine) checkEvents(ck *checkpoint) error {
 			return fmt.Errorf("%w: unknown event op %d", ErrCheckpointCorrupt, ev.Op)
 		}
 	}
-	if starts > 1 || gens > 1 || (starts == 1) == ck.CursorClosed {
-		return fmt.Errorf("%w: %d contact starts and %d generations queued (cursor closed: %t)",
-			ErrCheckpointCorrupt, starts, gens, ck.CursorClosed)
+	if starts > 1 || gens > 1 || (starts == 1) == ck.CursorClosed || (ck.StreamEnded && !ck.CursorClosed) {
+		return fmt.Errorf("%w: %d contact starts and %d generations queued (cursor closed: %t, at the end of the stream: %t)",
+			ErrCheckpointCorrupt, starts, gens, ck.CursorClosed, ck.StreamEnded)
 	}
 	return nil
 }
@@ -377,32 +380,8 @@ func (e *engine) restoreCheckpoint(s *sim.Simulator, ck *checkpoint) error {
 		}
 	}
 
-	// Contacts: replay the cursor to the checkpointed position and verify
-	// the trace still agrees with the snapshot.
-	e.cursorIdx = ck.CursorIdx
-	if !ck.CursorClosed {
-		cur, err := e.cfg.Trace.Cursor()
-		if err != nil {
-			return err
-		}
-		e.cursor = cur
-		var last trace.Contact
-		for i := 0; i < ck.CursorIdx; i++ {
-			c, ok := cur.Next()
-			if !ok {
-				if err := cur.Err(); err != nil {
-					return err
-				}
-				return fmt.Errorf("%w: trace has %d contacts, checkpoint consumed %d",
-					ErrCheckpointMismatch, i, ck.CursorIdx)
-			}
-			last = c
-		}
-		if last != ck.Pending {
-			return fmt.Errorf("%w: contact %d differs from the checkpointed one",
-				ErrCheckpointMismatch, ck.CursorIdx-1)
-		}
-		e.pending = ck.Pending
+	if err := e.replayContacts(ck); err != nil {
+		return err
 	}
 
 	// Events: re-scheduled in firing order, they keep their relative order.
@@ -422,6 +401,51 @@ func (e *engine) restoreCheckpoint(s *sim.Simulator, ck *checkpoint) error {
 	}
 	for i := range e.gens[:nextGen] {
 		e.gens[i].body = nil
+	}
+	return nil
+}
+
+// replayContacts reads, from a fresh cursor, the contacts the checkpointed
+// run had read, re-deriving the running contact digest, and leaves the
+// cursor where that run's was. The trace must yield exactly those contacts
+// and, where that run's cursor met the end of the stream, end there too:
+// otherwise the checkpoint belongs to another trace, whether the cursor is
+// open or closed.
+func (e *engine) replayContacts(ck *checkpoint) error {
+	cur, err := e.cfg.Trace.Cursor()
+	if err != nil {
+		return err
+	}
+	e.cursor, e.cursorIdx, e.streamEnded = cur, ck.CursorIdx, ck.StreamEnded
+	for i := 0; i < ck.CursorIdx; i++ {
+		c, ok := cur.Next()
+		if !ok {
+			if err := cur.Err(); err != nil {
+				return err
+			}
+			return fmt.Errorf("%w: trace has %d contacts, checkpoint consumed %d",
+				ErrCheckpointMismatch, i, ck.CursorIdx)
+		}
+		e.noteContact(c)
+		e.pending = c
+	}
+	var sum [sha256.Size]byte
+	e.contacts.Sum(sum[:0])
+	if sum != ck.Contacts {
+		return fmt.Errorf("%w: the trace's first %d contacts differ from the checkpointed ones",
+			ErrCheckpointMismatch, ck.CursorIdx)
+	}
+	if ck.StreamEnded {
+		if _, ok := cur.Next(); ok {
+			return fmt.Errorf("%w: the trace continues past contact %d, where the checkpointed one ended",
+				ErrCheckpointMismatch, ck.CursorIdx)
+		}
+		if err := cur.Err(); err != nil {
+			return err
+		}
+	}
+	if ck.CursorClosed {
+		e.closeCursor()
 	}
 	return nil
 }

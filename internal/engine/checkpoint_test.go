@@ -315,6 +315,73 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsAnotherTrace pins that a checkpoint resumes only under
+// the trace it was captured on, whatever state its contact cursor was in:
+// closed at the run's end, open, or closed at the end of the stream. Each
+// checkpoint resumes under its own trace.
+func TestResumeRejectsAnotherTrace(t *testing.T) {
+	full := testTrace(t, 1)
+	contacts := full.Contacts()
+	// The same contacts with the first one a second longer.
+	early := append([]trace.Contact(nil), contacts...)
+	early[0].End += sim.Second
+	// The contacts that start before 15h: the stream ends before the run.
+	n := 0
+	for n < len(contacts) && contacts[n].Start < 15*sim.Hour {
+		n++
+	}
+	withContacts := func(t *testing.T, c []trace.Contact) *trace.Trace {
+		tr, err := trace.New(full.Name(), full.Nodes(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	cases := []struct {
+		name              string
+		captured, resumed []trace.Contact
+		stopAt            sim.Time
+		// closed and atEnd are the cursor's state at the kill: closed, and
+		// closed because the stream ended.
+		closed, atEnd bool
+	}{
+		{"closed-cursor-other-trace", contacts, testTrace(t, 2).Contacts(), 16*sim.Hour + 59*sim.Minute, true, false},
+		{"open-cursor-early-contact-changed", contacts, early, 14 * sim.Hour, false, false},
+		{"end-of-stream-trace-extended", contacts[:n], contacts, 16 * sim.Hour, true, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := auditConfig(t, protocol.G2GEpidemic)
+			cfg.Trace = withContacts(t, tc.captured)
+			kill := cfg
+			kill.Checkpoint = CheckpointConfig{Path: filepath.Join(t.TempDir(), "run.ckpt")}
+			kill.stopAt = tc.stopAt
+			mustInterrupt(t, kill)
+			data, err := os.ReadFile(kill.Checkpoint.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck, err := parseCheckpoint(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.CursorClosed != tc.closed || (ck.CursorIdx == len(tc.captured)) != tc.atEnd {
+				t.Fatalf("cursor closed: %t after %d of %d contacts; the case needs closed %t, at the end %t",
+					ck.CursorClosed, ck.CursorIdx, len(tc.captured), tc.closed, tc.atEnd)
+			}
+
+			other := cfg
+			other.Trace = withContacts(t, tc.resumed)
+			if res, err := Resume(kill.Checkpoint.Path, other); !errors.Is(err, ErrCheckpointMismatch) {
+				t.Fatalf("resumed under another trace: got (%v, %v), want ErrCheckpointMismatch", res, err)
+			}
+			if _, err := Resume(kill.Checkpoint.Path, cfg); err != nil {
+				t.Fatalf("resume under the captured trace: %v", err)
+			}
+		})
+	}
+}
+
 // TestCheckpointValidation pins the configuration gates.
 func TestCheckpointValidation(t *testing.T) {
 	cfg := baseConfig(t, protocol.Epidemic)

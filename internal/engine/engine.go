@@ -17,8 +17,11 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"slices"
 	"sync/atomic"
@@ -246,6 +249,13 @@ type engine struct {
 	// pending is the contact whose start event is currently enqueued; the
 	// chained scheduler guarantees there is at most one.
 	pending trace.Contact
+	// contacts is a running SHA-256 over every contact the cursor has
+	// yielded (see noteContact), and streamEnded records that the cursor
+	// closed at the end of the stream rather than at the run's end. A
+	// checkpoint stores both, and resume checks the trace against them.
+	contacts    hash.Hash
+	contactBuf  [contactLen]byte
+	streamEnded bool
 	// cursorErr records a cursor read failure; the scheduler stops pulling
 	// and run() surfaces it once the kernel drains.
 	cursorErr error
@@ -376,6 +386,7 @@ func newEngine(cfg Config) (*engine, error) {
 		spans:       spans,
 		active:      make(map[trace.PairKey]int),
 		neighbors:   make([][]trace.NodeID, population),
+		contacts:    sha256.New(),
 		workloadRNG: sim.StreamFromSeed(cfg.Seed, "workload"),
 	}
 	env.Broadcast = e.broadcast
@@ -724,9 +735,11 @@ func (e *engine) scheduleNextContactStart(s *sim.Simulator) error {
 		c, ok := e.cursor.Next()
 		if !ok {
 			err := e.cursor.Err()
+			e.streamEnded = err == nil
 			e.closeCursor()
 			return err
 		}
+		e.noteContact(c)
 		i := e.cursorIdx
 		e.cursorIdx++
 		if c.Start >= e.endAt {
@@ -746,6 +759,18 @@ func (e *engine) scheduleNextContactStart(s *sim.Simulator) error {
 			P:   uint64(i),
 		})
 	}
+}
+
+// contactLen is the fixed-width encoding of one contact in the running
+// contact digest: both node ids, then start and end.
+const contactLen = 4 + 4 + 8 + 8
+
+// noteContact folds one contact the cursor yielded into the running digest.
+func (e *engine) noteContact(c trace.Contact) {
+	b := binary.BigEndian.AppendUint32(e.contactBuf[:0], uint32(c.A))
+	b = binary.BigEndian.AppendUint32(b, uint32(c.B))
+	b = binary.BigEndian.AppendUint64(b, uint64(c.Start))
+	e.contacts.Write(binary.BigEndian.AppendUint64(b, uint64(c.End)))
 }
 
 // closeCursor releases the contact cursor once, folding a close failure

@@ -34,13 +34,13 @@ func TestHandleRelayRequestRejectsForgery(t *testing.T) {
 	// signature is node 1's).
 	forged := wire.Sign(b.self, sim.Second, wire.RelayRequest{Hash: h})
 	forged.Signer = a.ID()
-	if resp := b.handleRelayRequest(sim.Second, forged); resp != nil {
+	if _, ok := b.handleRelayRequest(sim.Second, forged); ok {
 		t.Error("forged RELAY_RQST answered")
 	}
 
 	// Wrong body type entirely.
 	wrongKind := wire.Sign(a.self, sim.Second, wire.RelayOK{Hash: h})
-	if resp := b.handleRelayRequest(sim.Second, wrongKind); resp != nil {
+	if _, ok := b.handleRelayRequest(sim.Second, wrongKind); ok {
 		t.Error("RELAY_OK answered as RELAY_RQST")
 	}
 }
@@ -61,8 +61,7 @@ func TestHandleRelayTransferWithoutRequestStillSafe(t *testing.T) {
 	transfer := wire.Sign(a.self, sim.Second, wire.RelayTransfer{
 		Hash: h, GenAt: c.genAt, Encrypted: encrypted,
 	})
-	por := b.handleRelayTransfer(sim.Second, transfer)
-	if por == nil {
+	if _, ok := b.handleRelayTransfer(sim.Second, transfer); !ok {
 		t.Fatal("transfer refused outright (PoR expected before key reveal)")
 	}
 	reveal := wire.Sign(a.self, sim.Second, wire.KeyReveal{Hash: h, Key: key})
@@ -72,7 +71,7 @@ func TestHandleRelayTransferWithoutRequestStillSafe(t *testing.T) {
 	}
 	// Custody is the seen set: the true message must still be welcome.
 	req := wire.Sign(a.self, 2*sim.Second, wire.RelayRequest{Hash: h})
-	if resp := b.handleRelayRequest(2*sim.Second, req); resp == nil || resp.Body.Kind() != wire.KindRelayOK {
+	if resp, ok := b.handleRelayRequest(2*sim.Second, req); !ok || resp.Body.Kind() != wire.KindRelayOK {
 		t.Errorf("RELAY_RQST after the mismatched payload answered %v, want RELAY_OK", resp)
 	}
 }
@@ -90,7 +89,7 @@ func TestHandleKeyRevealWrongKeyLeavesNoState(t *testing.T) {
 	transfer := wire.Sign(a.self, sim.Second, wire.RelayTransfer{
 		Hash: h, GenAt: c.genAt, Encrypted: encrypted,
 	})
-	if por := b.handleRelayTransfer(sim.Second, transfer); por == nil {
+	if _, ok := b.handleRelayTransfer(sim.Second, transfer); !ok {
 		t.Fatal("transfer refused")
 	}
 	wrong := newSessionKey(a.env.RNG)
@@ -114,7 +113,7 @@ func TestHandleKeyRevealFromWrongPartyIgnored(t *testing.T) {
 	transfer := wire.Sign(a.self, sim.Second, wire.RelayTransfer{
 		Hash: h, GenAt: c.genAt, Encrypted: encrypted,
 	})
-	if por := b.handleRelayTransfer(sim.Second, transfer); por == nil {
+	if _, ok := b.handleRelayTransfer(sim.Second, transfer); !ok {
 		t.Fatal("transfer refused")
 	}
 	// Node 2 (not the handoff initiator) tries to complete the reveal.
@@ -134,7 +133,7 @@ func TestPORChallengeUnknownHash(t *testing.T) {
 	challenge := wire.Sign(a.self, sim.Second, wire.PORChallenge{
 		Hash: g2gcrypto.Hash([]byte("never seen")),
 	})
-	if resp := b.handlePORChallenge(sim.Second, challenge); resp != nil {
+	if _, ok := b.handlePORChallenge(sim.Second, challenge); ok {
 		t.Error("challenge for unknown message answered")
 	}
 }
@@ -161,7 +160,7 @@ func TestEvaluateTestResponseRejectsDuplicatePORs(t *testing.T) {
 		First:  n1.custody[h].pors[0],
 		Second: n1.custody[h].pors[0],
 	})
-	if n0.evaluateTestResponse(c, n1.ID(), seed, &duplicated) {
+	if n0.evaluateTestResponse(c, n1.ID(), seed, duplicated) {
 		t.Error("duplicate PoRs passed the test")
 	}
 }
@@ -236,7 +235,7 @@ func TestDelegationTransferWithoutFQClaimRefused(t *testing.T) {
 	transfer := wire.Sign(a.self, frame1, wire.RelayTransfer{
 		Hash: h, GenAt: c.genAt, Encrypted: encrypted,
 	})
-	if por := b.handleRelayTransfer(frame1, transfer); por != nil {
+	if _, ok := b.handleRelayTransfer(frame1, transfer); ok {
 		t.Error("delegation transfer accepted without an FQ claim")
 	}
 
@@ -253,17 +252,17 @@ func TestDelegationTransferWithoutFQClaimRefused(t *testing.T) {
 	}
 	later := frame1 + 5*sim.Minute
 	stale := wire.Sign(a.self, later, wire.RelayTransfer{Hash: h, GenAt: c.genAt, Encrypted: encrypted})
-	if por := n2.handleRelayTransfer(later, stale); por != nil {
+	if _, ok := n2.handleRelayTransfer(later, stale); ok {
 		t.Error("delegation transfer accepted on the claim of an earlier exchange")
 	}
 
 	// Nor does a claim answer a RELAY from anyone but its requester.
 	fqReq := wire.Sign(a.self, later, wire.FQRequest{Hash: h, DPrime: 3})
-	if n2.handleFQRequest(later, fqReq) == nil {
+	if _, ok := n2.handleFQRequest(later, fqReq); !ok {
 		t.Fatal("FQ request refused")
 	}
 	other := wire.Sign(b.self, later, wire.RelayTransfer{Hash: h, GenAt: c.genAt, Encrypted: encrypted})
-	if por := n2.handleRelayTransfer(later, other); por != nil {
+	if _, ok := n2.handleRelayTransfer(later, other); ok {
 		t.Error("delegation transfer accepted on a claim issued to another requester")
 	}
 }

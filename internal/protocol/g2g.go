@@ -108,16 +108,10 @@ type g2gCustody struct {
 	// relayedTo lists the peers this copy was handed to; a relay's holds at
 	// most MaxRelays+1, and only membership matters.
 	relayedTo []trace.NodeID
-	// rqst memoizes this node's last offer of the message: RELAY_RQST, or
-	// FQ_RQST about the real destination (a decoy differs every time and
-	// never uses it). Neither names the peer, so every offer of the copy at
-	// one instant signs the same bytes. rqst is made by the first offer and
+	// offer is the copy's offer record. It is made by the first offer and
 	// released when the copy leaves the relayable list, since it is never
 	// offered again.
-	rqst *g2gcrypto.SignMemo
-	// decline memoizes this node's last RELAY_DECLINE for the message (G2G
-	// Epidemic), which every decline of the copy at one instant repeats.
-	decline g2gcrypto.SignMemo
+	offer *offerRecord
 	// pors are the proofs of relay collected from onward handoffs; they are
 	// this node's defence in the test phase.
 	pors []wire.Signed
@@ -125,9 +119,47 @@ type g2gCustody struct {
 	del *copyDelegation
 }
 
+// offerRecord is what a copy remembers of its own offers. Its request —
+// RELAY_RQST, or FQ_RQST about the real destination (a decoy differs every
+// time and never uses the record) — names no peer, so every offer of the
+// copy at one instant signs the same bytes: the body is boxed once, and
+// rqst memoizes the last signature.
+//
+// Under G2G Epidemic it also keeps the peers that declined the copy at the
+// instant at. A peer declines because it holds the message, and custody
+// keeps it until genAt+Δ2, after the last offer at genAt+Δ1, so a repeat of
+// the offer at that instant is declined again with byte-identical envelopes
+// (both providers sign deterministically); a decline calls no observer and
+// draws no RNG. requestRelay answers such a repeat, which reaches it only
+// past the blacklist checks, from the record, charging what the recorded
+// exchange cost. The record is derived and never checkpointed.
+type offerRecord struct {
+	rqst     g2gcrypto.SignMemo
+	body     wire.Body
+	at       sim.Time
+	declined []trace.NodeID
+	// rqstSize and declineSize are the wire sizes of the recorded
+	// RELAY_RQST and RELAY_DECLINE envelopes.
+	rqstSize, declineSize int32
+}
+
+// declinedBy reports whether peer declined the copy's offer at now.
+func (o *offerRecord) declinedBy(now sim.Time, peer trace.NodeID) bool {
+	return o.at == now && slices.Contains(o.declined, peer)
+}
+
+// noteDecline records that peer declined the copy's offer at now, in an
+// exchange of envelopes req and ack. A new instant starts a new peer list.
+func (o *offerRecord) noteDecline(now sim.Time, peer trace.NodeID, req, ack wire.Signed) {
+	if o.at != now {
+		o.at, o.declined = now, o.declined[:0]
+	}
+	o.declined = append(o.declined, peer)
+	o.rqstSize, o.declineSize = int32(wire.SizeOf(req)), int32(wire.SizeOf(ack))
+}
+
 // copyDelegation is the state only a G2G Delegation copy keeps. It sits
-// behind a pointer so that a G2G Epidemic copy, with its RELAY_DECLINE memo
-// inline, stays at 208 bytes.
+// behind a pointer so that a G2G Epidemic copy stays at 144 bytes.
 type copyDelegation struct {
 	// fm is the message's quality label.
 	fm message.Quality
@@ -272,8 +304,8 @@ func (n *g2gNode) testPhase(now sim.Time, other *g2gNode) {
 			// The PoR span covers both sides of the proof: the challenged
 			// relay producing it and the source verifying it.
 			n.env.spans.Enter(obs.SpanPoR)
-			resp := other.handlePORChallenge(now, challenge)
-			passed := n.evaluateTestResponse(c, other.ID(), seed, resp)
+			resp, answered := other.handlePORChallenge(now, challenge)
+			passed := answered && n.evaluateTestResponse(c, other.ID(), seed, resp)
 			var cheated []wire.Signed
 			if passed && n.del != nil {
 				cheated = n.auditChain(c, pt, resp)
@@ -296,9 +328,9 @@ func (n *g2gNode) testPhase(now sim.Time, other *g2gNode) {
 // proofs of relay for this message, or the heavy HMAC over the full message
 // under the challenge seed.
 func (n *g2gNode) evaluateTestResponse(c *g2gCustody, relay trace.NodeID,
-	seed [16]byte, resp *wire.Signed) bool {
+	seed [16]byte, resp wire.Signed) bool {
 
-	if resp == nil || resp.Signer != relay || !n.verified(*resp) {
+	if resp.Signer != relay || !n.verified(resp) {
 		return false
 	}
 	switch body := resp.Body.(type) {
@@ -347,7 +379,7 @@ func (n *g2gNode) validPORPair(c *g2gCustody, relay trace.NodeID, resp wire.PORR
 // true destination are exempt from the strict-increase rule (delivery is
 // always allowed), but the label continuity must hold. It returns the PoM
 // evidence of a broken chain, or nil for a storage proof or a sound chain.
-func (n *g2gNode) auditChain(c *g2gCustody, pt *pendingTest, resp *wire.Signed) []wire.Signed {
+func (n *g2gNode) auditChain(c *g2gCustody, pt *pendingTest, resp wire.Signed) []wire.Signed {
 	pair, ok := resp.Body.(wire.PORResponse)
 	if !ok {
 		return nil
@@ -364,27 +396,26 @@ func (n *g2gNode) auditChain(c *g2gCustody, pt *pendingTest, resp *wire.Signed) 
 }
 
 // handlePORChallenge is the challenged node's side: produce two PoRs, or the
-// storage proof, or fail.
-func (n *g2gNode) handlePORChallenge(now sim.Time, challenge wire.Signed) *wire.Signed {
+// storage proof, or fail. Like every handler it answers by value, reporting
+// whether it answered at all.
+func (n *g2gNode) handlePORChallenge(now sim.Time, challenge wire.Signed) (wire.Signed, bool) {
 	body, ok := challenge.Body.(wire.PORChallenge)
 	if !ok || !n.verified(challenge) {
-		return nil
+		return wire.Signed{}, false
 	}
 	c, ok := n.custody[body.Hash]
 	if !ok {
-		return nil
+		return wire.Signed{}, false
 	}
 	if len(c.pors) >= 2 {
-		resp := n.signed(now, wire.PORResponse{First: c.pors[0], Second: c.pors[1]})
-		return &resp
+		return n.signed(now, wire.PORResponse{First: c.pors[0], Second: c.pors[1]}), true
 	}
 	if c.raw != nil {
 		mac := n.heavyHMAC(c.raw, body.Seed[:], n.env.Params.HeavyHMACIterations)
-		resp := n.signed(now, wire.StoredResponse{Hash: body.Hash, Seed: body.Seed, MAC: mac})
-		return &resp
+		return n.signed(now, wire.StoredResponse{Hash: body.Hash, Seed: body.Seed, MAC: mac}), true
 	}
 	// Dropped the message and has no proofs: cannot comply.
-	return nil
+	return wire.Signed{}, false
 }
 
 // --- relay phase (Fig. 1; Fig. 6) ---
@@ -413,7 +444,7 @@ func (n *g2gNode) eachOffer(now sim.Time, peer trace.NodeID, offer func(*g2gCust
 	for _, c := range n.relayable {
 		// An expired copy is past Δ1 as well, since Δ2 ≥ Δ1.
 		if n.spent(c) || now >= c.genAt.Add(n.env.Params.Delta1) {
-			c.rqst = nil
+			c.offer = nil
 			continue
 		}
 		kept = append(kept, c)
@@ -466,8 +497,8 @@ func (n *g2gNode) relayOne(now sim.Time, c *g2gCustody, other *g2gNode) bool {
 	})
 
 	// Step 4: the peer commits with a signed PoR before learning anything.
-	por := other.handleRelayTransfer(now, transfer)
-	if por == nil || por.Signer != other.ID() || !n.verified(*por) {
+	por, ok := other.handleRelayTransfer(now, transfer)
+	if !ok || por.Signer != other.ID() || !n.verified(por) {
 		return false
 	}
 	porBody, ok := por.Body.(wire.ProofOfRelay)
@@ -488,13 +519,13 @@ func (n *g2gNode) relayOne(now sim.Time, c *g2gCustody, other *g2gNode) bool {
 		// is changed only when forwarded.
 		c.del.fm = t.claim.FQ
 	}
-	c.pors = append(c.pors, *por)
+	c.pors = append(c.pors, por)
 	n.mem += porFootprint
 	c.relayedTo = append(c.relayedTo, other.ID())
 	if other.ID() != c.msg.Dest {
 		c.relayCount++
 		if c.isSource {
-			n.tests[h] = append(n.tests[h], &pendingTest{relay: other.ID(), por: *por, labelGiven: t.claim.FQ})
+			n.tests[h] = append(n.tests[h], &pendingTest{relay: other.ID(), por: por, labelGiven: t.claim.FQ})
 			orderedInsert(&n.testsOrder, h)
 		}
 	}
@@ -506,40 +537,69 @@ func (n *g2gNode) relayOne(now sim.Time, c *g2gCustody, other *g2gNode) bool {
 		c.raw = nil
 	}
 	n.env.Observer.Replicated(h, n.ID(), other.ID(), now)
-	n.notifyRelayProven(*por, now)
+	n.notifyRelayProven(por, now)
 	return true
 }
 
 // requestRelay is G2G Epidemic's offer handshake (Fig. 1 steps 1–2):
-// RELAY_RQST, answered RELAY_OK or RELAY_DECLINE.
+// RELAY_RQST, answered RELAY_OK or RELAY_DECLINE. A repeat of a declined
+// offer at the same instant is answered from the copy's offer record.
 func (n *g2gNode) requestRelay(now sim.Time, c *g2gCustody, other *g2gNode) bool {
-	if c.rqst == nil {
-		c.rqst = new(g2gcrypto.SignMemo)
+	if c.offer == nil {
+		c.offer = &offerRecord{body: wire.RelayRequest{Hash: c.hash}}
 	}
-	req := n.signedMemo(now, wire.RelayRequest{Hash: c.hash}, c.rqst)
-	ack := other.handleRelayRequest(now, req)
-	if ack == nil || ack.Signer != other.ID() || !n.verified(*ack) {
+	o := c.offer
+	if o.declinedBy(now, other.ID()) {
+		n.replayDecline(o, other)
 		return false
 	}
-	okBody, isOK := ack.Body.(wire.RelayOK)
-	return isOK && okBody.Hash == c.hash
+	req := n.signedMemo(now, o.body, &o.rqst)
+	ack, ok := other.handleRelayRequest(now, req)
+	if !ok || ack.Signer != other.ID() || !n.verified(ack) {
+		return false
+	}
+	switch body := ack.Body.(type) {
+	case wire.RelayOK:
+		return body.Hash == c.hash
+	case wire.RelayDecline:
+		if body.Hash == c.hash {
+			o.noteDecline(now, other.ID(), req, ack)
+		}
+	}
+	return false
 }
 
-func (n *g2gNode) handleRelayRequest(now sim.Time, req wire.Signed) *wire.Signed {
+// replayDecline charges a recorded declined exchange again, exactly as the
+// full one costs: each node signs one envelope and verifies the other's,
+// the wire carries both at their recorded sizes, and the crypto telemetry
+// (the stats the engine instruments the System with) counts two signatures
+// and two verifications. Like a memo hit it takes no time: the paper's cost
+// model owes every statement, not the simulator's work.
+func (n *g2gNode) replayDecline(o *offerRecord, other *g2gNode) {
+	n.noteSign()
+	n.noteVerify()
+	other.noteSign()
+	other.noteVerify()
+	n.env.stats.NoteWire(uint8(wire.KindRelayRequest), int(o.rqstSize))
+	n.env.stats.NoteWire(uint8(wire.KindRelayDecline), int(o.declineSize))
+	for range 2 {
+		n.env.crypto.NoteSign(0)
+		n.env.crypto.NoteVerify(0)
+	}
+}
+
+func (n *g2gNode) handleRelayRequest(now sim.Time, req wire.Signed) (wire.Signed, bool) {
 	body, ok := req.Body.(wire.RelayRequest)
 	if !ok || !n.verified(req) {
-		return nil
+		return wire.Signed{}, false
 	}
 	// B would not lie here: it does not yet know whether it is the
 	// destination, so declining without having seen the message would be
 	// against its own interest.
-	var resp wire.Signed
-	if c, seen := n.custody[body.Hash]; seen {
-		resp = n.signedMemo(now, wire.RelayDecline{Hash: body.Hash}, &c.decline)
-	} else {
-		resp = n.signed(now, wire.RelayOK{Hash: body.Hash})
+	if _, seen := n.custody[body.Hash]; seen {
+		return n.signed(now, wire.RelayDecline{Hash: body.Hash}), true
 	}
-	return &resp
+	return n.signed(now, wire.RelayOK{Hash: body.Hash}), true
 }
 
 // qualify is G2G Delegation's offer handshake and forwarding decision
@@ -548,18 +608,21 @@ func (n *g2gNode) handleRelayRequest(now sim.Time, req wire.Signed) *wire.Signed
 // cannot tell — and returns the terms of the handoff if the peer qualifies.
 func (n *g2gNode) qualify(now sim.Time, c *g2gCustody, other *g2gNode) (terms, bool) {
 	isDest := c.msg.Dest == other.ID()
-	// A decoy differs every time, so only the real D′ goes through the memo.
+	// A decoy differs every time, so only the real D′ goes through the
+	// offer record.
 	var dPrime trace.NodeID
+	var body wire.Body
 	var rqst *g2gcrypto.SignMemo
 	if isDest {
 		dPrime = n.randomDecoy(other.ID())
+		body = wire.FQRequest{Hash: c.hash, DPrime: dPrime}
 	} else {
-		if c.rqst == nil {
-			c.rqst = new(g2gcrypto.SignMemo)
+		if c.offer == nil {
+			c.offer = &offerRecord{body: wire.FQRequest{Hash: c.hash, DPrime: c.msg.Dest}}
 		}
-		dPrime, rqst = c.msg.Dest, c.rqst
+		dPrime, body, rqst = c.msg.Dest, c.offer.body, &c.offer.rqst
 	}
-	fqRespEnv, fqResp, ok := n.exchangeFQ(now, c.hash, dPrime, rqst, other)
+	fqRespEnv, fqResp, ok := n.exchangeFQ(now, dPrime, body, rqst, other)
 	if !ok {
 		return terms{}, false
 	}
@@ -576,7 +639,7 @@ func (n *g2gNode) qualify(now sim.Time, c *g2gCustody, other *g2gNode) (terms, b
 		// declarations of failed relays for the destination's audit.
 		if c.isSource && fqResp.FQ < presentedFM {
 			before := len(d.failedFQ)
-			d.failedFQ = append(d.failedFQ, *fqRespEnv)
+			d.failedFQ = append(d.failedFQ, fqRespEnv)
 			if len(d.failedFQ) > 2 {
 				d.failedFQ = d.failedFQ[len(d.failedFQ)-2:]
 			}
@@ -594,22 +657,22 @@ func (n *g2gNode) qualify(now sim.Time, c *g2gCustody, other *g2gNode) (terms, b
 }
 
 // exchangeFQ runs the forwarding decision's quality exchange (Fig. 6 step 8):
-// the signed FQ_RQST to the peer, through the request memo rqst (nil for a
-// decoy), and the validation of its FQ_RESP. It is the "decide" span of the
-// per-phase profile.
-func (n *g2gNode) exchangeFQ(now sim.Time, h g2gcrypto.Digest, dPrime trace.NodeID,
-	rqst *g2gcrypto.SignMemo, other *g2gNode) (*wire.Signed, wire.FQResponse, bool) {
+// the signed FQ_RQST body about dPrime to the peer, through the request memo
+// rqst (nil for a decoy), and the validation of its FQ_RESP. It is the
+// "decide" span of the per-phase profile.
+func (n *g2gNode) exchangeFQ(now sim.Time, dPrime trace.NodeID, body wire.Body,
+	rqst *g2gcrypto.SignMemo, other *g2gNode) (wire.Signed, wire.FQResponse, bool) {
 
 	n.env.spans.Enter(obs.SpanDecide)
 	defer n.env.spans.Exit()
-	fqReq := n.signedMemo(now, wire.FQRequest{Hash: h, DPrime: dPrime}, rqst)
-	fqRespEnv := other.handleFQRequest(now, fqReq)
-	if fqRespEnv == nil || fqRespEnv.Signer != other.ID() || !n.verified(*fqRespEnv) {
-		return nil, wire.FQResponse{}, false
+	fqReq := n.signedMemo(now, body, rqst)
+	fqRespEnv, ok := other.handleFQRequest(now, fqReq)
+	if !ok || fqRespEnv.Signer != other.ID() || !n.verified(fqRespEnv) {
+		return wire.Signed{}, wire.FQResponse{}, false
 	}
 	fqResp, ok := fqRespEnv.Body.(wire.FQResponse)
 	if !ok || fqResp.Responder != other.ID() || fqResp.DPrime != dPrime {
-		return nil, wire.FQResponse{}, false
+		return wire.Signed{}, wire.FQResponse{}, false
 	}
 	return fqRespEnv, fqResp, true
 }
@@ -627,10 +690,10 @@ func (n *g2gNode) randomDecoy(exclude trace.NodeID) trace.NodeID {
 	}
 }
 
-func (n *g2gNode) handleFQRequest(now sim.Time, req wire.Signed) *wire.Signed {
+func (n *g2gNode) handleFQRequest(now sim.Time, req wire.Signed) (wire.Signed, bool) {
 	body, ok := req.Body.(wire.FQRequest)
 	if !ok || !n.verified(req) {
-		return nil
+		return wire.Signed{}, false
 	}
 	d := n.del
 	fq, frame := d.quality.reportedQuality(body.DPrime, now, d.frequency)
@@ -647,20 +710,19 @@ func (n *g2gNode) handleFQRequest(now sim.Time, req wire.Signed) *wire.Signed {
 		memo = new(g2gcrypto.SignMemo)
 		d.fqResp[body.DPrime] = memo
 	}
-	env := n.signedMemo(now, resp, memo)
-	return &env
+	return n.signedMemo(now, resp, memo), true
 }
 
 // dropClaim forgets the FQ_RESP of the exchange that just ended.
 func (d *delegation) dropClaim() { d.claim = fqClaim{} }
 
-func (n *g2gNode) handleRelayTransfer(now sim.Time, transfer wire.Signed) *wire.Signed {
+func (n *g2gNode) handleRelayTransfer(now sim.Time, transfer wire.Signed) (wire.Signed, bool) {
 	body, ok := transfer.Body.(wire.RelayTransfer)
 	if !ok || !n.verified(transfer) {
-		return nil
+		return wire.Signed{}, false
 	}
 	if _, seen := n.custody[body.Hash]; seen {
-		return nil
+		return wire.Signed{}, false
 	}
 	por := wire.ProofOfRelay{Hash: body.Hash, From: transfer.Signer, To: n.ID()}
 	var fm message.Quality
@@ -668,7 +730,7 @@ func (n *g2gNode) handleRelayTransfer(now sim.Time, transfer wire.Signed) *wire.
 	if d := n.del; d != nil {
 		if !d.claim.valid || d.claim.hash != body.Hash || d.claim.requester != transfer.Signer {
 			// No preceding FQ exchange with this sender: refuse the handoff.
-			return nil
+			return wire.Signed{}, false
 		}
 		claim := d.claim.resp
 		d.dropClaim()
@@ -683,8 +745,7 @@ func (n *g2gNode) handleRelayTransfer(now sim.Time, transfer wire.Signed) *wire.
 		encrypted: body.Encrypted, attachments: attachments,
 	}
 	n.mem += int64(len(body.Encrypted))
-	signed := n.signed(now, por)
-	return &signed
+	return n.signed(now, por), true
 }
 
 func (n *g2gNode) handleKeyReveal(now sim.Time, reveal wire.Signed, from trace.NodeID) {

@@ -252,7 +252,7 @@ func TestG2GEpidemicStateExpiresAtDelta2(t *testing.T) {
 	// Custody is the seen set: past Δ2 the message is no longer declined.
 	at := params.Delta2 + 2*sim.Minute
 	req := wire.Sign(w.nodes[2].(*g2gNode).self, at, wire.RelayRequest{Hash: h})
-	if resp := n1.handleRelayRequest(at, req); resp == nil || resp.Body.Kind() != wire.KindRelayOK {
+	if resp, ok := n1.handleRelayRequest(at, req); !ok || resp.Body.Kind() != wire.KindRelayOK {
 		t.Errorf("RELAY_RQST past Δ2 answered %v, want RELAY_OK", resp)
 	}
 }
@@ -329,8 +329,8 @@ func TestG2GEpidemicIgnoresDelegationFields(t *testing.T) {
 		transfer := wire.Sign(a.self, at, wire.RelayTransfer{
 			Hash: h, FM: 7, GenAt: c.genAt, Encrypted: encrypted, Attachments: []wire.Signed{lie},
 		})
-		por := b.handleRelayTransfer(at, transfer)
-		if por == nil {
+		por, ok := b.handleRelayTransfer(at, transfer)
+		if !ok {
 			t.Fatal("transfer refused")
 		}
 		if body, ok := por.Body.(wire.ProofOfRelay); !ok || body != (wire.ProofOfRelay{Hash: h, From: a.ID(), To: b.ID()}) {

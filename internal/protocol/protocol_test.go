@@ -81,6 +81,8 @@ type world struct {
 	env   *Env
 	rec   *recorder
 	nodes []Node
+	// beforeSession, if set, runs before each of a meeting's two sessions.
+	beforeSession func()
 }
 
 // newWorld builds population nodes of the given kind; behaviors maps node id
@@ -91,6 +93,13 @@ func newWorld(t *testing.T, kind Kind, population int, params Params, behaviors 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newWorldOn(t, sys, kind, params, behaviors)
+}
+
+// newWorldOn is newWorld over the crypto system sys, one node per identity.
+func newWorldOn(t *testing.T, sys g2gcrypto.System, kind Kind, params Params, behaviors map[trace.NodeID]Behavior) *world {
+	t.Helper()
+	population := sys.Nodes()
 	rec := newRecorder()
 	env, err := NewEnv(sys, params, rec, sim.NewRNG(3))
 	if err != nil {
@@ -125,11 +134,13 @@ func (w *world) meet(at sim.Time, a, b trace.NodeID) {
 	if na.Blacklisted(b) || nb.Blacklisted(a) {
 		return
 	}
-	if _, err := na.RunSession(at, nb); err != nil {
-		w.t.Fatalf("session %d->%d: %v", a, b, err)
-	}
-	if _, err := nb.RunSession(at, na); err != nil {
-		w.t.Fatalf("session %d->%d: %v", b, a, err)
+	for _, s := range [...][2]trace.NodeID{{a, b}, {b, a}} {
+		if w.beforeSession != nil {
+			w.beforeSession()
+		}
+		if _, err := w.nodes[s[0]].RunSession(at, w.nodes[s[1]]); err != nil {
+			w.t.Fatalf("session %d->%d: %v", s[0], s[1], err)
+		}
 	}
 }
 

@@ -326,106 +326,75 @@ func (s *memoSpy) SignMemo(m *g2gcrypto.SignMemo, data []byte) g2gcrypto.Signatu
 func (b *base) spyOnSigns(log *memoLog) { b.self = &memoSpy{Identity: b.self, log: log} }
 
 // TestSameInstantSessionsHitSignMemos re-runs one session pair at one
-// instant: every RELAY_RQST and RELAY_DECLINE (G2G Epidemic) and every
-// FQ_RQST and FQ_RESP (G2G Delegation) repeats a statement signed moments
-// before and must hit its memo. One second later the same sessions sign new
-// statements and must all miss.
+// instant, as the engine's cascades do. Under G2G Epidemic every repeated
+// offer is declined and answered from the copy's offer record (see
+// checkDeclineRecord). Under G2G Delegation every FQ_RQST and FQ_RESP
+// repeats a statement signed moments before and must hit its memo; one
+// second later the same sessions sign new statements and must all miss.
 func TestSameInstantSessionsHitSignMemos(t *testing.T) {
-	params := testParams()
-	for _, tc := range []struct {
-		kind Kind
-		memo []wire.Kind
-		// setup leaves nodes 0 and 1 holding copies they will only offer
-		// each other and decline; it returns the instant of the first pass.
-		setup func(w *world) sim.Time
-	}{
-		{
-			kind: G2GEpidemic,
-			memo: []wire.Kind{wire.KindRelayRequest, wire.KindRelayDecline},
-			setup: func(w *world) sim.Time {
-				w.generate(0, 0, 3)
-				w.generate(0, 1, 4)
-				w.generate(0, 2, 5)
-				w.meet(sim.Minute, 0, 1)
-				// Node 2 hands its message to both, so each of them offers
-				// the other, and declines, a copy of it at one instant.
-				w.meet(sim.Minute+10*sim.Second, 2, 0)
-				w.meet(sim.Minute+20*sim.Second, 2, 1)
-				return 2 * sim.Minute
-			},
-		},
-		{
-			kind: G2GDelegationFrequency,
-			memo: []wire.Kind{wire.KindFQRequest, wire.KindFQResponse},
-			setup: func(w *world) sim.Time {
-				// Each source is the better carrier toward its own
-				// destinations, so neither peer ever qualifies.
-				for i, q := range []struct {
-					node, dest trace.NodeID
-					n          int
-				}{{0, 3, 2}, {1, 3, 1}, {0, 5, 2}, {1, 5, 1}, {1, 4, 2}, {0, 4, 1}, {1, 6, 2}, {0, 6, 1}} {
-					primeQuality(w, q.node, q.dest, q.n, sim.Time(i)*3*sim.Minute, sim.Minute)
-				}
-				w.generate(frame1, 0, 3)
-				w.generate(frame1, 0, 5)
-				w.generate(frame1, 1, 4)
-				w.generate(frame1, 1, 6)
-				return frame1 + sim.Minute
-			},
-		},
-	} {
-		t.Run(tc.kind.String(), func(t *testing.T) {
-			w := newWorld(t, tc.kind, 7, params, nil)
-			at := tc.setup(w)
-			log := newMemoLog()
-			for _, n := range w.nodes {
-				n.(interface{ spyOnSigns(*memoLog) }).spyOnSigns(log)
-			}
-			replicated := len(w.rec.replicated)
+	t.Run(G2GEpidemic.String(), checkDeclineRecord)
+	t.Run(G2GDelegationFrequency.String(), func(t *testing.T) {
+		memo := []wire.Kind{wire.KindFQRequest, wire.KindFQResponse}
+		w := newWorld(t, G2GDelegationFrequency, 7, testParams(), nil)
+		// Each source is the better carrier toward its own destinations, so
+		// neither peer ever qualifies.
+		for i, q := range []struct {
+			node, dest trace.NodeID
+			n          int
+		}{{0, 3, 2}, {1, 3, 1}, {0, 5, 2}, {1, 5, 1}, {1, 4, 2}, {0, 4, 1}, {1, 6, 2}, {0, 6, 1}} {
+			primeQuality(w, q.node, q.dest, q.n, sim.Time(i)*3*sim.Minute, sim.Minute)
+		}
+		w.generate(frame1, 0, 3)
+		w.generate(frame1, 0, 5)
+		w.generate(frame1, 1, 4)
+		w.generate(frame1, 1, 6)
+		at := frame1 + sim.Minute
+		log := newMemoLog()
+		for _, n := range w.nodes {
+			n.(interface{ spyOnSigns(*memoLog) }).spyOnSigns(log)
+		}
+		replicated := len(w.rec.replicated)
 
-			w.meet(at, 0, 1)
-			first := make(map[wire.Kind]int)
-			for _, k := range tc.memo {
-				if first[k] = log.hits[k] + log.misses[k]; first[k] == 0 || log.bare[k] != 0 {
-					t.Fatalf("first pass signed %d %v through memos and %d without", first[k], k, log.bare[k])
+		w.meet(at, 0, 1)
+		first := make(map[wire.Kind]int)
+		for _, k := range memo {
+			if first[k] = log.hits[k] + log.misses[k]; first[k] == 0 || log.bare[k] != 0 {
+				t.Fatalf("first pass signed %d %v through memos and %d without", first[k], k, log.bare[k])
+			}
+		}
+		for _, pass := range []struct {
+			name string
+			at   sim.Time
+			hit  bool
+		}{
+			{"re-run at the same instant", at, true},
+			{"one second later", at + sim.Second, false},
+		} {
+			log.reset()
+			w.meet(pass.at, 0, 1)
+			for _, k := range memo {
+				hits, misses := log.hits[k], log.misses[k]
+				if !pass.hit {
+					hits, misses = misses, hits
+				}
+				if hits != first[k] || misses != 0 || log.bare[k] != 0 {
+					t.Errorf("%s: %v signed %d hits, %d misses and %d without a memo; want %d, all hit=%v",
+						pass.name, k, log.hits[k], log.misses[k], log.bare[k], first[k], pass.hit)
 				}
 			}
-			for _, pass := range []struct {
-				name string
-				at   sim.Time
-				hit  bool
-			}{
-				{"re-run at the same instant", at, true},
-				{"one second later", at + sim.Second, false},
-			} {
-				log.reset()
-				w.meet(pass.at, 0, 1)
-				for _, k := range tc.memo {
-					hits, misses := log.hits[k], log.misses[k]
-					if !pass.hit {
-						hits, misses = misses, hits
-					}
-					if hits != first[k] || misses != 0 || log.bare[k] != 0 {
-						t.Errorf("%s: %v signed %d hits, %d misses and %d without a memo; want %d, all hit=%v",
-							pass.name, k, log.hits[k], log.misses[k], log.bare[k], first[k], pass.hit)
-					}
-				}
-			}
-			if len(w.rec.replicated) != replicated {
-				t.Fatal("a copy changed hands; the passes no longer repeat one exchange")
-			}
-			if tc.kind == G2GDelegationFrequency {
-				// Offering a message to its destination asks about a decoy,
-				// which never goes through the request memo.
-				log.reset()
-				w.meet(at+2*sim.Second, 0, 3)
-				if log.bare[wire.KindFQRequest] != 1 {
-					t.Errorf("decoy exchange: %d FQ_RQST signed without a memo, want 1", log.bare[wire.KindFQRequest])
-				}
-				if log.misses[wire.KindFQRequest]+log.hits[wire.KindFQRequest] != 1 {
-					t.Errorf("FQ_RQST about a real destination (5) not signed through its memo: %v", log.misses)
-				}
-			}
-		})
-	}
+		}
+		if len(w.rec.replicated) != replicated {
+			t.Fatal("a copy changed hands; the passes no longer repeat one exchange")
+		}
+		// Offering a message to its destination asks about a decoy, which
+		// never goes through the request memo.
+		log.reset()
+		w.meet(at+2*sim.Second, 0, 3)
+		if log.bare[wire.KindFQRequest] != 1 {
+			t.Errorf("decoy exchange: %d FQ_RQST signed without a memo, want 1", log.bare[wire.KindFQRequest])
+		}
+		if log.misses[wire.KindFQRequest]+log.hits[wire.KindFQRequest] != 1 {
+			t.Errorf("FQ_RQST about a real destination (5) not signed through its memo: %v", log.misses)
+		}
+	})
 }

@@ -161,7 +161,7 @@ func TestG2GEpidemicMemoryCounterMatchesWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 		transfer := wire.Sign(from.self, 6*sim.Minute, wire.RelayTransfer{Hash: h, GenAt: c.genAt, Encrypted: encrypted})
-		if to.handleRelayTransfer(6*sim.Minute, transfer) == nil {
+		if _, ok := to.handleRelayTransfer(6*sim.Minute, transfer); !ok {
 			t.Fatal("transfer refused")
 		}
 		checkMemory(w, "a pending handoff")
