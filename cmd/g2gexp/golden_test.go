@@ -46,6 +46,11 @@ func TestGolden(t *testing.T) {
 		// payoff prices each node's usage counters in §IV-C's energy model,
 		// so it pins the verification charges that no audit reconciles.
 		{name: "payoff-tiny-audit", args: []string{"-experiment", "payoff", "-tiny", "-audit"}},
+		// fig3 and fig5 run vanilla Epidemic and Delegation (last contact)
+		// with droppers, liars and their with-outsiders variants, the only
+		// goldens of the plain protocols under deviants.
+		{name: "fig3-tiny-audit", args: []string{"-experiment", "fig3", "-tiny", "-audit"}},
+		{name: "fig5-tiny-audit", args: []string{"-experiment", "fig5", "-tiny", "-audit"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

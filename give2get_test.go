@@ -2,6 +2,8 @@ package give2get
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -312,5 +314,111 @@ func TestCampusSpatialPreset(t *testing.T) {
 	}
 	if res.Generated == 0 || res.Delivered == 0 {
 		t.Errorf("spatial run moved no messages: %+v", res)
+	}
+}
+
+// withoutTelemetry returns res with its wall-clock telemetry dropped, so
+// two runs of one configuration compare equal.
+func withoutTelemetry(res *Result) Result {
+	out := *res
+	out.Telemetry = nil
+	return out
+}
+
+// TestResumeFromPeriodicCheckpoint runs with periodic checkpoints to
+// completion, resumes from the last checkpoint the run wrote, and requires
+// the result, audit digest included, of a run that never checkpointed.
+func TestResumeFromPeriodicCheckpoint(t *testing.T) {
+	for _, tc := range []struct {
+		protocol  Protocol
+		deviation Deviation
+	}{
+		{Epidemic, Droppers},
+		{G2GDelegationFrequency, Liars},
+	} {
+		t.Run(string(tc.protocol), func(t *testing.T) {
+			cfg := quickConfig(t, tc.protocol)
+			cfg.Deviants = []int{3, 9, 17}
+			cfg.Deviation = tc.deviation
+			cfg.Audit = AuditConfig{Enabled: true}
+			ref, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			ckpt := cfg
+			ckpt.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
+			ckpt.CheckpointInterval = 90 * time.Minute
+			full, err := Run(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Resume(ckpt.CheckpointPath, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := withoutTelemetry(ref)
+			if want.AuditReport == nil || !want.AuditReport.Ok() || want.Delivered == 0 {
+				t.Fatalf("reference run is not a clean audited run with traffic: %+v", want)
+			}
+			if !reflect.DeepEqual(withoutTelemetry(full), want) {
+				t.Errorf("checkpointing changed the run:\n got %+v\nwant %+v", withoutTelemetry(full), want)
+			}
+			if !reflect.DeepEqual(withoutTelemetry(got), want) {
+				t.Errorf("resumed run differs:\n got %+v\nwant %+v", withoutTelemetry(got), want)
+			}
+		})
+	}
+}
+
+// TestOpenTraceBinaryRoundTrip writes a trace in the binary format and
+// opens it back as a streaming source: it must report the statistics of the
+// trace it was written from and run a simulation identically.
+func TestOpenTraceBinaryRoundTrip(t *testing.T) {
+	mem := testTrace(t)
+	var buf bytes.Buffer
+	if err := mem.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.g2gt")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := OpenTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disk.Nodes() != mem.Nodes() || disk.Contacts() != mem.Contacts() {
+		t.Errorf("opened %d nodes, %d contacts; written %d, %d",
+			disk.Nodes(), disk.Contacts(), mem.Nodes(), mem.Contacts())
+	}
+
+	cfg := quickConfig(t, G2GEpidemic)
+	cfg.Trace = mem
+	cfg.Audit = AuditConfig{Enabled: true}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Trace = disk
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(withoutTelemetry(got), withoutTelemetry(want)) {
+		t.Errorf("run on the opened trace differs:\n got %+v\nwant %+v", withoutTelemetry(got), withoutTelemetry(want))
+	}
+
+	// Stats materializes the file-backed trace.
+	gotStats, err := disk.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStats, err := mem.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotStats != wantStats {
+		t.Errorf("stats %+v, want %+v", gotStats, wantStats)
 	}
 }

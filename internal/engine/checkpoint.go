@@ -57,7 +57,7 @@ var (
 
 const (
 	checkpointMagic   = "G2GC"
-	checkpointVersion = 3
+	checkpointVersion = 4
 	// checkpointHeaderLen is magic + version + SHA-256 checksum.
 	checkpointHeaderLen = 4 + 4 + sha256.Size
 )
@@ -231,11 +231,7 @@ func (e *engine) captureCheckpoint(s *sim.Simulator) (*checkpoint, error) {
 	}
 	ck.Nodes = make([]protocol.NodeState, len(e.nodes))
 	for i, n := range e.nodes {
-		sn, ok := n.(protocol.Stateful)
-		if !ok {
-			return nil, fmt.Errorf("engine: node %d (%T) is not checkpointable", i, n)
-		}
-		ck.Nodes[i] = sn.CaptureState()
+		ck.Nodes[i] = n.CaptureState()
 	}
 	if e.auditor != nil {
 		ast, err := e.auditor.State()
@@ -361,11 +357,7 @@ func (e *engine) restoreCheckpoint(s *sim.Simulator, ck *checkpoint) error {
 		return fmt.Errorf("%w: %d node states for %d nodes", ErrCheckpointMismatch, len(ck.Nodes), len(e.nodes))
 	}
 	for i, n := range e.nodes {
-		sn, ok := n.(protocol.Stateful)
-		if !ok {
-			return fmt.Errorf("engine: node %d (%T) is not checkpointable", i, n)
-		}
-		if err := sn.RestoreState(ck.Nodes[i]); err != nil {
+		if err := n.RestoreState(ck.Nodes[i]); err != nil {
 			return fmt.Errorf("engine: restore node %d: %w", i, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -58,9 +59,9 @@ func assertSameOutcome(t *testing.T, ref, got *Result) {
 // arbitrary instant and resumed from its flushed checkpoint must be
 // indistinguishable — byte-identical audit digest, identical summaries —
 // from the same run left alone. The kill points cover all three phases
-// (warmup, window, drain) across three protocol/deviant configurations, and
-// both window boundaries, where a phase probe and a memory tick share the
-// stop instant.
+// (warmup, window, drain) on both node types, G2G and plain, under droppers,
+// liars and cheaters, and both window boundaries, where a phase probe and a
+// memory tick share the stop instant.
 func TestKillResumeDigestIdentical(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -87,6 +88,15 @@ func TestKillResumeDigestIdentical(t *testing.T) {
 		// tick share the instant and both fire before the barrier.
 		{"g2g-delegation-window-to-kill", protocol.G2GDelegationFrequency,
 			[]trace.NodeID{2, 7, 10}, protocol.Dropper, 16 * sim.Hour},
+		// The plain protocols killed while carrying traffic: live buffers
+		// and seen sets, and under Delegation quality labels and meeting
+		// histories, in the window and in the drain.
+		{"epidemic-window-kill", protocol.Epidemic,
+			[]trace.NodeID{2, 7, 10}, protocol.Dropper, 14*sim.Hour + 17*sim.Minute},
+		{"delegation-last-contact-window-kill", protocol.DelegationLastContact,
+			[]trace.NodeID{2, 7, 10}, protocol.Liar, 14*sim.Hour + 17*sim.Minute},
+		{"delegation-frequency-drain-kill", protocol.DelegationFrequency,
+			[]trace.NodeID{2, 7, 10}, protocol.Dropper, 16*sim.Hour + 20*sim.Minute},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -246,6 +256,11 @@ func TestResumeRejectsCorruption(t *testing.T) {
 	}
 	mangle("bad-magic", flip(0), ErrCheckpointCorrupt)
 	mangle("bad-version", flip(7), ErrCheckpointVersion)
+	// Format v3 stored one state branch per protocol family, not per node
+	// type, and no Kind: its node states cannot be read as v4's.
+	v3 := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint32(v3[4:8], 3)
+	mangle("version-3", v3, ErrCheckpointVersion)
 	mangle("checksum-flip", flip(10), ErrCheckpointCorrupt)
 	mangle("payload-flip", flip(checkpointHeaderLen+17), ErrCheckpointCorrupt)
 	mangle("payload-tail-flip", flip(len(valid)-5), ErrCheckpointCorrupt)

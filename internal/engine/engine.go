@@ -31,7 +31,6 @@ import (
 	"give2get/internal/invariant"
 	"give2get/internal/kclique"
 	"give2get/internal/metrics"
-	"give2get/internal/mobility"
 	"give2get/internal/obs"
 	"give2get/internal/protocol"
 	"give2get/internal/sim"
@@ -937,13 +936,8 @@ func (e *engine) sessionPair(now sim.Time, a, b trace.NodeID) bool {
 		return false
 	}
 	e.spans.Enter(obs.SpanSession)
-	moved := false
-	if t, err := na.RunSession(now, nb); err == nil && t {
-		moved = true
-	}
-	if t, err := nb.RunSession(now, na); err == nil && t {
-		moved = true
-	}
+	moved := na.RunSession(now, nb)
+	moved = nb.RunSession(now, na) || moved
 	e.metrics.Engine.NoteSession(moved)
 	e.spans.Exit()
 	return moved
@@ -1002,9 +996,4 @@ func removeNeighbor(list []trace.NodeID, v trace.NodeID) []trace.NodeID {
 		return list
 	}
 	return append(list[:i], list[i+1:]...)
-}
-
-// GenerateTrace is a convenience for experiments: build a preset's trace.
-func GenerateTrace(cfg mobility.Config, seed int64) (*trace.Trace, error) {
-	return mobility.Generate(cfg, seed)
 }

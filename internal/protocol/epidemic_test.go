@@ -124,16 +124,13 @@ func TestEpidemicBufferShrinksAfterExpiry(t *testing.T) {
 	w := newWorld(t, Epidemic, 3, params, nil)
 	w.generate(0, 0, 2)
 	w.meet(1*sim.Minute, 0, 1)
-	n1, ok := w.nodes[1].(*epidemicNode)
-	if !ok {
-		t.Fatal("unexpected node type")
-	}
-	if n1.bufferLen() != 1 {
-		t.Fatalf("buffer = %d, want 1", n1.bufferLen())
+	n1 := w.nodes[1].(*plainNode)
+	if len(n1.buffer) != 1 {
+		t.Fatalf("buffer = %d, want 1", len(n1.buffer))
 	}
 	// A later session triggers expiry cleanup.
 	w.meet(params.Delta1+2*sim.Minute, 1, 2)
-	if n1.bufferLen() != 0 {
-		t.Errorf("buffer = %d after TTL, want 0", n1.bufferLen())
+	if len(n1.buffer) != 0 || len(n1.bufferOrder) != 0 {
+		t.Errorf("buffer = %d (order %d) after TTL, want 0", len(n1.buffer), len(n1.bufferOrder))
 	}
 }

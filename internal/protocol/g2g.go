@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"crypto/hmac"
-	"fmt"
 	"slices"
 
 	"give2get/internal/g2gcrypto"
@@ -44,7 +43,6 @@ type g2gNode struct {
 	// and each scan drops the ones spent or past Δ1 since; neither ever
 	// reverts. Derived: RestoreState rebuilds it.
 	relayable []*g2gCustody
-	seq       uint32
 	// mem is the buffer part of MemoryBytes, kept up to date on every
 	// buffer change; expireAt is the earliest genAt+Δ2 in custody, before
 	// which expire has nothing to drop (zero forces a walk). Both are
@@ -57,8 +55,7 @@ type g2gNode struct {
 
 // delegation is the state only a G2G Delegation node keeps.
 type delegation struct {
-	frequency bool
-	quality   *qualityTable
+	quality *qualityTable
 	// fqResp memoizes, per D′, this node's last FQ_RESP about it. The reply
 	// names neither the requester nor the message, so every peer asking
 	// about one D′ at one instant is answered with the same signed bytes.
@@ -200,17 +197,16 @@ var _ Node = (*g2gNode)(nil)
 
 func newG2GNode(env *Env, self g2gcrypto.Identity, behavior Behavior, kind Kind) *g2gNode {
 	n := &g2gNode{
-		base:      newBase(env, self, behavior),
+		base:      newBase(env, self, behavior, kind),
 		custody:   make(map[g2gcrypto.Digest]*g2gCustody),
 		tests:     make(map[g2gcrypto.Digest][]*pendingTest),
 		pendingIn: make(map[g2gcrypto.Digest]*pendingTransfer),
 	}
 	if kind.IsDelegation() {
 		n.del = &delegation{
-			frequency: kind.UsesFrequency(),
-			quality:   newQualityTable(env.Params.QualityFrame),
-			fqResp:    make(map[trace.NodeID]*g2gcrypto.SignMemo),
-			audited:   make(map[auditKey]struct{}),
+			quality: newQualityTable(env.Params.QualityFrame),
+			fqResp:  make(map[trace.NodeID]*g2gcrypto.SignMemo),
+			audited: make(map[auditKey]struct{}),
 		}
 	}
 	return n
@@ -221,19 +217,14 @@ func newG2GNode(env *Env, self g2gcrypto.Identity, behavior Behavior, kind Kind)
 // exactly like vanilla Delegation; the sender-test chain is anchored at the
 // first relay's claim, so the initial label needs no frame snapshotting.
 func (n *g2gNode) Generate(now sim.Time, dest trace.NodeID, body []byte) error {
-	if dest == n.ID() {
-		return fmt.Errorf("protocol: node %d generating a message to itself", n.ID())
-	}
-	n.seq++
-	id := message.MakeID(n.ID(), n.seq)
-	m, err := message.New(n.env.Sys, n.self, dest, id, body)
+	m, id, err := n.newMessage(dest, body)
 	if err != nil {
 		return err
 	}
 	h := m.Hash()
 	c := &g2gCustody{msg: m, raw: m.Marshal(), hash: h, genAt: now, isSource: true}
 	if n.del != nil {
-		c.del = &copyDelegation{fm: n.del.quality.qualityAt(dest, now, n.del.frequency)}
+		c.del = &copyDelegation{fm: n.del.quality.qualityAt(dest, now, n.kind.UsesFrequency())}
 	}
 	n.takeCustody(c)
 	n.env.Observer.Generated(h, id, n.ID(), dest, now)
@@ -253,27 +244,13 @@ func (n *g2gNode) ObserveMeeting(now sim.Time, peer trace.NodeID) {
 func (n *g2gNode) DeliverPoM(pom wire.Signed) { n.acceptPoM(pom) }
 
 // RunSession implements Node: first the test phase for any pending
-// challenges against this peer, then the relay phase. A G2G Epidemic node
-// and a G2G Delegation node refuse each other.
-func (n *g2gNode) RunSession(now sim.Time, peer Node) (bool, error) {
-	other, ok := peer.(*g2gNode)
-	if !ok || (other.del == nil) != (n.del == nil) {
-		return false, fmt.Errorf("%w: %s vs %s", ErrProtocolMismatch, family(n), family(peer))
-	}
+// challenges against this peer, then the relay phase.
+func (n *g2gNode) RunSession(now sim.Time, peer Node) bool {
+	n.mustMatch(peer)
+	other := peer.(*g2gNode)
 	n.expire(now)
 	n.testPhase(now, other)
-	return n.relayPhase(now, other), nil
-}
-
-// family names a node's protocol family in a mismatch error.
-func family(n Node) string {
-	if g, ok := n.(*g2gNode); ok {
-		if g.del == nil {
-			return "g2g-epidemic"
-		}
-		return "g2g-delegation"
-	}
-	return fmt.Sprintf("%T", n)
+	return n.relayPhase(now, other)
 }
 
 // --- test phase (Fig. 2; Section VI-B) ---
@@ -696,7 +673,7 @@ func (n *g2gNode) handleFQRequest(now sim.Time, req wire.Signed) (wire.Signed, b
 		return wire.Signed{}, false
 	}
 	d := n.del
-	fq, frame := d.quality.reportedQuality(body.DPrime, now, d.frequency)
+	fq, frame := d.quality.reportedQuality(body.DPrime, now, n.kind.UsesFrequency())
 	if n.behavior.Deviation == Liar && n.deviates(req.Signer) {
 		// A liar declares quality zero to avoid ever being chosen as a
 		// relay. The frame index stays truthful so the claim looks
@@ -814,7 +791,7 @@ func (n *g2gNode) auditAttachments(now sim.Time, h g2gcrypto.Digest, genAt sim.T
 			continue
 		}
 		d.audited[key] = struct{}{}
-		truth := d.quality.auditQuality(claim.Responder, claim.Frame, d.frequency)
+		truth := d.quality.auditQuality(claim.Responder, claim.Frame, n.kind.UsesFrequency())
 		if claim.FQ != truth {
 			n.reportMisbehavior(now, claim.Responder, wire.ReasonLied,
 				[]wire.Signed{att}, h, genAt.Add(n.env.Params.Delta1))

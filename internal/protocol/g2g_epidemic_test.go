@@ -337,7 +337,7 @@ func TestG2GEpidemicIgnoresDelegationFields(t *testing.T) {
 			t.Errorf("dest %d: PoR %+v names more than the hash, the sender and the receiver", dest, por.Body)
 		}
 		b.handleKeyReveal(at, wire.Sign(a.self, at, wire.KeyReveal{Hash: h, Key: key}), a.ID())
-		st := b.CaptureState().G2GEpidemic
+		st := b.CaptureState().G2G
 		if st == nil || len(st.Custody) != 1 {
 			t.Fatalf("dest %d: captured custody %+v, want the one copy", dest, st)
 		}

@@ -369,7 +369,7 @@ func FuzzDeclineRecord(f *testing.F) {
 			t.Fatalf("observer records diverged:\n  got  %+v\n  want %+v", w.rec, ref.rec)
 		}
 		for i, node := range w.nodes {
-			if got, want := node.(Stateful).CaptureState(), ref.nodes[i].(Stateful).CaptureState(); !reflect.DeepEqual(got, want) {
+			if got, want := node.CaptureState(), ref.nodes[i].CaptureState(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("node %d state diverged from the reference", i)
 			}
 		}

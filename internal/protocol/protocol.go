@@ -419,6 +419,8 @@ func NewEnv(sys g2gcrypto.System, params Params, observer Observer, rng *sim.RNG
 type Node interface {
 	// ID returns the node this instance runs on.
 	ID() trace.NodeID
+	// Kind returns the protocol this instance runs.
+	Kind() Kind
 	// Generate creates and takes custody of a new message from this node.
 	Generate(now sim.Time, dest trace.NodeID, body []byte) error
 	// ObserveMeeting records a physical encounter for quality bookkeeping;
@@ -427,20 +429,25 @@ type Node interface {
 	// RunSession performs this node's initiator role against peer: test
 	// phases first, then relay phases. It reports whether any message
 	// custody was transferred (the engine uses this for intra-contact
-	// cascades). peer must run the same protocol.
-	RunSession(now sim.Time, peer Node) (transferred bool, err error)
+	// cascades). peer must run the same Kind: a run builds every node from
+	// one, so a session across kinds is a bug and panics.
+	RunSession(now sim.Time, peer Node) (transferred bool)
 	// DeliverPoM hands the node a broadcast proof of misbehavior.
 	DeliverPoM(pom wire.Signed)
 	// Blacklisted reports whether this node refuses sessions with n.
 	Blacklisted(n trace.NodeID) bool
+	// CaptureState snapshots the node for a checkpoint without disturbing
+	// it.
+	CaptureState() NodeState
+	// RestoreState rebuilds the node from a snapshot. The receiver must be a
+	// freshly constructed node of the same env, identity, and behavior as
+	// the one the snapshot was captured from; a snapshot of another Kind is
+	// refused.
+	RestoreState(st NodeState) error
 	// MemoryMeter exposes the node's resource accounting (Section IV-C's
 	// payoff inputs): operation counters and buffer occupancy.
 	MemoryMeter
 }
-
-// ErrProtocolMismatch is returned when a session pairs different protocol
-// implementations.
-var ErrProtocolMismatch = errors.New("protocol: session peers run different protocols")
 
 // New builds a protocol instance of the given kind for one node.
 func New(kind Kind, env *Env, self g2gcrypto.Identity, behavior Behavior) (Node, error) {
@@ -451,10 +458,8 @@ func New(kind Kind, env *Env, self g2gcrypto.Identity, behavior Behavior) (Node,
 		return nil, errors.New("protocol: nil identity")
 	}
 	switch kind {
-	case Epidemic:
-		return newEpidemicNode(env, self, behavior), nil
-	case DelegationFrequency, DelegationLastContact:
-		return newDelegationNode(env, self, behavior, kind.UsesFrequency()), nil
+	case Epidemic, DelegationFrequency, DelegationLastContact:
+		return newPlainNode(env, self, behavior, kind), nil
 	case G2GEpidemic, G2GDelegationFrequency, G2GDelegationLastContact:
 		return newG2GNode(env, self, behavior, kind), nil
 	default:
@@ -467,8 +472,11 @@ type base struct {
 	usageTracker
 	env       *Env
 	self      g2gcrypto.Identity
+	kind      Kind
 	behavior  Behavior
 	blacklist map[trace.NodeID]struct{}
+	// seq numbers the messages this node originates.
+	seq uint32
 	// digestScratch backs this node's sortedDigestsInto iterations; see
 	// order.go for the aliasing discipline.
 	digestScratch []g2gcrypto.Digest
@@ -514,16 +522,38 @@ func (b *base) verified(s wire.Signed) bool {
 	return b.env.wireScratch.Verify(b.env.Sys, s)
 }
 
-func newBase(env *Env, self g2gcrypto.Identity, behavior Behavior) base {
+func newBase(env *Env, self g2gcrypto.Identity, behavior Behavior, kind Kind) base {
 	return base{
 		env:       env,
 		self:      self,
+		kind:      kind,
 		behavior:  behavior,
 		blacklist: make(map[trace.NodeID]struct{}),
 	}
 }
 
 func (b *base) ID() trace.NodeID { return b.self.Node() }
+
+func (b *base) Kind() Kind { return b.kind }
+
+// mustMatch panics unless peer runs this node's Kind, which makes it a node
+// of the same type.
+func (b *base) mustMatch(peer Node) {
+	if k := peer.Kind(); k != b.kind {
+		panic(fmt.Sprintf("protocol: %v node %d in a session with %v node %d", b.kind, b.ID(), k, peer.ID()))
+	}
+}
+
+// newMessage creates this node's next message to dest.
+func (b *base) newMessage(dest trace.NodeID, body []byte) (*message.Message, message.ID, error) {
+	if dest == b.ID() {
+		return nil, 0, fmt.Errorf("protocol: node %d generating a message to itself", b.ID())
+	}
+	b.seq++
+	id := message.MakeID(b.ID(), b.seq)
+	m, err := message.New(b.env.Sys, b.self, dest, id, body)
+	return m, id, err
+}
 
 func (b *base) Blacklisted(n trace.NodeID) bool {
 	_, ok := b.blacklist[n]

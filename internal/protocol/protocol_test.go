@@ -1,7 +1,7 @@
 package protocol
 
 import (
-	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -138,9 +138,7 @@ func (w *world) meet(at sim.Time, a, b trace.NodeID) {
 		if w.beforeSession != nil {
 			w.beforeSession()
 		}
-		if _, err := w.nodes[s[0]].RunSession(at, w.nodes[s[1]]); err != nil {
-			w.t.Fatalf("session %d->%d: %v", s[0], s[1], err)
-		}
+		w.nodes[s[0]].RunSession(at, w.nodes[s[1]])
 	}
 }
 
@@ -320,6 +318,9 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestSessionProtocolMismatch pins the cross-kind guard: a run builds every
+// node from one Kind, so a session across kinds is a bug, and it panics
+// naming both kinds, whether the two nodes share a node type or not.
 func TestSessionProtocolMismatch(t *testing.T) {
 	sys, err := g2gcrypto.NewFast(2, 1)
 	if err != nil {
@@ -331,27 +332,13 @@ func TestSessionProtocolMismatch(t *testing.T) {
 	}
 	id0, _ := sys.Identity(0)
 	id1, _ := sys.Identity(1)
-	for _, kind := range []Kind{Epidemic, G2GEpidemic, DelegationLastContact, G2GDelegationLastContact} {
-		a, err := New(kind, env, id0, Behavior{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		other := Epidemic
-		if kind == Epidemic {
-			other = G2GEpidemic
-		}
-		b, err := New(other, env, id1, Behavior{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := a.RunSession(0, b); err == nil {
-			t.Errorf("%v session with %v accepted", kind, other)
-		}
-	}
-	// The two G2G protocols refuse each other in either direction.
 	for _, pair := range [][2]Kind{
+		{Epidemic, G2GEpidemic}, {G2GEpidemic, Epidemic},
+		{DelegationLastContact, Epidemic}, {G2GDelegationLastContact, Epidemic},
+		{Epidemic, DelegationFrequency}, {DelegationFrequency, DelegationLastContact},
 		{G2GEpidemic, G2GDelegationFrequency}, {G2GDelegationFrequency, G2GEpidemic},
 		{G2GEpidemic, G2GDelegationLastContact}, {G2GDelegationLastContact, G2GEpidemic},
+		{G2GDelegationFrequency, G2GDelegationLastContact},
 	} {
 		a, err := New(pair[0], env, id0, Behavior{})
 		if err != nil {
@@ -361,8 +348,14 @@ func TestSessionProtocolMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a.RunSession(0, b); !errors.Is(err, ErrProtocolMismatch) {
-			t.Errorf("%v session with %v: err = %v, want ErrProtocolMismatch", pair[0], pair[1], err)
-		}
+		func() {
+			defer func() {
+				want := fmt.Sprintf("protocol: %v node 0 in a session with %v node 1", pair[0], pair[1])
+				if msg, _ := recover().(string); msg != want {
+					t.Errorf("panic %q, want %q", msg, want)
+				}
+			}()
+			a.RunSession(0, b)
+		}()
 	}
 }

@@ -175,7 +175,7 @@ func restoreWorld(t *testing.T, w *world, kind Kind, params Params, behaviors ma
 		t.Fatalf("restore rng: %v", err)
 	}
 	for i, n := range w.nodes {
-		if err := w2.nodes[i].(Stateful).RestoreState(n.(Stateful).CaptureState()); err != nil {
+		if err := w2.nodes[i].RestoreState(n.CaptureState()); err != nil {
 			t.Fatalf("restore node %d: %v", i, err)
 		}
 	}

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -21,24 +20,14 @@ import (
 // stopped. Slices whose order is protocol-visible (collected PoRs, embedded
 // attachments, failed-FQ declarations, pending tests) travel verbatim.
 
-// Stateful is the checkpoint seam implemented by every protocol node.
-type Stateful interface {
-	// CaptureState snapshots the node without disturbing it.
-	CaptureState() NodeState
-	// RestoreState rebuilds the node from a snapshot. The receiver must be a
-	// freshly constructed node of the same kind, env, identity, and behavior
-	// as the one the snapshot was captured from.
-	RestoreState(st NodeState) error
-}
-
-// NodeState is one node's serializable protocol state. Exactly one of the
-// per-protocol branches is set, matching the node's kind.
+// NodeState is one node's serializable protocol state: the Kind it was
+// captured from, the state every node keeps, and the branch of its node
+// type, the other left nil.
 type NodeState struct {
-	Base          BaseState
-	Epidemic      *EpidemicState
-	G2GEpidemic   *G2GEpidemicState
-	Delegation    *DelegationState
-	G2GDelegation *G2GDelegationState
+	Kind  Kind
+	Base  BaseState
+	Plain *PlainState // Epidemic and Delegation
+	G2G   *G2GState   // G2G Epidemic and G2G Delegation
 }
 
 // BaseState is the state shared by all protocols.
@@ -48,28 +37,18 @@ type BaseState struct {
 	Seq       uint32
 }
 
-// EpidemicState is an epidemicNode's protocol state.
-type EpidemicState struct {
-	Seen   []g2gcrypto.Digest // sorted
-	Buffer []EpidemicMsg      // sorted by message hash
-}
-
-// EpidemicMsg is one buffered message of vanilla Epidemic.
-type EpidemicMsg struct {
-	Msg   []byte // message.Message.Marshal()
-	GenAt sim.Time
-}
-
-// DelegationState is a delegationNode's protocol state.
-type DelegationState struct {
+// PlainState is a plainNode's protocol state. Quality is empty under
+// Epidemic.
+type PlainState struct {
 	Seen    []g2gcrypto.Digest // sorted
-	Buffer  []DelegationMsg    // sorted by message hash
+	Buffer  []PlainMsg         // sorted by message hash
 	Quality []MeetingLog       // sorted by peer
 }
 
-// DelegationMsg is one buffered message of vanilla Delegation.
-type DelegationMsg struct {
-	Msg   []byte
+// PlainMsg is one buffered message of Epidemic or Delegation; FM is zero
+// under Epidemic.
+type PlainMsg struct {
+	Msg   []byte // message.Message.Marshal()
 	GenAt sim.Time
 	FM    message.Quality
 }
@@ -80,17 +59,9 @@ type MeetingLog struct {
 	Times []sim.Time // ascending, as recorded
 }
 
-// G2GEpidemicState is a G2G Epidemic node's protocol state. The seen set is
-// the custody keys; gob skips the Seen field older checkpoints carry.
-type G2GEpidemicState struct {
-	Custody   []G2GCustodyState      // sorted by hash
-	Tests     []TestsEntry           // sorted by hash
-	PendingIn []PendingTransferState // sorted by hash
-}
-
-// G2GDelegationState is a G2G Delegation node's protocol state, without a
-// seen set for the same reason as G2GEpidemicState.
-type G2GDelegationState struct {
+// G2GState is a g2gNode's protocol state. The seen set is the custody keys.
+// Audited and Quality are empty under G2G Epidemic.
+type G2GState struct {
 	Custody   []G2GCustodyState      // sorted by hash
 	Tests     []TestsEntry           // sorted by hash
 	PendingIn []PendingTransferState // sorted by hash
@@ -148,31 +119,35 @@ type AuditedEntry struct {
 	Frame     message.FrameIndex
 }
 
-var (
-	_ Stateful = (*epidemicNode)(nil)
-	_ Stateful = (*delegationNode)(nil)
-	_ Stateful = (*g2gNode)(nil)
-)
-
 // --- shared helpers ---
 
-func (b *base) captureBase(seq uint32) BaseState {
-	st := BaseState{Usage: b.usage, Seq: seq}
+// captureBase starts a node's snapshot with its Kind and shared state.
+func (b *base) captureBase() NodeState {
+	st := BaseState{Usage: b.usage, Seq: b.seq}
 	st.Blacklist = make([]trace.NodeID, 0, len(b.blacklist))
 	for id := range b.blacklist {
 		st.Blacklist = append(st.Blacklist, id)
 	}
 	sort.Slice(st.Blacklist, func(i, j int) bool { return st.Blacklist[i] < st.Blacklist[j] })
-	return st
+	return NodeState{Kind: b.kind, Base: st}
 }
 
-func (b *base) restoreBase(st BaseState) uint32 {
-	b.usage = st.Usage
-	b.blacklist = make(map[trace.NodeID]struct{}, len(st.Blacklist))
-	for _, id := range st.Blacklist {
+// restoreBase restores the shared state of a snapshot captured from a node
+// of this Kind, carrying its node type's branch (hasBranch), and refuses
+// any other.
+func (b *base) restoreBase(st NodeState, hasBranch bool) error {
+	switch {
+	case st.Kind != b.kind:
+		return fmt.Errorf("protocol: a %v node cannot restore the state of a %v node", b.kind, st.Kind)
+	case !hasBranch:
+		return fmt.Errorf("protocol: a %v state without its node type's branch", st.Kind)
+	}
+	b.usage, b.seq = st.Base.Usage, st.Base.Seq
+	b.blacklist = make(map[trace.NodeID]struct{}, len(st.Base.Blacklist))
+	for _, id := range st.Base.Blacklist {
 		b.blacklist[id] = struct{}{}
 	}
-	return st.Seq
+	return nil
 }
 
 func sortedSeen(seen map[g2gcrypto.Digest]struct{}) []g2gcrypto.Digest {
@@ -245,66 +220,40 @@ func (q *qualityTable) restore(logs []MeetingLog) {
 	}
 }
 
-// --- epidemic ---
+// --- plain ---
 
-// CaptureState implements Stateful.
-func (n *epidemicNode) CaptureState() NodeState {
-	st := &EpidemicState{Seen: sortedSeen(n.seen)}
-	st.Buffer = make([]EpidemicMsg, 0, len(n.buffer))
+// CaptureState implements Node.
+func (n *plainNode) CaptureState() NodeState {
+	st := &PlainState{Seen: sortedSeen(n.seen)}
+	if n.quality != nil {
+		st.Quality = n.quality.capture()
+	}
+	st.Buffer = make([]PlainMsg, 0, len(n.buffer))
 	for _, h := range sortedDigestsInto(&n.digestScratch, n.buffer) {
 		c := n.buffer[h]
-		st.Buffer = append(st.Buffer, EpidemicMsg{Msg: c.msg.Marshal(), GenAt: c.genAt})
+		st.Buffer = append(st.Buffer, PlainMsg{Msg: c.msg.Marshal(), GenAt: c.genAt, FM: c.fm})
 	}
-	return NodeState{Base: n.captureBase(n.seq), Epidemic: st}
+	out := n.captureBase()
+	out.Plain = st
+	return out
 }
 
-// RestoreState implements Stateful.
-func (n *epidemicNode) RestoreState(st NodeState) error {
-	if st.Epidemic == nil {
-		return errors.New("protocol: state is not an epidemic node's")
+// RestoreState implements Node.
+func (n *plainNode) RestoreState(st NodeState) error {
+	if err := n.restoreBase(st, st.Plain != nil); err != nil {
+		return err
 	}
-	n.seq = n.restoreBase(st.Base)
-	n.seen = restoreSeen(st.Epidemic.Seen)
-	n.buffer = make(map[g2gcrypto.Digest]*epidemicCustody, len(st.Epidemic.Buffer))
-	for _, e := range st.Epidemic.Buffer {
+	n.seen = restoreSeen(st.Plain.Seen)
+	if n.quality != nil {
+		n.quality.restore(st.Plain.Quality)
+	}
+	n.buffer = make(map[g2gcrypto.Digest]*plainCustody, len(st.Plain.Buffer))
+	for _, e := range st.Plain.Buffer {
 		m, err := message.Unmarshal(e.Msg)
 		if err != nil {
 			return fmt.Errorf("protocol: restore buffered message: %w", err)
 		}
-		n.buffer[m.Hash()] = &epidemicCustody{msg: m, genAt: e.GenAt}
-	}
-	n.bufferOrder = sortedDigestsInto(&n.bufferOrder, n.buffer)
-	return nil
-}
-
-// --- delegation ---
-
-// CaptureState implements Stateful.
-func (n *delegationNode) CaptureState() NodeState {
-	st := &DelegationState{Seen: sortedSeen(n.seen), Quality: n.quality.capture()}
-	st.Buffer = make([]DelegationMsg, 0, len(n.buffer))
-	for _, h := range sortedDigestsInto(&n.digestScratch, n.buffer) {
-		c := n.buffer[h]
-		st.Buffer = append(st.Buffer, DelegationMsg{Msg: c.msg.Marshal(), GenAt: c.genAt, FM: c.fm})
-	}
-	return NodeState{Base: n.captureBase(n.seq), Delegation: st}
-}
-
-// RestoreState implements Stateful.
-func (n *delegationNode) RestoreState(st NodeState) error {
-	if st.Delegation == nil {
-		return errors.New("protocol: state is not a delegation node's")
-	}
-	n.seq = n.restoreBase(st.Base)
-	n.seen = restoreSeen(st.Delegation.Seen)
-	n.quality.restore(st.Delegation.Quality)
-	n.buffer = make(map[g2gcrypto.Digest]*delegationCustody, len(st.Delegation.Buffer))
-	for _, e := range st.Delegation.Buffer {
-		m, err := message.Unmarshal(e.Msg)
-		if err != nil {
-			return fmt.Errorf("protocol: restore buffered message: %w", err)
-		}
-		n.buffer[m.Hash()] = &delegationCustody{msg: m, genAt: e.GenAt, fm: e.FM}
+		n.buffer[m.Hash()] = &plainCustody{msg: m, genAt: e.GenAt, fm: e.FM}
 	}
 	n.bufferOrder = sortedDigestsInto(&n.bufferOrder, n.buffer)
 	return nil
@@ -312,9 +261,8 @@ func (n *delegationNode) RestoreState(st NodeState) error {
 
 // --- G2G ---
 
-// CaptureState implements Stateful. G2G Epidemic fills G2GEpidemicState,
-// leaving the quality fields of its records zero; G2G Delegation fills
-// G2GDelegationState.
+// CaptureState implements Node. G2G Epidemic leaves the quality fields of
+// the state and its records zero.
 func (n *g2gNode) CaptureState() NodeState {
 	custody := make([]G2GCustodyState, 0, len(n.custody))
 	for _, h := range sortedDigestsInto(&n.digestScratch, n.custody) {
@@ -362,9 +310,9 @@ func (n *g2gNode) CaptureState() NodeState {
 			Attachments: marshalSignedSlice(p.attachments),
 		})
 	}
-	st := NodeState{Base: n.captureBase(n.seq)}
+	st := n.captureBase()
+	st.G2G = &G2GState{Custody: custody, Tests: tests, PendingIn: pendingIn}
 	if n.del == nil {
-		st.G2GEpidemic = &G2GEpidemicState{Custody: custody, Tests: tests, PendingIn: pendingIn}
 		return st
 	}
 	audited := make([]AuditedEntry, 0, len(n.del.audited))
@@ -377,47 +325,33 @@ func (n *g2gNode) CaptureState() NodeState {
 		}
 		return audited[i].Frame < audited[j].Frame
 	})
-	st.G2GDelegation = &G2GDelegationState{
-		Custody: custody, Tests: tests, PendingIn: pendingIn,
-		Audited: audited, Quality: n.del.quality.capture(),
-	}
+	st.G2G.Audited, st.G2G.Quality = audited, n.del.quality.capture()
 	return st
 }
 
-// RestoreState implements Stateful.
+// RestoreState implements Node.
 func (n *g2gNode) RestoreState(st NodeState) error {
-	var custody []G2GCustodyState
-	var tests []TestsEntry
-	var pendingIn []PendingTransferState
-	if n.del == nil {
-		s := st.G2GEpidemic
-		if s == nil {
-			return errors.New("protocol: state is not a g2g-epidemic node's")
-		}
-		custody, tests, pendingIn = s.Custody, s.Tests, s.PendingIn
-	} else {
-		s := st.G2GDelegation
-		if s == nil {
-			return errors.New("protocol: state is not a g2g-delegation node's")
-		}
-		custody, tests, pendingIn = s.Custody, s.Tests, s.PendingIn
+	if err := n.restoreBase(st, st.G2G != nil); err != nil {
+		return err
+	}
+	s := st.G2G
+	if n.del != nil {
 		n.del.quality.restore(s.Quality)
 		n.del.audited = make(map[auditKey]struct{}, len(s.Audited))
 		for _, a := range s.Audited {
 			n.del.audited[auditKey{responder: a.Responder, frame: a.Frame}] = struct{}{}
 		}
 	}
-	n.seq = n.restoreBase(st.Base)
-	n.custody = make(map[g2gcrypto.Digest]*g2gCustody, len(custody))
-	for _, e := range custody {
+	n.custody = make(map[g2gcrypto.Digest]*g2gCustody, len(s.Custody))
+	for _, e := range s.Custody {
 		c, err := restoreG2GCustody(e, n.del != nil)
 		if err != nil {
 			return err
 		}
 		n.custody[c.hash] = c
 	}
-	n.tests = make(map[g2gcrypto.Digest][]*pendingTest, len(tests))
-	for _, entry := range tests {
+	n.tests = make(map[g2gcrypto.Digest][]*pendingTest, len(s.Tests))
+	for _, entry := range s.Tests {
 		list := make([]*pendingTest, len(entry.Tests))
 		for i, t := range entry.Tests {
 			por, err := wire.UnmarshalSigned(t.PoR)
@@ -428,8 +362,8 @@ func (n *g2gNode) RestoreState(st NodeState) error {
 		}
 		n.tests[entry.Hash] = list
 	}
-	n.pendingIn = make(map[g2gcrypto.Digest]*pendingTransfer, len(pendingIn))
-	for _, p := range pendingIn {
+	n.pendingIn = make(map[g2gcrypto.Digest]*pendingTransfer, len(s.PendingIn))
+	for _, p := range s.PendingIn {
 		attachments, err := unmarshalSignedSlice(p.Attachments)
 		if err != nil {
 			return err

@@ -93,7 +93,7 @@ func TestNodeStateRoundTrip(t *testing.T) {
 			runSteps(w1, prefix)
 			states := make([]NodeState, pop)
 			for i, n := range w1.nodes {
-				states[i] = n.(Stateful).CaptureState()
+				states[i] = n.CaptureState()
 			}
 			rngState := w1.env.RNG.State()
 			preDelivered := len(w1.rec.delivered)
@@ -106,12 +106,12 @@ func TestNodeStateRoundTrip(t *testing.T) {
 				t.Fatalf("restore rng: %v", err)
 			}
 			for i, n := range w2.nodes {
-				if err := n.(Stateful).RestoreState(states[i]); err != nil {
+				if err := n.RestoreState(states[i]); err != nil {
 					t.Fatalf("restore node %d: %v", i, err)
 				}
 			}
 			for i, n := range w2.nodes {
-				if got := n.(Stateful).CaptureState(); !reflect.DeepEqual(states[i], got) {
+				if got := n.CaptureState(); !reflect.DeepEqual(states[i], got) {
 					t.Errorf("node %d: re-captured state differs from snapshot", i)
 				}
 				if got, want := n.MemoryBytes(), w1.nodes[i].MemoryBytes(); got != want {
@@ -163,15 +163,34 @@ func TestNodeStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNodeStateKindMismatch pins the wrong-branch error: a state captured
-// from one protocol must be refused by a node of another.
+// TestNodeStateKindMismatch pins the wrong-kind refusal: a state captured
+// from one protocol must be refused by a node of another, also where both
+// run on one node type.
 func TestNodeStateKindMismatch(t *testing.T) {
-	we := newWorld(t, Epidemic, 2, testParams(), nil)
-	wg := newWorld(t, G2GEpidemic, 2, testParams(), nil)
-	if err := wg.nodes[0].(Stateful).RestoreState(we.nodes[0].(Stateful).CaptureState()); err == nil {
-		t.Error("g2g node accepted an epidemic state")
+	for _, pair := range [][2]Kind{
+		{Epidemic, G2GEpidemic},
+		{Epidemic, DelegationFrequency},
+		{DelegationFrequency, DelegationLastContact},
+		{G2GEpidemic, G2GDelegationFrequency},
+		{G2GDelegationFrequency, G2GDelegationLastContact},
+	} {
+		w0 := newWorld(t, pair[0], 2, testParams(), nil)
+		w1 := newWorld(t, pair[1], 2, testParams(), nil)
+		if err := w1.nodes[0].RestoreState(w0.nodes[0].CaptureState()); err == nil {
+			t.Errorf("%v node accepted a %v state", pair[1], pair[0])
+		}
+		if err := w0.nodes[0].RestoreState(w1.nodes[0].CaptureState()); err == nil {
+			t.Errorf("%v node accepted a %v state", pair[0], pair[1])
+		}
 	}
-	if err := we.nodes[0].(Stateful).RestoreState(wg.nodes[0].(Stateful).CaptureState()); err == nil {
-		t.Error("epidemic node accepted a g2g state")
+	// A state of the right kind without its node type's branch is refused
+	// too.
+	for _, kind := range []Kind{Epidemic, G2GEpidemic} {
+		w := newWorld(t, kind, 2, testParams(), nil)
+		st := w.nodes[0].CaptureState()
+		st.Plain, st.G2G = nil, nil
+		if err := w.nodes[1].RestoreState(st); err == nil {
+			t.Errorf("%v node accepted a state without its branch", kind)
+		}
 	}
 }

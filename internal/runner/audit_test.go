@@ -73,7 +73,6 @@ func TestAssumeHonestFailsStrictAudit(t *testing.T) {
 	cfg.Audit = &invariant.Options{Label: "assume-honest", AssumeHonest: true}
 	out, err := Run([]Spec{{Label: "assume-honest", Config: cfg}}, Options{
 		Jobs:        1,
-		Policy:      CollectAll,
 		StrictAudit: true,
 	})
 	if err == nil {

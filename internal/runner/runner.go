@@ -48,25 +48,13 @@ type Spec struct {
 // outputs stable across scheduler changes.
 func DeriveSeed(base int64, repeat int) int64 { return base + int64(repeat) }
 
-// ErrorPolicy selects how the scheduler treats per-run failures.
-type ErrorPolicy int
-
-const (
-	// FailFast stops dispatching new runs after the first failure; runs
-	// already in flight complete, undispatched specs are marked Skipped.
-	FailFast ErrorPolicy = iota
-	// CollectAll runs every spec regardless of failures and reports them
-	// all at the end.
-	CollectAll
-)
-
-// Options tune one scheduler batch.
+// Options tune one scheduler batch. A batch fails fast: after the first
+// failure it dispatches no new run, lets the runs in flight complete, and
+// marks the undispatched specs Skipped.
 type Options struct {
 	// Jobs is the number of runs kept in flight; values below 1 mean
 	// GOMAXPROCS.
 	Jobs int
-	// Policy selects the failure handling; the zero value is FailFast.
-	Policy ErrorPolicy
 	// Telemetry, when non-nil, is installed as the registry of every spec
 	// that does not carry its own, aggregating the whole batch into one
 	// report (all registry recording is atomic, so concurrent runs may
@@ -75,7 +63,8 @@ type Options struct {
 	// Progress, when non-nil, receives one line per completed run.
 	Progress io.Writer
 	// StrictAudit promotes a failed invariant audit (a Result.Audit with
-	// violations) to a run error, subject to Policy like any other failure.
+	// violations) to a run error, which stops the batch like any other
+	// failure.
 	// Runs without an audit report are unaffected.
 	StrictAudit bool
 	// Context, when non-nil, cancels the batch gracefully: in-flight runs
@@ -120,8 +109,8 @@ type Outcome struct {
 	Result *engine.Result
 	// Err is the run's own failure, if any.
 	Err error
-	// Skipped marks specs FailFast cancelled (or context-cancelled) before
-	// they started.
+	// Skipped marks specs cancelled by an earlier failure (or by the
+	// context) before they started.
 	Skipped bool
 	// Restored marks outcomes replayed from the sweep journal rather than
 	// executed; restored results carry no wall-clock telemetry.
@@ -158,7 +147,7 @@ func (e *BatchError) Unwrap() error { return e.First }
 // Run executes the specs on a worker pool and returns one outcome per spec,
 // collected by index. The returned error is nil when every run succeeded and
 // a *BatchError otherwise; partial results remain available in the outcomes
-// either way (under FailFast the tail is marked Skipped).
+// either way (after a failure the undispatched tail is marked Skipped).
 func Run(specs []Spec, opts Options) ([]Outcome, error) {
 	out := make([]Outcome, len(specs))
 	if len(specs) == 0 {
@@ -188,8 +177,8 @@ func Run(specs []Spec, opts Options) ([]Outcome, error) {
 
 	var (
 		next        atomic.Int64 // next spec index to dispatch
-		stop        atomic.Bool  // FailFast latch
-		interrupted atomic.Bool  // cancellation latch, any policy
+		stop        atomic.Bool  // failure latch
+		interrupted atomic.Bool  // cancellation latch
 		completed   atomic.Int64 // finished runs, for progress numbering
 		progMu      sync.Mutex   // serializes progress lines
 		wg          sync.WaitGroup
@@ -205,7 +194,7 @@ func Run(specs []Spec, opts Options) ([]Outcome, error) {
 				continue // journal-restored
 			}
 			out[i].Label = specs[i].Label
-			if (opts.Policy == FailFast && stop.Load()) || interrupted.Load() {
+			if stop.Load() || interrupted.Load() {
 				out[i].Skipped = true
 				continue
 			}
@@ -240,8 +229,8 @@ func Run(specs []Spec, opts Options) ([]Outcome, error) {
 				os.Remove(ckpt) // completed runs need no restart point
 			}
 			if errors.Is(err, engine.ErrInterrupted) {
-				// Cancellation stops dispatch under any policy; the
-				// checkpoint just flushed is the spec's restart point.
+				// Cancellation stops dispatch; the checkpoint just
+				// flushed is the spec's restart point.
 				interrupted.Store(true)
 			}
 			out[i].Result, out[i].Err = res, err
@@ -254,7 +243,7 @@ func Run(specs []Spec, opts Options) ([]Outcome, error) {
 				d := out[i].Wall - runWall
 				opts.Telemetry.Spans.Note(obs.SpanDispatch, d, d)
 			}
-			if err != nil && opts.Policy == FailFast {
+			if err != nil {
 				stop.Store(true)
 			}
 			if opts.Progress != nil {

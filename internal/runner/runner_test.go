@@ -172,7 +172,7 @@ func TestFailFastSkipsTail(t *testing.T) {
 		{Label: "ok-1", Config: baseConfig(tr, 1)},
 		{Label: "ok-2", Config: baseConfig(tr, 2)},
 	}
-	out, err := Run(specs, Options{Jobs: 1, Policy: FailFast})
+	out, err := Run(specs, Options{Jobs: 1})
 	if err == nil {
 		t.Fatal("no error from failing batch")
 	}
@@ -188,29 +188,6 @@ func TestFailFastSkipsTail(t *testing.T) {
 	}
 	if !out[1].Skipped || !out[2].Skipped {
 		t.Errorf("tail not skipped after failure: %+v %+v", out[1], out[2])
-	}
-}
-
-func TestCollectAllRunsEverything(t *testing.T) {
-	tr := testTrace(t)
-	specs := []Spec{
-		badSpec(tr, "boom-0"),
-		{Label: "ok-1", Config: baseConfig(tr, 1)},
-		badSpec(tr, "boom-2"),
-	}
-	out, err := Run(specs, Options{Jobs: 2, Policy: CollectAll})
-	if err == nil {
-		t.Fatal("no error from failing batch")
-	}
-	var be *BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("error %T is not *BatchError", err)
-	}
-	if be.Failed != 2 || be.Total != 3 || be.FirstLabel != "boom-0" {
-		t.Errorf("batch error = %+v", be)
-	}
-	if out[1].Result == nil || out[1].Skipped {
-		t.Errorf("healthy run did not complete under CollectAll: %+v", out[1])
 	}
 }
 
