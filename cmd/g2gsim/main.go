@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		audit     = fs.Bool("audit", false, "run the invariant auditor alongside the simulation; violations fail the run")
 		repeats   = fs.Int("repeats", 1, "average the run over this many derived seeds (seed, seed+1, ...)")
 		jobs      = fs.Int("jobs", 0, "concurrent runs when -repeats > 1 (0 = GOMAXPROCS)")
-		events    = fs.String("events", "", "write a JSON-lines event log of the run to this file (legacy format)")
 		telemetry = fs.String("telemetry", "", "write the JSON run report (counters, phase timings) to this file")
 		tracelog  = fs.String("tracelog", "", "write a leveled JSON-lines trace of the run to this file")
 		progress  = fs.Duration("progress", 0, "print a progress line to stderr at this wall-clock period (0 = off)")
@@ -151,21 +150,13 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		cfg.Deviants = dedupe(cfg.Deviants)
 	}
 
-	if *events != "" {
-		f, err := os.Create(*events)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		cfg.Sink = give2get.NewLegacyEventSink(f)
-	}
 	if *tracelog != "" {
 		f, err := os.Create(*tracelog)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		cfg.TraceJSON = f
+		cfg.Sink = give2get.NewJSONTraceSink(f, give2get.TraceDebug)
 	}
 	if *progress > 0 {
 		cfg.Progress = stderr

@@ -108,11 +108,8 @@ type SimulationConfig struct {
 	// Ed25519/X25519/AES-GCM.
 	RealCrypto bool
 
-	// TraceJSON, when non-nil, receives one leveled JSON trace record per
-	// protocol event, including debug-level records and wall timestamps.
-	TraceJSON io.Writer
-	// Sink, when non-nil, receives the run's trace records directly; it
-	// composes with TraceJSON. Implementations must be safe for
+	// Sink, when non-nil, receives the run's trace records; NewJSONTraceSink
+	// writes them as leveled JSON lines. Implementations must be safe for
 	// concurrent use (RunSweep shares the sink across runs).
 	Sink TraceSink
 	// Progress, when non-nil, receives a one-line progress report every
@@ -268,9 +265,6 @@ func engineConfig(cfg SimulationConfig, seed int64) (engine.Config, error) {
 		ecfg.Crypto = engine.CryptoReal
 	}
 	ecfg.TraceSink = cfg.Sink
-	if cfg.TraceJSON != nil {
-		ecfg.TraceSink = obs.Multi(ecfg.TraceSink, obs.NewJSONSink(cfg.TraceJSON, obs.LevelDebug))
-	}
 	ecfg.Progress = cfg.Progress
 	ecfg.ProgressEvery = cfg.ProgressInterval
 	if cfg.Audit.Enabled {

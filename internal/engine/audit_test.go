@@ -280,7 +280,7 @@ func runPreScheduled(cfg Config) (*Result, error) {
 		for dst == src {
 			dst = trace.NodeID(e.workloadRNG.Intn(population))
 		}
-		body := make([]byte, e.cfg.PayloadBytes)
+		body := make([]byte, payloadBytes)
 		e.workloadRNG.Bytes(body)
 		p.gens = append(p.gens, workloadGen{at: at, src: src, dst: dst, body: body})
 		if err := schedule(at, preGen, len(p.gens)-1); err != nil {

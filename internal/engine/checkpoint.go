@@ -7,8 +7,8 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 
 	"give2get/internal/invariant"
 	"give2get/internal/metrics"
@@ -132,7 +132,7 @@ func configFingerprint(cfg Config) [32]byte {
 	fmt.Fprintf(h, "window=%d,%d warmup=%d extra=%d\n",
 		cfg.WindowFrom, cfg.WindowTo, cfg.Warmup, cfg.RunExtra)
 	fmt.Fprintf(h, "interval=%d quiet=%d payload=%d\n",
-		cfg.MessageInterval, cfg.GenerationQuiet, cfg.PayloadBytes)
+		cfg.MessageInterval, cfg.GenerationQuiet, payloadBytes)
 	fmt.Fprintf(h, "deviants=%v deviation=%d outsiders=%t audit=%t\n",
 		cfg.Deviants, cfg.Deviation, cfg.OnlyOutsiders, cfg.Audit != nil)
 	var out [32]byte
@@ -181,29 +181,6 @@ func parseCheckpoint(data []byte) (*checkpoint, error) {
 	return ck, nil
 }
 
-// atomicWriteFile writes data to path through a temp file in the same
-// directory plus a rename, so the file at path is always either the previous
-// checkpoint or the new one, never a torn write.
-func atomicWriteFile(path string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".g2gc-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	_, werr := f.Write(data)
-	serr := f.Sync()
-	cerr := f.Close()
-	if err := errors.Join(werr, serr, cerr); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
 // captureCheckpoint snapshots the run at a control barrier. Everything still
 // in the queue is strictly in the future (the barrier fired after all
 // same-instant events), so the stored event list is the whole future of the
@@ -243,7 +220,9 @@ func (e *engine) captureCheckpoint(s *sim.Simulator) (*checkpoint, error) {
 	return ck, nil
 }
 
-// writeCheckpoint captures and atomically persists one checkpoint.
+// writeCheckpoint captures and atomically persists one checkpoint: the file
+// at the path is always either the previous checkpoint or the new one, never
+// a torn write.
 func (e *engine) writeCheckpoint(s *sim.Simulator) error {
 	ck, err := e.captureCheckpoint(s)
 	if err != nil {
@@ -253,7 +232,10 @@ func (e *engine) writeCheckpoint(s *sim.Simulator) error {
 	if err != nil {
 		return err
 	}
-	return atomicWriteFile(e.cfg.Checkpoint.Path, data)
+	return trace.WriteFileAtomic(e.cfg.Checkpoint.Path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // Resume restores a checkpointed run and continues it to completion. cfg

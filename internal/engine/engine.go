@@ -81,11 +81,8 @@ type Config struct {
 	// GenerationQuiet suppresses generation during the final part of the
 	// window to avoid end effects (the paper uses one hour).
 	GenerationQuiet sim.Time
-	// PayloadBytes sizes the message bodies (default 64).
-	PayloadBytes int
 	// TraceSink, when non-nil, receives the run's structured trace records
-	// (leveled, timestamped in sim and wall time). NewLegacyEventSink adapts
-	// it to the original one-JSON-line-per-protocol-event log format.
+	// (leveled, timestamped in sim and wall time).
 	TraceSink obs.TraceSink
 	// Telemetry, when non-nil, is the registry the run records its counters
 	// and timings into; sharing one registry across runs aggregates a whole
@@ -150,8 +147,6 @@ func (c Config) Validate() error {
 		return errors.New("engine: generation quiet period must fit inside the window")
 	case c.Warmup < 0 || c.RunExtra < 0:
 		return errors.New("engine: negative warmup or run-extra")
-	case c.PayloadBytes < 0:
-		return errors.New("engine: negative payload size")
 	case c.Checkpoint.Every < 0:
 		return errors.New("engine: negative checkpoint interval")
 	case c.Checkpoint.Every > 0 && c.Checkpoint.Path == "":
@@ -299,6 +294,9 @@ const (
 	opWindowTo   // phase probe: the drain begins
 )
 
+// payloadBytes sizes every generated message body.
+const payloadBytes = 64
+
 // Same-instant priority bands, all owned by the engine. Contact events use
 // 2*index (start) and 2*index+1 (end), so lazily streamed contacts fire in
 // the exact order a full up-front schedule would give them; the workload
@@ -311,9 +309,6 @@ const (
 )
 
 func newEngine(cfg Config) (*engine, error) {
-	if cfg.PayloadBytes == 0 {
-		cfg.PayloadBytes = 64
-	}
 	population := cfg.Trace.Nodes()
 
 	var sys g2gcrypto.System
@@ -614,9 +609,7 @@ func (e *engine) scheduleAll(s *sim.Simulator) error {
 }
 
 // emitPhase marks a phase transition: the current-phase gauge the live
-// inspector reads and one "phase" milestone record for the trace sink. The
-// legacy event-log sink drops milestone records, keeping its output
-// byte-identical to the pre-telemetry format.
+// inspector reads and one "phase" milestone record for the trace sink.
 func (e *engine) emitPhase(at sim.Time, p obs.Phase) {
 	e.metrics.Engine.EnterPhase(p)
 	if sink := e.cfg.TraceSink; sink != nil && sink.Enabled(obs.LevelInfo) {
@@ -805,7 +798,7 @@ func (e *engine) drawWorkload() {
 		for dst == src {
 			dst = trace.NodeID(e.workloadRNG.Intn(population))
 		}
-		body := make([]byte, e.cfg.PayloadBytes)
+		body := make([]byte, payloadBytes)
 		e.workloadRNG.Bytes(body)
 		e.gens = append(e.gens, workloadGen{at: at, src: src, dst: dst, body: body})
 		at += e.workloadRNG.Exp(e.cfg.MessageInterval)

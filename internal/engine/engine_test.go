@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"give2get/internal/mobility"
+	"give2get/internal/obs"
 	"give2get/internal/protocol"
 	"give2get/internal/sim"
 	"give2get/internal/trace"
@@ -236,7 +237,6 @@ func TestConfigValidate(t *testing.T) {
 		{name: "negative warmup", mutate: func(c *Config) { c.Warmup = -sim.Hour }},
 		{name: "deviant out of range", mutate: func(c *Config) { c.Deviants = []trace.NodeID{99} }},
 		{name: "bad params", mutate: func(c *Config) { c.Params.Delta1 = 0 }},
-		{name: "negative payload", mutate: func(c *Config) { c.PayloadBytes = -1 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -384,13 +384,13 @@ func TestVanillaUsesNoSignatures(t *testing.T) {
 }
 
 func TestEventLogStreamsJSONLines(t *testing.T) {
-	// A legacy-format sink on Config.TraceSink streams one JSON line per
-	// protocol event over a whole run.
+	// A JSON sink on Config.TraceSink streams one JSON line per protocol
+	// event over a whole run.
 	var buf strings.Builder
 	cfg := baseConfig(t, protocol.G2GEpidemic)
 	cfg.Deviants = []trace.NodeID{2, 7}
 	cfg.Deviation = protocol.Dropper
-	cfg.TraceSink = NewLegacyEventSink(&buf)
+	cfg.TraceSink = obs.NewJSONSink(&buf, obs.LevelDebug)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,6 @@ package engine
 
 import (
 	"encoding/hex"
-	"encoding/json"
-	"io"
-	"sync"
 	"time"
 
 	"give2get/internal/g2gcrypto"
@@ -23,8 +20,8 @@ import (
 // single nil check and allocates nothing (see BenchmarkTelemetryOverhead).
 // When an auditor is attached every event is additionally fed to the
 // invariant shadow model, including the PoR/PoM extension hooks — those two
-// never reach the sink, so audited runs keep the trace (and the legacy event
-// log) byte-identical to unaudited ones.
+// never reach the sink, so audited runs keep the trace byte-identical to
+// unaudited ones.
 type runObserver struct {
 	inner protocol.Observer
 	eng   *obs.EngineStats
@@ -149,66 +146,4 @@ func (o *runObserver) MisbehaviorReported(pom wire.Signed, at sim.Time) {
 		o.audit.MisbehaviorReported(pom, at)
 		o.spans.Exit()
 	}
-}
-
-// eventRecord is the legacy event-log line shape, kept byte-for-byte
-// compatible with the original writer. Pointer fields are omitted when not
-// applicable to the event type.
-type eventRecord struct {
-	T     string `json:"t"`
-	Event string `json:"event"`
-	Msg   string `json:"msg,omitempty"`
-	From  *int   `json:"from,omitempty"`
-	To    *int   `json:"to,omitempty"`
-	Node  *int   `json:"node,omitempty"`
-	// Reason is set on detect events; Passed on test events.
-	Reason string `json:"reason,omitempty"`
-	Passed *bool  `json:"passed,omitempty"`
-}
-
-// legacySink writes the pre-telemetry event-log format from the trace
-// layer: it accepts every level (the old logger had no levels) and re-encodes
-// each record in the original JSON-lines format, field order included.
-type legacySink struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-}
-
-var _ obs.TraceSink = (*legacySink)(nil)
-
-// NewLegacyEventSink returns a TraceSink writing the original event-log
-// JSON-lines format to w, byte for byte, so downstream consumers of that
-// format keep working on Config.TraceSink.
-func NewLegacyEventSink(w io.Writer) obs.TraceSink {
-	return &legacySink{enc: json.NewEncoder(w)}
-}
-
-// Enabled implements obs.TraceSink.
-func (s *legacySink) Enabled(obs.Level) bool { return true }
-
-// Emit implements obs.TraceSink. Run-milestone records ("phase", "progress")
-// postdate the legacy format and are dropped, so the output stays
-// byte-identical to the pre-telemetry event log.
-func (s *legacySink) Emit(r obs.Record) {
-	if r.Event == "phase" || r.Event == "progress" {
-		return
-	}
-	rec := eventRecord{T: sim.Time(r.Sim).String(), Event: r.Event, Msg: r.Msg, Reason: r.Reason}
-	if r.From >= 0 {
-		rec.From = &r.From
-	}
-	if r.To >= 0 {
-		rec.To = &r.To
-	}
-	if r.Node >= 0 {
-		rec.Node = &r.Node
-	}
-	if r.HasPassed {
-		rec.Passed = &r.Passed
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// An unwritable log must not break the simulation; the metrics path is
-	// authoritative.
-	_ = s.enc.Encode(rec)
 }

@@ -16,12 +16,13 @@ import (
 	"give2get/internal/wire"
 )
 
-// TestLegacyEventLogByteIdentical pins the legacy event-log format: the sink
-// that now feeds it from the trace layer must produce the exact byte stream
-// the original event logger wrote.
-func TestLegacyEventLogByteIdentical(t *testing.T) {
-	var buf strings.Builder
-	o := &runObserver{inner: protocol.NopObserver{}, eng: nil, sink: NewLegacyEventSink(&buf)}
+// TestObserverTraceRecords pins the record the run observer emits for each
+// protocol event: virtual time, level, event name and the message, node,
+// reason and verdict fields. Wall time is only required to be stamped, then
+// stripped before the comparison.
+func TestObserverTraceRecords(t *testing.T) {
+	sink := &collectSink{min: obs.LevelDebug}
+	o := &runObserver{inner: protocol.NopObserver{}, eng: nil, sink: sink}
 
 	h := g2gcrypto.Hash([]byte("legacy"))
 	short := shortHash(h)
@@ -32,17 +33,30 @@ func TestLegacyEventLogByteIdentical(t *testing.T) {
 	o.Tested(3, false, 6*sim.Minute)
 	o.Detected(3, wire.ReasonDropped, h, 7*sim.Minute, 2*sim.Minute)
 
-	want := strings.Join([]string{
-		`{"t":"2m5s","event":"generate","msg":"` + short + `","from":1,"to":2}`,
-		`{"t":"2m10s","event":"replicate","msg":"` + short + `","from":1,"to":3}`,
-		`{"t":"4m0s","event":"deliver","msg":"` + short + `"}`,
-		`{"t":"5m0s","event":"test","node":3,"passed":true}`,
-		`{"t":"6m0s","event":"test","node":3,"passed":false}`,
-		`{"t":"7m0s","event":"detect","msg":"` + short + `","node":3,"reason":"dropped"}`,
-		``,
-	}, "\n")
-	if got := buf.String(); got != want {
-		t.Fatalf("legacy output drifted:\n got: %q\nwant: %q", got, want)
+	rec := func(at sim.Time, level obs.Level, event string, set func(*obs.Record)) obs.Record {
+		r := obs.NewRecord(time.Duration(at), level, event)
+		set(&r)
+		return r
+	}
+	want := []obs.Record{
+		rec(125*sim.Second, obs.LevelInfo, "generate", func(r *obs.Record) { r.Msg, r.From, r.To = short, 1, 2 }),
+		rec(130*sim.Second, obs.LevelInfo, "replicate", func(r *obs.Record) { r.Msg, r.From, r.To = short, 1, 3 }),
+		rec(4*sim.Minute, obs.LevelInfo, "deliver", func(r *obs.Record) { r.Msg = short }),
+		rec(5*sim.Minute, obs.LevelDebug, "test", func(r *obs.Record) { r.Node, r.Passed, r.HasPassed = 3, true, true }),
+		rec(6*sim.Minute, obs.LevelDebug, "test", func(r *obs.Record) { r.Node, r.HasPassed = 3, true }),
+		rec(7*sim.Minute, obs.LevelWarn, "detect", func(r *obs.Record) { r.Msg, r.Node, r.Reason = short, 3, "dropped" }),
+	}
+	if len(sink.recs) != len(want) {
+		t.Fatalf("observer emitted %d records, want %d: %v", len(sink.recs), len(want), sink.recs)
+	}
+	for i, got := range sink.recs {
+		if got.Wall.IsZero() {
+			t.Errorf("record %d (%s) carries no wall time", i, got.Event)
+		}
+		got.Wall = time.Time{}
+		if got != want[i] {
+			t.Errorf("record %d:\n got %+v\nwant %+v", i, got, want[i])
+		}
 	}
 }
 

@@ -340,21 +340,6 @@ func (c *cell) stats() runStats {
 	return out
 }
 
-// measure runs the spec Repeats times with derived seeds and averages the
-// table metrics. It is the one-off form of batch.measure (tests use it); the
-// experiment drivers batch their whole sweep instead.
-func (o Options) measure(spec runSpec) (runStats, error) {
-	b := o.newBatch()
-	c, err := b.measure(spec)
-	if err != nil {
-		return runStats{}, err
-	}
-	if err := b.run(); err != nil {
-		return runStats{}, err
-	}
-	return c.stats(), nil
-}
-
 // run executes one simulation described by the spec at the base seed.
 func (o Options) run(spec runSpec) (*engine.Result, error) {
 	b := o.newBatch()

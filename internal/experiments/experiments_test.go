@@ -372,3 +372,18 @@ func TestScenarioTracePath(t *testing.T) {
 		t.Errorf("file-backed success = %v", stats.Success)
 	}
 }
+
+// measure runs the spec Repeats times with derived seeds and averages the
+// table metrics: the one-off form of batch.measure, where the experiment
+// drivers batch their whole sweep.
+func (o Options) measure(spec runSpec) (runStats, error) {
+	b := o.newBatch()
+	c, err := b.measure(spec)
+	if err != nil {
+		return runStats{}, err
+	}
+	if err := b.run(); err != nil {
+		return runStats{}, err
+	}
+	return c.stats(), nil
+}

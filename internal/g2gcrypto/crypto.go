@@ -1,7 +1,8 @@
 // Package g2gcrypto supplies the cryptographic capabilities the paper's
 // system model assumes (Section III): every node holds a key pair whose
 // public part is certified by a trusted authority that stays offline after
-// setup; nodes sign control messages, negotiate authenticated sessions, seal
+// setup and takes no part in the protocols, so a provider models it as the
+// fixed public-key table it leaves behind; nodes sign control messages, seal
 // message bodies for the destination only, and compute a deliberately heavy
 // HMAC as a proof of storage.
 //
@@ -17,7 +18,6 @@
 package g2gcrypto
 
 import (
-	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
@@ -38,7 +38,6 @@ type Signature []byte
 
 // Errors shared by both providers.
 var (
-	ErrBadSignature  = errors.New("g2gcrypto: signature verification failed")
 	ErrBadCiphertext = errors.New("g2gcrypto: ciphertext malformed or corrupted")
 	ErrUnknownNode   = errors.New("g2gcrypto: node not registered with the authority")
 )
@@ -92,21 +91,7 @@ type System interface {
 	SealFor(dest trace.NodeID, plaintext []byte) ([]byte, error)
 }
 
-// CertifiedSystem is implemented by providers that expose the paper's
-// explicit certificate chain (the Real provider): an offline authority key
-// and per-node certificates, enabling authenticated session establishment
-// between any two nodes.
-type CertifiedSystem interface {
-	System
-	// AuthorityKey returns the trusted authority's verification key, which
-	// every node is provisioned with at setup.
-	AuthorityKey() ed25519.PublicKey
-	// Certificate returns the authority-signed certificate of node n.
-	Certificate(n trace.NodeID) (Certificate, error)
-}
-
-// SessionKey is a symmetric key used for the Ek(m) step of the relay phase
-// and for session encryption.
+// SessionKey is the symmetric key k of the Ek(m) step of the relay phase.
 type SessionKey [32]byte
 
 // HMACScratch holds the reusable hash states and pad buffers of the

@@ -2,6 +2,7 @@ package g2gcrypto
 
 import (
 	"bytes"
+	"crypto/rand"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -163,8 +164,8 @@ func TestFastDeterministic(t *testing.T) {
 }
 
 func TestPayloadEncryptDecrypt(t *testing.T) {
-	key, err := NewSessionKey(nil)
-	if err != nil {
+	var key SessionKey
+	if _, err := rand.Read(key[:]); err != nil {
 		t.Fatal(err)
 	}
 	msg := []byte("the message m, handed over before the key is revealed")

@@ -1,7 +1,6 @@
 package g2gcrypto
 
 import (
-	"crypto/ed25519"
 	"time"
 
 	"give2get/internal/obs"
@@ -11,17 +10,13 @@ import (
 // Instrument wraps sys so that every primitive records its count and wall
 // time into st. A nil st returns sys unchanged; the wrapper is otherwise
 // transparent — it changes no bytes, so instrumented runs stay deterministic
-// in virtual time. If sys is a CertifiedSystem, the wrapper is too.
+// in virtual time.
 func Instrument(sys System, st *obs.CryptoStats) System {
 	if st == nil || sys == nil {
 		return sys
 	}
 	st.SetProvider(sys.Name())
-	in := &instrumentedSystem{inner: sys, stats: st}
-	if cs, ok := sys.(CertifiedSystem); ok {
-		return &instrumentedCertifiedSystem{instrumentedSystem: in, certified: cs}
-	}
-	return in
+	return &instrumentedSystem{inner: sys, stats: st}
 }
 
 type instrumentedSystem struct {
@@ -62,19 +57,6 @@ func (s *instrumentedSystem) SealFor(dest trace.NodeID, plaintext []byte) ([]byt
 	box, err := s.inner.SealFor(dest, plaintext)
 	s.stats.NoteSeal(time.Since(start))
 	return box, err
-}
-
-type instrumentedCertifiedSystem struct {
-	*instrumentedSystem
-	certified CertifiedSystem
-}
-
-func (s *instrumentedCertifiedSystem) AuthorityKey() ed25519.PublicKey {
-	return s.certified.AuthorityKey()
-}
-
-func (s *instrumentedCertifiedSystem) Certificate(n trace.NodeID) (Certificate, error) {
-	return s.certified.Certificate(n)
 }
 
 type instrumentedIdentity struct {

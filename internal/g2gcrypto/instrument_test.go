@@ -72,21 +72,3 @@ func TestInstrumentNilStats(t *testing.T) {
 		t.Fatal("nil stats should return the system unchanged")
 	}
 }
-
-func TestInstrumentCertified(t *testing.T) {
-	real, err := NewReal(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := Instrument(real, &obs.CryptoStats{})
-	cs, ok := sys.(CertifiedSystem)
-	if !ok {
-		t.Fatal("instrumented real provider lost CertifiedSystem")
-	}
-	if cs.AuthorityKey() == nil {
-		t.Fatal("no authority key")
-	}
-	if _, err := cs.Certificate(0); err != nil {
-		t.Fatal(err)
-	}
-}

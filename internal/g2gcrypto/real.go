@@ -14,14 +14,14 @@ import (
 )
 
 // realSystem implements System with production primitives: Ed25519 for
-// signatures and X25519 + AES-256-GCM for sealing. The in-memory authority
-// generates every node's keys at setup and is never consulted again, exactly
-// like the paper's offline trusted authority.
+// signatures and X25519 + AES-256-GCM for sealing. Every node's keys are
+// generated at setup, and the table of public keys stands in for the
+// certificates of the paper's offline authority: any node can verify any
+// other's signatures and seal for any destination, and nothing is consulted
+// after setup.
 type realSystem struct {
 	identities []*realIdentity
 	random     io.Reader
-	authority  *Authority
-	certs      []Certificate
 }
 
 type realIdentity struct {
@@ -30,7 +30,6 @@ type realIdentity struct {
 	signPub ed25519.PublicKey
 	boxKey  *ecdh.PrivateKey
 	boxPub  *ecdh.PublicKey
-	system  *realSystem
 }
 
 var (
@@ -47,15 +46,9 @@ func NewReal(nodes int, randomness io.Reader) (System, error) {
 	if randomness == nil {
 		randomness = rand.Reader
 	}
-	authority, err := NewAuthority(randomness)
-	if err != nil {
-		return nil, err
-	}
 	s := &realSystem{
 		identities: make([]*realIdentity, nodes),
 		random:     randomness,
-		authority:  authority,
-		certs:      make([]Certificate, nodes),
 	}
 	curve := ecdh.X25519()
 	for n := 0; n < nodes; n++ {
@@ -73,32 +66,9 @@ func NewReal(nodes int, randomness io.Reader) (System, error) {
 			signPub: pub,
 			boxKey:  boxKey,
 			boxPub:  boxKey.PublicKey(),
-			system:  s,
 		}
-		s.certs[n] = authority.Issue(trace.NodeID(n), pub, boxKey.PublicKey().Bytes())
 	}
 	return s, nil
-}
-
-// AuthorityKey implements CertifiedSystem.
-func (s *realSystem) AuthorityKey() ed25519.PublicKey { return s.authority.PublicKey() }
-
-// Certificate implements CertifiedSystem.
-func (s *realSystem) Certificate(n trace.NodeID) (Certificate, error) {
-	if int(n) < 0 || int(n) >= len(s.certs) {
-		return Certificate{}, fmt.Errorf("%w: %d", ErrUnknownNode, n)
-	}
-	return s.certs[n], nil
-}
-
-// OpenSessionWith starts an authenticated session handshake from this
-// identity toward peer (Section IV-A's session key negotiation).
-func (id *realIdentity) OpenSessionWith(peer trace.NodeID, randomness io.Reader) (*SessionState, error) {
-	cert, err := id.system.Certificate(id.node)
-	if err != nil {
-		return nil, err
-	}
-	return OpenSession(cert, id.signKey, peer, randomness)
 }
 
 func (s *realSystem) Name() string { return "real" }
@@ -230,17 +200,4 @@ func DecryptPayload(key SessionKey, box []byte) ([]byte, error) {
 		return nil, ErrBadCiphertext
 	}
 	return pt, nil
-}
-
-// NewSessionKey draws a fresh symmetric key. randomness may be nil for
-// crypto/rand.
-func NewSessionKey(randomness io.Reader) (SessionKey, error) {
-	if randomness == nil {
-		randomness = rand.Reader
-	}
-	var k SessionKey
-	if _, err := io.ReadFull(randomness, k[:]); err != nil {
-		return SessionKey{}, fmt.Errorf("g2gcrypto: session key: %w", err)
-	}
-	return k, nil
 }

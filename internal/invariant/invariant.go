@@ -203,7 +203,13 @@ type Auditor struct {
 
 	pendingFailures []pendingFailure
 	pomReported     int
-	deviantSet      map[trace.NodeID]struct{}
+	// pomDue marks the last detection of a G2G run, of message dueHash, as
+	// still awaiting the PoM broadcast that must immediately follow it. It
+	// is not part of State: the protocol reports a detection and its PoM in
+	// one step, so no checkpoint barrier falls between them.
+	pomDue     bool
+	dueHash    g2gcrypto.Digest
+	deviantSet map[trace.NodeID]struct{}
 
 	violations    []Violation
 	violationsAll int
@@ -434,9 +440,11 @@ func (a *Auditor) Detected(accused trace.NodeID, reason wire.MisbehaviorReason, 
 		id = m.id
 	}
 	a.hashEvent('X', id, int64(accused), int64(reason), at, int64(ttlExpiry))
+	a.checkPoMBacked()
 	a.detections = append(a.detections, Detection{
 		Accused: accused, Reason: reason.String(), MsgID: uint64(id), At: at,
 	})
+	a.pomDue, a.dueHash = a.cfg.G2G, h
 	if m != nil {
 		rec := record(at, "detect")
 		rec.Node = int(accused)
@@ -533,5 +541,19 @@ func (a *Auditor) MisbehaviorReported(pom wire.Signed, at sim.Time) {
 	if n := len(a.detections); n == 0 || a.detections[n-1].Accused != body.Accused || a.detections[n-1].At != at {
 		a.violate(RuleBadPoM, nil, g2gcrypto.Digest{}, at,
 			"PoM against %d does not match the preceding detection", body.Accused)
+		return
 	}
+	a.pomDue = false
+}
+
+// checkPoMBacked raises RuleMissingPoM if the last detection of a G2G run
+// was not followed by its PoM broadcast.
+func (a *Auditor) checkPoMBacked() {
+	if !a.pomDue {
+		return
+	}
+	a.pomDue = false
+	d := a.detections[len(a.detections)-1]
+	a.violate(RuleMissingPoM, a.msgs[a.dueHash], a.dueHash, d.At,
+		"detection of %d (%s) over message %d has no PoM broadcast backing it", d.Accused, d.Reason, d.MsgID)
 }

@@ -323,7 +323,59 @@ func TestPoMValidation(t *testing.T) {
 		a.Generated(h(1), message.MakeID(1, 1), 1, 2, 0)
 		a.Detected(3, wire.ReasonDropped, h(1), d1+sim.Minute, d1)
 		rep := finalizeClean(a)
+		wantRule(t, rep, RuleMissingPoM)
 		wantRule(t, rep, RuleAccountingMismatch)
+	})
+}
+
+// TestMissingPoM: every detection of a G2G run must be followed by the PoM
+// broadcast backing it; one that is not is reported as missing-pom, naming
+// the accused and the message.
+func TestMissingPoM(t *testing.T) {
+	deviant := func(c *Config) { c.Deviants = []trace.NodeID{3, 5}; c.Deviation = protocol.Dropper; c.G2G = true }
+	missing := func(rep *Report) []Violation {
+		var out []Violation
+		for _, v := range rep.Violations {
+			if v.Rule == RuleMissingPoM {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	t.Run("detection without its PoM", func(t *testing.T) {
+		a := newTestAuditor(t, deviant)
+		a.Generated(h(1), message.MakeID(1, 1), 1, 2, 0)
+		at := d1 + sim.Minute
+		a.Detected(3, wire.ReasonDropped, h(1), at, d1)
+		got := missing(finalizeClean(a))
+		if len(got) != 1 {
+			t.Fatalf("missing-pom violations = %v, want one", got)
+		}
+		v := got[0]
+		if v.MsgID != uint64(message.MakeID(1, 1)) || v.At != at || !strings.Contains(v.Detail, "detection of 3 ") {
+			t.Errorf("violation does not name the accused and message: %+v", v)
+		}
+	})
+	t.Run("only the unbacked detection", func(t *testing.T) {
+		a := newTestAuditor(t, deviant)
+		a.Generated(h(1), message.MakeID(1, 1), 1, 2, 0)
+		a.Generated(h(2), message.MakeID(4, 1), 4, 6, 0)
+		at := d1 + sim.Minute
+		a.Detected(5, wire.ReasonDropped, h(2), at, d1)
+		a.Detected(3, wire.ReasonDropped, h(1), at, d1)
+		a.MisbehaviorReported(pomFor(t, a.cfg.Sys, 3, 1, h(1), at), at)
+		got := missing(finalizeClean(a))
+		if len(got) != 1 || got[0].MsgID != uint64(message.MakeID(4, 1)) || !strings.Contains(got[0].Detail, "detection of 5 ") {
+			t.Fatalf("missing-pom violations = %+v, want one naming node 5 and message %d", got, message.MakeID(4, 1))
+		}
+	})
+	t.Run("vanilla runs broadcast no PoM", func(t *testing.T) {
+		a := newTestAuditor(t, func(c *Config) { c.Deviants = []trace.NodeID{3}; c.Deviation = protocol.Dropper })
+		a.Generated(h(1), message.MakeID(1, 1), 1, 2, 0)
+		a.Detected(3, wire.ReasonDropped, h(1), d1+sim.Minute, d1)
+		if got := missing(finalizeClean(a)); len(got) != 0 {
+			t.Fatalf("missing-pom raised outside G2G: %v", got)
+		}
 	})
 }
 

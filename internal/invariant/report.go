@@ -193,6 +193,7 @@ func (a *Auditor) Finalize(fin Finalization) *Report {
 					k.from, k.to, n, a.provenBy[k])
 			}
 		}
+		a.checkPoMBacked()
 		a.reconcile("PoM broadcasts (observer)", int64(a.pomReported), int64(len(a.detections)))
 	}
 

@@ -2,7 +2,6 @@ package mobility
 
 import (
 	"errors"
-	"fmt"
 
 	"give2get/internal/sim"
 	"give2get/internal/trace"
@@ -90,7 +89,7 @@ func GenerateLarge(cfg LargeConfig, seed int64, emit func(trace.Contact) error) 
 	for i := range sociability {
 		sociability[i] = 1 + cfg.SociabilitySpread*(2*rng.Float64()-1)
 	}
-	// alignToActiveWindow and the gap math only consult these fields.
+	// pairContacts only consults these fields.
 	base := Config{
 		Duration:    cfg.Duration,
 		ContactMean: cfg.ContactMean,
@@ -105,7 +104,7 @@ func GenerateLarge(cfg LargeConfig, seed int64, emit func(trace.Contact) error) 
 		for a := lo; a < hi; a++ {
 			for b := a + 1; b < hi; b++ {
 				scale := 1 / (sociability[a] * sociability[b])
-				if err := streamPairContacts(base, cfg.Within, scale, a, b, rng, emit); err != nil {
+				if err := pairContacts(base, cfg.Within, scale, a, b, rng, emit); err != nil {
 					return err
 				}
 			}
@@ -134,45 +133,11 @@ func GenerateLarge(cfg LargeConfig, seed int64, emit func(trace.Contact) error) 
 				}
 				seen[key] = struct{}{}
 				scale := 1 / (sociability[x] * sociability[y])
-				if err := streamPairContacts(base, cfg.Across, scale, x, y, rng, emit); err != nil {
+				if err := pairContacts(base, cfg.Across, scale, x, y, rng, emit); err != nil {
 					return err
 				}
 			}
 		}
-	}
-	return nil
-}
-
-// streamPairContacts is appendPairContacts with a callback sink instead of a
-// slice: the same renewal process, O(1) memory per pair.
-func streamPairContacts(cfg Config, p PairParams, scale float64, a, b int, rng *sim.RNG, emit func(trace.Contact) error) error {
-	shortGap := sim.Time(float64(p.ShortGap) * scale)
-	longGap := sim.Time(float64(p.LongGap) * scale)
-
-	t := sim.Time(rng.Float64() * float64(longGap))
-	for t < cfg.Duration {
-		t = alignToActiveWindow(cfg, t, rng)
-		if t >= cfg.Duration {
-			break
-		}
-		dur := rng.Exp(cfg.ContactMean)
-		if dur < sim.Second {
-			dur = sim.Second
-		}
-		end := t + dur
-		if end > cfg.Duration {
-			end = cfg.Duration
-		}
-		if err := emit(trace.Contact{
-			A: trace.NodeID(a), B: trace.NodeID(b), Start: t, End: end,
-		}); err != nil {
-			return fmt.Errorf("mobility: emit: %w", err)
-		}
-		gapMean := longGap
-		if rng.Bool(p.BurstProb) {
-			gapMean = shortGap
-		}
-		t = end + rng.Exp(gapMean)
 	}
 	return nil
 }

@@ -160,6 +160,14 @@ func Generate(cfg Config, seed int64) (*trace.Trace, error) {
 	presence := drawPresence(cfg, nodes, rng)
 
 	var contacts []trace.Contact
+	// Meetings on days either endpoint is absent are suppressed; the renewal
+	// clock still advances, as the present node keeps moving.
+	keepPresent := func(c trace.Contact) error {
+		if bothPresent(presence, int(c.A), int(c.B), c.Start) {
+			contacts = append(contacts, c)
+		}
+		return nil
+	}
 	for a := 0; a < nodes; a++ {
 		for b := a + 1; b < nodes; b++ {
 			params := cfg.Across
@@ -168,7 +176,9 @@ func Generate(cfg Config, seed int64) (*trace.Trace, error) {
 			}
 			// Faster pairs (higher combined sociability) get shorter gaps.
 			scale := 1 / (sociability[a] * sociability[b])
-			contacts = appendPairContacts(contacts, cfg, params, scale, a, b, presence, rng)
+			if err := pairContacts(cfg, params, scale, a, b, rng, keepPresent); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return trace.New(cfg.Name, nodes, contacts)
@@ -197,10 +207,10 @@ func bothPresent(presence [][]bool, a, b int, t sim.Time) bool {
 	return presence[a][day] && presence[b][day]
 }
 
-// appendPairContacts runs one pair's renewal process across the whole trace
-// duration. Meetings on days either endpoint is absent are suppressed (the
-// renewal clock still advances, as the present node keeps moving).
-func appendPairContacts(dst []trace.Contact, cfg Config, p PairParams, scale float64, a, b int, presence [][]bool, rng *sim.RNG) []trace.Contact {
+// pairContacts runs one pair's renewal process across the whole trace
+// duration, handing each meeting to emit in time order. Only cfg's Duration,
+// ContactMean and day window are consulted.
+func pairContacts(cfg Config, p PairParams, scale float64, a, b int, rng *sim.RNG, emit func(trace.Contact) error) error {
 	shortGap := sim.Time(float64(p.ShortGap) * scale)
 	longGap := sim.Time(float64(p.LongGap) * scale)
 
@@ -220,10 +230,10 @@ func appendPairContacts(dst []trace.Contact, cfg Config, p PairParams, scale flo
 		if end > cfg.Duration {
 			end = cfg.Duration
 		}
-		if bothPresent(presence, a, b, t) {
-			dst = append(dst, trace.Contact{
-				A: trace.NodeID(a), B: trace.NodeID(b), Start: t, End: end,
-			})
+		if err := emit(trace.Contact{
+			A: trace.NodeID(a), B: trace.NodeID(b), Start: t, End: end,
+		}); err != nil {
+			return fmt.Errorf("mobility: emit: %w", err)
 		}
 		gapMean := longGap
 		if rng.Bool(p.BurstProb) {
@@ -231,7 +241,7 @@ func appendPairContacts(dst []trace.Contact, cfg Config, p PairParams, scale flo
 		}
 		t = end + rng.Exp(gapMean)
 	}
-	return dst
+	return nil
 }
 
 // alignToActiveWindow pushes an instant falling outside the daily active

@@ -3,7 +3,6 @@ package mobility
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"give2get/internal/sim"
 	"give2get/internal/trace"
@@ -241,10 +240,4 @@ func SpatialCampus() SpatialConfig {
 		DayStart:       9 * sim.Hour,
 		DayEnd:         19 * sim.Hour,
 	}
-}
-
-// sortStays is a test helper guaranteeing timeline order (timelines are
-// produced in order; this documents and enforces the invariant).
-func sortStays(s []stay) {
-	sort.Slice(s, func(i, j int) bool { return s[i].start < s[j].start })
 }

@@ -1,6 +1,7 @@
 package mobility
 
 import (
+	"sort"
 	"testing"
 
 	"give2get/internal/sim"
@@ -170,4 +171,9 @@ func TestSpatialTimelinesSorted(t *testing.T) {
 			t.Fatal("timeline not in chronological order")
 		}
 	}
+}
+
+// sortStays orders a timeline by start, the order nodeTimeline produces.
+func sortStays(s []stay) {
+	sort.Slice(s, func(i, j int) bool { return s[i].start < s[j].start })
 }

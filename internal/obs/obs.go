@@ -1,7 +1,7 @@
 // Package obs is the instrumentation layer of the simulation stack: atomic
 // run counters and fixed-bucket histograms (grouped per subsystem in a
-// Metrics registry), leveled structured tracing (TraceSink and its JSON-lines
-// and ring-buffer implementations), and profiling hooks for the CLIs.
+// Metrics registry), leveled structured tracing (TraceSink, its JSON-lines
+// implementation and a fan-out), and profiling hooks for the CLIs.
 //
 // The package is stdlib-only and sits below every other package in the
 // repository, so the sim kernel, the crypto substrate, the protocol layer and
@@ -174,16 +174,6 @@ type TraceSink interface {
 	// Emit captures one record. The sink must not retain slices aliased
 	// into the caller's buffers (Record contains none).
 	Emit(Record)
-}
-
-// Emit forwards rec to sink if the sink is non-nil and enabled at the
-// record's level. It is the nil-safe convenience wrapper for call sites that
-// already hold a fully built Record.
-func Emit(sink TraceSink, rec Record) {
-	if sink == nil || !sink.Enabled(rec.Level) {
-		return
-	}
-	sink.Emit(rec)
 }
 
 // JSONSink writes one JSON object per record, newline-delimited, dropping

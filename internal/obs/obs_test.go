@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -166,7 +167,7 @@ func TestJSONSinkConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				Emit(s, NewRecord(time.Duration(j), LevelInfo, "e"))
+				s.Emit(NewRecord(time.Duration(j), LevelInfo, "e"))
 			}
 		}()
 	}
@@ -342,7 +343,6 @@ func TestNilSafety(t *testing.T) {
 	cr.NoteSeal(1)
 	cr.NoteOpen(1)
 	cr.NoteHeavyHMAC(1, 1)
-	Emit(nil, NewRecord(0, LevelInfo, "e"))
 	var snap *Snapshot
 	if snap.EventsPerSec() != 0 {
 		t.Fatal("nil Snapshot.EventsPerSec should be 0")
@@ -350,10 +350,12 @@ func TestNilSafety(t *testing.T) {
 }
 
 // TestDisabledPathAllocationFree is the formal zero-cost-when-disabled gate:
-// with a nil sink and live counters, recording must not allocate.
+// with a sink that filters the record out and live counters, recording must
+// not allocate.
 func TestDisabledPathAllocationFree(t *testing.T) {
 	m := NewMetrics()
 	rec := NewRecord(time.Second, LevelInfo, "deliver")
+	warnOnly := NewJSONSink(io.Discard, LevelWarn)
 	allocs := testing.AllocsPerRun(1000, func() {
 		m.Sim.NoteScheduled(4)
 		m.Sim.NoteFired(time.Second)
@@ -362,7 +364,7 @@ func TestDisabledPathAllocationFree(t *testing.T) {
 		m.Protocol.NoteWire(5, 128)
 		m.Protocol.NoteTested(true)
 		m.Crypto.NoteSign(time.Microsecond)
-		Emit(nil, rec)
+		warnOnly.Emit(rec)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled/counter-only path allocates %v per op, want 0", allocs)

@@ -139,39 +139,6 @@ func (g *RNG) Exp(mean Time) Time {
 	return Time(float64(mean) * g.r.ExpFloat64())
 }
 
-// Normal returns a normally distributed value with the given mean and
-// standard deviation.
-func (g *RNG) Normal(mean, stddev float64) float64 {
-	return mean + stddev*g.r.NormFloat64()
-}
-
-// Poisson returns a Poisson-distributed count with the given mean, using
-// Knuth's method for small means and a normal approximation above 500 to
-// avoid pathological loop lengths.
-func (g *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 500 {
-		n := int(math.Round(g.Normal(mean, math.Sqrt(mean))))
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-	limit := math.Exp(-mean)
-	product := g.r.Float64()
-	n := 0
-	for product > limit {
-		product *= g.r.Float64()
-		n++
-	}
-	return n
-}
-
-// Shuffle pseudo-randomly permutes n elements via the provided swap function.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
 // Bytes fills b with pseudo-random bytes. The loop replicates
 // math/rand.Rand.Read byte for byte, but keeps the partial-draw buffer in
 // the RNG itself so State can capture it.

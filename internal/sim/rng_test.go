@@ -75,52 +75,6 @@ func TestExpNonPositiveMean(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	tests := []struct {
-		name string
-		mean float64
-	}{
-		{name: "small", mean: 2.5},
-		{name: "moderate", mean: 40},
-		{name: "large uses normal approx", mean: 900},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			g := NewRNG(5)
-			const n = 5000
-			total := 0
-			for i := 0; i < n; i++ {
-				total += g.Poisson(tt.mean)
-			}
-			got := float64(total) / n
-			if math.Abs(got-tt.mean)/tt.mean > 0.07 {
-				t.Errorf("Poisson mean = %.2f, want ~%.2f", got, tt.mean)
-			}
-		})
-	}
-}
-
-func TestPoissonNonPositive(t *testing.T) {
-	g := NewRNG(1)
-	if got := g.Poisson(0); got != 0 {
-		t.Errorf("Poisson(0) = %d, want 0", got)
-	}
-	if got := g.Poisson(-3); got != 0 {
-		t.Errorf("Poisson(-3) = %d, want 0", got)
-	}
-}
-
-func TestPoissonNonNegativeProperty(t *testing.T) {
-	g := NewRNG(9)
-	property := func(mean float64) bool {
-		m := math.Mod(math.Abs(mean), 1000)
-		return g.Poisson(m) >= 0
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	g := NewRNG(3)
 	const n = 20000

@@ -151,10 +151,6 @@ func parseHeader(line string, nodes *int, name *string) {
 	}
 }
 
-// Write serializes the trace in the format Parse accepts, including the
-// header line.
-func Write(w io.Writer, t *Trace) error { return WriteText(w, t) }
-
 // WriteText streams any source out as a CRAWDAD-style listing, including
 // the header line: the text exporter for binary traces, O(1) memory.
 func WriteText(w io.Writer, src Source) error {

@@ -76,7 +76,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, orig); err != nil {
+	if err := WriteText(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	parsed, err := Parse(&buf)

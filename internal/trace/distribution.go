@@ -75,33 +75,3 @@ func interContactGaps(t *Trace) []sim.Time {
 	}
 	return gaps
 }
-
-// HourlyContactProfile returns, for each hour-of-day, the total number of
-// contacts starting in that hour across the whole trace. It exposes the
-// diurnal activity pattern of the mobility model.
-func HourlyContactProfile(t *Trace) [24]int {
-	var profile [24]int
-	for _, c := range t.Contacts() {
-		hourOfDay := int(c.Start/sim.Hour) % 24
-		profile[hourOfDay]++
-	}
-	return profile
-}
-
-// DegreeDistribution returns, per node, the number of distinct peers it
-// ever met: the contact-graph degree, exposing hub structure.
-func DegreeDistribution(t *Trace) []int {
-	peers := make([]map[NodeID]struct{}, t.Nodes())
-	for i := range peers {
-		peers[i] = make(map[NodeID]struct{})
-	}
-	for _, c := range t.Contacts() {
-		peers[c.A][c.B] = struct{}{}
-		peers[c.B][c.A] = struct{}{}
-	}
-	out := make([]int, t.Nodes())
-	for i, set := range peers {
-		out[i] = len(set)
-	}
-	return out
-}

@@ -57,41 +57,3 @@ func TestInterContactCCDFDegenerate(t *testing.T) {
 		t.Errorf("zero points yielded %v", got)
 	}
 }
-
-func TestHourlyContactProfile(t *testing.T) {
-	tr, err := New("h", 3, []Contact{
-		c(0, 1, 30*sim.Minute, 40*sim.Minute),               // hour 0
-		c(1, 2, sim.Hour+sim.Minute, sim.Hour+2*sim.Minute), // hour 1
-		c(0, 2, 25*sim.Hour, 25*sim.Hour+sim.Minute),        // hour 1, next day
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	profile := HourlyContactProfile(tr)
-	if profile[0] != 1 || profile[1] != 2 {
-		t.Errorf("profile = %v", profile[:3])
-	}
-	for h := 2; h < 24; h++ {
-		if profile[h] != 0 {
-			t.Errorf("hour %d = %d, want 0", h, profile[h])
-		}
-	}
-}
-
-func TestDegreeDistribution(t *testing.T) {
-	tr, err := New("deg", 4, []Contact{
-		c(0, 1, 0, sim.Minute),
-		c(0, 2, 2*sim.Minute, 3*sim.Minute),
-		c(0, 1, 5*sim.Minute, 6*sim.Minute), // repeat: degree unchanged
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deg := DegreeDistribution(tr)
-	want := []int{2, 1, 1, 0}
-	for i := range want {
-		if deg[i] != want[i] {
-			t.Errorf("degree[%d] = %d, want %d", i, deg[i], want[i])
-		}
-	}
-}

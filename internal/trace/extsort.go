@@ -138,11 +138,11 @@ func (w *ExtWriter) spill() error {
 }
 
 // Close merges the runs (and the final partial buffer) into the target
-// binary file, then removes the temporary runs. The merge writes to a
-// temporary file in the target's directory and renames it into place, so a
-// crash mid-merge never leaves a torn target. It must be called exactly
-// once; on error nothing is left behind — no target, no temp, no runs.
-func (w *ExtWriter) Close() (err error) {
+// binary file, then removes the temporary runs. The merge is published with
+// WriteFileAtomic, so a crash mid-merge never leaves a torn target. It must
+// be called exactly once; on error nothing is left behind — no target, no
+// temp, no runs.
+func (w *ExtWriter) Close() error {
 	if w.closed {
 		return errors.New("trace: ext writer already closed")
 	}
@@ -160,37 +160,20 @@ func (w *ExtWriter) Close() (err error) {
 	if nodes <= 0 {
 		return ErrNoNodes
 	}
-
-	out, err := os.CreateTemp(filepath.Dir(w.path), ".g2gt-tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := out.Name()
-	defer func() {
-		if out != nil {
-			err = errors.Join(err, out.Close())
-		}
+	return WriteFileAtomic(w.path, func(out io.Writer) error {
+		bw, err := NewBinaryWriter(out, w.name, nodes)
 		if err != nil {
-			os.Remove(tmp)
-		}
-	}()
-	// finish seals the temp file and publishes it atomically.
-	finish := func() error {
-		if err := out.Sync(); err != nil {
 			return err
 		}
-		closeErr := out.Close()
-		out = nil
-		if closeErr != nil {
-			return closeErr
+		if err := w.merge(bw); err != nil {
+			return err
 		}
-		return os.Rename(tmp, w.path)
-	}
-	bw, err := NewBinaryWriter(out, w.name, nodes)
-	if err != nil {
-		return err
-	}
+		return bw.Close()
+	})
+}
 
+// merge feeds every buffered and spilled contact to bw in sorted order.
+func (w *ExtWriter) merge(bw *BinaryWriter) error {
 	// Fast path: everything fit in memory — sort and write directly.
 	if len(w.runs) == 0 {
 		sort.Slice(w.buf, func(i, j int) bool {
@@ -201,10 +184,7 @@ func (w *ExtWriter) Close() (err error) {
 				return err
 			}
 		}
-		if err := bw.Close(); err != nil {
-			return err
-		}
-		return finish()
+		return nil
 	}
 
 	// Spill the tail so the merge has uniform inputs.
@@ -245,10 +225,7 @@ func (w *ExtWriter) Close() (err error) {
 			heap.Pop(&h)
 		}
 	}
-	if err := bw.Close(); err != nil {
-		return err
-	}
-	return finish()
+	return nil
 }
 
 // runReader streams one sorted run file back.

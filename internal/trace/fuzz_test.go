@@ -26,7 +26,7 @@ func FuzzParseTrace(f *testing.F) {
 		// A successfully parsed trace must serialize and re-parse into an
 		// equivalent trace.
 		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
+		if err := WriteText(&buf, tr); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		again, err := Parse(&buf)

@@ -3,7 +3,6 @@ package give2get
 import (
 	"io"
 
-	"give2get/internal/engine"
 	"give2get/internal/obs"
 )
 
@@ -27,17 +26,10 @@ const (
 )
 
 // NewJSONTraceSink returns a sink writing one JSON object per record at or
-// above min to w, equivalent to what SimulationConfig.TraceJSON produces at
-// TraceDebug.
+// above min to w. At TraceDebug it writes every record of a run, wall
+// timestamps included, as g2gsim -tracelog does.
 func NewJSONTraceSink(w io.Writer, min TraceLevel) TraceSink {
 	return obs.NewJSONSink(w, min)
-}
-
-// NewLegacyEventSink returns a sink writing the original pre-telemetry event
-// log to w: one JSON line per generate/replicate/deliver/test/detect event,
-// byte for byte the format g2gsim -events has always written.
-func NewLegacyEventSink(w io.Writer) TraceSink {
-	return engine.NewLegacyEventSink(w)
 }
 
 // MultiSink fans records out to every non-nil sink.
