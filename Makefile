@@ -129,7 +129,8 @@ trace-roundtrip:
 # virtual, inside the preset's message workload (about 9h to 11h20m), and
 # the signal follows as soon as it appears, so it lands at the same point of
 # the run on a slow or a fast host. The poll gives up after 60 s or when the
-# run exits.
+# run exits. A single g2gsim run is a sweep of one, so its checkpoint is the
+# sweep runner's first per-spec file, spec-0000.ckpt.
 kill-resume:
 	@dir=$$(mktemp -d); \
 	$(GO) build -o $$dir/g2gsim ./cmd/g2gsim || { rm -rf $$dir; exit 1; }; \
@@ -139,9 +140,9 @@ kill-resume:
 	  $$run >$$dir/ref.out 2>&1 && \
 	  { $$run -checkpoint-dir $$dir/ckpt -checkpoint-every 9h30m >$$dir/int.out 2>&1 & \
 	    pid=$$!; i=0; \
-	    while [ ! -f $$dir/ckpt/run.ckpt ] && [ $$i -lt 1200 ] && kill -0 $$pid 2>/dev/null; do sleep 0.05; i=$$((i+1)); done; \
+	    while [ ! -f $$dir/ckpt/spec-0000.ckpt ] && [ $$i -lt 1200 ] && kill -0 $$pid 2>/dev/null; do sleep 0.05; i=$$((i+1)); done; \
 	    kill -TERM $$pid 2>/dev/null; wait $$pid; \
-	    test -f $$dir/ckpt/run.ckpt || { echo "kill-resume: $$proto: no checkpoint flushed (run finished before the kill?)"; cat $$dir/int.out; rm -rf $$dir; exit 1; }; \
+	    test -f $$dir/ckpt/spec-0000.ckpt || { echo "kill-resume: $$proto: no checkpoint flushed (run finished before the kill?)"; cat $$dir/int.out; rm -rf $$dir; exit 1; }; \
 	    $$run -checkpoint-dir $$dir/ckpt -resume >$$dir/res.out 2>&1 && \
 	    grep digest= $$dir/ref.out >$$dir/ref.digest && \
 	    grep digest= $$dir/res.out >$$dir/res.digest && \

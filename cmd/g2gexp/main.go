@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		inspect    = fs.String("inspect", "", "serve a live experiment inspector on this address (e.g. :6060): JSON telemetry at /snapshot, SSE progress at /events, pprof under /debug/pprof/")
 		ckptDir    = fs.String("checkpoint-dir", "", "directory for crash-safe state: completed runs are journaled there (one subdirectory per experiment), SIGINT/SIGTERM flushes in-flight checkpoints, and -resume continues")
 		ckptEvery  = fs.Duration("checkpoint-every", 0, "virtual-time period between periodic per-run checkpoints (0 = flush only on interruption)")
-		resume     = fs.Bool("resume", false, "continue an interrupted experiment from the state in -checkpoint-dir")
+		resume     = fs.Bool("resume", false, "continue an interrupted experiment from the state in -checkpoint-dir: runs journaled under the same configuration are restored, the others run, from their checkpoint when one survived")
 		retries    = fs.Int("retries", 0, "re-attempt failed simulations this many times with exponential backoff")
 	)
 	var prof obs.Profiler
@@ -117,9 +117,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			// One journal + checkpoint namespace per experiment, so a
 			// multi-experiment invocation stays resumable as a whole.
 			opts.CheckpointDir = filepath.Join(*ckptDir, id)
-			if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
-				return err
-			}
 		}
 		tables, err := experiments.Run(id, opts)
 		if err != nil {

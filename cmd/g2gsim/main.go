@@ -18,7 +18,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -55,9 +54,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		tracelog  = fs.String("tracelog", "", "write a leveled JSON-lines trace of the run to this file")
 		progress  = fs.Duration("progress", 0, "print a progress line to stderr at this wall-clock period (0 = off)")
 		inspect   = fs.String("inspect", "", "serve a live run inspector on this address (e.g. :6060): JSON telemetry at /snapshot, SSE progress at /events, pprof under /debug/pprof/")
-		ckptDir   = fs.String("checkpoint-dir", "", "directory for crash-safe state: SIGINT/SIGTERM flushes a checkpoint there, and -resume continues from it")
+		ckptDir   = fs.String("checkpoint-dir", "", "directory for crash-safe state: completed runs are journaled there (sweep.journal), each run keeps a checkpoint there (spec-NNNN.ckpt) that SIGINT/SIGTERM flushes, and -resume continues")
 		ckptEvery = fs.Duration("checkpoint-every", 0, "virtual-time period between periodic checkpoints (0 = flush only on interruption)")
-		resume    = fs.Bool("resume", false, "continue an interrupted run from the state in -checkpoint-dir")
+		resume    = fs.Bool("resume", false, "continue from the state in -checkpoint-dir: runs journaled under the same configuration are restored, the others run, from their checkpoint when one survived")
 	)
 	var prof obs.Profiler
 	prof.RegisterFlags(fs)
@@ -75,11 +74,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}()
 	if *resume && *ckptDir == "" {
 		return errors.New("-resume requires -checkpoint-dir")
-	}
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			return err
-		}
 	}
 	// SIGINT/SIGTERM cancel the run gracefully: the engine finishes the
 	// instant in flight, flushes its checkpoint, and returns ErrInterrupted.
@@ -151,12 +145,20 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	if *tracelog != "" {
-		f, err := os.Create(*tracelog)
-		if err != nil {
-			return err
+		f, ferr := os.Create(*tracelog)
+		if ferr != nil {
+			return ferr
 		}
-		defer f.Close()
-		cfg.Sink = give2get.NewJSONTraceSink(f, give2get.TraceDebug)
+		sink := give2get.NewJSONTraceSink(f, give2get.TraceDebug)
+		cfg.Sink = sink
+		defer func() {
+			if werr := sink.Err(); err == nil {
+				err = werr
+			}
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
 	if *progress > 0 {
 		cfg.Progress = stderr
@@ -166,21 +168,17 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		cfg.Audit = give2get.AuditConfig{Enabled: true}
 	}
 
+	// A single run is a sweep of one repeat: one path runs, checkpoints and
+	// resumes every invocation.
+	sweep, err := give2get.RunSweep(give2get.SweepConfig{
+		SimulationConfig: cfg, Repeats: *repeats, Jobs: *jobs,
+		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *resume,
+	})
+	if errors.Is(err, give2get.ErrInterrupted) && *ckptDir != "" {
+		fmt.Fprintf(stderr, "g2gsim: interrupted; state saved under %s (continue with -resume)\n", *ckptDir)
+	}
 	if *repeats > 1 {
-		scfg := give2get.SweepConfig{
-			SimulationConfig: cfg, Repeats: *repeats, Jobs: *jobs,
-		}
-		if *ckptDir != "" {
-			scfg.Journal = filepath.Join(*ckptDir, "sweep.journal")
-			scfg.CheckpointDir = *ckptDir
-			scfg.CheckpointEvery = *ckptEvery
-			scfg.Resume = *resume
-		}
-		sweep, err := give2get.RunSweep(scfg)
 		if err != nil {
-			if errors.Is(err, give2get.ErrInterrupted) && *ckptDir != "" {
-				fmt.Fprintf(stderr, "g2gsim: interrupted; state saved under %s (continue with -resume)\n", *ckptDir)
-			}
 			return err
 		}
 		fmt.Fprintf(stdout, "trace:       %s (%d nodes, %d contacts)\n", tr.Name(), tr.Nodes(), tr.Contacts())
@@ -194,67 +192,43 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			fmt.Fprintf(stdout, "detection:   %.1f%% exposed mean\n", sweep.DetectionRate)
 		}
 		if *audit {
-			// RunSweep promotes violations to errors, so reaching this point
+			// RunSweep fails on any violation, so reaching this point
 			// means every repeat audited clean.
 			fmt.Fprintf(stdout, "audit: ok (%d runs clean)\n", len(sweep.Runs))
 		}
-		if *telemetry != "" {
-			return writeTelemetry(stdout, *telemetry, reg.Snapshot())
-		}
-		return nil
-	}
-
-	ckptPath := ""
-	if *ckptDir != "" {
-		ckptPath = filepath.Join(*ckptDir, "run.ckpt")
-		cfg.CheckpointPath = ckptPath
-		cfg.CheckpointInterval = *ckptEvery
-	}
-	var res *give2get.Result
-	if *resume {
-		if _, statErr := os.Stat(ckptPath); errors.Is(statErr, os.ErrNotExist) {
-			fmt.Fprintf(stderr, "g2gsim: no checkpoint at %s, starting fresh\n", ckptPath)
-			res, err = give2get.Run(cfg)
-		} else {
-			res, err = give2get.Resume(ckptPath, cfg)
-		}
 	} else {
-		res, err = give2get.Run(cfg)
-	}
-	if err != nil {
-		if errors.Is(err, give2get.ErrInterrupted) && ckptPath != "" {
-			fmt.Fprintf(stderr, "g2gsim: interrupted; checkpoint at %s (continue with -resume)\n", ckptPath)
+		// A run that finished prints its report even when its audit
+		// failed.
+		if sweep == nil || sweep.Runs[0] == nil {
+			return err
 		}
-		return err
-	}
-	if ckptPath != "" {
-		// A completed run needs no restart point; a stale one would make a
-		// later -resume replay the wrong run.
-		os.Remove(ckptPath)
-	}
-	fmt.Fprintf(stdout, "trace:       %s (%d nodes, %d contacts)\n", tr.Name(), tr.Nodes(), tr.Contacts())
-	fmt.Fprintf(stdout, "protocol:    %s  ttl=%v  seed=%d\n", *proto, *ttl, *seed)
-	fmt.Fprintf(stdout, "messages:    %d generated, %d delivered (%.1f%%)\n",
-		res.Generated, res.Delivered, res.SuccessRate)
-	fmt.Fprintf(stdout, "delay:       %v mean\n", res.MeanDelay.Round(time.Second))
-	fmt.Fprintf(stdout, "cost:        %.2f replicas/msg total, %.2f at delivery\n",
-		res.Cost, res.CostToDelivery)
-	if *deviants > 0 {
-		fmt.Fprintf(stdout, "deviants:    %d %ss (outsiders=%v)\n", len(cfg.Deviants), *deviation, *outsiders)
-		fmt.Fprintf(stdout, "detection:   %.1f%% exposed, mean %v after TTL, %d false accusations\n",
-			res.DetectionRate, res.MeanDetectionTime.Round(time.Second), res.FalseAccusations)
-	}
-	if rep := res.AuditReport; rep != nil {
-		fmt.Fprintln(stdout, rep)
-		if err := rep.Err(); err != nil {
+		res := sweep.Runs[0]
+		fmt.Fprintf(stdout, "trace:       %s (%d nodes, %d contacts)\n", tr.Name(), tr.Nodes(), tr.Contacts())
+		fmt.Fprintf(stdout, "protocol:    %s  ttl=%v  seed=%d\n", *proto, *ttl, *seed)
+		fmt.Fprintf(stdout, "messages:    %d generated, %d delivered (%.1f%%)\n",
+			res.Generated, res.Delivered, res.SuccessRate)
+		fmt.Fprintf(stdout, "delay:       %v mean\n", res.MeanDelay.Round(time.Second))
+		fmt.Fprintf(stdout, "cost:        %.2f replicas/msg total, %.2f at delivery\n",
+			res.Cost, res.CostToDelivery)
+		if *deviants > 0 {
+			fmt.Fprintf(stdout, "deviants:    %d %ss (outsiders=%v)\n", len(cfg.Deviants), *deviation, *outsiders)
+			fmt.Fprintf(stdout, "detection:   %.1f%% exposed, mean %v after TTL, %d false accusations\n",
+				res.DetectionRate, res.MeanDetectionTime.Round(time.Second), res.FalseAccusations)
+		}
+		if rep := res.AuditReport; rep != nil {
+			fmt.Fprintln(stdout, rep)
 			for _, v := range rep.Violations {
 				fmt.Fprintln(stderr, "  ", v)
 			}
+		}
+		if err != nil {
 			return err
 		}
 	}
 	if *telemetry != "" {
-		return writeTelemetry(stdout, *telemetry, res.Telemetry)
+		// The registry holds every run of the invocation and the trace
+		// load.
+		return writeTelemetry(stdout, *telemetry, reg.Snapshot())
 	}
 	return nil
 }

@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -67,6 +69,51 @@ func TestRunSweepRepeats(t *testing.T) {
 	}
 	if par := sweep("2"); par != seq {
 		t.Errorf("sweep output differs between -jobs 1 and -jobs 2:\n%s\nvs\n%s", seq, par)
+	}
+}
+
+// TestResumeUnderChangedProtocol journals an Epidemic sweep, then resumes
+// the directory with G2G Epidemic: the journaled runs belong to another
+// configuration, so the output must be a fresh G2G Epidemic sweep's (45.9%
+// success), not Epidemic's 52.3%. A second resume restores the G2G runs it
+// journaled and prints the same again.
+func TestResumeUnderChangedProtocol(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	sweep := func(extra ...string) string {
+		t.Helper()
+		args := append([]string{"-preset", "infocom05", "-ttl", "10m", "-interval", "60s",
+			"-repeats", "2", "-jobs", "2"}, extra...)
+		var out, errOut bytes.Buffer
+		if err := run(args, &out, &errOut); err != nil {
+			t.Fatalf("%v: %v\nstderr:\n%s", extra, err, errOut.String())
+		}
+		return out.String()
+	}
+	epidemic := sweep("-checkpoint-dir", dir, "-protocol", "epidemic")
+	want := sweep("-protocol", "g2g-epidemic")
+	if !strings.Contains(epidemic, "success:     52.3%") || !strings.Contains(want, "success:     45.9%") {
+		t.Fatalf("unexpected references:\n%s\n%s", epidemic, want)
+	}
+	for pass := 0; pass < 2; pass++ {
+		if got := sweep("-checkpoint-dir", dir, "-protocol", "g2g-epidemic", "-resume"); got != want {
+			t.Errorf("resume %d printed\n%s\nwant the fresh run's\n%s", pass, got, want)
+		}
+	}
+}
+
+// TestTraceLogWriteError points -tracelog at a device that refuses every
+// write: the run must fail with the write error, as -telemetry does.
+func TestTraceLogWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	var out, errOut bytes.Buffer
+	err := run([]string{
+		"-preset", "infocom05", "-protocol", "g2g-epidemic",
+		"-ttl", "30m", "-interval", "2m", "-tracelog", "/dev/full",
+	}, &out, &errOut)
+	if !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("-tracelog /dev/full: %v, want ENOSPC", err)
 	}
 }
 

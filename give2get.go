@@ -110,7 +110,7 @@ type SimulationConfig struct {
 
 	// Sink, when non-nil, receives the run's trace records; NewJSONTraceSink
 	// writes them as leveled JSON lines. Implementations must be safe for
-	// concurrent use (RunSweep shares the sink across runs).
+	// concurrent use (RunSweep shares the sink across repeats).
 	Sink TraceSink
 	// Progress, when non-nil, receives a one-line progress report every
 	// ProgressInterval of wall time while the run executes.
@@ -130,35 +130,15 @@ type SimulationConfig struct {
 	// times are recorded either way.
 	Registry *Metrics
 
-	// CheckpointPath, when non-empty, makes the run crash-safe: a
-	// versioned, checksummed snapshot of the full run state is written
-	// there atomically (every CheckpointInterval of virtual time, and on
-	// graceful cancellation), and Resume can continue it with results —
-	// down to the audit digest — identical to an uninterrupted run.
-	// Requires the fast crypto provider.
-	CheckpointPath string
-	// CheckpointInterval is the virtual-time period between periodic
-	// checkpoints; zero flushes only on cancellation.
-	CheckpointInterval time.Duration
 	// Context, when non-nil, cancels the run gracefully: the engine
-	// finishes the instant in flight, flushes the checkpoint, and returns
-	// ErrInterrupted.
+	// finishes the instant in flight, flushes its checkpoint when
+	// SweepConfig.CheckpointDir is set, and returns ErrInterrupted.
 	Context context.Context
 }
 
-// Checkpoint/resume errors, re-exported for callers that branch on them.
-var (
-	// ErrInterrupted is returned by a cancelled run after its checkpoint
-	// (if configured) was flushed.
-	ErrInterrupted = engine.ErrInterrupted
-	// ErrCheckpointCorrupt marks a checkpoint that failed validation
-	// (truncation, bit flips, bad checksum, or a stored event that cannot
-	// belong to the run); Resume refuses it cleanly.
-	ErrCheckpointCorrupt = engine.ErrCheckpointCorrupt
-	// ErrCheckpointMismatch marks a checkpoint captured under a different
-	// configuration or trace.
-	ErrCheckpointMismatch = engine.ErrCheckpointMismatch
-)
+// ErrInterrupted is returned by a cancelled run after its checkpoint (if
+// configured) was flushed.
+var ErrInterrupted = engine.ErrInterrupted
 
 // AuditConfig switches on the invariant auditor: a shadow model of the run
 // that cross-checks every protocol event and the end-of-run accounting.
@@ -270,10 +250,6 @@ func engineConfig(cfg SimulationConfig, seed int64) (engine.Config, error) {
 	if cfg.Audit.Enabled {
 		ecfg.Audit = &invariant.Options{Label: cfg.Audit.Label}
 	}
-	ecfg.Checkpoint = engine.CheckpointConfig{
-		Path:  cfg.CheckpointPath,
-		Every: sim.Time(cfg.CheckpointInterval),
-	}
 	ecfg.Context = cfg.Context
 
 	windowStart := sim.Time(cfg.WindowStart)
@@ -298,22 +274,6 @@ func Run(cfg SimulationConfig) (*Result, error) {
 		return nil, err
 	}
 	res, err := engine.Run(ecfg)
-	if err != nil {
-		return nil, err
-	}
-	return publicResult(res), nil
-}
-
-// Resume restores the run checkpointed at path and continues it to
-// completion. cfg must be the configuration the checkpoint was written
-// under (verified structurally and by fingerprint); the result is identical
-// to the run never having been interrupted.
-func Resume(path string, cfg SimulationConfig) (*Result, error) {
-	ecfg, err := engineConfig(cfg, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	res, err := engine.Resume(path, ecfg)
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +308,8 @@ func publicResult(res *engine.Result) *Result {
 }
 
 // SweepConfig describes a batch of repeats of one simulation, executed
-// concurrently on a worker pool.
+// concurrently on a worker pool. A single crash-safe run is a sweep of one
+// repeat.
 type SweepConfig struct {
 	SimulationConfig
 	// Repeats is how many runs to average, at seeds derived from Seed
@@ -357,18 +318,17 @@ type SweepConfig struct {
 	// Jobs is how many runs the scheduler keeps in flight; values below 1
 	// mean GOMAXPROCS. The results are identical for every value.
 	Jobs int
-	// Journal, when non-empty, records every completed repeat to this file
-	// as it finishes, making the sweep crash-safe.
-	Journal string
-	// Resume replays an existing Journal: completed repeats are restored
-	// from it instead of re-running, and interrupted repeats restart from
-	// their checkpoint in CheckpointDir when one survived.
-	Resume bool
-	// CheckpointDir, when non-empty, gives every repeat a periodic engine
-	// checkpoint so interrupted repeats can resume mid-run. The embedded
-	// CheckpointPath is ignored in a sweep — the scheduler owns checkpoint
-	// placement.
+	// CheckpointDir, when non-empty, makes the sweep crash-safe: a journal
+	// there (sweep.journal) records every completed repeat, and every
+	// repeat keeps an engine checkpoint (spec-NNNN.ckpt) so an interrupted
+	// one can resume mid-run. The directory is created if missing.
+	// Checkpoints need the fast crypto provider.
 	CheckpointDir string
+	// Resume replays CheckpointDir's journal: a repeat journaled under the
+	// same configuration is restored instead of re-running, and every other
+	// repeat runs, restarting from its checkpoint when one survived. A
+	// repeat journaled under another configuration runs afresh.
+	Resume bool
 	// CheckpointEvery is the virtual-time period between per-repeat
 	// checkpoints; zero flushes only on cancellation.
 	CheckpointEvery time.Duration
@@ -394,7 +354,11 @@ type SweepResult struct {
 // RunSweep executes cfg.Repeats runs with derived seeds across cfg.Jobs
 // workers and averages the headline metrics. The aggregate is deterministic:
 // results are collected and reduced in repeat order, so the same base seed
-// yields the same SweepResult at any job count.
+// yields the same SweepResult at any job count. With audits enabled, a
+// violation fails the sweep. When a repeat fails, RunSweep returns the
+// error beside a SweepResult whose Runs hold every repeat that finished,
+// one whose audit failed included, and nil for the others; its means are
+// left zero.
 func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 	repeats := cfg.Repeats
 	if repeats < 1 {
@@ -407,32 +371,33 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 			return nil, err
 		}
 		label := fmt.Sprintf("repeat-%d", r)
-		if ecfg.Audit != nil && ecfg.Audit.Label == "" {
+		// Violations name their repeat; a lone run's report reads as
+		// Run's would.
+		if repeats > 1 && ecfg.Audit != nil && ecfg.Audit.Label == "" {
 			ecfg.Audit = &invariant.Options{Label: label}
 		}
-		// The scheduler owns checkpoint placement in a sweep: a single
-		// CheckpointPath shared by every repeat would corrupt itself.
-		ecfg.Checkpoint = engine.CheckpointConfig{}
 		specs[r] = runner.Spec{Label: label, Config: ecfg}
 	}
 	outcomes, err := runner.Run(specs, runner.Options{
 		Jobs:            cfg.Jobs,
 		StrictAudit:     cfg.Audit.Enabled,
 		Context:         cfg.Context,
-		Journal:         cfg.Journal,
-		Resume:          cfg.Resume,
 		CheckpointDir:   cfg.CheckpointDir,
+		Resume:          cfg.Resume,
 		CheckpointEvery: sim.Time(cfg.CheckpointEvery),
 		Retries:         cfg.Retries,
 	})
-	if err != nil {
-		return nil, err
-	}
 	sweep := &SweepResult{Runs: make([]*Result, repeats)}
-	var delay time.Duration
 	for r, o := range outcomes {
-		res := publicResult(o.Result)
-		sweep.Runs[r] = res
+		if o.Result != nil {
+			sweep.Runs[r] = publicResult(o.Result)
+		}
+	}
+	if err != nil {
+		return sweep, err
+	}
+	var delay time.Duration
+	for _, res := range sweep.Runs {
 		sweep.SuccessRate += res.SuccessRate
 		delay += res.MeanDelay
 		sweep.Cost += res.Cost
@@ -484,8 +449,9 @@ type ExperimentOptions struct {
 	// checkpoints; zero flushes only on cancellation.
 	CheckpointEvery time.Duration
 	// Resume continues an experiment interrupted under the same
-	// CheckpointDir: journaled runs are restored without re-executing,
-	// in-flight runs restart from their checkpoint.
+	// CheckpointDir: runs journaled under the same configuration are
+	// restored without re-executing, and the others run, in-flight ones
+	// from their checkpoint.
 	Resume bool
 	// Retries re-attempts failed simulations this many times with
 	// exponential backoff before the experiment fails.

@@ -2,6 +2,8 @@ package give2get
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -325,9 +327,27 @@ func withoutTelemetry(res *Result) Result {
 	return out
 }
 
-// TestResumeFromPeriodicCheckpoint runs with periodic checkpoints to
-// completion, resumes from the last checkpoint the run wrote, and requires
-// the result, audit digest included, of a run that never checkpointed.
+// cancelOnPhase is a trace sink that cancels its run's context as the run
+// enters the named phase, then pauses long enough for the engine to notice,
+// so the run stops mid-flight at a point of its own progress.
+type cancelOnPhase struct {
+	phase  string
+	cancel context.CancelFunc
+}
+
+func (c cancelOnPhase) Enabled(l TraceLevel) bool { return l >= TraceInfo }
+
+func (c cancelOnPhase) Emit(rec TraceRecord) {
+	if rec.Event == "phase" && rec.Reason == c.phase {
+		c.cancel()
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestResumeFromPeriodicCheckpoint runs a checkpointed sweep of one to
+// completion, and another whose context is cancelled as its window opens,
+// then resumes the cancelled one from its checkpoint. Both must give the
+// result, audit digest included, of a run that never checkpointed.
 func TestResumeFromPeriodicCheckpoint(t *testing.T) {
 	for _, tc := range []struct {
 		protocol  Protocol
@@ -345,29 +365,73 @@ func TestResumeFromPeriodicCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			ckpt := cfg
-			ckpt.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
-			ckpt.CheckpointInterval = 90 * time.Minute
-			full, err := Run(ckpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Resume(ckpt.CheckpointPath, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			want := withoutTelemetry(ref)
 			if want.AuditReport == nil || !want.AuditReport.Ok() || want.Delivered == 0 {
 				t.Fatalf("reference run is not a clean audited run with traffic: %+v", want)
 			}
-			if !reflect.DeepEqual(withoutTelemetry(full), want) {
-				t.Errorf("checkpointing changed the run:\n got %+v\nwant %+v", withoutTelemetry(full), want)
+
+			full, err := RunSweep(SweepConfig{SimulationConfig: cfg,
+				CheckpointDir: t.TempDir(), CheckpointEvery: 90 * time.Minute})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(withoutTelemetry(got), want) {
-				t.Errorf("resumed run differs:\n got %+v\nwant %+v", withoutTelemetry(got), want)
+			if !reflect.DeepEqual(withoutTelemetry(full.Runs[0]), want) {
+				t.Errorf("checkpointing changed the run:\n got %+v\nwant %+v", withoutTelemetry(full.Runs[0]), want)
+			}
+
+			dir := t.TempDir()
+			ckpt := filepath.Join(dir, "spec-0000.ckpt")
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			stopped := cfg
+			stopped.Context = ctx
+			stopped.Sink = cancelOnPhase{phase: "window", cancel: cancel}
+			if _, err := RunSweep(SweepConfig{SimulationConfig: stopped,
+				CheckpointDir: dir, CheckpointEvery: 90 * time.Minute}); !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("cancelled sweep: %v, want ErrInterrupted", err)
+			}
+			if _, err := os.Stat(ckpt); err != nil {
+				t.Fatalf("cancelled run flushed no checkpoint: %v", err)
+			}
+			got, err := RunSweep(SweepConfig{SimulationConfig: cfg, CheckpointDir: dir, Resume: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(withoutTelemetry(got.Runs[0]), want) {
+				t.Errorf("resumed run differs:\n got %+v\nwant %+v", withoutTelemetry(got.Runs[0]), want)
+			}
+			if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("completed run left its checkpoint: %v", err)
 			}
 		})
+	}
+}
+
+// TestRunSweepReturnsFinishedRuns fails a sweep after its first repeat, whose
+// completion cannot be journaled: RunSweep returns the error beside the
+// repeat that finished, and no result for the one it never started.
+func TestRunSweepReturnsFinishedRuns(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "sweep.journal")); err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickConfig(t, Epidemic)
+	sweep, err := RunSweep(SweepConfig{SimulationConfig: cfg, Repeats: 2, Jobs: 1, CheckpointDir: dir})
+	if err == nil {
+		t.Fatal("sweep with an unwritable journal succeeded")
+	}
+	ref, rerr := Run(cfg)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if sweep == nil || sweep.Runs[0] == nil || sweep.Runs[1] != nil {
+		t.Fatalf("sweep beside the error = %+v, want the first repeat only", sweep)
+	}
+	if got, want := withoutTelemetry(sweep.Runs[0]), withoutTelemetry(ref); !reflect.DeepEqual(got, want) {
+		t.Errorf("finished repeat = %+v, want %+v", got, want)
 	}
 }
 

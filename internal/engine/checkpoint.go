@@ -116,16 +116,22 @@ type checkpoint struct {
 	Auditor   *invariant.State
 }
 
-// configFingerprint hashes every deterministic run parameter; a checkpoint
-// only resumes under a configuration with the same fingerprint.
-func configFingerprint(cfg Config) [32]byte {
+// ConfigFingerprint hashes every deterministic run parameter; of the trace
+// it takes only the population. A checkpoint resumes, and a sweep journal
+// entry restores, only under a configuration with the same fingerprint (a
+// checkpoint also pins the contacts it has read).
+func ConfigFingerprint(cfg Config) [32]byte {
 	crypto := cfg.Crypto
 	if crypto == "" {
 		crypto = CryptoFast
 	}
+	population := 0
+	if cfg.Trace != nil {
+		population = cfg.Trace.Nodes()
+	}
 	h := sha256.New()
 	fmt.Fprintf(h, "proto=%d seed=%d crypto=%s pop=%d\n",
-		cfg.Protocol, cfg.Seed, crypto, cfg.Trace.Nodes())
+		cfg.Protocol, cfg.Seed, crypto, population)
 	fmt.Fprintf(h, "params=%d,%d,%d,%d,%d\n",
 		cfg.Params.Delta1, cfg.Params.Delta2, cfg.Params.MaxRelays,
 		cfg.Params.HeavyHMACIterations, cfg.Params.QualityFrame)
@@ -188,7 +194,7 @@ func parseCheckpoint(data []byte) (*checkpoint, error) {
 // for itself.
 func (e *engine) captureCheckpoint(s *sim.Simulator) (*checkpoint, error) {
 	ck := &checkpoint{
-		Fingerprint:  configFingerprint(e.cfg),
+		Fingerprint:  ConfigFingerprint(e.cfg),
 		Now:          s.Now(),
 		CursorClosed: e.cursor == nil,
 		StreamEnded:  e.streamEnded,
@@ -261,7 +267,7 @@ func Resume(path string, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ck.Fingerprint != configFingerprint(e.cfg) {
+	if ck.Fingerprint != ConfigFingerprint(e.cfg) {
 		return nil, fmt.Errorf("%w: fingerprint mismatch", ErrCheckpointMismatch)
 	}
 	s := sim.New()

@@ -204,7 +204,7 @@ func TestSharedTelemetryAggregates(t *testing.T) {
 	if got := m.Engine.MessagesGenerated.Load(); got != 2*afterFirst {
 		t.Fatalf("aggregated generated = %d, want %d", got, 2*afterFirst)
 	}
-	if m.Engine.PhaseWall(obs.PhaseWindow) <= 0 {
+	if m.Snapshot().Engine.Phases.Window.WallNS <= 0 {
 		t.Fatal("no window wall time aggregated")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -60,8 +59,8 @@ type Options struct {
 	// emission; zero flushes only on graceful interruption.
 	CheckpointEvery sim.Time
 	// Resume replays CheckpointDir's journal before dispatching, skipping
-	// completed runs and restarting interrupted ones from their
-	// checkpoints.
+	// runs completed under the same configuration and restarting
+	// interrupted ones from their checkpoints.
 	Resume bool
 	// Retries re-attempts transiently failed runs (with backoff) before
 	// the failure sticks.
@@ -287,7 +286,6 @@ func (b *batch) run() error {
 		Retries:     b.opts.Retries,
 	}
 	if b.opts.CheckpointDir != "" {
-		ropts.Journal = filepath.Join(b.opts.CheckpointDir, "sweep.journal")
 		ropts.CheckpointDir = b.opts.CheckpointDir
 		ropts.CheckpointEvery = b.opts.CheckpointEvery
 		ropts.Resume = b.opts.Resume

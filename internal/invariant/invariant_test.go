@@ -231,7 +231,7 @@ func porFor(t *testing.T, sys g2gcrypto.System, hash g2gcrypto.Digest, from, to 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wire.Sign(id, at, wire.ProofOfRelay{Hash: hash, From: from, To: to})
+	return new(wire.Scratch).Sign(id, at, wire.ProofOfRelay{Hash: hash, From: from, To: to})
 }
 
 func TestPoRChain(t *testing.T) {
@@ -262,7 +262,7 @@ func TestPoRChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		por := wire.Sign(id, sim.Minute, wire.ProofOfRelay{Hash: h(1), From: 1, To: 3})
+		por := new(wire.Scratch).Sign(id, sim.Minute, wire.ProofOfRelay{Hash: h(1), From: 1, To: 3})
 		a.RelayProven(por, sim.Minute)
 		wantRule(t, finalizeClean(a), RuleBadPoR)
 	})
@@ -283,12 +283,12 @@ func pomFor(t *testing.T, sys g2gcrypto.System, accused, reporter trace.NodeID, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	evidence := wire.Sign(accusedID, at, wire.ProofOfRelay{Hash: hash, From: reporter, To: accused})
+	evidence := new(wire.Scratch).Sign(accusedID, at, wire.ProofOfRelay{Hash: hash, From: reporter, To: accused})
 	reporterID, err := sys.Identity(reporter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wire.Sign(reporterID, at, wire.Misbehavior{
+	return new(wire.Scratch).Sign(reporterID, at, wire.Misbehavior{
 		Accused: accused, Reason: wire.ReasonDropped, Evidence: []wire.Signed{evidence},
 	})
 }

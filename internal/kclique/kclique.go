@@ -182,19 +182,6 @@ func (c *Communities) Len() int { return len(c.groups) }
 // callers must not modify it.
 func (c *Communities) Group(id int) []trace.NodeID { return c.groups[id] }
 
-// Of returns the community ids node n belongs to, in ascending order.
-func (c *Communities) Of(n trace.NodeID) []int {
-	if int(n) >= len(c.members) {
-		return nil
-	}
-	ids := make([]int, 0, len(c.members[n]))
-	for id := range c.members[n] {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // SameCommunity reports whether a and b share at least one community. Nodes
 // that belong to no community share a community with nobody, including each
 // other.

@@ -1,6 +1,7 @@
 package kclique
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -212,4 +213,17 @@ func TestDetectInvariantsProperty(t *testing.T) {
 	if err := quick.Check(property, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Of returns the community ids node n belongs to, in ascending order.
+func (c *Communities) Of(n trace.NodeID) []int {
+	if int(n) >= len(c.members) {
+		return nil
+	}
+	ids := make([]int, 0, len(c.members[n]))
+	for id := range c.members[n] {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
 }

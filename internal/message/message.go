@@ -33,12 +33,6 @@ func MakeID(sender trace.NodeID, seq uint32) ID {
 	return ID(uint64(uint32(sender))<<32 | uint64(seq))
 }
 
-// Sender recovers the sending node encoded in the id.
-func (id ID) Sender() trace.NodeID { return trace.NodeID(uint32(id >> 32)) }
-
-// Seq recovers the sender-local sequence number.
-func (id ID) Seq() uint32 { return uint32(id) }
-
 // Payload is the sealed content: only the destination ever sees these
 // fields.
 type Payload struct {

@@ -29,12 +29,8 @@ func ident(t *testing.T, sys g2gcrypto.System, n trace.NodeID) g2gcrypto.Identit
 }
 
 func TestIDRoundTrip(t *testing.T) {
-	id := MakeID(17, 42)
-	if id.Sender() != 17 {
-		t.Errorf("Sender = %d", id.Sender())
-	}
-	if id.Seq() != 42 {
-		t.Errorf("Seq = %d", id.Seq())
+	if id := MakeID(17, 42); id != 17<<32|42 {
+		t.Errorf("MakeID(17, 42) = %#x, want sender in the high word, sequence in the low", uint64(id))
 	}
 	if MakeID(1, 1) == MakeID(1, 2) || MakeID(1, 1) == MakeID(2, 1) {
 		t.Error("distinct ids collided")

@@ -113,8 +113,8 @@ func TestTableRender(t *testing.T) {
 	tbl := NewTable("Fig X", "protocol", "success %", "cost")
 	tbl.AddRow("epidemic", 72.5, 14)
 	tbl.AddRow("g2g-epidemic", 71.25, 11)
-	if tbl.Rows() != 2 {
-		t.Fatalf("rows = %d", tbl.Rows())
+	if len(tbl.rows) != 2 {
+		t.Fatalf("rows = %d", len(tbl.rows))
 	}
 	var b strings.Builder
 	if err := tbl.Render(&b); err != nil {

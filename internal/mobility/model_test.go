@@ -76,8 +76,8 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatalf("same seed, different contact counts: %d vs %d", a.Len(), b.Len())
 	}
 	for i := 0; i < a.Len(); i++ {
-		if a.At(i) != b.At(i) {
-			t.Fatalf("contact %d differs: %+v vs %+v", i, a.At(i), b.At(i))
+		if a.Contacts()[i] != b.Contacts()[i] {
+			t.Fatalf("contact %d differs: %+v vs %+v", i, a.Contacts()[i], b.Contacts()[i])
 		}
 	}
 	c, err := Generate(cfg, 8)
@@ -87,7 +87,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	if c.Len() == a.Len() {
 		identical := true
 		for i := 0; i < a.Len(); i++ {
-			if a.At(i) != c.At(i) {
+			if a.Contacts()[i] != c.Contacts()[i] {
 				identical = false
 				break
 			}

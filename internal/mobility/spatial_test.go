@@ -83,7 +83,7 @@ func TestGenerateSpatialDeterministic(t *testing.T) {
 		t.Fatalf("same seed, different contact counts: %d vs %d", a.Len(), b.Len())
 	}
 	for i := 0; i < a.Len(); i++ {
-		if a.At(i) != b.At(i) {
+		if a.Contacts()[i] != b.Contacts()[i] {
 			t.Fatalf("contact %d differs", i)
 		}
 	}

@@ -183,6 +183,7 @@ type JSONSink struct {
 	w   io.Writer
 	min Level
 	buf []byte
+	err error
 }
 
 // NewJSONSink returns a sink writing records at or above min to w.
@@ -193,17 +194,27 @@ func NewJSONSink(w io.Writer, min Level) *JSONSink {
 // Enabled implements TraceSink.
 func (s *JSONSink) Enabled(l Level) bool { return s != nil && l >= s.min }
 
-// Emit implements TraceSink. Write errors are swallowed: an unwritable trace
-// must never break a simulation (the metrics path stays authoritative).
+// Emit implements TraceSink. A write error never breaks the simulation:
+// the sink keeps the first one for Err and writes nothing after it.
 func (s *JSONSink) Emit(rec Record) {
 	if !s.Enabled(rec.Level) {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.err != nil {
+		return
+	}
 	s.buf = rec.appendJSON(s.buf[:0])
 	s.buf = append(s.buf, '\n')
-	_, _ = s.w.Write(s.buf)
+	_, s.err = s.w.Write(s.buf)
+}
+
+// Err returns the first write error, or nil when every record was written.
+func (s *JSONSink) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
 }
 
 // multiSink fans records out to several sinks, honoring each sink's level.

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -155,6 +156,38 @@ func TestJSONSinkLevelsAndOutput(t *testing.T) {
 	}
 	if want := `{"t":"1m0s","level":"info","event":"deliver","msg":"cafebabe"}`; lines[0] != want {
 		t.Fatalf("line = %s, want %s", lines[0], want)
+	}
+}
+
+// failAfter accepts n writes, then fails every later one.
+type failAfter struct {
+	n, writes int
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	f.writes++
+	if f.writes > f.n {
+		return 0, fmt.Errorf("write %d refused", f.writes)
+	}
+	return len(p), nil
+}
+
+// TestJSONSinkKeepsFirstWriteError checks that a failed write is reported
+// by Err, not swallowed, and that the sink stops writing after it.
+func TestJSONSinkKeepsFirstWriteError(t *testing.T) {
+	w := &failAfter{n: 1}
+	s := NewJSONSink(w, LevelDebug)
+	for i := 0; i < 4; i++ {
+		s.Emit(NewRecord(0, LevelInfo, "e"))
+		if i == 0 && s.Err() != nil {
+			t.Fatalf("error after a good write: %v", s.Err())
+		}
+	}
+	if err := s.Err(); err == nil || err.Error() != "write 2 refused" {
+		t.Errorf("Err() = %v, want the first failure, write 2", err)
+	}
+	if w.writes != 2 {
+		t.Errorf("sink made %d writes, want none after the failure", w.writes)
 	}
 }
 
@@ -325,9 +358,6 @@ func TestNilSafety(t *testing.T) {
 	eng.NoteDelivered()
 	eng.NoteBroadcast()
 	eng.NotePhase(PhaseWindow, time.Second)
-	if eng.PhaseWall(PhaseWindow) != 0 {
-		t.Fatal("nil EngineStats.PhaseWall should be 0")
-	}
 	var proto *ProtocolStats
 	proto.NoteTestStarted()
 	proto.NoteTested(true)

@@ -247,14 +247,6 @@ func (e *EngineStats) CurrentPhase() (Phase, bool) {
 	return Phase(v - 1), true
 }
 
-// PhaseWall returns the accumulated wall time of one phase.
-func (e *EngineStats) PhaseWall(p Phase) time.Duration {
-	if e == nil || p < 0 || p >= numPhases {
-		return 0
-	}
-	return time.Duration(e.phaseNS[p].Load())
-}
-
 // PhaseSnapshot is one phase's frozen wall-clock accounting.
 type PhaseSnapshot struct {
 	WallNS int64 `json:"wall_ns"`

@@ -100,30 +100,6 @@ func (s *SpanStats) Note(sp Span, wall, self time.Duration) {
 	s.selfNS[sp].Add(int64(self))
 }
 
-// Count returns the number of completed regions of one span.
-func (s *SpanStats) Count(sp Span) int64 {
-	if s == nil || sp >= numSpans {
-		return 0
-	}
-	return s.count[sp].Load()
-}
-
-// Wall returns the accumulated wall time of one span.
-func (s *SpanStats) Wall(sp Span) time.Duration {
-	if s == nil || sp >= numSpans {
-		return 0
-	}
-	return time.Duration(s.wallNS[sp].Load())
-}
-
-// Self returns the accumulated self time (wall minus child spans) of one span.
-func (s *SpanStats) Self(sp Span) time.Duration {
-	if s == nil || sp >= numSpans {
-		return 0
-	}
-	return time.Duration(s.selfNS[sp].Load())
-}
-
 // SpanSnapshot is one span's frozen accounting in the telemetry JSON.
 type SpanSnapshot struct {
 	Name   string `json:"name"`

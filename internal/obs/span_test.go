@@ -208,3 +208,27 @@ func BenchmarkSpanEnterExitDisabled(b *testing.B) {
 		r.Exit()
 	}
 }
+
+// Count returns the number of completed regions of one span.
+func (s *SpanStats) Count(sp Span) int64 {
+	if s == nil || sp >= numSpans {
+		return 0
+	}
+	return s.count[sp].Load()
+}
+
+// Wall returns the accumulated wall time of one span.
+func (s *SpanStats) Wall(sp Span) time.Duration {
+	if s == nil || sp >= numSpans {
+		return 0
+	}
+	return time.Duration(s.wallNS[sp].Load())
+}
+
+// Self returns the accumulated self time (wall minus child spans) of one span.
+func (s *SpanStats) Self(sp Span) time.Duration {
+	if s == nil || sp >= numSpans {
+		return 0
+	}
+	return time.Duration(s.selfNS[sp].Load())
+}

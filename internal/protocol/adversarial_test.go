@@ -32,14 +32,14 @@ func TestHandleRelayRequestRejectsForgery(t *testing.T) {
 
 	// Envelope signed by the wrong key (signer claims to be node 0 but the
 	// signature is node 1's).
-	forged := wire.Sign(b.self, sim.Second, wire.RelayRequest{Hash: h})
+	forged := new(wire.Scratch).Sign(b.self, sim.Second, wire.RelayRequest{Hash: h})
 	forged.Signer = a.ID()
 	if _, ok := b.handleRelayRequest(sim.Second, forged); ok {
 		t.Error("forged RELAY_RQST answered")
 	}
 
 	// Wrong body type entirely.
-	wrongKind := wire.Sign(a.self, sim.Second, wire.RelayOK{Hash: h})
+	wrongKind := new(wire.Scratch).Sign(a.self, sim.Second, wire.RelayOK{Hash: h})
 	if _, ok := b.handleRelayRequest(sim.Second, wrongKind); ok {
 		t.Error("RELAY_OK answered as RELAY_RQST")
 	}
@@ -58,19 +58,19 @@ func TestHandleRelayTransferWithoutRequestStillSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	transfer := wire.Sign(a.self, sim.Second, wire.RelayTransfer{
+	transfer := new(wire.Scratch).Sign(a.self, sim.Second, wire.RelayTransfer{
 		Hash: h, GenAt: c.genAt, Encrypted: encrypted,
 	})
 	if _, ok := b.handleRelayTransfer(sim.Second, transfer); !ok {
 		t.Fatal("transfer refused outright (PoR expected before key reveal)")
 	}
-	reveal := wire.Sign(a.self, sim.Second, wire.KeyReveal{Hash: h, Key: key})
+	reveal := new(wire.Scratch).Sign(a.self, sim.Second, wire.KeyReveal{Hash: h, Key: key})
 	b.handleKeyReveal(sim.Second, reveal, a.ID())
 	if _, ok := b.custody[h]; ok {
 		t.Error("custody created for payload that does not match the advertised hash")
 	}
 	// Custody is the seen set: the true message must still be welcome.
-	req := wire.Sign(a.self, 2*sim.Second, wire.RelayRequest{Hash: h})
+	req := new(wire.Scratch).Sign(a.self, 2*sim.Second, wire.RelayRequest{Hash: h})
 	if resp, ok := b.handleRelayRequest(2*sim.Second, req); !ok || resp.Body.Kind() != wire.KindRelayOK {
 		t.Errorf("RELAY_RQST after the mismatched payload answered %v, want RELAY_OK", resp)
 	}
@@ -86,14 +86,14 @@ func TestHandleKeyRevealWrongKeyLeavesNoState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	transfer := wire.Sign(a.self, sim.Second, wire.RelayTransfer{
+	transfer := new(wire.Scratch).Sign(a.self, sim.Second, wire.RelayTransfer{
 		Hash: h, GenAt: c.genAt, Encrypted: encrypted,
 	})
 	if _, ok := b.handleRelayTransfer(sim.Second, transfer); !ok {
 		t.Fatal("transfer refused")
 	}
 	wrong := newSessionKey(a.env.RNG)
-	reveal := wire.Sign(a.self, sim.Second, wire.KeyReveal{Hash: h, Key: wrong})
+	reveal := new(wire.Scratch).Sign(a.self, sim.Second, wire.KeyReveal{Hash: h, Key: wrong})
 	b.handleKeyReveal(sim.Second, reveal, a.ID())
 	if _, ok := b.custody[h]; ok {
 		t.Error("custody created from an undecryptable payload")
@@ -110,7 +110,7 @@ func TestHandleKeyRevealFromWrongPartyIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	transfer := wire.Sign(a.self, sim.Second, wire.RelayTransfer{
+	transfer := new(wire.Scratch).Sign(a.self, sim.Second, wire.RelayTransfer{
 		Hash: h, GenAt: c.genAt, Encrypted: encrypted,
 	})
 	if _, ok := b.handleRelayTransfer(sim.Second, transfer); !ok {
@@ -121,7 +121,7 @@ func TestHandleKeyRevealFromWrongPartyIgnored(t *testing.T) {
 	if !ok {
 		t.Fatal("unexpected node type")
 	}
-	reveal := wire.Sign(other.self, sim.Second, wire.KeyReveal{Hash: h, Key: key})
+	reveal := new(wire.Scratch).Sign(other.self, sim.Second, wire.KeyReveal{Hash: h, Key: key})
 	b.handleKeyReveal(sim.Second, reveal, other.ID())
 	if _, ok := b.custody[h]; ok {
 		t.Error("key reveal accepted from a third party")
@@ -130,7 +130,7 @@ func TestHandleKeyRevealFromWrongPartyIgnored(t *testing.T) {
 
 func TestPORChallengeUnknownHash(t *testing.T) {
 	_, a, b := g2gNodePair(t)
-	challenge := wire.Sign(a.self, sim.Second, wire.PORChallenge{
+	challenge := new(wire.Scratch).Sign(a.self, sim.Second, wire.PORChallenge{
 		Hash: g2gcrypto.Hash([]byte("never seen")),
 	})
 	if _, ok := b.handlePORChallenge(sim.Second, challenge); ok {
@@ -156,7 +156,7 @@ func TestEvaluateTestResponseRejectsDuplicatePORs(t *testing.T) {
 	}
 	c := n0.custody[h]
 	var seed [16]byte
-	duplicated := wire.Sign(n1.self, 3*sim.Minute, wire.PORResponse{
+	duplicated := new(wire.Scratch).Sign(n1.self, 3*sim.Minute, wire.PORResponse{
 		First:  n1.custody[h].pors[0],
 		Second: n1.custody[h].pors[0],
 	})
@@ -169,10 +169,10 @@ func TestAcceptPoMFromThirdPartyBlacklists(t *testing.T) {
 	w, a, b := g2gNodePair(t)
 	_ = w
 	// b signed a PoR; a assembles a valid PoM and node 2 receives it.
-	por := wire.Sign(b.self, sim.Minute, wire.ProofOfRelay{
+	por := new(wire.Scratch).Sign(b.self, sim.Minute, wire.ProofOfRelay{
 		Hash: g2gcrypto.Hash([]byte("m")), From: a.ID(), To: b.ID(),
 	})
-	pom := wire.Sign(a.self, 2*sim.Minute, wire.Misbehavior{
+	pom := new(wire.Scratch).Sign(a.self, 2*sim.Minute, wire.Misbehavior{
 		Accused: b.ID(), Reason: wire.ReasonDropped, Evidence: []wire.Signed{por},
 	})
 	third := w.nodes[2]
@@ -190,10 +190,10 @@ func TestAcceptPoMFromThirdPartyBlacklists(t *testing.T) {
 func TestAcceptPoMRejectsInvalidEvidence(t *testing.T) {
 	w, a, b := g2gNodePair(t)
 	// Evidence signed by the accuser, not the accused: a framing attempt.
-	por := wire.Sign(a.self, sim.Minute, wire.ProofOfRelay{
+	por := new(wire.Scratch).Sign(a.self, sim.Minute, wire.ProofOfRelay{
 		Hash: g2gcrypto.Hash([]byte("m")), From: a.ID(), To: b.ID(),
 	})
-	pom := wire.Sign(a.self, 2*sim.Minute, wire.Misbehavior{
+	pom := new(wire.Scratch).Sign(a.self, 2*sim.Minute, wire.Misbehavior{
 		Accused: b.ID(), Reason: wire.ReasonDropped, Evidence: []wire.Signed{por},
 	})
 	third := w.nodes[2]
@@ -202,8 +202,8 @@ func TestAcceptPoMRejectsInvalidEvidence(t *testing.T) {
 		t.Error("framing PoM accepted")
 	}
 	// A PoM whose outer envelope does not verify is also ignored.
-	good := wire.Sign(b.self, sim.Minute, wire.ProofOfRelay{From: a.ID(), To: b.ID()})
-	bad := wire.Sign(a.self, 2*sim.Minute, wire.Misbehavior{
+	good := new(wire.Scratch).Sign(b.self, sim.Minute, wire.ProofOfRelay{From: a.ID(), To: b.ID()})
+	bad := new(wire.Scratch).Sign(a.self, 2*sim.Minute, wire.Misbehavior{
 		Accused: b.ID(), Reason: wire.ReasonDropped, Evidence: []wire.Signed{good},
 	})
 	bad.Sig[0] ^= 1
@@ -232,7 +232,7 @@ func TestDelegationTransferWithoutFQClaimRefused(t *testing.T) {
 	}
 	// Transfer without the preceding FQ_RQST/FQ_RESP exchange: the receiver
 	// has no recorded claim and must refuse to sign a PoR.
-	transfer := wire.Sign(a.self, frame1, wire.RelayTransfer{
+	transfer := new(wire.Scratch).Sign(a.self, frame1, wire.RelayTransfer{
 		Hash: h, GenAt: c.genAt, Encrypted: encrypted,
 	})
 	if _, ok := b.handleRelayTransfer(frame1, transfer); ok {
@@ -251,17 +251,17 @@ func TestDelegationTransferWithoutFQClaimRefused(t *testing.T) {
 		t.Fatal("unqualified peer received the message")
 	}
 	later := frame1 + 5*sim.Minute
-	stale := wire.Sign(a.self, later, wire.RelayTransfer{Hash: h, GenAt: c.genAt, Encrypted: encrypted})
+	stale := new(wire.Scratch).Sign(a.self, later, wire.RelayTransfer{Hash: h, GenAt: c.genAt, Encrypted: encrypted})
 	if _, ok := n2.handleRelayTransfer(later, stale); ok {
 		t.Error("delegation transfer accepted on the claim of an earlier exchange")
 	}
 
 	// Nor does a claim answer a RELAY from anyone but its requester.
-	fqReq := wire.Sign(a.self, later, wire.FQRequest{Hash: h, DPrime: 3})
+	fqReq := new(wire.Scratch).Sign(a.self, later, wire.FQRequest{Hash: h, DPrime: 3})
 	if _, ok := n2.handleFQRequest(later, fqReq); !ok {
 		t.Fatal("FQ request refused")
 	}
-	other := wire.Sign(b.self, later, wire.RelayTransfer{Hash: h, GenAt: c.genAt, Encrypted: encrypted})
+	other := new(wire.Scratch).Sign(b.self, later, wire.RelayTransfer{Hash: h, GenAt: c.genAt, Encrypted: encrypted})
 	if _, ok := n2.handleRelayTransfer(later, other); ok {
 		t.Error("delegation transfer accepted on a claim issued to another requester")
 	}

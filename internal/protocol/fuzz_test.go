@@ -107,7 +107,7 @@ func FuzzProofMemo(f *testing.F) {
 			if !g2gcrypto.VerifyHeavyHMAC(msg, seed, iterations, got) {
 				t.Fatalf("%s: VerifyHeavyHMAC rejected the memo's digest", step)
 			}
-			if walks := m.Spans.Count(obs.SpanCrypto); walks != wantWalks {
+			if walks := spanOf(m, obs.SpanCrypto).Count; walks != wantWalks {
 				t.Fatalf("%s: %d keystream walks, want %d", step, walks, wantWalks)
 			}
 		}

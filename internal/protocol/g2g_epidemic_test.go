@@ -251,7 +251,7 @@ func TestG2GEpidemicStateExpiresAtDelta2(t *testing.T) {
 	}
 	// Custody is the seen set: past Δ2 the message is no longer declined.
 	at := params.Delta2 + 2*sim.Minute
-	req := wire.Sign(w.nodes[2].(*g2gNode).self, at, wire.RelayRequest{Hash: h})
+	req := new(wire.Scratch).Sign(w.nodes[2].(*g2gNode).self, at, wire.RelayRequest{Hash: h})
 	if resp, ok := n1.handleRelayRequest(at, req); !ok || resp.Body.Kind() != wire.KindRelayOK {
 		t.Errorf("RELAY_RQST past Δ2 answered %v, want RELAY_OK", resp)
 	}
@@ -320,13 +320,13 @@ func TestG2GEpidemicIgnoresDelegationFields(t *testing.T) {
 		at := frame1 + sim.Minute
 		// Node 3 declares quality 5 toward node 1 in frame 0; node 1 never
 		// met it, so the claim is false.
-		lie := wire.Sign(w.nodes[3].(*g2gNode).self, at, wire.FQResponse{Responder: 3, DPrime: 1, FQ: 5, Frame: 0})
+		lie := new(wire.Scratch).Sign(w.nodes[3].(*g2gNode).self, at, wire.FQResponse{Responder: 3, DPrime: 1, FQ: 5, Frame: 0})
 		key := newSessionKey(w.env.RNG)
 		encrypted, err := g2gcrypto.EncryptPayload(key, c.raw, rngReader{w.env.RNG})
 		if err != nil {
 			t.Fatal(err)
 		}
-		transfer := wire.Sign(a.self, at, wire.RelayTransfer{
+		transfer := new(wire.Scratch).Sign(a.self, at, wire.RelayTransfer{
 			Hash: h, FM: 7, GenAt: c.genAt, Encrypted: encrypted, Attachments: []wire.Signed{lie},
 		})
 		por, ok := b.handleRelayTransfer(at, transfer)
@@ -336,7 +336,7 @@ func TestG2GEpidemicIgnoresDelegationFields(t *testing.T) {
 		if body, ok := por.Body.(wire.ProofOfRelay); !ok || body != (wire.ProofOfRelay{Hash: h, From: a.ID(), To: b.ID()}) {
 			t.Errorf("dest %d: PoR %+v names more than the hash, the sender and the receiver", dest, por.Body)
 		}
-		b.handleKeyReveal(at, wire.Sign(a.self, at, wire.KeyReveal{Hash: h, Key: key}), a.ID())
+		b.handleKeyReveal(at, new(wire.Scratch).Sign(a.self, at, wire.KeyReveal{Hash: h, Key: key}), a.ID())
 		st := b.CaptureState().G2G
 		if st == nil || len(st.Custody) != 1 {
 			t.Fatalf("dest %d: captured custody %+v, want the one copy", dest, st)

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"testing"
+	"time"
 
 	"give2get/internal/obs"
 	"give2get/internal/sim"
@@ -51,7 +52,7 @@ func TestSessionTelemetry(t *testing.T) {
 	// The source recomputed over a byte-identical copy under the same seed,
 	// so its call hit the memo the relay's proof filled (the passed test
 	// shows the hit returned the relay's digest): one keystream walk.
-	if got := m.Spans.Count(obs.SpanCrypto); got != 1 {
+	if got := spanOf(m, obs.SpanCrypto).Count; got != 1 {
 		t.Errorf("crypto_hmac walks = %d, want 1 for 2 obligations", got)
 	}
 
@@ -117,14 +118,24 @@ func TestHeavyHMACNestsUnderTestSpan(t *testing.T) {
 	// proof (it holds only one onward PoR).
 	w.meet(params.Delta1.Add(sim.Minute), 0, 1)
 
-	spans := &m.Spans
-	if spans.Count(obs.SpanTest) == 0 || spans.Count(obs.SpanCrypto) == 0 {
-		t.Fatalf("test spans = %d, crypto_hmac spans = %d; want both recorded",
-			spans.Count(obs.SpanTest), spans.Count(obs.SpanCrypto))
+	test, crypto := spanOf(m, obs.SpanTest), spanOf(m, obs.SpanCrypto)
+	if test.Count == 0 || crypto.Count == 0 {
+		t.Fatalf("test spans = %d, crypto_hmac spans = %d; want both recorded", test.Count, crypto.Count)
 	}
-	self, hmac, wall := spans.Self(obs.SpanTest), spans.Wall(obs.SpanCrypto), spans.Wall(obs.SpanTest)
+	self, hmac, wall := time.Duration(test.SelfNS), time.Duration(crypto.WallNS), time.Duration(test.WallNS)
 	if self+hmac > wall {
 		t.Fatalf("Self(test) %v + Wall(crypto_hmac) %v = %v exceeds Wall(test) %v: heavy-HMAC time counted twice",
 			self, hmac, self+hmac, wall)
 	}
+}
+
+// spanOf returns the registry's accounting of one span; zero when it never
+// ran.
+func spanOf(m *obs.Metrics, sp obs.Span) obs.SpanSnapshot {
+	for _, s := range m.Snapshot().Spans {
+		if s.Name == sp.String() {
+			return s
+		}
+	}
+	return obs.SpanSnapshot{}
 }

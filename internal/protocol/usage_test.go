@@ -160,13 +160,13 @@ func TestG2GEpidemicMemoryCounterMatchesWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		transfer := wire.Sign(from.self, 6*sim.Minute, wire.RelayTransfer{Hash: h, GenAt: c.genAt, Encrypted: encrypted})
+		transfer := new(wire.Scratch).Sign(from.self, 6*sim.Minute, wire.RelayTransfer{Hash: h, GenAt: c.genAt, Encrypted: encrypted})
 		if _, ok := to.handleRelayTransfer(6*sim.Minute, transfer); !ok {
 			t.Fatal("transfer refused")
 		}
 		checkMemory(w, "a pending handoff")
 	}
-	reveal := wire.Sign(from.self, 6*sim.Minute, wire.KeyReveal{Hash: h, Key: newSessionKey(w.env.RNG)})
+	reveal := new(wire.Scratch).Sign(from.self, 6*sim.Minute, wire.KeyReveal{Hash: h, Key: newSessionKey(w.env.RNG)})
 	to.handleKeyReveal(6*sim.Minute, reveal, from.ID())
 	if len(to.pendingIn) != 0 {
 		t.Fatal("failed reveal left the handoff pending")

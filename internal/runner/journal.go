@@ -3,15 +3,12 @@ package runner
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
 	"encoding/base64"
 	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
-	"strings"
 	"sync"
 
 	"give2get/internal/engine"
@@ -23,33 +20,28 @@ import (
 )
 
 // The sweep journal makes a batch crash-safe: one JSON line per completed
-// run, appended and synced as runs finish, headed by a line that pins the
-// spec list it belongs to. A resumed batch replays the journal, restores the
-// recorded outcomes without re-running them, and dispatches only the specs
-// that never completed — restarting any in-flight run from its engine
-// checkpoint when one survived. A process killed mid-append leaves at worst
-// one torn trailing line, which the loader discards; every earlier entry is
-// intact by construction (append-only, line-framed).
+// run, appended and synced as runs finish, in the file journalName of the
+// batch's CheckpointDir. Each entry is pinned to its spec by index, label and
+// the engine's configuration fingerprint. A resumed batch replays the
+// journal, restores each spec whose entry matches it on all three without
+// re-running it, and dispatches every other spec, restarting an in-flight run
+// from its engine checkpoint when one survived. An entry written for another
+// spec list or configuration matches nothing, so its spec re-runs. Every
+// entry is written with a leading newline, so a torn line (a crash or a
+// failed write mid-append) never runs into the next entry; the loader skips
+// torn lines.
 
-// ErrJournalMismatch marks a journal written for a different spec list.
-var ErrJournalMismatch = errors.New("runner: journal does not match the spec list")
-
-// journalHeader is the first line of a journal.
-type journalHeader struct {
-	Version int    `json:"version"`
-	Specs   int    `json:"specs"`
-	Labels  string `json:"labels"`
-}
+// journalName is the sweep journal's file name inside Options.CheckpointDir.
+const journalName = "sweep.journal"
 
 // journalEntry is one completed run.
 type journalEntry struct {
-	Index    int    `json:"index"`
-	Label    string `json:"label"`
-	Digest   string `json:"digest,omitempty"`
-	Snapshot string `json:"snapshot"`
+	Index       int    `json:"index"`
+	Label       string `json:"label"`
+	Fingerprint string `json:"fingerprint"`
+	Digest      string `json:"digest,omitempty"`
+	Snapshot    string `json:"snapshot"`
 }
-
-const journalVersion = 1
 
 // resultSnapshot is the serializable core of an engine.Result: everything
 // experiment rendering consumes. Wall-clock telemetry is process-local and
@@ -105,15 +97,11 @@ func restoreResult(encoded string) (*engine.Result, error) {
 	}, nil
 }
 
-// labelsHash pins the journal to its spec list: same count, same labels,
-// same order.
-func labelsHash(specs []Spec) string {
-	h := sha256.New()
-	for _, s := range specs {
-		h.Write([]byte(s.Label))
-		h.Write([]byte{'\n'})
-	}
-	return hex.EncodeToString(h.Sum(nil))
+// fingerprint is the journal's form of the engine's configuration
+// fingerprint.
+func fingerprint(cfg engine.Config) string {
+	sum := engine.ConfigFingerprint(cfg)
+	return hex.EncodeToString(sum[:])
 }
 
 // journal is the append side; writes are serialized and synced per entry so
@@ -124,94 +112,53 @@ type journal struct {
 }
 
 // openJournal prepares the journal for a batch. With resume set, an existing
-// file is validated against the specs and its completed outcomes are
-// returned (indexed by spec); otherwise the file is truncated and a fresh
-// header written.
+// file is replayed against the specs and the outcomes it proves complete are
+// returned (indexed by spec), and new entries append to it; otherwise the
+// file starts empty.
 func openJournal(path string, specs []Spec, resume bool) (*journal, map[int]Outcome, error) {
-	restored := map[int]Outcome{}
+	var restored map[int]Outcome
+	flags := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
 	if resume {
 		data, err := os.ReadFile(path)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			// Nothing to resume: fall through to a fresh journal.
-		case err != nil:
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, nil, err
-		default:
-			restored, err = replayJournal(data, specs)
-			if err != nil {
-				return nil, nil, err
-			}
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return nil, nil, err
-			}
-			return &journal{f: f}, restored, nil
 		}
+		if restored, err = replayJournal(data, specs); err != nil {
+			return nil, nil, err
+		}
+		flags = os.O_WRONLY | os.O_CREATE | os.O_APPEND
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(path, flags, 0o644)
 	if err != nil {
-		return nil, nil, err
-	}
-	hdr, err := json.Marshal(journalHeader{Version: journalVersion, Specs: len(specs), Labels: labelsHash(specs)})
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if _, err := f.Write(append(hdr, '\n')); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
 		return nil, nil, err
 	}
 	return &journal{f: f}, restored, nil
 }
 
 // replayJournal parses a journal against the current specs and returns the
-// outcomes it proves complete. A torn trailing line (crash mid-append) is
-// discarded; an entry whose snapshot no longer decodes is skipped, so the
-// run re-executes instead of failing the resume.
+// outcomes it proves complete. A line that does not parse (torn by a crash
+// or a failed write) is skipped, and so is an entry whose index, label or
+// fingerprint does not match its spec, whose snapshot no longer decodes, or
+// whose digest disagrees with the snapshot: those specs re-run.
 func replayJournal(data []byte, specs []Spec) (map[int]Outcome, error) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(nil, 64<<20) // snapshots are long lines
-	if !sc.Scan() {
-		return nil, fmt.Errorf("%w: empty journal", ErrJournalMismatch)
-	}
-	var hdr journalHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("%w: unreadable header: %v", ErrJournalMismatch, err)
-	}
-	if hdr.Version != journalVersion {
-		return nil, fmt.Errorf("%w: journal version %d (want %d)", ErrJournalMismatch, hdr.Version, journalVersion)
-	}
-	if hdr.Specs != len(specs) || hdr.Labels != labelsHash(specs) {
-		return nil, fmt.Errorf("%w: journal covers %d specs with a different label set", ErrJournalMismatch, hdr.Specs)
-	}
 	restored := map[int]Outcome{}
 	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
+		var e journalEntry
+		if json.Unmarshal(sc.Bytes(), &e) != nil {
 			continue
 		}
-		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			// Torn tail from a crash mid-append: everything after it is
-			// unwritten, so stop here.
-			break
-		}
-		if e.Index < 0 || e.Index >= len(specs) {
-			return nil, fmt.Errorf("%w: entry index %d outside %d specs", ErrJournalMismatch, e.Index, len(specs))
-		}
-		if e.Label != specs[e.Index].Label {
-			return nil, fmt.Errorf("%w: entry %d is %q, spec is %q", ErrJournalMismatch, e.Index, e.Label, specs[e.Index].Label)
+		if e.Index < 0 || e.Index >= len(specs) || e.Label != specs[e.Index].Label ||
+			e.Fingerprint != fingerprint(specs[e.Index].Config) {
+			continue
 		}
 		res, err := restoreResult(e.Snapshot)
 		if err != nil {
-			continue // unusable snapshot: re-run this spec
+			continue
 		}
 		if e.Digest != "" && (res.Audit == nil || res.Audit.Digest != e.Digest) {
-			continue // digest disagrees with the snapshot: re-run
+			continue
 		}
 		restored[e.Index] = Outcome{Label: e.Label, Result: res, Restored: true}
 	}
@@ -222,12 +169,12 @@ func replayJournal(data []byte, specs []Spec) (map[int]Outcome, error) {
 }
 
 // record appends one completed run, synced before returning.
-func (j *journal) record(index int, label string, res *engine.Result) error {
+func (j *journal) record(index int, spec Spec, res *engine.Result) error {
 	snap, err := snapshotResult(res)
 	if err != nil {
 		return err
 	}
-	e := journalEntry{Index: index, Label: label, Snapshot: snap}
+	e := journalEntry{Index: index, Label: spec.Label, Fingerprint: fingerprint(spec.Config), Snapshot: snap}
 	if res.Audit != nil {
 		e.Digest = res.Audit.Digest
 	}
@@ -235,12 +182,9 @@ func (j *journal) record(index int, label string, res *engine.Result) error {
 	if err != nil {
 		return err
 	}
-	if strings.ContainsRune(string(line), '\n') {
-		return errors.New("runner: journal entry not line-framed")
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
+	if _, err := j.f.Write(append(append([]byte{'\n'}, line...), '\n')); err != nil {
 		return err
 	}
 	return j.f.Sync()

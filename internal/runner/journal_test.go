@@ -9,11 +9,13 @@ import (
 	"reflect"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"give2get/internal/engine"
 	"give2get/internal/invariant"
+	"give2get/internal/protocol"
 	"give2get/internal/sim"
 	"give2get/internal/trace"
 )
@@ -42,26 +44,47 @@ func mustDigests(t *testing.T, out []Outcome) []string {
 	return digests
 }
 
+// failingSource is a trace whose contacts cannot be read: a run over it
+// fails, while its configuration fingerprint is the trace's own (the
+// fingerprint takes only the population).
+type failingSource struct{ trace.Source }
+
+func (failingSource) Cursor() (trace.Cursor, error) {
+	return nil, errors.New("contacts unreadable")
+}
+
+// fresh runs specs without a checkpoint directory and returns their digests.
+func fresh(t *testing.T, specs []Spec) []string {
+	t.Helper()
+	out, err := Run(specs, Options{Jobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustDigests(t, out)
+}
+
 // TestJournalResumeSkipsCompleted completes a journaled sweep, then resumes
-// it with configs that would fail validation if executed: every outcome must
-// come back restored from the journal, never re-run, with the recorded
-// results intact.
+// it under the same configurations over a trace whose contacts cannot be
+// read: every outcome must come back restored from the journal, never
+// re-run, with the recorded results intact.
 func TestJournalResumeSkipsCompleted(t *testing.T) {
 	tr := testTrace(t)
-	journal := filepath.Join(t.TempDir(), "sweep.journal")
+	dir := t.TempDir()
 
-	first, err := Run(journalSpecs(tr, 3), Options{Jobs: 2, Journal: journal})
+	first, err := Run(journalSpecs(tr, 3), Options{Jobs: 2, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := mustDigests(t, first)
 
-	// Poisoned configs prove restoration: executing any of them would error.
-	poisoned := journalSpecs(tr, 3)
-	for i := range poisoned {
-		poisoned[i].Config.MessageInterval = -1
+	unreadable := journalSpecs(tr, 3)
+	for i := range unreadable {
+		unreadable[i].Config.Trace = failingSource{tr}
 	}
-	second, err := Run(poisoned, Options{Jobs: 2, Journal: journal, Resume: true})
+	if _, err := Run(unreadable[:1], Options{Jobs: 1}); err == nil {
+		t.Fatal("a run over the unreadable trace succeeded; it cannot prove restoration")
+	}
+	second, err := Run(unreadable, Options{Jobs: 2, CheckpointDir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,16 +107,49 @@ func TestJournalResumeSkipsCompleted(t *testing.T) {
 	}
 }
 
+// TestJournalResumeRerunsChangedConfig resumes a journal under spec
+// configurations that changed since it was written, labels kept: the
+// unchanged spec restores, and every changed spec re-runs to the digest of a
+// fresh run of its new configuration, never the journaled one.
+func TestJournalResumeRerunsChangedConfig(t *testing.T) {
+	tr := testTrace(t)
+	dir := t.TempDir()
+	if _, err := Run(journalSpecs(tr, 3), Options{Jobs: 2, CheckpointDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+
+	changed := journalSpecs(tr, 3)
+	changed[1].Config.Protocol = protocol.Epidemic
+	changed[2].Config.Seed += 100
+	want := fresh(t, changed)
+	out, err := Run(changed, Options{Jobs: 2, CheckpointDir: dir, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range out {
+		if wantRestored := i == 0; o.Restored != wantRestored {
+			t.Errorf("outcome %d: restored %v, want %v", i, o.Restored, wantRestored)
+		}
+	}
+	for i, d := range mustDigests(t, out) {
+		if d != want[i] {
+			t.Errorf("outcome %d digest %s, fresh run of its config %s", i, d, want[i])
+		}
+	}
+}
+
 // TestJournalTornTailReruns truncates the journal mid-entry — the on-disk
 // state a crash during append leaves behind — and resumes: intact entries
 // restore, the torn one re-runs, and the sweep still converges on the same
-// digests.
+// digests. The re-run's entry, appended after the torn line, must restore on
+// the next resume.
 func TestJournalTornTailReruns(t *testing.T) {
 	tr := testTrace(t)
-	journal := filepath.Join(t.TempDir(), "sweep.journal")
+	dir := t.TempDir()
+	journal := filepath.Join(dir, journalName)
 	specs := journalSpecs(tr, 2)
 
-	first, err := Run(journalSpecs(tr, 2), Options{Jobs: 1, Journal: journal})
+	first, err := Run(specs, Options{Jobs: 1, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,50 +159,113 @@ func TestJournalTornTailReruns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.SplitAfter(string(data), "\n")
-	if len(lines) < 3 {
-		t.Fatalf("journal has %d lines, want header + 2 entries", len(lines))
+	entries := strings.Fields(string(data))
+	if len(entries) != 2 {
+		t.Fatalf("journal has %d entries, want 2", len(entries))
 	}
-	// Keep the header and the first entry; tear the second mid-line.
-	torn := lines[0] + lines[1] + lines[2][:len(lines[2])/2]
+	// Keep the first entry; tear the second mid-line.
+	torn := "\n" + entries[0] + "\n\n" + entries[1][:len(entries[1])/2]
 	if err := os.WriteFile(journal, []byte(torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	out, err := Run(specs, Options{Jobs: 1, Journal: journal, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out[0].Restored {
-		t.Error("intact entry 0 was not restored")
-	}
-	if out[1].Restored {
-		t.Error("torn entry 1 was restored instead of re-run")
-	}
-	for i, d := range mustDigests(t, out) {
-		if d != want[i] {
-			t.Errorf("outcome %d digest %s, want %s", i, d, want[i])
+	for pass, wantRestored := range [][]bool{{true, false}, {true, true}} {
+		out, err := Run(specs, Options{Jobs: 1, CheckpointDir: dir, Resume: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range out {
+			if o.Restored != wantRestored[i] {
+				t.Errorf("resume %d, outcome %d: restored %v, want %v", pass, i, o.Restored, wantRestored[i])
+			}
+		}
+		for i, d := range mustDigests(t, out) {
+			if d != want[i] {
+				t.Errorf("resume %d, outcome %d digest %s, want %s", pass, i, d, want[i])
+			}
 		}
 	}
 }
 
-// TestJournalMismatchRejected pins the header gate: a journal resumes only
-// against the spec list it was written for.
+// TestJournalMismatchRejected resumes a journal written for another spec
+// list: the same specs reordered, and relabeled. No entry matches a spec by
+// index, label and fingerprint together, so nothing restores, and the batch
+// still reaches the digests of a fresh run.
 func TestJournalMismatchRejected(t *testing.T) {
 	tr := testTrace(t)
-	journal := filepath.Join(t.TempDir(), "sweep.journal")
-	if _, err := Run(journalSpecs(tr, 2), Options{Jobs: 1, Journal: journal}); err != nil {
+	written := journalSpecs(tr, 2)
+	reordered := []Spec{written[1], written[0]}
+	relabeled := journalSpecs(tr, 2)
+	for i := range relabeled {
+		relabeled[i].Label += "-renamed"
+	}
+	for name, specs := range map[string][]Spec{"reordered": reordered, "relabeled": relabeled} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := Run(written, Options{Jobs: 1, CheckpointDir: dir}); err != nil {
+				t.Fatal(err)
+			}
+			want := fresh(t, specs)
+			out, err := Run(specs, Options{Jobs: 1, CheckpointDir: dir, Resume: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, o := range out {
+				if o.Restored {
+					t.Errorf("outcome %d restored from another spec's entry", i)
+				}
+			}
+			for i, d := range mustDigests(t, out) {
+				if d != want[i] {
+					t.Errorf("outcome %d digest %s, want %s", i, d, want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestJournalWriteFailureFailsRun points the journal at a device that
+// refuses every write: a run whose completion cannot be journaled is
+// reported failed, not completed, and a later resume with a writable journal
+// re-runs it (from the checkpoint it kept) to the same audit digest.
+func TestJournalWriteFailureFailsRun(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	tr := testTrace(t)
+	specs := journalSpecs(tr, 1)
+	want := fresh(t, specs)
+
+	dir := t.TempDir()
+	journal := filepath.Join(dir, journalName)
+	if err := os.Symlink("/dev/full", journal); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Run(journalSpecs(tr, 3), Options{Jobs: 1, Journal: journal, Resume: true})
-	if !errors.Is(err, ErrJournalMismatch) {
-		t.Fatalf("resume against a different spec list: %v, want ErrJournalMismatch", err)
+	opts := Options{Jobs: 1, CheckpointDir: dir, CheckpointEvery: 30 * sim.Minute}
+	out, err := Run(specs, opts)
+	if !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("batch error %v, want ENOSPC from the journal", err)
 	}
-	relabeled := journalSpecs(tr, 2)
-	relabeled[1].Label = "renamed"
-	_, err = Run(relabeled, Options{Jobs: 1, Journal: journal, Resume: true})
-	if !errors.Is(err, ErrJournalMismatch) {
-		t.Fatalf("resume with relabeled specs: %v, want ErrJournalMismatch", err)
+	if o := out[0]; o.Err == nil || !strings.Contains(o.Err.Error(), "journal") || o.Restored {
+		t.Fatalf("unjournaled run reported as %+v, want a journal failure", o)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "spec-0000.ckpt")); err != nil {
+		t.Errorf("the failed run dropped its restart point: %v", err)
+	}
+
+	if err := os.Remove(journal); err != nil {
+		t.Fatal(err)
+	}
+	opts.Resume = true
+	out, err = Run(specs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0].Restored {
+		t.Error("a run the journal never recorded was restored")
+	}
+	if got := mustDigests(t, out); got[0] != want[0] {
+		t.Errorf("re-run digest %s, want %s", got[0], want[0])
 	}
 }
 
@@ -163,7 +282,6 @@ func TestCancelledSweepResumesIdentical(t *testing.T) {
 	want := mustDigests(t, ref)
 
 	dir := t.TempDir()
-	journal := filepath.Join(dir, "sweep.journal")
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		// Land the cancellation somewhere inside the sweep; wherever it
@@ -174,7 +292,6 @@ func TestCancelledSweepResumesIdentical(t *testing.T) {
 	}()
 	interrupted, err := Run(journalSpecs(tr, 4), Options{
 		Jobs:            2,
-		Journal:         journal,
 		CheckpointDir:   dir,
 		CheckpointEvery: 30 * sim.Minute,
 		Context:         ctx,
@@ -193,7 +310,6 @@ func TestCancelledSweepResumesIdentical(t *testing.T) {
 
 	out, err := Run(journalSpecs(tr, 4), Options{
 		Jobs:          2,
-		Journal:       journal,
 		CheckpointDir: dir,
 		Resume:        true,
 	})

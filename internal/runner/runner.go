@@ -73,22 +73,20 @@ type Options struct {
 	// also installed as each run's engine Context unless the spec carries
 	// its own.
 	Context context.Context
-	// Journal is the path of the sweep journal: one synced JSON line per
-	// completed run, headed by a line pinning the spec list. Empty disables
-	// journaling.
-	Journal string
-	// Resume replays an existing Journal before dispatching: completed
-	// specs are restored from their journal snapshots (Outcome.Restored)
-	// instead of re-running, and specs that were in flight restart from
-	// their engine checkpoint in CheckpointDir when one survived. The
-	// journal must match the spec list (count, labels, order) or the batch
-	// fails with ErrJournalMismatch.
-	Resume bool
-	// CheckpointDir, when non-empty, gives every run an engine checkpoint
-	// file (spec-NNNN.ckpt) so an interrupted or crashed run can restart
-	// mid-flight on Resume. Checkpoints of completed runs are removed.
-	// Specs on the real crypto provider are excluded (not resumable).
+	// CheckpointDir, when non-empty, makes the batch crash-safe. The sweep
+	// journal there (sweep.journal) gets one synced line per completed run,
+	// and every run gets an engine checkpoint file (spec-NNNN.ckpt) so an
+	// interrupted or crashed run can restart mid-flight on Resume. The
+	// directory is created if missing. Checkpoints of completed runs are
+	// removed. Specs on the real crypto provider get no checkpoint (they are
+	// not resumable).
 	CheckpointDir string
+	// Resume replays CheckpointDir's journal before dispatching. A spec is
+	// restored from an entry whose index, label and engine configuration
+	// fingerprint all match it (Outcome.Restored) instead of re-running;
+	// every other spec runs, restarting from its engine checkpoint when one
+	// survived.
+	Resume bool
 	// CheckpointEvery is the virtual-time period of periodic checkpoint
 	// emission within each run; 0 flushes only on graceful interruption.
 	CheckpointEvery sim.Time
@@ -104,8 +102,9 @@ type Options struct {
 type Outcome struct {
 	// Label echoes the spec's label.
 	Label string
-	// Result is the run's result; nil when Err is set or the run was
-	// skipped.
+	// Result is the run's result; nil when the run was skipped or failed
+	// before finishing. A finished run whose audit failed under StrictAudit,
+	// or whose completion could not be journaled, keeps it beside Err.
 	Result *engine.Result
 	// Err is the run's own failure, if any.
 	Err error
@@ -155,8 +154,11 @@ func Run(specs []Spec, opts Options) ([]Outcome, error) {
 	}
 	var jnl *journal
 	done := make([]bool, len(specs))
-	if opts.Journal != "" {
-		j, restored, err := openJournal(opts.Journal, specs, opts.Resume)
+	if opts.CheckpointDir != "" {
+		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
+			return out, err
+		}
+		j, restored, err := openJournal(filepath.Join(opts.CheckpointDir, journalName), specs, opts.Resume)
 		if err != nil {
 			return out, err
 		}
@@ -221,7 +223,7 @@ func Run(specs []Spec, opts Options) ([]Outcome, error) {
 			if err == nil && jnl != nil {
 				// A run whose completion cannot be journaled is not
 				// completed: resuming would re-run it.
-				if jerr := jnl.record(i, specs[i].Label, res); jerr != nil {
+				if jerr := jnl.record(i, specs[i], res); jerr != nil {
 					err = fmt.Errorf("runner: journal: %w", jerr)
 				}
 			}

@@ -228,16 +228,20 @@ func TestSweepSpansAggregateAcrossWorkers(t *testing.T) {
 	if _, err := Run(specs, Options{Jobs: 4, Telemetry: shared}); err != nil {
 		t.Fatal(err)
 	}
-	if got := shared.Spans.Count(obs.SpanDispatch); got != runs {
+	snap := shared.Snapshot()
+	counts := make(map[string]int64, len(snap.Spans))
+	for _, sp := range snap.Spans {
+		counts[sp.Name] = sp.Count
+	}
+	if got := counts[obs.SpanDispatch.String()]; got != runs {
 		t.Errorf("sweep_dispatch count = %d, want %d (one per spec)", got, runs)
 	}
 	for _, sp := range []obs.Span{obs.SpanSchedule, obs.SpanSession, obs.SpanRelay, obs.SpanTest, obs.SpanPoR, obs.SpanCrypto} {
-		if shared.Spans.Count(sp) == 0 {
+		if counts[sp.String()] == 0 {
 			t.Errorf("span %s never recorded across the sweep", sp)
 		}
 	}
 	// The snapshot orders spans by declaration, dispatch last among these.
-	snap := shared.Snapshot()
 	if len(snap.Spans) == 0 || snap.Spans[len(snap.Spans)-1].Name != obs.SpanDispatch.String() {
 		t.Errorf("snapshot span table missing or misordered: %+v", snap.Spans)
 	}

@@ -38,12 +38,6 @@ func SecondsOf(t Time) float64 {
 // simulation epoch.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t is strictly later than u.
-func (t Time) After(u Time) bool { return t > u }
-
 // Add returns the instant d after t.
 func (t Time) Add(d Time) Time { return t + d }
 

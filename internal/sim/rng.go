@@ -56,11 +56,6 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(src), src: src}
 }
 
-// Stream derives an independent, reproducible sub-stream identified by label.
-func (g *RNG) Stream(label string) *RNG {
-	return NewRNG(deriveSeed(g.r.Int63(), label))
-}
-
 // StreamFromSeed derives a labelled sub-stream directly from a master seed
 // without consuming state from any parent stream.
 func StreamFromSeed(seed int64, label string) *RNG {

@@ -38,9 +38,6 @@ func (s *Simulator) SetStats(st *obs.SimStats) { s.stats = st }
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Pending returns the number of events waiting in the queue.
-func (s *Simulator) Pending() int { return s.queue.Len() }
-
 // SetNow positions an idle simulator with an empty queue at virtual time t.
 // Resuming a checkpointed run starts here: the clock jumps to the snapshot
 // instant before the reconstructed future events are scheduled, so none of

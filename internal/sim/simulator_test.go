@@ -121,8 +121,8 @@ func TestStop(t *testing.T) {
 	if end != 3*Second {
 		t.Errorf("end = %v, want 3s", end)
 	}
-	if s.Pending() != 7 {
-		t.Errorf("pending = %d, want 7", s.Pending())
+	if s.queue.Len() != 7 {
+		t.Errorf("pending = %d, want 7", s.queue.Len())
 	}
 }
 
@@ -144,8 +144,8 @@ func TestRunUntil(t *testing.T) {
 	}
 	// Events past the horizon stay queued rather than being popped and
 	// dropped, so a wider second horizon fires exactly the rest.
-	if s.Pending() != 5 {
-		t.Errorf("pending after RunUntil(5m) = %d, want 5", s.Pending())
+	if s.queue.Len() != 5 {
+		t.Errorf("pending after RunUntil(5m) = %d, want 5", s.queue.Len())
 	}
 	end, err = s.RunUntil(10 * Minute)
 	if err != nil {

@@ -38,7 +38,7 @@ func mixedDraws(g *RNG, rounds int) []byte {
 			g.Bytes(buf[:1+i%5])
 			out.Write(buf[:1+i%5])
 		case 7:
-			sub := g.Stream("probe")
+			sub := StreamFromSeed(g.Int63(), "probe")
 			out.WriteByte(byte(sub.Intn(100)))
 		}
 	}
@@ -157,8 +157,8 @@ func TestPendingEvents(t *testing.T) {
 	}
 	var seen []Event
 	s.PendingEvents(func(ev Event) { seen = append(seen, ev) })
-	if len(seen) != 5 || s.Pending() != 5 {
-		t.Fatalf("snapshot saw %d events, queue holds %d; want 5 and 5", len(seen), s.Pending())
+	if len(seen) != 5 || s.queue.Len() != 5 {
+		t.Fatalf("snapshot saw %d events, queue holds %d; want 5 and 5", len(seen), s.queue.Len())
 	}
 	for i, ev := range seen {
 		if ev.P != uint64(i) {

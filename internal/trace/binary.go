@@ -501,28 +501,6 @@ func (c *binaryCursor) Close() error {
 	return cl.Close()
 }
 
-// ParseBinary reads a complete binary trace from r into memory: the binary
-// counterpart of Parse. Large traces should stream through OpenBinary
-// instead.
-func ParseBinary(r io.Reader) (*Trace, error) {
-	cur, hdr, err := newBinaryCursor(bufio.NewReaderSize(r, 1<<16), nil)
-	if err != nil {
-		return nil, err
-	}
-	var cs []Contact
-	for {
-		c, ok := cur.Next()
-		if !ok {
-			break
-		}
-		cs = append(cs, c)
-	}
-	if err := cur.Err(); err != nil {
-		return nil, err
-	}
-	return New(hdr.name, hdr.nodes, cs)
-}
-
 // BinarySource is a lazy handle on a binary trace file: opening it reads
 // only the header, the first block's time bound, and the fixed footer, so
 // Name, Nodes, Len, and Span are O(1) no matter how large the trace is.
@@ -609,9 +587,6 @@ func (s *BinarySource) Len() int { return int(s.count) }
 // Span returns (first contact start, last contact end) from the first
 // block header and the footer, without scanning.
 func (s *BinarySource) Span() (first, last sim.Time) { return s.first, s.last }
-
-// Path returns the file the source reads from.
-func (s *BinarySource) Path() string { return s.path }
 
 // Cursor opens an independent streaming pass over the file.
 func (s *BinarySource) Cursor() (Cursor, error) {

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -66,7 +68,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinary(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	again, err := ParseBinary(bytes.NewReader(buf.Bytes()))
+	again, err := parseBinary(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,20 +211,20 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	t.Run("bad-magic", func(t *testing.T) {
 		bad := append([]byte{}, full...)
 		bad[0] = 'X'
-		if _, err := ParseBinary(bytes.NewReader(bad)); err == nil {
+		if _, err := parseBinary(bytes.NewReader(bad)); err == nil {
 			t.Fatal("bad magic accepted")
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
 		for _, cut := range []int{len(full) / 3, len(full) - 1, len(full) - footerSize - 1} {
-			if _, err := ParseBinary(bytes.NewReader(full[:cut])); err == nil {
+			if _, err := parseBinary(bytes.NewReader(full[:cut])); err == nil {
 				t.Fatalf("truncation at %d accepted", cut)
 			}
 		}
 	})
 	t.Run("trailing-garbage", func(t *testing.T) {
 		bad := append(append([]byte{}, full...), 0xFF)
-		if _, err := ParseBinary(bytes.NewReader(bad)); err == nil {
+		if _, err := parseBinary(bytes.NewReader(bad)); err == nil {
 			t.Fatal("trailing garbage accepted")
 		}
 	})
@@ -233,7 +235,7 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 		// smoke test that corruption does not crash the reader.
 		bad := append([]byte{}, full...)
 		bad[len(bad)/2] ^= 0x40
-		_, _ = ParseBinary(bytes.NewReader(bad)) // must not panic
+		_, _ = parseBinary(bytes.NewReader(bad)) // must not panic
 	})
 }
 
@@ -347,4 +349,25 @@ func TestBinarySourceConcurrentCursors(t *testing.T) {
 			t.Fatalf("contact %d differs between cursors", i)
 		}
 	}
+}
+
+// parseBinary reads a complete binary trace from r into memory, the binary
+// counterpart of Parse.
+func parseBinary(r io.Reader) (*Trace, error) {
+	cur, hdr, err := newBinaryCursor(bufio.NewReaderSize(r, 1<<16), nil)
+	if err != nil {
+		return nil, err
+	}
+	var cs []Contact
+	for {
+		c, ok := cur.Next()
+		if !ok {
+			break
+		}
+		cs = append(cs, c)
+	}
+	if err := cur.Err(); err != nil {
+		return nil, err
+	}
+	return New(hdr.name, hdr.nodes, cs)
 }

@@ -29,7 +29,7 @@ func TestParseBasic(t *testing.T) {
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tr.Len())
 	}
-	if got := tr.At(0); got.End != sim.Seconds(12.5) {
+	if got := tr.Contacts()[0]; got.End != sim.Seconds(12.5) {
 		t.Errorf("first end = %v", got.End)
 	}
 }
@@ -89,7 +89,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 			orig.Nodes(), orig.Name(), orig.Len())
 	}
 	for i := 0; i < orig.Len(); i++ {
-		a, b := orig.At(i), parsed.At(i)
+		a, b := orig.Contacts()[i], parsed.Contacts()[i]
 		if a.A != b.A || a.B != b.B || a.Start != b.Start || a.End != b.End {
 			t.Errorf("contact %d mismatch: %+v vs %+v", i, a, b)
 		}

@@ -72,7 +72,7 @@ func FuzzParseBinaryTrace(f *testing.F) {
 	f.Add([]byte("G2GTjunk"))
 
 	f.Fuzz(func(t *testing.T, input []byte) {
-		tr, err := ParseBinary(bytes.NewReader(input))
+		tr, err := parseBinary(bytes.NewReader(input))
 		if err != nil {
 			return
 		}
@@ -80,7 +80,7 @@ func FuzzParseBinaryTrace(f *testing.F) {
 		if err := WriteBinary(&buf, tr); err != nil {
 			t.Fatalf("re-encode accepted trace: %v", err)
 		}
-		again, err := ParseBinary(bytes.NewReader(buf.Bytes()))
+		again, err := parseBinary(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}

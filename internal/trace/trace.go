@@ -26,22 +26,6 @@ type Contact struct {
 // Duration returns the contact's length.
 func (c Contact) Duration() sim.Time { return c.End - c.Start }
 
-// Involves reports whether node n participates in the contact.
-func (c Contact) Involves(n NodeID) bool { return c.A == n || c.B == n }
-
-// Peer returns the other endpoint of the contact. It returns -1 when n is
-// not an endpoint.
-func (c Contact) Peer(n NodeID) NodeID {
-	switch n {
-	case c.A:
-		return c.B
-	case c.B:
-		return c.A
-	default:
-		return -1
-	}
-}
-
 // Normalize orders the endpoints so that A < B.
 func (c Contact) Normalize() Contact {
 	if c.A > c.B {
@@ -136,9 +120,6 @@ func (t *Trace) Len() int { return len(t.contacts) }
 // Contacts returns the time-ordered contacts. The returned slice is shared;
 // callers must not modify it.
 func (t *Trace) Contacts() []Contact { return t.contacts }
-
-// At returns the i-th contact in start-time order.
-func (t *Trace) At(i int) Contact { return t.contacts[i] }
 
 // Span returns the first start and the last end in the trace. An empty
 // trace spans (0, 0).

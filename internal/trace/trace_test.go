@@ -24,11 +24,11 @@ func TestNewSortsAndNormalizes(t *testing.T) {
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	first := tr.At(0)
+	first := tr.Contacts()[0]
 	if first.Start != 5*sim.Second || first.A != 0 || first.B != 2 {
 		t.Errorf("first contact = %+v, want (0,2) at 5s", first)
 	}
-	if got := tr.At(2); got.A != 1 || got.B != 3 {
+	if got := tr.Contacts()[2]; got.A != 1 || got.B != 3 {
 		t.Errorf("last contact endpoints = (%d,%d), want (1,3)", got.A, got.B)
 	}
 }
@@ -61,18 +61,6 @@ func TestContactHelpers(t *testing.T) {
 	ct := c(2, 5, sim.Minute, 3*sim.Minute)
 	if got := ct.Duration(); got != 2*sim.Minute {
 		t.Errorf("Duration = %v", got)
-	}
-	if !ct.Involves(2) || !ct.Involves(5) || ct.Involves(3) {
-		t.Error("Involves misreported endpoints")
-	}
-	if got := ct.Peer(2); got != 5 {
-		t.Errorf("Peer(2) = %d", got)
-	}
-	if got := ct.Peer(5); got != 2 {
-		t.Errorf("Peer(5) = %d", got)
-	}
-	if got := ct.Peer(9); got != -1 {
-		t.Errorf("Peer(9) = %d, want -1", got)
 	}
 }
 
@@ -114,11 +102,11 @@ func TestWindow(t *testing.T) {
 	if w.Len() != 2 {
 		t.Fatalf("window Len = %d, want 2", w.Len())
 	}
-	clipped := w.At(0)
+	clipped := w.Contacts()[0]
 	if clipped.Start != 0 || clipped.End != 3*sim.Minute {
 		t.Errorf("clipped contact = [%v,%v], want [0,3m]", clipped.Start, clipped.End)
 	}
-	inside := w.At(1)
+	inside := w.Contacts()[1]
 	if inside.Start != sim.Minute || inside.End != 2*sim.Minute {
 		t.Errorf("inside contact = [%v,%v], want [1m,2m]", inside.Start, inside.End)
 	}

@@ -25,11 +25,11 @@ func FuzzUnmarshalSigned(f *testing.F) {
 		RelayTransfer{Hash: h, FM: 3, GenAt: sim.Minute, Encrypted: []byte("ct")},
 		ProofOfRelay{Hash: h, From: 1, To: 2, DPrime: 3, FM: 4, FBD: 5, Frame: 6},
 		Misbehavior{Accused: 2, Reason: ReasonDropped, Evidence: []Signed{
-			Sign(id, sim.Second, ProofOfRelay{Hash: h, From: 0, To: 1}),
+			sign(id, sim.Second, ProofOfRelay{Hash: h, From: 0, To: 1}),
 		}},
 	}
 	for _, body := range seeds {
-		f.Add(Sign(id, sim.Second, body).Marshal())
+		f.Add(sign(id, sim.Second, body).Marshal())
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x00, 0x01})

@@ -60,10 +60,11 @@ func TestScratchVerifyAllocCeiling(t *testing.T) {
 }
 
 // TestScratchMatchesPackageSignVerify checks the scratch path signs and
-// verifies identically to the allocating package-level path.
+// verifies identically to the allocating path: the reference sign and
+// Signed.Verify.
 func TestScratchMatchesPackageSignVerify(t *testing.T) {
 	sc, sys, id, body := scratchFixture(t)
-	plain := Sign(id, sim.Hour, body)
+	plain := sign(id, sim.Hour, body)
 	scratched := sc.Sign(id, sim.Hour, body)
 	if string(plain.Sig) != string(scratched.Sig) {
 		t.Error("scratch Sign produced a different signature")

@@ -88,16 +88,6 @@ func signingInput(signer trace.NodeID, at sim.Time, body Body) []byte {
 	return appendSigningInput(make([]byte, 0, 64), signer, at, body)
 }
 
-// Sign wraps body in a Signed envelope stamped at the given virtual time.
-func Sign(id g2gcrypto.Identity, at sim.Time, body Body) Signed {
-	return Signed{
-		Signer: id.Node(),
-		At:     at,
-		Body:   body,
-		Sig:    id.Sign(signingInput(id.Node(), at, body)),
-	}
-}
-
 // Verify checks the envelope signature against the claimed signer.
 func (s Signed) Verify(sys g2gcrypto.System) bool {
 	if s.Body == nil {
@@ -107,8 +97,7 @@ func (s Signed) Verify(sys g2gcrypto.System) bool {
 }
 
 // Scratch signs and verifies envelopes through a reusable signing-input
-// buffer, eliminating the per-call encoding allocation of the package-level
-// Sign and Signed.Verify. A Scratch is NOT safe for concurrent use: callers
+// buffer, eliminating the per-call encoding allocation of Signed.Verify. A Scratch is NOT safe for concurrent use: callers
 // own exactly one per single-threaded context (the protocol Env keeps one
 // per run). Crypto providers must not retain the input slice — both in-repo
 // providers consume it before returning, and the contract is documented on
@@ -117,7 +106,7 @@ type Scratch struct {
 	buf []byte
 }
 
-// Sign is the scratch-buffered equivalent of the package-level Sign.
+// Sign wraps body in a Signed envelope stamped at the given virtual time.
 func (sc *Scratch) Sign(id g2gcrypto.Identity, at sim.Time, body Body) Signed {
 	return sc.SignMemo(id, nil, at, body)
 }

@@ -37,13 +37,13 @@ func sampleBodies(t *testing.T, sys g2gcrypto.System) []Body {
 	var seed [16]byte
 	seed[3] = 7
 
-	por1 := Sign(ident(t, sys, 2), 10*sim.Second, ProofOfRelay{
+	por1 := sign(ident(t, sys, 2), 10*sim.Second, ProofOfRelay{
 		Hash: h, From: 1, To: 2, DPrime: 5, FM: 3, FBD: 9, Frame: 2,
 	})
-	por2 := Sign(ident(t, sys, 3), 20*sim.Second, ProofOfRelay{
+	por2 := sign(ident(t, sys, 3), 20*sim.Second, ProofOfRelay{
 		Hash: h, From: 1, To: 3, DPrime: 5, FM: 9, FBD: 12, Frame: 2,
 	})
-	fq := Sign(ident(t, sys, 4), 30*sim.Second, FQResponse{
+	fq := sign(ident(t, sys, 4), 30*sim.Second, FQResponse{
 		Responder: 4, DPrime: 5, FQ: 0, Frame: 3,
 	})
 
@@ -70,7 +70,7 @@ func TestSignedRoundTripAllKinds(t *testing.T) {
 	for _, body := range sampleBodies(t, sys) {
 		body := body
 		t.Run(body.Kind().String(), func(t *testing.T) {
-			env := Sign(signer, 77*sim.Second, body)
+			env := sign(signer, 77*sim.Second, body)
 			if !env.Verify(sys) {
 				t.Fatal("fresh envelope does not verify")
 			}
@@ -93,7 +93,7 @@ func TestSignedRoundTripAllKinds(t *testing.T) {
 
 func TestTamperedEnvelopeFailsVerify(t *testing.T) {
 	sys := newSystem(t)
-	env := Sign(ident(t, sys, 1), sim.Second, RelayOK{Hash: g2gcrypto.Hash([]byte("m"))})
+	env := sign(ident(t, sys, 1), sim.Second, RelayOK{Hash: g2gcrypto.Hash([]byte("m"))})
 
 	wrongSigner := env
 	wrongSigner.Signer = 2
@@ -125,7 +125,7 @@ func TestKindBindingPreventsConfusion(t *testing.T) {
 	sys := newSystem(t)
 	signer := ident(t, sys, 1)
 	h := g2gcrypto.Hash([]byte("m"))
-	ok := Sign(signer, sim.Second, RelayOK{Hash: h})
+	ok := sign(signer, sim.Second, RelayOK{Hash: h})
 	confused := ok
 	confused.Body = RelayRequest{Hash: h}
 	if confused.Verify(sys) {
@@ -138,7 +138,7 @@ func TestUnmarshalTruncations(t *testing.T) {
 	for _, body := range sampleBodies(t, sys) {
 		body := body
 		t.Run(body.Kind().String(), func(t *testing.T) {
-			raw := Sign(ident(t, sys, 1), sim.Second, body).Marshal()
+			raw := sign(ident(t, sys, 1), sim.Second, body).Marshal()
 			for _, cut := range []int{1, len(raw) / 2, len(raw) - 1} {
 				if _, err := UnmarshalSigned(raw[:cut]); err == nil {
 					t.Errorf("truncation to %d bytes accepted", cut)
@@ -153,7 +153,7 @@ func TestUnmarshalTruncations(t *testing.T) {
 
 func TestUnmarshalUnknownKind(t *testing.T) {
 	sys := newSystem(t)
-	raw := Sign(ident(t, sys, 1), sim.Second, RelayOK{}).Marshal()
+	raw := sign(ident(t, sys, 1), sim.Second, RelayOK{}).Marshal()
 	raw[0] = 0xEE
 	if _, err := UnmarshalSigned(raw); err == nil {
 		t.Error("unknown kind accepted")
@@ -163,7 +163,7 @@ func TestUnmarshalUnknownKind(t *testing.T) {
 func TestMisbehaviorEvidence(t *testing.T) {
 	sys := newSystem(t)
 	accusedID := ident(t, sys, 4)
-	por := Sign(accusedID, sim.Minute, ProofOfRelay{
+	por := sign(accusedID, sim.Minute, ProofOfRelay{
 		Hash: g2gcrypto.Hash([]byte("m")), From: 1, To: 4,
 	})
 	pom := Misbehavior{Accused: 4, Reason: ReasonDropped, Evidence: []Signed{por}}
@@ -192,7 +192,7 @@ func TestMisbehaviorEvidence(t *testing.T) {
 	}
 
 	// Second document with a broken signature poisons the whole proof.
-	other := Sign(ident(t, sys, 2), sim.Minute, ProofOfRelay{From: 4, To: 2})
+	other := sign(ident(t, sys, 2), sim.Minute, ProofOfRelay{From: 4, To: 2})
 	other.Sig[0] ^= 1
 	twoDoc := Misbehavior{Accused: 4, Reason: ReasonCheated, Evidence: []Signed{por, other}}
 	if twoDoc.ValidEvidence(sys) {
@@ -230,7 +230,7 @@ func TestPORRoundTripProperty(t *testing.T) {
 			FBD:    message.Quality(fbd),
 			Frame:  message.FrameIndex(frame),
 		}
-		env := Sign(signer, sim.Time(at), por)
+		env := sign(signer, sim.Time(at), por)
 		decoded, err := UnmarshalSigned(env.Marshal())
 		if err != nil {
 			return false
@@ -267,7 +267,7 @@ func TestUnmarshalFuzzNeverPanics(t *testing.T) {
 func TestUnmarshalMutatedEncodings(t *testing.T) {
 	sys := newSystem(t)
 	for _, body := range sampleBodies(t, sys) {
-		raw := Sign(ident(t, sys, 1), sim.Second, body).Marshal()
+		raw := sign(ident(t, sys, 1), sim.Second, body).Marshal()
 		for i := 0; i < len(raw); i++ {
 			mutated := append([]byte(nil), raw...)
 			mutated[i] ^= 0xFF
@@ -282,5 +282,16 @@ func TestUnmarshalMutatedEncodings(t *testing.T) {
 				t.Fatalf("%s: byte %d flipped but envelope still verifies", body.Kind(), i)
 			}
 		}
+	}
+}
+
+// sign wraps body in a Signed envelope through a fresh signing input: the
+// unbuffered reference for Scratch.
+func sign(id g2gcrypto.Identity, at sim.Time, body Body) Signed {
+	return Signed{
+		Signer: id.Node(),
+		At:     at,
+		Body:   body,
+		Sig:    id.Sign(signingInput(id.Node(), at, body)),
 	}
 }

@@ -25,10 +25,14 @@ const (
 	TraceWarn  TraceLevel = obs.LevelWarn
 )
 
+// JSONTraceSink writes one JSON object per record. Its Err method returns
+// the first write error; the sink writes nothing after one.
+type JSONTraceSink = obs.JSONSink
+
 // NewJSONTraceSink returns a sink writing one JSON object per record at or
 // above min to w. At TraceDebug it writes every record of a run, wall
 // timestamps included, as g2gsim -tracelog does.
-func NewJSONTraceSink(w io.Writer, min TraceLevel) TraceSink {
+func NewJSONTraceSink(w io.Writer, min TraceLevel) *JSONTraceSink {
 	return obs.NewJSONSink(w, min)
 }
 
