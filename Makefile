@@ -83,8 +83,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalSigned -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzParseKind -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzParamsValidate -fuzztime=$(FUZZTIME) ./internal/protocol
-	$(GO) test -run='^$$' -fuzz=FuzzParseCheckpoint -fuzztime=$(FUZZTIME) ./internal/engine
-	$(GO) test -run='^$$' -fuzz=FuzzRestoreCheckpoint -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzProofMemo -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzDeclineRecord -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzFastVerifyMemo -fuzztime=$(FUZZTIME) ./internal/g2gcrypto
@@ -118,38 +116,43 @@ trace-roundtrip:
 	if [ $$status -ne 0 ]; then echo "trace-roundtrip: FAILED"; exit $$status; fi; \
 	echo "trace-roundtrip: text -> binary -> text byte-identical"
 
-# Crash-safety gate run against the real CLI: an audited preset run is
-# killed (SIGTERM) mid-flight with checkpointing on, resumed from the
-# flushed checkpoint, and its audit digest must be byte-identical to an
-# uninterrupted reference run of the same configuration (the determinism
-# contract; see DESIGN.md "Checkpoint & recovery"). It runs once per G2G
-# protocol family, G2G Epidemic and G2G Delegation, whose restores rebuild
-# different derived state. The kill waits for the run's own progress rather
-# than a wall-clock delay: the one periodic checkpoint falls at 9h30m
-# virtual, inside the preset's message workload (about 9h to 11h20m), and
-# the signal follows as soon as it appears, so it lands at the same point of
-# the run on a slow or a fast host. The poll gives up after 60 s or when the
-# run exits. A single g2gsim run is a sweep of one, so its checkpoint is the
-# sweep runner's first per-spec file, spec-0000.ckpt.
+# Crash-safety gate run against the real CLI: an audited 3-repeat sweep on
+# one worker is killed (SIGTERM) once its journal holds a completed repeat,
+# then resumed with -resume, which restores the journaled repeats and runs
+# the others from their beginning. The resumed journal's (index, digest)
+# pairs and the resumed stdout must equal an uninterrupted reference sweep's
+# (the determinism contract; see DESIGN.md "Crash recovery"). It runs once
+# per G2G protocol family, G2G Epidemic and G2G Delegation. The kill waits
+# for the sweep's own progress rather than a wall-clock delay, so it lands
+# while a later repeat runs on a slow or a fast host. The poll gives up after
+# 60 s or when the sweep exits. The gate fails when nothing was journaled
+# before the kill, when the sweep finished before it, or when the resume ran
+# a journaled repeat again (more than 3 entries). Repeat 0's digest is pinned
+# per family.
 kill-resume:
 	@dir=$$(mktemp -d); \
 	$(GO) build -o $$dir/g2gsim ./cmd/g2gsim || { rm -rf $$dir; exit 1; }; \
-	for proto in g2g-epidemic g2g-delegation-frequency; do \
-	  run="$$dir/g2gsim -preset infocom05 -protocol $$proto -audit -seed 7"; \
-	  rm -rf $$dir/ckpt; \
-	  $$run >$$dir/ref.out 2>&1 && \
-	  { $$run -checkpoint-dir $$dir/ckpt -checkpoint-every 9h30m >$$dir/int.out 2>&1 & \
+	pairs() { sed -n 's/.*"index":\([0-9]*\),.*"digest":"\([0-9a-f]*\)".*/\1 \2/p' "$$1" | sort -n; }; \
+	for spec in g2g-epidemic:770a2e5698553b63 g2g-delegation-frequency:f300c843adc45164; do \
+	  proto=$${spec%%:*}; pin=$${spec#*:}; \
+	  run="$$dir/g2gsim -preset infocom05 -protocol $$proto -audit -seed 7 -repeats 3 -jobs 1"; \
+	  rm -rf $$dir/ref $$dir/ckpt; \
+	  $$run -checkpoint-dir $$dir/ref >$$dir/ref.out 2>$$dir/ref.err && \
+	  pairs $$dir/ref/sweep.journal >$$dir/ref.pairs && \
+	  { head -1 $$dir/ref.pairs | grep -q "^0 $$pin" || { echo "kill-resume: $$proto: repeat 0's digest does not begin $$pin"; false; }; } && \
+	  { $$run -checkpoint-dir $$dir/ckpt >$$dir/int.out 2>$$dir/int.err & \
 	    pid=$$!; i=0; \
-	    while [ ! -f $$dir/ckpt/spec-0000.ckpt ] && [ $$i -lt 1200 ] && kill -0 $$pid 2>/dev/null; do sleep 0.05; i=$$((i+1)); done; \
+	    while ! grep -qs '"digest"' $$dir/ckpt/sweep.journal && [ $$i -lt 1200 ] && kill -0 $$pid 2>/dev/null; do sleep 0.05; i=$$((i+1)); done; \
 	    kill -TERM $$pid 2>/dev/null; wait $$pid; \
-	    test -f $$dir/ckpt/spec-0000.ckpt || { echo "kill-resume: $$proto: no checkpoint flushed (run finished before the kill?)"; cat $$dir/int.out; rm -rf $$dir; exit 1; }; \
-	    $$run -checkpoint-dir $$dir/ckpt -resume >$$dir/res.out 2>&1 && \
-	    grep digest= $$dir/ref.out >$$dir/ref.digest && \
-	    grep digest= $$dir/res.out >$$dir/res.digest && \
-	    cmp $$dir/ref.digest $$dir/res.digest; }; \
+	    n=$$(pairs $$dir/ckpt/sweep.journal | wc -l); \
+	    [ $$n -ge 1 ] && [ $$n -lt 3 ] || { echo "kill-resume: $$proto: $$n of 3 repeats journaled at the kill, want 1 or 2"; false; }; } && \
+	  $$run -checkpoint-dir $$dir/ckpt -resume >$$dir/res.out 2>$$dir/res.err && \
+	  pairs $$dir/ckpt/sweep.journal >$$dir/res.pairs && \
+	  { [ $$(wc -l <$$dir/res.pairs) -eq 3 ] || { echo "kill-resume: $$proto: the resume ran a journaled repeat again"; false; }; } && \
+	  cmp $$dir/ref.pairs $$dir/res.pairs && cmp $$dir/ref.out $$dir/res.out; \
 	  status=$$?; \
-	  if [ $$status -ne 0 ]; then echo "kill-resume: $$proto: FAILED"; cat $$dir/ref.out $$dir/int.out $$dir/res.out 2>/dev/null; break; fi; \
-	  echo "kill-resume: $$proto: audit digest identical across kill/resume"; \
+	  if [ $$status -ne 0 ]; then echo "kill-resume: $$proto: FAILED"; cat $$dir/*.out $$dir/*.err $$dir/*.pairs 2>/dev/null; break; fi; \
+	  echo "kill-resume: $$proto: $$n of 3 repeats journaled at the kill; resumed journal digests and output identical"; \
 	done; \
 	rm -rf $$dir; \
 	exit $$status

@@ -23,7 +23,6 @@ import (
 	"give2get/internal/engine"
 	"give2get/internal/experiments"
 	"give2get/internal/obs"
-	"give2get/internal/sim"
 )
 
 func main() {
@@ -50,10 +49,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		tracePath  = fs.String("trace", "", "contact trace file, text or binary .g2gt, replacing every scenario's synthetic dataset")
 		telemetry  = fs.String("telemetry", "", "write an aggregated JSON run report over all runs to this file")
 		inspect    = fs.String("inspect", "", "serve a live experiment inspector on this address (e.g. :6060): JSON telemetry at /snapshot, SSE progress at /events, pprof under /debug/pprof/")
-		ckptDir    = fs.String("checkpoint-dir", "", "directory for crash-safe state: completed runs are journaled there (one subdirectory per experiment), SIGINT/SIGTERM flushes in-flight checkpoints, and -resume continues")
-		ckptEvery  = fs.Duration("checkpoint-every", 0, "virtual-time period between periodic per-run checkpoints (0 = flush only on interruption)")
-		resume     = fs.Bool("resume", false, "continue an interrupted experiment from the state in -checkpoint-dir: runs journaled under the same configuration are restored, the others run, from their checkpoint when one survived")
-		retries    = fs.Int("retries", 0, "re-attempt failed simulations this many times with exponential backoff")
+		ckptDir    = fs.String("checkpoint-dir", "", "directory for crash-safe state: completed runs are journaled there (one subdirectory per experiment), and -resume continues")
+		resume     = fs.Bool("resume", false, "continue an interrupted experiment from the journal in -checkpoint-dir: runs journaled under the same configuration and trace are restored, the others run from their beginning")
 	)
 	var prof obs.Profiler
 	prof.RegisterFlags(fs)
@@ -77,13 +74,13 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *resume && *ckptDir == "" {
 		return errors.New("-resume requires -checkpoint-dir")
 	}
-	// SIGINT/SIGTERM cancel the sweep gracefully: in-flight runs flush
-	// their checkpoints and the journal keeps everything already finished.
+	// SIGINT/SIGTERM cancel the sweep: in-flight runs stop, and the journal
+	// keeps everything already finished.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
 	opts := experiments.Options{Quick: *quick, Tiny: *tiny, Audit: *audit, Seed: *seed, Repeats: *repeats, Jobs: *jobs, TracePath: *tracePath,
-		Context: ctx, CheckpointEvery: sim.Time(*ckptEvery), Resume: *resume, Retries: *retries}
+		Context: ctx, Resume: *resume}
 	if *verbose {
 		opts.Progress = stderr
 	}
@@ -114,14 +111,14 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		if *ckptDir != "" {
-			// One journal + checkpoint namespace per experiment, so a
-			// multi-experiment invocation stays resumable as a whole.
+			// One journal per experiment, so a multi-experiment invocation
+			// stays resumable as a whole.
 			opts.CheckpointDir = filepath.Join(*ckptDir, id)
 		}
 		tables, err := experiments.Run(id, opts)
 		if err != nil {
 			if errors.Is(err, engine.ErrInterrupted) && *ckptDir != "" {
-				fmt.Fprintf(stderr, "g2gexp: interrupted; state saved under %s (continue with -resume)\n", *ckptDir)
+				fmt.Fprintf(stderr, "g2gexp: interrupted; completed runs journaled under %s (continue with -resume)\n", *ckptDir)
 			}
 			return err
 		}

@@ -54,9 +54,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		tracelog  = fs.String("tracelog", "", "write a leveled JSON-lines trace of the run to this file")
 		progress  = fs.Duration("progress", 0, "print a progress line to stderr at this wall-clock period (0 = off)")
 		inspect   = fs.String("inspect", "", "serve a live run inspector on this address (e.g. :6060): JSON telemetry at /snapshot, SSE progress at /events, pprof under /debug/pprof/")
-		ckptDir   = fs.String("checkpoint-dir", "", "directory for crash-safe state: completed runs are journaled there (sweep.journal), each run keeps a checkpoint there (spec-NNNN.ckpt) that SIGINT/SIGTERM flushes, and -resume continues")
-		ckptEvery = fs.Duration("checkpoint-every", 0, "virtual-time period between periodic checkpoints (0 = flush only on interruption)")
-		resume    = fs.Bool("resume", false, "continue from the state in -checkpoint-dir: runs journaled under the same configuration are restored, the others run, from their checkpoint when one survived")
+		ckptDir   = fs.String("checkpoint-dir", "", "directory for crash-safe state: completed runs are journaled there (sweep.journal), and -resume continues")
+		resume    = fs.Bool("resume", false, "continue from the journal in -checkpoint-dir: runs journaled under the same configuration and trace are restored, the others run from their beginning")
 	)
 	var prof obs.Profiler
 	prof.RegisterFlags(fs)
@@ -75,8 +74,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *resume && *ckptDir == "" {
 		return errors.New("-resume requires -checkpoint-dir")
 	}
-	// SIGINT/SIGTERM cancel the run gracefully: the engine finishes the
-	// instant in flight, flushes its checkpoint, and returns ErrInterrupted.
+	// SIGINT/SIGTERM cancel the run: the engine stops before its next event
+	// and returns ErrInterrupted.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
@@ -168,14 +167,14 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		cfg.Audit = give2get.AuditConfig{Enabled: true}
 	}
 
-	// A single run is a sweep of one repeat: one path runs, checkpoints and
+	// A single run is a sweep of one repeat: one path runs, journals and
 	// resumes every invocation.
 	sweep, err := give2get.RunSweep(give2get.SweepConfig{
 		SimulationConfig: cfg, Repeats: *repeats, Jobs: *jobs,
-		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *resume,
+		CheckpointDir: *ckptDir, Resume: *resume,
 	})
 	if errors.Is(err, give2get.ErrInterrupted) && *ckptDir != "" {
-		fmt.Fprintf(stderr, "g2gsim: interrupted; state saved under %s (continue with -resume)\n", *ckptDir)
+		fmt.Fprintf(stderr, "g2gsim: interrupted; completed runs journaled under %s (continue with -resume)\n", *ckptDir)
 	}
 	if *repeats > 1 {
 		if err != nil {

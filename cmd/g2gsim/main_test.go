@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
+
+	"give2get"
 )
 
 func TestRunBasic(t *testing.T) {
@@ -98,6 +101,48 @@ func TestResumeUnderChangedProtocol(t *testing.T) {
 		if got := sweep("-checkpoint-dir", dir, "-protocol", "g2g-epidemic", "-resume"); got != want {
 			t.Errorf("resume %d printed\n%s\nwant the fresh run's\n%s", pass, got, want)
 		}
+	}
+}
+
+// TestResumeUnderOtherTrace journals a run over one Infocom trace, then
+// resumes the directory over another of the same population, with the same
+// window and settings: the journaled run belongs to the first trace's
+// contacts, so the output must be a fresh run's over the second (1
+// delivered), not the journaled 2.
+func TestResumeUnderOtherTrace(t *testing.T) {
+	tmp := t.TempDir()
+	paths := make([]string, 2)
+	for i := range paths {
+		tr, err := give2get.GenerateTrace(give2get.PresetInfocom05, int64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		paths[i] = filepath.Join(tmp, fmt.Sprintf("trace-%d.txt", i+1))
+		if err := os.WriteFile(paths[i], buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := filepath.Join(tmp, "ckpt")
+	sim := func(path string, extra ...string) string {
+		t.Helper()
+		args := append([]string{"-trace", path, "-window", "30h", "-ttl", "10m", "-interval", "60s"}, extra...)
+		var out, errOut bytes.Buffer
+		if err := run(args, &out, &errOut); err != nil {
+			t.Fatalf("%s %v: %v\nstderr:\n%s", path, extra, err, errOut.String())
+		}
+		return out.String()
+	}
+	journaled := sim(paths[0], "-checkpoint-dir", dir)
+	want := sim(paths[1])
+	if !strings.Contains(journaled, "2 delivered (1.6%)") || !strings.Contains(want, "1 delivered (0.8%)") {
+		t.Fatalf("unexpected references:\n%s\n%s", journaled, want)
+	}
+	if got := sim(paths[1], "-checkpoint-dir", dir, "-resume"); got != want {
+		t.Errorf("resume over the other trace printed\n%s\nwant the fresh run's\n%s", got, want)
 	}
 }
 

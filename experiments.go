@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"give2get/internal/experiments"
-	"give2get/internal/sim"
 )
 
 func experimentIDs() []string {
@@ -13,17 +12,15 @@ func experimentIDs() []string {
 
 func runExperiment(id string, opts ExperimentOptions) (string, error) {
 	tables, err := experiments.Run(id, experiments.Options{
-		Quick:           opts.Quick,
-		Seed:            opts.Seed,
-		Repeats:         opts.Repeats,
-		Jobs:            opts.Jobs,
-		Audit:           opts.Audit,
-		TracePath:       opts.TracePath,
-		Context:         opts.Context,
-		CheckpointDir:   opts.CheckpointDir,
-		CheckpointEvery: sim.Time(opts.CheckpointEvery),
-		Resume:          opts.Resume,
-		Retries:         opts.Retries,
+		Quick:         opts.Quick,
+		Seed:          opts.Seed,
+		Repeats:       opts.Repeats,
+		Jobs:          opts.Jobs,
+		Audit:         opts.Audit,
+		TracePath:     opts.TracePath,
+		Context:       opts.Context,
+		CheckpointDir: opts.CheckpointDir,
+		Resume:        opts.Resume,
 	})
 	if err != nil {
 		return "", err

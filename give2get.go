@@ -130,14 +130,12 @@ type SimulationConfig struct {
 	// times are recorded either way.
 	Registry *Metrics
 
-	// Context, when non-nil, cancels the run gracefully: the engine
-	// finishes the instant in flight, flushes its checkpoint when
-	// SweepConfig.CheckpointDir is set, and returns ErrInterrupted.
+	// Context, when non-nil, cancels the run: the engine stops before its
+	// next event and returns ErrInterrupted.
 	Context context.Context
 }
 
-// ErrInterrupted is returned by a cancelled run after its checkpoint (if
-// configured) was flushed.
+// ErrInterrupted is returned by a cancelled run.
 var ErrInterrupted = engine.ErrInterrupted
 
 // AuditConfig switches on the invariant auditor: a shadow model of the run
@@ -319,22 +317,13 @@ type SweepConfig struct {
 	// mean GOMAXPROCS. The results are identical for every value.
 	Jobs int
 	// CheckpointDir, when non-empty, makes the sweep crash-safe: a journal
-	// there (sweep.journal) records every completed repeat, and every
-	// repeat keeps an engine checkpoint (spec-NNNN.ckpt) so an interrupted
-	// one can resume mid-run. The directory is created if missing.
-	// Checkpoints need the fast crypto provider.
+	// there (sweep.journal) records every completed repeat. The directory
+	// is created if missing.
 	CheckpointDir string
 	// Resume replays CheckpointDir's journal: a repeat journaled under the
-	// same configuration is restored instead of re-running, and every other
-	// repeat runs, restarting from its checkpoint when one survived. A
-	// repeat journaled under another configuration runs afresh.
+	// same configuration and trace is restored instead of re-running, and
+	// every other repeat runs from its beginning.
 	Resume bool
-	// CheckpointEvery is the virtual-time period between per-repeat
-	// checkpoints; zero flushes only on cancellation.
-	CheckpointEvery time.Duration
-	// Retries re-attempts failed repeats this many times with exponential
-	// backoff. Interruptions and audit failures are never retried.
-	Retries int
 }
 
 // SweepResult aggregates a sweep: the per-repeat results in seed order plus
@@ -379,13 +368,11 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 		specs[r] = runner.Spec{Label: label, Config: ecfg}
 	}
 	outcomes, err := runner.Run(specs, runner.Options{
-		Jobs:            cfg.Jobs,
-		StrictAudit:     cfg.Audit.Enabled,
-		Context:         cfg.Context,
-		CheckpointDir:   cfg.CheckpointDir,
-		Resume:          cfg.Resume,
-		CheckpointEvery: sim.Time(cfg.CheckpointEvery),
-		Retries:         cfg.Retries,
+		Jobs:          cfg.Jobs,
+		StrictAudit:   cfg.Audit.Enabled,
+		Context:       cfg.Context,
+		CheckpointDir: cfg.CheckpointDir,
+		Resume:        cfg.Resume,
 	})
 	sweep := &SweepResult{Runs: make([]*Result, repeats)}
 	for r, o := range outcomes {
@@ -437,25 +424,18 @@ type ExperimentOptions struct {
 	// TracePath, when non-empty, replaces every scenario's synthetic
 	// dataset with a trace file (text or binary .g2gt, as OpenTrace).
 	TracePath string
-	// Context, when non-nil, cancels the experiment gracefully: in-flight
-	// simulations flush their checkpoints (when CheckpointDir is set) and
-	// the experiment returns an interruption error.
+	// Context, when non-nil, cancels the experiment: in-flight simulations
+	// stop and the experiment returns an interruption error.
 	Context context.Context
-	// CheckpointDir, when non-empty, makes the experiment crash-safe: each
-	// simulation gets a periodic checkpoint there and the sweep journal
-	// records completed runs, so an interrupted experiment can be resumed.
+	// CheckpointDir, when non-empty, makes the experiment crash-safe: the
+	// sweep journal there records completed runs, so an interrupted
+	// experiment can be resumed.
 	CheckpointDir string
-	// CheckpointEvery is the virtual-time period between per-run
-	// checkpoints; zero flushes only on cancellation.
-	CheckpointEvery time.Duration
 	// Resume continues an experiment interrupted under the same
-	// CheckpointDir: runs journaled under the same configuration are
-	// restored without re-executing, and the others run, in-flight ones
-	// from their checkpoint.
+	// CheckpointDir: runs journaled under the same configuration and trace
+	// are restored without re-executing, and the others run from their
+	// beginning.
 	Resume bool
-	// Retries re-attempts failed simulations this many times with
-	// exponential backoff before the experiment fails.
-	Retries int
 }
 
 // RunExperiment regenerates one of the paper's tables or figures and returns

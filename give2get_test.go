@@ -344,11 +344,12 @@ func (c cancelOnPhase) Emit(rec TraceRecord) {
 	}
 }
 
-// TestResumeFromPeriodicCheckpoint runs a checkpointed sweep of one to
-// completion, and another whose context is cancelled as its window opens,
-// then resumes the cancelled one from its checkpoint. Both must give the
-// result, audit digest included, of a run that never checkpointed.
-func TestResumeFromPeriodicCheckpoint(t *testing.T) {
+// TestResumeInterruptedRun runs a journaled sweep of one to completion, and
+// another whose context is cancelled as its window opens, then resumes the
+// cancelled one, which runs again from its beginning. Both must give the
+// result, audit digest included, of a run without a checkpoint directory,
+// and the interrupted run leaves nothing in the directory but the journal.
+func TestResumeInterruptedRun(t *testing.T) {
 	for _, tc := range []struct {
 		protocol  Protocol
 		deviation Deviation
@@ -370,28 +371,25 @@ func TestResumeFromPeriodicCheckpoint(t *testing.T) {
 				t.Fatalf("reference run is not a clean audited run with traffic: %+v", want)
 			}
 
-			full, err := RunSweep(SweepConfig{SimulationConfig: cfg,
-				CheckpointDir: t.TempDir(), CheckpointEvery: 90 * time.Minute})
+			full, err := RunSweep(SweepConfig{SimulationConfig: cfg, CheckpointDir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(withoutTelemetry(full.Runs[0]), want) {
-				t.Errorf("checkpointing changed the run:\n got %+v\nwant %+v", withoutTelemetry(full.Runs[0]), want)
+				t.Errorf("journaling changed the run:\n got %+v\nwant %+v", withoutTelemetry(full.Runs[0]), want)
 			}
 
 			dir := t.TempDir()
-			ckpt := filepath.Join(dir, "spec-0000.ckpt")
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			stopped := cfg
 			stopped.Context = ctx
 			stopped.Sink = cancelOnPhase{phase: "window", cancel: cancel}
-			if _, err := RunSweep(SweepConfig{SimulationConfig: stopped,
-				CheckpointDir: dir, CheckpointEvery: 90 * time.Minute}); !errors.Is(err, ErrInterrupted) {
+			if _, err := RunSweep(SweepConfig{SimulationConfig: stopped, CheckpointDir: dir}); !errors.Is(err, ErrInterrupted) {
 				t.Fatalf("cancelled sweep: %v, want ErrInterrupted", err)
 			}
-			if _, err := os.Stat(ckpt); err != nil {
-				t.Fatalf("cancelled run flushed no checkpoint: %v", err)
+			if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 || entries[0].Name() != "sweep.journal" {
+				t.Fatalf("the interrupted run left %v (%v) in its directory, want the journal alone", entries, err)
 			}
 			got, err := RunSweep(SweepConfig{SimulationConfig: cfg, CheckpointDir: dir, Resume: true})
 			if err != nil {
@@ -399,9 +397,6 @@ func TestResumeFromPeriodicCheckpoint(t *testing.T) {
 			}
 			if !reflect.DeepEqual(withoutTelemetry(got.Runs[0]), want) {
 				t.Errorf("resumed run differs:\n got %+v\nwant %+v", withoutTelemetry(got.Runs[0]), want)
-			}
-			if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
-				t.Errorf("completed run left its checkpoint: %v", err)
 			}
 		})
 	}

@@ -17,11 +17,8 @@ package engine
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"slices"
 	"sync/atomic"
@@ -101,21 +98,9 @@ type Config struct {
 	Progress io.Writer
 	// ProgressEvery is the wall-clock period of progress reports.
 	ProgressEvery time.Duration
-	// Checkpoint configures crash-safe run snapshots: a versioned,
-	// checksummed file written atomically at Every intervals of virtual
-	// time (and on graceful shutdown) that Resume can continue from with a
-	// byte-identical audit digest. Requires the deterministic CryptoFast
-	// provider.
-	Checkpoint CheckpointConfig
-	// Context, when non-nil, allows graceful cancellation: once it is done,
-	// the engine finishes the instant in flight, flushes a final checkpoint
-	// (when Checkpoint.Path is set), and returns ErrInterrupted.
+	// Context, when non-nil, allows cancellation: once it is done, the
+	// engine stops before the next event and returns ErrInterrupted.
 	Context context.Context
-
-	// stopAt, when positive, schedules a graceful stop at an exact virtual
-	// instant — the deterministic stand-in for a mid-run kill that the
-	// in-package resume tests use. Not reachable from outside the package.
-	stopAt sim.Time
 
 	// Deviants lists the nodes that deviate, all with the same deviation.
 	Deviants []trace.NodeID
@@ -147,12 +132,6 @@ func (c Config) Validate() error {
 		return errors.New("engine: generation quiet period must fit inside the window")
 	case c.Warmup < 0 || c.RunExtra < 0:
 		return errors.New("engine: negative warmup or run-extra")
-	case c.Checkpoint.Every < 0:
-		return errors.New("engine: negative checkpoint interval")
-	case c.Checkpoint.Every > 0 && c.Checkpoint.Path == "":
-		return errors.New("engine: checkpoint interval set without a checkpoint path")
-	case c.Checkpoint.Path != "" && c.Crypto == CryptoReal:
-		return errors.New("engine: checkpointing requires the deterministic fast crypto provider")
 	}
 	if err := c.Params.Validate(); err != nil {
 		return err
@@ -197,6 +176,9 @@ func DefaultWorkload(cfg *Config, from sim.Time) {
 	cfg.Warmup = 12 * sim.Hour
 	cfg.RunExtra = cfg.Params.Delta2
 }
+
+// ErrInterrupted is returned by a run whose Context was cancelled.
+var ErrInterrupted = errors.New("engine: run interrupted")
 
 // Run executes the configured simulation.
 func Run(cfg Config) (*Result, error) {
@@ -243,13 +225,6 @@ type engine struct {
 	// pending is the contact whose start event is currently enqueued; the
 	// chained scheduler guarantees there is at most one.
 	pending trace.Contact
-	// contacts is a running SHA-256 over every contact the cursor has
-	// yielded (see noteContact), and streamEnded records that the cursor
-	// closed at the end of the stream rather than at the run's end. A
-	// checkpoint stores both, and resume checks the trace against them.
-	contacts    hash.Hash
-	contactBuf  [contactLen]byte
-	streamEnded bool
 	// cursorErr records a cursor read failure; the scheduler stops pulling
 	// and run() surfaces it once the kernel drains.
 	cursorErr error
@@ -266,13 +241,12 @@ type engine struct {
 	wallAtWindowFrom time.Time
 	wallAtWindowTo   time.Time
 
-	// cancelled is set by the context watcher goroutine; the event loop
-	// turns it into a control-priority stop event at the current instant,
-	// so the shutdown lands on a checkpointable barrier.
-	cancelled     atomic.Bool
-	stopScheduled bool
-	// stopErr records why the kernel was stopped early (interruption or a
-	// failed checkpoint flush); finishRun surfaces it.
+	// cancelled is set once the run's context is done (context.AfterFunc);
+	// the event loop loads it before every event and stops the kernel once
+	// it is set.
+	cancelled atomic.Bool
+	// stopErr records the interruption that stopped the kernel early;
+	// finishRun surfaces it.
 	stopErr error
 }
 
@@ -288,7 +262,6 @@ const (
 	opContactStart = iota + 1
 	opContactEnd
 	opWorkloadGen
-	opControl
 	opMemoryTick
 	opWindowFrom // phase probe: the window opens
 	opWindowTo   // phase probe: the drain begins
@@ -302,7 +275,7 @@ const payloadBytes = 64
 // the exact order a full up-front schedule would give them; the workload
 // band sits above every possible contact priority; the periodic band (memory
 // ticks and phase probes, ordered among themselves by scheduling order) sits
-// above both; PriControl comes last.
+// above both.
 const (
 	priWorkloadBase int64 = 1 << 41
 	priPeriodic     int64 = 1 << 62
@@ -380,7 +353,6 @@ func newEngine(cfg Config) (*engine, error) {
 		spans:       spans,
 		active:      make(map[trace.PairKey]int),
 		neighbors:   make([][]trace.NodeID, population),
-		contacts:    sha256.New(),
 		workloadRNG: sim.StreamFromSeed(cfg.Seed, "workload"),
 	}
 	env.Broadcast = e.broadcast
@@ -491,43 +463,14 @@ func (e *engine) schedulePeriodic(s *sim.Simulator, at sim.Time, op uint32) erro
 	return s.ScheduleEvent(sim.Event{At: at, Pri: priPeriodic, H: e, Op: op})
 }
 
-// finishRun drives a fully scheduled kernel to completion and assembles the
-// result: the shared tail of a fresh run() and a checkpointed Resume.
+// finishRun drives the fully scheduled kernel to completion and assembles
+// the result.
 func (e *engine) finishRun(s *sim.Simulator) (*Result, error) {
-	if e.cfg.Checkpoint.Every > 0 {
-		if next := e.nextControlAt(s.Now()); next < e.endAt {
-			if err := s.ScheduleEvent(sim.Event{
-				At: next, Pri: PriControl, H: e, Op: opControl, P: ctrlPeriodic,
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if e.cfg.stopAt > 0 {
-		if err := s.ScheduleEvent(sim.Event{
-			At: e.cfg.stopAt, Pri: PriControl, H: e, Op: opControl, P: ctrlStop,
-		}); err != nil {
-			return nil, err
-		}
-	}
 	if ctx := e.cfg.Context; ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("%w before start: %v", ErrInterrupted, err)
 		}
-		watchStop := make(chan struct{})
-		watchDone := make(chan struct{})
-		go func() {
-			defer close(watchDone)
-			select {
-			case <-ctx.Done():
-				e.cancelled.Store(true)
-			case <-watchStop:
-			}
-		}()
-		defer func() {
-			close(watchStop)
-			<-watchDone
-		}()
+		defer context.AfterFunc(ctx, func() { e.cancelled.Store(true) })()
 	}
 
 	stopProgress := e.startProgress()
@@ -546,19 +489,15 @@ func (e *engine) finishRun(s *sim.Simulator) (*Result, error) {
 		return nil, e.stopErr
 	}
 
-	// Attribute the wall time to warmup / window / drain. A probe that never
-	// fired (empty trace tail, or a resume past its boundary) collapses its
-	// phase to zero.
-	wallAtWindowFrom, wallAtWindowTo := e.wallAtWindowFrom, e.wallAtWindowTo
+	// Attribute the wall time to warmup / window / drain. A window that opens
+	// before time zero has no window probe and no warmup.
+	wallAtWindowFrom := e.wallAtWindowFrom
 	if wallAtWindowFrom.IsZero() {
 		wallAtWindowFrom = wallStart
 	}
-	if wallAtWindowTo.IsZero() {
-		wallAtWindowTo = wallEnd
-	}
 	e.metrics.Engine.NotePhase(obs.PhaseWarmup, wallAtWindowFrom.Sub(wallStart))
-	e.metrics.Engine.NotePhase(obs.PhaseWindow, wallAtWindowTo.Sub(wallAtWindowFrom))
-	e.metrics.Engine.NotePhase(obs.PhaseDrain, wallEnd.Sub(wallAtWindowTo))
+	e.metrics.Engine.NotePhase(obs.PhaseWindow, e.wallAtWindowTo.Sub(wallAtWindowFrom))
+	e.metrics.Engine.NotePhase(obs.PhaseDrain, wallEnd.Sub(e.wallAtWindowTo))
 
 	usage := make([]protocol.Usage, len(e.nodes))
 	for i, n := range e.nodes {
@@ -727,11 +666,9 @@ func (e *engine) scheduleNextContactStart(s *sim.Simulator) error {
 		c, ok := e.cursor.Next()
 		if !ok {
 			err := e.cursor.Err()
-			e.streamEnded = err == nil
 			e.closeCursor()
 			return err
 		}
-		e.noteContact(c)
 		i := e.cursorIdx
 		e.cursorIdx++
 		if c.Start >= e.endAt {
@@ -753,18 +690,6 @@ func (e *engine) scheduleNextContactStart(s *sim.Simulator) error {
 	}
 }
 
-// contactLen is the fixed-width encoding of one contact in the running
-// contact digest: both node ids, then start and end.
-const contactLen = 4 + 4 + 8 + 8
-
-// noteContact folds one contact the cursor yielded into the running digest.
-func (e *engine) noteContact(c trace.Contact) {
-	b := binary.BigEndian.AppendUint32(e.contactBuf[:0], uint32(c.A))
-	b = binary.BigEndian.AppendUint32(b, uint32(c.B))
-	b = binary.BigEndian.AppendUint64(b, uint64(c.Start))
-	e.contacts.Write(binary.BigEndian.AppendUint64(b, uint64(c.End)))
-}
-
 // closeCursor releases the contact cursor once, folding a close failure
 // into the run's cursor error.
 func (e *engine) closeCursor() {
@@ -777,18 +702,11 @@ func (e *engine) closeCursor() {
 	e.cursor = nil
 }
 
-// scheduleWorkload draws the Poisson message generation process up front —
-// the draw order is the seeded RNG contract — and streams the resulting
-// generations one typed event at a time.
+// scheduleWorkload draws the Poisson message generation process up front
+// from the dedicated workload RNG stream — the draw order is the seeded RNG
+// contract — and streams the resulting generations one typed event at a
+// time.
 func (e *engine) scheduleWorkload(s *sim.Simulator) error {
-	e.drawWorkload()
-	return e.scheduleNextGen(s, 0)
-}
-
-// drawWorkload consumes the dedicated workload RNG stream into e.gens. The
-// draws are a pure function of the seed, so a resumed run redraws the exact
-// same generations and simply discards the already-fired prefix.
-func (e *engine) drawWorkload() {
 	genEnd := e.cfg.WindowTo - e.cfg.GenerationQuiet
 	population := e.cfg.Trace.Nodes()
 	at := e.cfg.WindowFrom + e.workloadRNG.Exp(e.cfg.MessageInterval)
@@ -803,6 +721,7 @@ func (e *engine) drawWorkload() {
 		e.gens = append(e.gens, workloadGen{at: at, src: src, dst: dst, body: body})
 		at += e.workloadRNG.Exp(e.cfg.MessageInterval)
 	}
+	return e.scheduleNextGen(s, 0)
 }
 
 func (e *engine) scheduleNextGen(s *sim.Simulator, idx int) error {
@@ -818,16 +737,17 @@ func (e *engine) scheduleNextGen(s *sim.Simulator, idx int) error {
 	})
 }
 
-// HandleEvent dispatches the engine's typed events. Chained scheduling can
-// only fail on a past timestamp, which the cursor invariants rule out, so a
-// failure is a programmer error.
+// HandleEvent dispatches the engine's typed events. Once the context is
+// cancelled it handles none: it stops the kernel instead. Chained scheduling
+// can only fail on a past timestamp, which the cursor invariants rule out, so
+// a failure is a programmer error.
 func (e *engine) HandleEvent(s *sim.Simulator, ev sim.Event) {
-	if ev.Op != opControl {
-		e.maybeScheduleStop(s)
+	if e.cancelled.Load() {
+		e.stopErr = fmt.Errorf("%w at %v", ErrInterrupted, s.Now())
+		s.Stop()
+		return
 	}
 	switch ev.Op {
-	case opControl:
-		e.handleControl(s, ev)
 	case opContactStart:
 		c := e.pending // copy before the cursor advances over it
 		_, end := e.clampContact(c)

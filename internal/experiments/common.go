@@ -46,25 +46,18 @@ type Options struct {
 	// dataset with the given trace file (text or binary .g2gt). The
 	// paper's per-scenario protocol constants still apply.
 	TracePath string
-	// Context, when non-nil, cancels the experiment gracefully: in-flight
-	// runs flush their checkpoints and stop, and the batch returns an
-	// interruption error.
+	// Context, when non-nil, cancels the experiment: in-flight runs stop,
+	// and the batch returns an interruption error.
 	Context context.Context
 	// CheckpointDir enables crash-safe execution: the experiment keeps a
-	// sweep journal (sweep.journal) and per-run engine checkpoints there,
-	// so a killed experiment can be re-invoked with Resume and continue
-	// where it stopped. Empty disables both.
+	// sweep journal (sweep.journal) there, so a killed experiment can be
+	// re-invoked with Resume and continue where it stopped. Empty disables
+	// it.
 	CheckpointDir string
-	// CheckpointEvery is the virtual-time period of per-run checkpoint
-	// emission; zero flushes only on graceful interruption.
-	CheckpointEvery sim.Time
 	// Resume replays CheckpointDir's journal before dispatching, skipping
-	// runs completed under the same configuration and restarting
-	// interrupted ones from their checkpoints.
+	// runs completed under the same configuration and trace; the others
+	// run from their beginning.
 	Resume bool
-	// Retries re-attempts transiently failed runs (with backoff) before
-	// the failure sticks.
-	Retries int
 }
 
 // scenarios returns the experiment's datasets, rebound to Options.TracePath
@@ -283,11 +276,9 @@ func (b *batch) run() error {
 		Progress:    b.opts.Progress,
 		StrictAudit: b.opts.Audit,
 		Context:     b.opts.Context,
-		Retries:     b.opts.Retries,
 	}
 	if b.opts.CheckpointDir != "" {
 		ropts.CheckpointDir = b.opts.CheckpointDir
-		ropts.CheckpointEvery = b.opts.CheckpointEvery
 		ropts.Resume = b.opts.Resume
 	}
 	outs, err := runner.Run(b.specs, ropts)

@@ -64,8 +64,8 @@ type Identity interface {
 // it re-signs the same statement — a protocol node offering one custody copy
 // to every peer of an instant — so the fast provider can answer a repeat
 // from it instead of recomputing the MAC; the real provider ignores it. A
-// memo belongs to one run, like the System, and is never checkpointed. Do
-// not copy a memo once used: the copy would share its input buffer.
+// memo belongs to one run, like the System. Do not copy a memo once used:
+// the copy would share its input buffer.
 type SignMemo struct {
 	signer *fastIdentity // nil while empty
 	input  []byte

@@ -29,8 +29,7 @@ type fastSystem struct {
 	identities []*fastIdentity
 	// last is a one-entry memo of the most recent signature. Protocols verify
 	// an envelope right after its signer produced it, so most verifies ask
-	// for exactly the MAC the last Sign computed. It is transient: a fresh or
-	// resumed system just recomputes.
+	// for exactly the MAC the last Sign computed.
 	last SignMemo
 }
 

@@ -204,9 +204,7 @@ type Auditor struct {
 	pendingFailures []pendingFailure
 	pomReported     int
 	// pomDue marks the last detection of a G2G run, of message dueHash, as
-	// still awaiting the PoM broadcast that must immediately follow it. It
-	// is not part of State: the protocol reports a detection and its PoM in
-	// one step, so no checkpoint barrier falls between them.
+	// still awaiting the PoM broadcast that must immediately follow it.
 	pomDue     bool
 	dueHash    g2gcrypto.Digest
 	deviantSet map[trace.NodeID]struct{}

@@ -9,9 +9,9 @@ import (
 	"give2get/internal/trace"
 )
 
-// Checkpoint support: the collector's maps flattened into sorted slices so
-// the engine's checkpoint encodes them deterministically (same run state →
-// same bytes) and a resumed run can rebuild the collector exactly.
+// Journal support: the collector's maps flattened into sorted slices so a
+// sweep journal entry encodes them deterministically (same run state → same
+// bytes) and a restored result rebuilds the collector exactly.
 
 // GenEntry is one generated message in a CollectorState.
 type GenEntry struct {

@@ -41,12 +41,11 @@ type g2gNode struct {
 	// relayable holds, in byte-wise hash order, the copies a relay phase
 	// may still offer. takeCustody files every copy that is not spent,
 	// and each scan drops the ones spent or past Δ1 since; neither ever
-	// reverts. Derived: RestoreState rebuilds it.
+	// reverts.
 	relayable []*g2gCustody
 	// mem is the buffer part of MemoryBytes, kept up to date on every
 	// buffer change; expireAt is the earliest genAt+Δ2 in custody, before
-	// which expire has nothing to drop (zero forces a walk). Both are
-	// derived and never checkpointed.
+	// which expire has nothing to drop (zero forces a walk).
 	mem      int64
 	expireAt sim.Time
 	// del is G2G Delegation's own state; nil for G2G Epidemic.
@@ -129,7 +128,7 @@ type g2gCustody struct {
 // (both providers sign deterministically); a decline calls no observer and
 // draws no RNG. requestRelay answers such a repeat, which reaches it only
 // past the blacklist checks, from the record, charging what the recorded
-// exchange cost. The record is derived and never checkpointed.
+// exchange cost.
 type offerRecord struct {
 	rqst     g2gcrypto.SignMemo
 	body     wire.Body
@@ -843,19 +842,6 @@ func (n *g2gNode) MemoryBytes() int64 {
 		return n.mem
 	}
 	return n.mem + n.del.quality.historyBytes()
-}
-
-// memoryWalk recomputes the buffer part of MemoryBytes (all but the quality
-// history); RestoreState seeds the maintained counter with it.
-func (n *g2gNode) memoryWalk() int64 {
-	total := int64(len(n.custody)) * hashFootprint
-	for _, c := range n.custody {
-		total += c.footprint()
-	}
-	for _, p := range n.pendingIn {
-		total += int64(len(p.encrypted))
-	}
-	return total
 }
 
 // footprint is the copy's share of MemoryBytes: payload, proofs of relay

@@ -337,13 +337,12 @@ func TestG2GEpidemicIgnoresDelegationFields(t *testing.T) {
 			t.Errorf("dest %d: PoR %+v names more than the hash, the sender and the receiver", dest, por.Body)
 		}
 		b.handleKeyReveal(at, new(wire.Scratch).Sign(a.self, at, wire.KeyReveal{Hash: h, Key: key}), a.ID())
-		st := b.CaptureState().G2G
-		if st == nil || len(st.Custody) != 1 {
-			t.Fatalf("dest %d: captured custody %+v, want the one copy", dest, st)
+		got, ok := b.custody[h]
+		if !ok || len(b.custody) != 1 {
+			t.Fatalf("dest %d: custody holds %d copies, the message's: %t; want the one copy", dest, len(b.custody), ok)
 		}
-		if got := st.Custody[0]; got.FM != 0 || got.Attachments != nil || got.FailedFQ != nil {
-			t.Errorf("dest %d: copy captured with FM %v, %d attachments, %d failed FQs; want none",
-				dest, got.FM, len(got.Attachments), len(got.FailedFQ))
+		if got.del != nil {
+			t.Errorf("dest %d: copy kept G2G Delegation state %+v (label, attachments); want none", dest, *got.del)
 		}
 		if _, delivered := w.rec.delivered[h]; delivered != (dest == 1) {
 			t.Errorf("dest %d: delivered = %v", dest, delivered)

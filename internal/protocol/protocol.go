@@ -299,8 +299,7 @@ type Env struct {
 	// is a one-entry memo of the last storage proof computed with them. A
 	// test phase asks for the relay's proof and then for the source's
 	// recomputation over a byte-identical copy under the same seed, so the
-	// second call hits and an honest pair costs one keystream walk. Both are
-	// transient (never checkpointed): a resumed run just recomputes.
+	// second call hits and an honest pair costs one keystream walk.
 	hmacScratch g2gcrypto.HMACScratch
 	proof       lastProof
 
@@ -308,8 +307,7 @@ type Env struct {
 	// misbehavior is broadcast to the whole population, and its validity is
 	// a pure function of the document, so verifying the envelope and
 	// evidence once per broadcast instead of once per receiver removes an
-	// O(population) factor of signature checks. The cache is transient
-	// (never checkpointed): a resumed run just re-verifies.
+	// O(population) factor of signature checks.
 	pomCache map[string]pomVerdict
 }
 
@@ -436,14 +434,6 @@ type Node interface {
 	DeliverPoM(pom wire.Signed)
 	// Blacklisted reports whether this node refuses sessions with n.
 	Blacklisted(n trace.NodeID) bool
-	// CaptureState snapshots the node for a checkpoint without disturbing
-	// it.
-	CaptureState() NodeState
-	// RestoreState rebuilds the node from a snapshot. The receiver must be a
-	// freshly constructed node of the same env, identity, and behavior as
-	// the one the snapshot was captured from; a snapshot of another Kind is
-	// refused.
-	RestoreState(st NodeState) error
 	// MemoryMeter exposes the node's resource accounting (Section IV-C's
 	// payoff inputs): operation counters and buffer occupancy.
 	MemoryMeter
@@ -477,8 +467,10 @@ type base struct {
 	blacklist map[trace.NodeID]struct{}
 	// seq numbers the messages this node originates.
 	seq uint32
-	// digestScratch backs this node's sortedDigestsInto iterations; see
-	// order.go for the aliasing discipline.
+	// digestScratch holds the copy of an ordered key slice that a session
+	// loop iterates while its body edits the original. A node never
+	// re-enters its own loop while one is in progress (nested calls during
+	// a session run on the peer, which owns its own scratch).
 	digestScratch []g2gcrypto.Digest
 }
 

@@ -79,21 +79,6 @@ func custodyWalk(t *testing.T, n Node, now sim.Time, peer trace.NodeID) []g2gcry
 	return out
 }
 
-// relayableBuild is the relayable list built afresh from custody: every
-// copy, in hash order, that is not dropped, delivered, without its payload
-// or a relay's copy out of budget.
-func relayableBuild(t *testing.T, n Node) []g2gcrypto.Digest {
-	t.Helper()
-	hashes, views, p := relayViews(t, n)
-	var out []g2gcrypto.Digest
-	for i, v := range views {
-		if !v.dropped && !v.isDest && v.hasRaw && (v.isSource || v.relayCount < p.MaxRelays) {
-			out = append(out, hashes[i])
-		}
-	}
-	return out
-}
-
 // scanOffers lists the copies a relay phase at now offers peer.
 func scanOffers(t *testing.T, n Node, now sim.Time, peer trace.NodeID) []g2gcrypto.Digest {
 	t.Helper()
@@ -108,9 +93,8 @@ func scanOffers(t *testing.T, n Node, now sim.Time, peer trace.NodeID) []g2gcryp
 }
 
 // scanStep is one action of a relay-scan script: generate (gen), meet, run
-// every node's expiry step (expire), checkpoint and restore the whole world
-// (restore), or nothing (check). Every step ends with the scan checked
-// against the custody walk at its instant.
+// every node's expiry step (expire), or nothing (check). Every step ends
+// with the scan checked against the custody walk at its instant.
 type scanStep struct {
 	at   sim.Time
 	what string
@@ -119,7 +103,7 @@ type scanStep struct {
 
 // relayScanScript drives a copy through every way it stops being relayable:
 // relays up to the budget, a dropper, a cheater, a destination delivery, a
-// PoM, Δ1, expiry at Δ2, and a checkpoint restore in between.
+// PoM, Δ1 and expiry at Δ2.
 func relayScanScript(kind Kind, p Params) []scanStep {
 	if kind == G2GEpidemic {
 		return []scanStep{
@@ -130,7 +114,6 @@ func relayScanScript(kind Kind, p Params) []scanStep {
 			{at: 5 * sim.Minute, what: "meet", a: 1, b: 4}, // 1 spends its budget
 			{at: 6 * sim.Minute, what: "gen", a: 3, b: 7},
 			{at: 7 * sim.Minute, what: "meet", a: 3, b: 5}, // delivery
-			{at: 7 * sim.Minute, what: "restore"},
 			{at: 8 * sim.Minute, what: "meet", a: 5, b: 6},
 			{at: 9 * sim.Minute, what: "meet", a: 6, b: 1},
 			{at: sim.Minute + p.Delta1 - 1, what: "check"},
@@ -149,7 +132,6 @@ func relayScanScript(kind Kind, p Params) []scanStep {
 		{at: frame1 + 1*sim.Minute, what: "meet", a: 0, b: 4}, // fails to qualify
 		{at: frame1 + 2*sim.Minute, what: "meet", a: 0, b: 6}, // the dropper
 		{at: frame1 + 3*sim.Minute, what: "meet", a: 0, b: 1}, // the cheater
-		{at: frame1 + 3*sim.Minute, what: "restore"},
 		{at: frame1 + 4*sim.Minute, what: "gen", a: 2, b: 7},
 		{at: frame1 + 5*sim.Minute, what: "meet", a: 1, b: 2},
 		{at: frame1 + 6*sim.Minute, what: "meet", a: 1, b: 3}, // cheater spends its budget
@@ -164,22 +146,6 @@ func relayScanScript(kind Kind, p Params) []scanStep {
 		{at: frame1 + p.Delta2 + sim.Minute, what: "gen", a: 3, b: 5},
 		{at: frame1 + p.Delta2 + 2*sim.Minute, what: "meet", a: 3, b: 4},
 	}
-}
-
-// restoreWorld checkpoints every node and the RNG of w and restores them
-// into a fresh world of the same configuration.
-func restoreWorld(t *testing.T, w *world, kind Kind, params Params, behaviors map[trace.NodeID]Behavior) *world {
-	t.Helper()
-	w2 := newWorld(t, kind, len(w.nodes), params, behaviors)
-	if err := w2.env.RNG.Restore(w.env.RNG.State()); err != nil {
-		t.Fatalf("restore rng: %v", err)
-	}
-	for i, n := range w.nodes {
-		if err := w2.nodes[i].RestoreState(n.CaptureState()); err != nil {
-			t.Fatalf("restore node %d: %v", i, err)
-		}
-	}
-	return w2
 }
 
 // TestRelayableMatchesCustodyWalk is the oracle for the relayable scan:
@@ -223,8 +189,6 @@ func checkRelayScan(t *testing.T, kind Kind, params Params) {
 			w.meet(s.at, s.a, s.b)
 		case "expire":
 			expireAll(w, s.at)
-		case "restore":
-			w = restoreWorld(t, w, kind, params, behaviors)
 		}
 		for a, n := range w.nodes {
 			for b := range w.nodes {

@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"sync"
 
@@ -17,19 +18,20 @@ import (
 	"give2get/internal/obs"
 	"give2get/internal/protocol"
 	"give2get/internal/sim"
+	"give2get/internal/trace"
 )
 
 // The sweep journal makes a batch crash-safe: one JSON line per completed
 // run, appended and synced as runs finish, in the file journalName of the
 // batch's CheckpointDir. Each entry is pinned to its spec by index, label and
-// the engine's configuration fingerprint. A resumed batch replays the
-// journal, restores each spec whose entry matches it on all three without
-// re-running it, and dispatches every other spec, restarting an in-flight run
-// from its engine checkpoint when one survived. An entry written for another
-// spec list or configuration matches nothing, so its spec re-runs. Every
-// entry is written with a leading newline, so a torn line (a crash or a
-// failed write mid-append) never runs into the next entry; the loader skips
-// torn lines.
+// the engine's configuration fingerprint, which covers the trace's contacts.
+// A resumed batch replays the journal, restores each spec whose entry
+// matches it on all three without re-running it, and runs every other spec
+// from its beginning: runs are short, so a run cut off mid-way costs at most
+// one run's time. An entry written for another spec list, configuration or
+// trace matches nothing, so its spec re-runs. Every entry is written with a
+// leading newline, so a torn line (a crash or a failed write mid-append)
+// never runs into the next entry; the loader skips torn lines.
 
 // journalName is the sweep journal's file name inside Options.CheckpointDir.
 const journalName = "sweep.journal"
@@ -97,11 +99,19 @@ func restoreResult(encoded string) (*engine.Result, error) {
 	}, nil
 }
 
-// fingerprint is the journal's form of the engine's configuration
-// fingerprint.
-func fingerprint(cfg engine.Config) string {
-	sum := engine.ConfigFingerprint(cfg)
-	return hex.EncodeToString(sum[:])
+// fingerprints returns each spec's engine configuration fingerprint in its
+// journal form, reading each distinct trace once.
+func fingerprints(specs []Spec) ([]string, error) {
+	traces := make(map[trace.Source][32]byte)
+	out := make([]string, len(specs))
+	for i, s := range specs {
+		sum, err := engine.ConfigFingerprint(s.Config, traces)
+		if err != nil {
+			return nil, fmt.Errorf("runner: run %q: %w", s.Label, err)
+		}
+		out[i] = hex.EncodeToString(sum[:])
+	}
+	return out, nil
 }
 
 // journal is the append side; writes are serialized and synced per entry so
@@ -109,6 +119,8 @@ func fingerprint(cfg engine.Config) string {
 type journal struct {
 	mu sync.Mutex
 	f  *os.File
+	// fingerprints pins each spec's entries (see fingerprints).
+	fingerprints []string
 }
 
 // openJournal prepares the journal for a batch. With resume set, an existing
@@ -116,6 +128,10 @@ type journal struct {
 // returned (indexed by spec), and new entries append to it; otherwise the
 // file starts empty.
 func openJournal(path string, specs []Spec, resume bool) (*journal, map[int]Outcome, error) {
+	fps, err := fingerprints(specs)
+	if err != nil {
+		return nil, nil, err
+	}
 	var restored map[int]Outcome
 	flags := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
 	if resume {
@@ -123,7 +139,7 @@ func openJournal(path string, specs []Spec, resume bool) (*journal, map[int]Outc
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, nil, err
 		}
-		if restored, err = replayJournal(data, specs); err != nil {
+		if restored, err = replayJournal(data, specs, fps); err != nil {
 			return nil, nil, err
 		}
 		flags = os.O_WRONLY | os.O_CREATE | os.O_APPEND
@@ -132,15 +148,16 @@ func openJournal(path string, specs []Spec, resume bool) (*journal, map[int]Outc
 	if err != nil {
 		return nil, nil, err
 	}
-	return &journal{f: f}, restored, nil
+	return &journal{f: f, fingerprints: fps}, restored, nil
 }
 
-// replayJournal parses a journal against the current specs and returns the
-// outcomes it proves complete. A line that does not parse (torn by a crash
-// or a failed write) is skipped, and so is an entry whose index, label or
-// fingerprint does not match its spec, whose snapshot no longer decodes, or
-// whose digest disagrees with the snapshot: those specs re-run.
-func replayJournal(data []byte, specs []Spec) (map[int]Outcome, error) {
+// replayJournal parses a journal against the current specs, whose
+// fingerprints are fps, and returns the outcomes it proves complete. A line
+// that does not parse (torn by a crash or a failed write) is skipped, and so
+// is an entry whose index, label or fingerprint does not match its spec,
+// whose snapshot no longer decodes, or whose digest disagrees with the
+// snapshot: those specs re-run.
+func replayJournal(data []byte, specs []Spec, fps []string) (map[int]Outcome, error) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(nil, 64<<20) // snapshots are long lines
 	restored := map[int]Outcome{}
@@ -150,7 +167,7 @@ func replayJournal(data []byte, specs []Spec) (map[int]Outcome, error) {
 			continue
 		}
 		if e.Index < 0 || e.Index >= len(specs) || e.Label != specs[e.Index].Label ||
-			e.Fingerprint != fingerprint(specs[e.Index].Config) {
+			e.Fingerprint != fps[e.Index] {
 			continue
 		}
 		res, err := restoreResult(e.Snapshot)
@@ -174,7 +191,7 @@ func (j *journal) record(index int, spec Spec, res *engine.Result) error {
 	if err != nil {
 		return err
 	}
-	e := journalEntry{Index: index, Label: spec.Label, Fingerprint: fingerprint(spec.Config), Snapshot: snap}
+	e := journalEntry{Index: index, Label: spec.Label, Fingerprint: j.fingerprints[index], Snapshot: snap}
 	if res.Audit != nil {
 		e.Digest = res.Audit.Digest
 	}

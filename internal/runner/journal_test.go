@@ -44,13 +44,26 @@ func mustDigests(t *testing.T, out []Outcome) []string {
 	return digests
 }
 
-// failingSource is a trace whose contacts cannot be read: a run over it
-// fails, while its configuration fingerprint is the trace's own (the
-// fingerprint takes only the population).
-type failingSource struct{ trace.Source }
+// countingSource counts the passes opened over a trace: a run opens one,
+// and so does fingerprinting a journaled batch, once per distinct trace.
+type countingSource struct {
+	trace.Source
+	passes atomic.Int32
+}
 
-func (failingSource) Cursor() (trace.Cursor, error) {
-	return nil, errors.New("contacts unreadable")
+func (c *countingSource) Cursor() (trace.Cursor, error) {
+	c.passes.Add(1)
+	return c.Source.Cursor()
+}
+
+// withContacts is tr with its contacts replaced.
+func withContacts(t *testing.T, tr *trace.Trace, contacts []trace.Contact) *trace.Trace {
+	t.Helper()
+	out, err := trace.New(tr.Name(), tr.Nodes(), contacts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // fresh runs specs without a checkpoint directory and returns their digests.
@@ -64,29 +77,43 @@ func fresh(t *testing.T, specs []Spec) []string {
 }
 
 // TestJournalResumeSkipsCompleted completes a journaled sweep, then resumes
-// it under the same configurations over a trace whose contacts cannot be
-// read: every outcome must come back restored from the journal, never
-// re-run, with the recorded results intact.
+// it under the same configurations over a trace that counts its passes:
+// every outcome must come back restored from the journal, never re-run, with
+// the recorded results intact. The resume reads the shared trace once, to
+// fingerprint it, and no run reads it; a batch without a checkpoint
+// directory never fingerprints.
 func TestJournalResumeSkipsCompleted(t *testing.T) {
 	tr := testTrace(t)
 	dir := t.TempDir()
 
-	first, err := Run(journalSpecs(tr, 3), Options{Jobs: 2, CheckpointDir: dir})
+	counted := &countingSource{Source: tr}
+	specs := journalSpecs(tr, 3)
+	for i := range specs {
+		specs[i].Config.Trace = counted
+	}
+	if _, err := Run(specs[:1], Options{Jobs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := counted.passes.Load(); got != 1 {
+		t.Fatalf("an unjournaled run opened %d passes over its trace, want 1", got)
+	}
+	counted.passes.Store(0)
+	first, err := Run(specs, Options{Jobs: 2, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := mustDigests(t, first)
+	if got := counted.passes.Load(); got != 1+3 {
+		t.Fatalf("a journaled batch of 3 runs over one trace opened %d passes, want 4: one fingerprint, one per run", got)
+	}
 
-	unreadable := journalSpecs(tr, 3)
-	for i := range unreadable {
-		unreadable[i].Config.Trace = failingSource{tr}
-	}
-	if _, err := Run(unreadable[:1], Options{Jobs: 1}); err == nil {
-		t.Fatal("a run over the unreadable trace succeeded; it cannot prove restoration")
-	}
-	second, err := Run(unreadable, Options{Jobs: 2, CheckpointDir: dir, Resume: true})
+	counted.passes.Store(0)
+	second, err := Run(specs, Options{Jobs: 2, CheckpointDir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := counted.passes.Load(); got != 1 {
+		t.Errorf("the resume opened %d passes over the trace, want 1: the fingerprint's", got)
 	}
 	for i, o := range second {
 		if !o.Restored {
@@ -135,6 +162,48 @@ func TestJournalResumeRerunsChangedConfig(t *testing.T) {
 		if d != want[i] {
 			t.Errorf("outcome %d digest %s, fresh run of its config %s", i, d, want[i])
 		}
+	}
+}
+
+// TestJournalResumeRerunsOtherTrace resumes a journal over another trace of
+// the same population (the journaled one with every node relabeled), and
+// over the journaled trace with one contact ending a second later: the
+// fingerprint covers every contact, so nothing restores and each run reaches
+// the digest of a fresh run over its own trace.
+func TestJournalResumeRerunsOtherTrace(t *testing.T) {
+	tr := testTrace(t)
+	relabeled := append([]trace.Contact(nil), tr.Contacts()...)
+	for i, c := range relabeled {
+		relabeled[i].A, relabeled[i].B = (c.A+1)%trace.NodeID(tr.Nodes()), (c.B+1)%trace.NodeID(tr.Nodes())
+	}
+	longer := append([]trace.Contact(nil), tr.Contacts()...)
+	longer[len(longer)/2].End += sim.Second
+	for name, resumed := range map[string]*trace.Trace{
+		"other-trace":            withContacts(t, tr, relabeled),
+		"one-contact-ends-later": withContacts(t, tr, longer),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := Run(journalSpecs(tr, 2), Options{Jobs: 2, CheckpointDir: dir}); err != nil {
+				t.Fatal(err)
+			}
+			specs := journalSpecs(resumed, 2)
+			want := fresh(t, specs)
+			out, err := Run(specs, Options{Jobs: 2, CheckpointDir: dir, Resume: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, o := range out {
+				if o.Restored {
+					t.Errorf("outcome %d restored from the journaled trace's entry", i)
+				}
+			}
+			for i, d := range mustDigests(t, out) {
+				if d != want[i] {
+					t.Errorf("outcome %d digest %s, a fresh run over its trace %s", i, d, want[i])
+				}
+			}
+		})
 	}
 }
 
@@ -227,7 +296,7 @@ func TestJournalMismatchRejected(t *testing.T) {
 // TestJournalWriteFailureFailsRun points the journal at a device that
 // refuses every write: a run whose completion cannot be journaled is
 // reported failed, not completed, and a later resume with a writable journal
-// re-runs it (from the checkpoint it kept) to the same audit digest.
+// re-runs it to the same audit digest.
 func TestJournalWriteFailureFailsRun(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full:", err)
@@ -241,16 +310,13 @@ func TestJournalWriteFailureFailsRun(t *testing.T) {
 	if err := os.Symlink("/dev/full", journal); err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Jobs: 1, CheckpointDir: dir, CheckpointEvery: 30 * sim.Minute}
+	opts := Options{Jobs: 1, CheckpointDir: dir}
 	out, err := Run(specs, opts)
 	if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("batch error %v, want ENOSPC from the journal", err)
 	}
 	if o := out[0]; o.Err == nil || !strings.Contains(o.Err.Error(), "journal") || o.Restored {
 		t.Fatalf("unjournaled run reported as %+v, want a journal failure", o)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "spec-0000.ckpt")); err != nil {
-		t.Errorf("the failed run dropped its restart point: %v", err)
 	}
 
 	if err := os.Remove(journal); err != nil {
@@ -270,9 +336,10 @@ func TestJournalWriteFailureFailsRun(t *testing.T) {
 }
 
 // TestCancelledSweepResumesIdentical is the crash-safe sweep oracle: a
-// journaled, checkpointed sweep is cancelled somewhere mid-flight, resumed,
-// and every final outcome — restored, checkpoint-resumed, or cleanly rerun —
-// must match the uninterrupted reference digests exactly.
+// journaled sweep is cancelled somewhere mid-flight, resumed, and every final
+// outcome — restored or run again from its beginning — must match the
+// uninterrupted reference digests exactly. The checkpoint directory never
+// holds anything but the journal.
 func TestCancelledSweepResumesIdentical(t *testing.T) {
 	tr := testTrace(t)
 	ref, err := Run(journalSpecs(tr, 4), Options{Jobs: 2})
@@ -291,10 +358,9 @@ func TestCancelledSweepResumesIdentical(t *testing.T) {
 		cancel()
 	}()
 	interrupted, err := Run(journalSpecs(tr, 4), Options{
-		Jobs:            2,
-		CheckpointDir:   dir,
-		CheckpointEvery: 30 * sim.Minute,
-		Context:         ctx,
+		Jobs:          2,
+		CheckpointDir: dir,
+		Context:       ctx,
 	})
 	if err != nil {
 		var be *BatchError
@@ -307,6 +373,7 @@ func TestCancelledSweepResumesIdentical(t *testing.T) {
 			}
 		}
 	}
+	onlyJournal(t, dir)
 
 	out, err := Run(journalSpecs(tr, 4), Options{
 		Jobs:          2,
@@ -321,54 +388,22 @@ func TestCancelledSweepResumesIdentical(t *testing.T) {
 			t.Errorf("outcome %d digest %s, want %s", i, d, want[i])
 		}
 	}
-	// Completed runs clean up their restart points.
-	leftover, err := filepath.Glob(filepath.Join(dir, "spec-*.ckpt"))
+	onlyJournal(t, dir)
+}
+
+// onlyJournal asserts that a checkpoint directory holds the sweep journal
+// and nothing else.
+func onlyJournal(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(leftover) != 0 {
-		t.Errorf("checkpoints left after a completed sweep: %v", leftover)
-	}
-}
-
-// flakySource fails its first Cursor open, then behaves; the retry test's
-// stand-in for transient I/O.
-type flakySource struct {
-	trace.Source
-	failures atomic.Int32
-}
-
-func (f *flakySource) Cursor() (trace.Cursor, error) {
-	if f.failures.Add(-1) >= 0 {
-		return nil, errors.New("transient open failure")
-	}
-	return f.Source.Cursor()
-}
-
-// TestRetryRecoversTransientFailure pins retry-with-backoff: a run whose
-// trace source fails once succeeds on the retry; with retries disabled the
-// same failure sticks.
-func TestRetryRecoversTransientFailure(t *testing.T) {
-	tr := testTrace(t)
-
-	flaky := &flakySource{Source: tr}
-	flaky.failures.Store(1)
-	cfg := baseConfig(tr, 1)
-	cfg.Trace = flaky
-	out, err := Run([]Spec{{Label: "flaky", Config: cfg}},
-		Options{Jobs: 1, Retries: 1, RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatalf("retried run still failed: %v", err)
-	}
-	if out[0].Result == nil || out[0].Result.Summary.Generated == 0 {
-		t.Fatalf("retried run produced no result: %+v", out[0])
-	}
-
-	flaky2 := &flakySource{Source: tr}
-	flaky2.failures.Store(1)
-	cfg2 := baseConfig(tr, 1)
-	cfg2.Trace = flaky2
-	if _, err := Run([]Spec{{Label: "flaky", Config: cfg2}}, Options{Jobs: 1}); err == nil {
-		t.Fatal("transient failure passed without retries")
+	if len(entries) != 1 || entries[0].Name() != journalName {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Errorf("checkpoint directory holds %v, want only %s", names, journalName)
 	}
 }

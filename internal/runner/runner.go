@@ -18,7 +18,6 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -30,7 +29,6 @@ import (
 
 	"give2get/internal/engine"
 	"give2get/internal/obs"
-	"give2get/internal/sim"
 )
 
 // Spec is one schedulable simulation run.
@@ -67,35 +65,20 @@ type Options struct {
 	// failure.
 	// Runs without an audit report are unaffected.
 	StrictAudit bool
-	// Context, when non-nil, cancels the batch gracefully: in-flight runs
-	// finish their current instant, flush their checkpoints, and return
-	// engine.ErrInterrupted; undispatched specs are marked Skipped. It is
-	// also installed as each run's engine Context unless the spec carries
-	// its own.
+	// Context, when non-nil, cancels the batch: in-flight runs stop before
+	// their next event and return engine.ErrInterrupted; undispatched specs
+	// are marked Skipped. It is also installed as each run's engine Context
+	// unless the spec carries its own.
 	Context context.Context
-	// CheckpointDir, when non-empty, makes the batch crash-safe. The sweep
-	// journal there (sweep.journal) gets one synced line per completed run,
-	// and every run gets an engine checkpoint file (spec-NNNN.ckpt) so an
-	// interrupted or crashed run can restart mid-flight on Resume. The
-	// directory is created if missing. Checkpoints of completed runs are
-	// removed. Specs on the real crypto provider get no checkpoint (they are
-	// not resumable).
+	// CheckpointDir, when non-empty, makes the batch crash-safe: the sweep
+	// journal there (sweep.journal) gets one synced line per completed run.
+	// The directory is created if missing and holds nothing else.
 	CheckpointDir string
 	// Resume replays CheckpointDir's journal before dispatching. A spec is
 	// restored from an entry whose index, label and engine configuration
-	// fingerprint all match it (Outcome.Restored) instead of re-running;
-	// every other spec runs, restarting from its engine checkpoint when one
-	// survived.
+	// fingerprint (trace contacts included) all match it (Outcome.Restored)
+	// instead of re-running; every other spec runs from its beginning.
 	Resume bool
-	// CheckpointEvery is the virtual-time period of periodic checkpoint
-	// emission within each run; 0 flushes only on graceful interruption.
-	CheckpointEvery sim.Time
-	// Retries is how many times a failed run is re-attempted before its
-	// error sticks. Interruptions and audit failures are never retried.
-	Retries int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// attempt (default 1s).
-	RetryBackoff time.Duration
 }
 
 // Outcome is the result slot of one spec, indexed like the input specs.
@@ -178,12 +161,11 @@ func Run(specs []Spec, opts Options) ([]Outcome, error) {
 	}
 
 	var (
-		next        atomic.Int64 // next spec index to dispatch
-		stop        atomic.Bool  // failure latch
-		interrupted atomic.Bool  // cancellation latch
-		completed   atomic.Int64 // finished runs, for progress numbering
-		progMu      sync.Mutex   // serializes progress lines
-		wg          sync.WaitGroup
+		next      atomic.Int64 // next spec index to dispatch
+		stop      atomic.Bool  // failure latch, interruptions included
+		completed atomic.Int64 // finished runs, for progress numbering
+		progMu    sync.Mutex   // serializes progress lines
+		wg        sync.WaitGroup
 	)
 	worker := func() {
 		defer wg.Done()
@@ -196,7 +178,7 @@ func Run(specs []Spec, opts Options) ([]Outcome, error) {
 				continue // journal-restored
 			}
 			out[i].Label = specs[i].Label
-			if stop.Load() || interrupted.Load() {
+			if stop.Load() {
 				out[i].Skipped = true
 				continue
 			}
@@ -211,13 +193,8 @@ func Run(specs []Spec, opts Options) ([]Outcome, error) {
 			if cfg.Context == nil {
 				cfg.Context = opts.Context
 			}
-			ckpt := ""
-			if opts.CheckpointDir != "" && cfg.Crypto != engine.CryptoReal {
-				ckpt = filepath.Join(opts.CheckpointDir, fmt.Sprintf("spec-%04d.ckpt", i))
-				cfg.Checkpoint = engine.CheckpointConfig{Path: ckpt, Every: opts.CheckpointEvery}
-			}
 			start := time.Now()
-			res, err := runSpec(cfg, ckpt, opts)
+			res, err := engine.Run(cfg)
 			runWall := time.Since(start)
 			err = promoteAudit(err, opts.StrictAudit, res)
 			if err == nil && jnl != nil {
@@ -226,14 +203,6 @@ func Run(specs []Spec, opts Options) ([]Outcome, error) {
 				if jerr := jnl.record(i, specs[i], res); jerr != nil {
 					err = fmt.Errorf("runner: journal: %w", jerr)
 				}
-			}
-			if err == nil && ckpt != "" {
-				os.Remove(ckpt) // completed runs need no restart point
-			}
-			if errors.Is(err, engine.ErrInterrupted) {
-				// Cancellation stops dispatch; the checkpoint just
-				// flushed is the spec's restart point.
-				interrupted.Store(true)
 			}
 			out[i].Result, out[i].Err = res, err
 			out[i].Wall = time.Since(start)
@@ -268,46 +237,6 @@ func Run(specs []Spec, opts Options) ([]Outcome, error) {
 	wg.Wait()
 
 	return out, batchError(out)
-}
-
-// runSpec executes one spec with checkpoint-aware restart and bounded
-// retry. Interruptions are returned immediately — the flushed checkpoint is
-// the restart point, not a failure to retry.
-func runSpec(cfg engine.Config, ckpt string, opts Options) (*engine.Result, error) {
-	backoff := opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = time.Second
-	}
-	for attempt := 0; ; attempt++ {
-		res, err := runOnce(cfg, ckpt)
-		if err == nil || errors.Is(err, engine.ErrInterrupted) || attempt >= opts.Retries {
-			return res, err
-		}
-		if opts.Context != nil {
-			select {
-			case <-opts.Context.Done():
-				return res, err
-			case <-time.After(backoff << attempt):
-			}
-		} else {
-			time.Sleep(backoff << attempt)
-		}
-	}
-}
-
-// runOnce resumes from the spec's checkpoint when one exists, falling back
-// to a clean run when the checkpoint is corrupt, stale, or mismatched — a
-// bad restart point must never sink the spec.
-func runOnce(cfg engine.Config, ckpt string) (*engine.Result, error) {
-	if ckpt != "" {
-		if _, err := os.Stat(ckpt); err == nil {
-			res, err := engine.Resume(ckpt, cfg)
-			if err == nil || errors.Is(err, engine.ErrInterrupted) {
-				return res, err
-			}
-		}
-	}
-	return engine.Run(cfg)
 }
 
 // promoteAudit turns a failed invariant audit into the run's error when

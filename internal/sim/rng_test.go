@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -99,5 +101,48 @@ func TestPermIsPermutation(t *testing.T) {
 			t.Fatalf("Perm produced invalid permutation: %v", p)
 		}
 		seen[v] = true
+	}
+}
+
+// TestRNGMatchesStdlib pins the RNG to the plain stdlib generator: every
+// method must draw the same values in the same order as
+// rand.New(rand.NewSource(seed)), Bytes included.
+func TestRNGMatchesStdlib(t *testing.T) {
+	g := NewRNG(1234)
+	r := rand.New(rand.NewSource(1234))
+	got, want := make([]byte, 13), make([]byte, 13)
+	for i := 0; i < 500; i++ {
+		switch i % 6 {
+		case 0:
+			if a, b := g.Int63(), r.Int63(); a != b {
+				t.Fatalf("round %d: Int63 %d != stdlib %d", i, a, b)
+			}
+		case 1:
+			if a, b := g.Float64(), r.Float64(); a != b {
+				t.Fatalf("round %d: Float64 %v != stdlib %v", i, a, b)
+			}
+		case 2:
+			if a, b := g.Intn(97), r.Intn(97); a != b {
+				t.Fatalf("round %d: Intn %d != stdlib %d", i, a, b)
+			}
+		case 3:
+			if a, b := g.Exp(Minute), Time(float64(Minute)*r.ExpFloat64()); a != b {
+				t.Fatalf("round %d: Exp %v != stdlib %v", i, a, b)
+			}
+		case 4:
+			n := 1 + i%len(got)
+			g.Bytes(got[:n])
+			r.Read(want[:n])
+			if !bytes.Equal(got[:n], want[:n]) {
+				t.Fatalf("round %d: Bytes % x != stdlib % x", i, got[:n], want[:n])
+			}
+		case 5:
+			a, b := g.Perm(9), r.Perm(9)
+			for k := range a {
+				if a[k] != b[k] {
+					t.Fatalf("round %d: Perm %v != stdlib %v", i, a, b)
+				}
+			}
+		}
 	}
 }

@@ -38,40 +38,6 @@ func (s *Simulator) SetStats(st *obs.SimStats) { s.stats = st }
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// SetNow positions an idle simulator with an empty queue at virtual time t.
-// Resuming a checkpointed run starts here: the clock jumps to the snapshot
-// instant before the reconstructed future events are scheduled, so none of
-// them can trip the no-rewind check. Any other use is an error.
-func (s *Simulator) SetNow(t Time) error {
-	if s.running {
-		return errors.New("sim: SetNow called while running")
-	}
-	if s.queue.Len() != 0 {
-		return errors.New("sim: SetNow needs an empty queue")
-	}
-	if t < s.now {
-		return fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, t, s.now)
-	}
-	s.now = t
-	return nil
-}
-
-// PendingEvents calls fn once per queued event with a copy of the event, in
-// firing order. Checkpointing uses it to snapshot the future event set: the
-// copies carry (At, Pri) and are visited in scheduling order within a tie, so
-// re-scheduling them in visit order reproduces the queue. Callers must not
-// schedule from within fn.
-func (s *Simulator) PendingEvents(fn func(Event)) {
-	q := eventQueue{items: append([]Event(nil), s.queue.items...)}
-	for {
-		ev, ok := q.pop()
-		if !ok {
-			return
-		}
-		fn(ev)
-	}
-}
-
 // ScheduleEvent enqueues a typed event. The caller fills At, Pri, H, and the
 // argument fields; the scheduling order that breaks (At, Pri) ties is
 // assigned here. The steady-state push/pop path allocates nothing.
