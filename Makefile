@@ -13,7 +13,7 @@ BENCH_NS_TOLERANCE ?= 25
 # the wall gate: at -benchtime=1x they are a single timer sample.
 BENCH_NS_FLOOR ?= 1000000
 
-.PHONY: all build test vet fmt race bench bench-smoke bench-diff bench-tests fuzz cover trace-roundtrip kill-resume check ci
+.PHONY: all build test vet fmt no-net race bench bench-smoke bench-diff bench-tests fuzz cover trace-roundtrip kill-resume check ci
 
 all: check
 
@@ -31,6 +31,15 @@ fmt:
 	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then echo "fmt: gofmt would reformat:"; echo "$$out"; exit 1; fi; \
 	echo "fmt: gofmt clean"
+
+# Dependency gate: the simulator opens no socket, and a run is observed only
+# through the files it writes, so no package of the module may link net or
+# net/http (which would also pull crypto/tls into every binary).
+no-net:
+	@deps=$$($(GO) list -deps ./...) || exit 1; \
+	bad=$$(echo "$$deps" | grep -xE 'net|net/http'); \
+	if [ -n "$$bad" ]; then echo "no-net: the module links" $$bad; exit 1; fi; \
+	echo "no-net: no package links net or net/http"
 
 # Every package under the race detector. The experiments and engine suites
 # dominate its wall time (5 and 3.5 minutes of a 6-minute pass on 2 vCPUs).
@@ -160,12 +169,12 @@ kill-resume:
 check: build vet test race
 
 # ci is the documented verification entry point: build, vet, the gofmt
-# gate, the coverage floor, the race pass, the benchmark module's tests, the
-# benchmark smoke pass, the trace-format round-trip gate, the kill/resume
-# crash-safety gate, a quick-mode experiment smoke run through the parallel
-# scheduler, and a fully audited honest run on each preset (the auditor fails
-# the command on any invariant violation).
-ci: build vet fmt cover race bench-tests bench-smoke trace-roundtrip kill-resume
+# gate, the dependency gate, the coverage floor, the race pass, the benchmark
+# module's tests, the benchmark smoke pass, the trace-format round-trip gate,
+# the kill/resume crash-safety gate, a quick-mode experiment smoke run through
+# the parallel scheduler, and a fully audited honest run on each preset (the
+# auditor fails the command on any invariant violation).
+ci: build vet fmt no-net cover race bench-tests bench-smoke trace-roundtrip kill-resume
 	$(GO) run ./cmd/g2gexp -experiment secV -quick -jobs 0 >/dev/null
 	$(GO) run ./cmd/g2gsim -preset infocom05 -protocol g2g-epidemic -ttl 10m -interval 60s -audit >/dev/null
 	$(GO) run ./cmd/g2gsim -preset cambridge06 -protocol g2g-delegation-frequency -ttl 10m -interval 60s -audit >/dev/null

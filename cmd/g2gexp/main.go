@@ -17,6 +17,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -48,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		list       = fs.Bool("list", false, "list experiment ids and exit")
 		tracePath  = fs.String("trace", "", "contact trace file, text or binary .g2gt, replacing every scenario's synthetic dataset")
 		telemetry  = fs.String("telemetry", "", "write an aggregated JSON run report over all runs to this file")
-		inspect    = fs.String("inspect", "", "serve a live experiment inspector on this address (e.g. :6060): JSON telemetry at /snapshot, SSE progress at /events, pprof under /debug/pprof/")
 		ckptDir    = fs.String("checkpoint-dir", "", "directory for crash-safe state: completed runs are journaled there (one subdirectory per experiment), and -resume continues")
 		resume     = fs.Bool("resume", false, "continue an interrupted experiment from the journal in -checkpoint-dir: runs journaled under the same configuration and trace are restored, the others run from their beginning")
 	)
@@ -74,6 +74,22 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *resume && *ckptDir == "" {
 		return errors.New("-resume requires -checkpoint-dir")
 	}
+	// Every input is checked before the first run, so a typo fails at once
+	// rather than after the experiments that precede it.
+	if *format != "text" && *format != "csv" {
+		return fmt.Errorf("unknown format %q (want text or csv)", *format)
+	}
+	known := experiments.IDs()
+	ids := known
+	if *experiment != "all" {
+		ids = strings.Split(*experiment, ",")
+		for i, id := range ids {
+			ids[i] = strings.TrimSpace(id)
+			if !slices.Contains(known, ids[i]) {
+				return fmt.Errorf("unknown experiment %q (known: %v)", ids[i], known)
+			}
+		}
+	}
 	// SIGINT/SIGTERM cancel the sweep: in-flight runs stop, and the journal
 	// keeps everything already finished.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -84,32 +100,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *verbose {
 		opts.Progress = stderr
 	}
-	if *telemetry != "" || *inspect != "" {
-		// The inspector needs a live registry even when no report file was
-		// asked for; the shared registry aggregates every run of the sweep.
+	if *telemetry != "" {
+		// One shared registry aggregates every run of every experiment.
 		opts.Telemetry = obs.NewMetrics()
 	}
-	if *inspect != "" {
-		insp := &obs.Inspector{Addr: *inspect, Metrics: opts.Telemetry, Label: *experiment}
-		stopInsp, err := insp.Start()
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := stopInsp(); err == nil {
-				err = cerr
-			}
-		}()
-		fmt.Fprintf(stderr, "g2gexp: inspector on http://%s (snapshot: /snapshot, events: /events, pprof: /debug/pprof/)\n",
-			insp.BoundAddr())
-	}
-
-	ids := experiments.IDs()
-	if *experiment != "all" {
-		ids = strings.Split(*experiment, ",")
-	}
 	for _, id := range ids {
-		id = strings.TrimSpace(id)
 		if *ckptDir != "" {
 			// One journal per experiment, so a multi-experiment invocation
 			// stays resumable as a whole.
@@ -123,17 +118,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			return err
 		}
 		for _, tbl := range tables {
-			switch *format {
-			case "csv":
-				if err := tbl.RenderCSV(stdout); err != nil {
-					return err
-				}
-			case "text":
-				if err := tbl.Render(stdout); err != nil {
-					return err
-				}
-			default:
-				return fmt.Errorf("unknown format %q (want text or csv)", *format)
+			render := tbl.Render
+			if *format == "csv" {
+				render = tbl.RenderCSV
+			}
+			if err := render(stdout); err != nil {
+				return err
 			}
 			fmt.Fprintln(stdout)
 		}

@@ -68,21 +68,18 @@ func TestRunJobsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunInspectSpansFig7 drives the acceptance scenario end to end: a
-// telemetry-enabled Fig. 7 run with the auditor on serves a live inspector
-// and reports a per-phase span table spanning the whole stack — engine
-// (contact_schedule, session), protocol (relay, test, por), crypto
-// (crypto_hmac), audit, and the sweep scheduler (sweep_dispatch).
-func TestRunInspectSpansFig7(t *testing.T) {
+// TestRunSpansFig7 drives the acceptance scenario end to end: a
+// telemetry-enabled Fig. 7 run with the auditor on reports a per-phase span
+// table spanning the whole stack — engine (contact_schedule, session),
+// protocol (relay, test, por), crypto (crypto_hmac), audit, and the sweep
+// scheduler (sweep_dispatch).
+func TestRunSpansFig7(t *testing.T) {
 	report := filepath.Join(t.TempDir(), "telemetry.json")
 	var out, errOut bytes.Buffer
 	err := run([]string{"-experiment", "fig7", "-tiny", "-audit",
-		"-inspect", "127.0.0.1:0", "-telemetry", report}, &out, &errOut)
+		"-telemetry", report}, &out, &errOut)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !strings.Contains(errOut.String(), "inspector on http://127.0.0.1:") {
-		t.Errorf("no inspector notice on stderr:\n%s", errOut.String())
 	}
 	b, err := os.ReadFile(report)
 	if err != nil {
@@ -111,6 +108,29 @@ func TestRunInspectSpansFig7(t *testing.T) {
 		"relay", "test", "por", "crypto_hmac", "audit", "sweep_dispatch"} {
 		if !got[want] {
 			t.Errorf("span table missing %s: %v", want, snap.Spans)
+		}
+	}
+}
+
+// TestRunRejectsInputsBeforeRunning pins that -format and every experiment
+// id are checked before the first run: with -v, a run that started would
+// log a "run i/n" line to stderr before the error.
+func TestRunRejectsInputsBeforeRunning(t *testing.T) {
+	for _, args := range [][]string{
+		{"-experiment", "secV", "-format", "xml"},
+		{"-experiment", "secV,bogus"},
+	} {
+		var out, errOut bytes.Buffer
+		if err := run(append([]string{"-tiny", "-v"}, args...), &out, &errOut); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+		for _, line := range strings.Split(errOut.String(), "\n") {
+			if strings.HasPrefix(line, "run ") {
+				t.Errorf("%v ran before rejecting its input: %q", args, line)
+			}
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v printed before rejecting its input:\n%s", args, out.String())
 		}
 	}
 }

@@ -6,7 +6,7 @@
 //	g2gsim -preset infocom05 -protocol g2g-epidemic -ttl 30m
 //	g2gsim -trace contacts.txt -protocol epidemic -ttl 35m \
 //	       -droppers 10 -outsiders
-//	g2gsim -telemetry report.json -progress 10s -cpuprofile cpu.out
+//	g2gsim -telemetry report.json -tracelog trace.jsonl -cpuprofile cpu.out
 package main
 
 import (
@@ -52,8 +52,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		jobs      = fs.Int("jobs", 0, "concurrent runs when -repeats > 1 (0 = GOMAXPROCS)")
 		telemetry = fs.String("telemetry", "", "write the JSON run report (counters, phase timings) to this file")
 		tracelog  = fs.String("tracelog", "", "write a leveled JSON-lines trace of the run to this file")
-		progress  = fs.Duration("progress", 0, "print a progress line to stderr at this wall-clock period (0 = off)")
-		inspect   = fs.String("inspect", "", "serve a live run inspector on this address (e.g. :6060): JSON telemetry at /snapshot, SSE progress at /events, pprof under /debug/pprof/")
 		ckptDir   = fs.String("checkpoint-dir", "", "directory for crash-safe state: completed runs are journaled there (sweep.journal), and -resume continues")
 		resume    = fs.Bool("resume", false, "continue from the journal in -checkpoint-dir: runs journaled under the same configuration and trace are restored, the others run from their beginning")
 	)
@@ -80,12 +78,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	defer stopSignals()
 
 	// Per-primitive timers and spans record only into an attached registry,
-	// so one is attached whenever the telemetry is read: a report file or
-	// the live inspector. It exists for the whole invocation, so the
-	// trace_load span below and every run (repeats included) aggregate into
-	// the same report and live view.
+	// so one is attached whenever a report is written. It exists for the
+	// whole invocation, so the trace_load span below and every run (repeats
+	// included) aggregate into the same report.
 	var reg *give2get.Metrics
-	if *telemetry != "" || *inspect != "" {
+	if *telemetry != "" {
 		reg = give2get.NewMetrics()
 	}
 
@@ -105,21 +102,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if reg != nil {
 		d := time.Since(traceStart)
 		reg.Spans.Note(obs.SpanTraceLoad, d, d)
-	}
-
-	if *inspect != "" {
-		insp := &obs.Inspector{Addr: *inspect, Metrics: reg, Label: tr.Name()}
-		stopInsp, err := insp.Start()
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := stopInsp(); err == nil {
-				err = cerr
-			}
-		}()
-		fmt.Fprintf(stderr, "g2gsim: inspector on http://%s (snapshot: /snapshot, events: /events, pprof: /debug/pprof/)\n",
-			insp.BoundAddr())
 	}
 
 	cfg := give2get.SimulationConfig{
@@ -158,10 +140,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 				err = cerr
 			}
 		}()
-	}
-	if *progress > 0 {
-		cfg.Progress = stderr
-		cfg.ProgressInterval = *progress
 	}
 	if *audit {
 		cfg.Audit = give2get.AuditConfig{Enabled: true}

@@ -244,8 +244,8 @@ func TestRunTelemetryReport(t *testing.T) {
 	if snap.Engine.Phases.Window.WallNS <= 0 {
 		t.Errorf("report missing phase timings:\n%s", b)
 	}
-	// -telemetry alone (no -inspect) must still time the primitives and
-	// record the span profile, not report zeros.
+	// -telemetry must time the primitives and record the span profile, not
+	// report zeros.
 	if snap.Crypto.Sign.TotalNS <= 0 || snap.Crypto.HeavyHMAC.TotalNS <= 0 {
 		t.Errorf("crypto timings are zero: sign total_ns=%d heavy_hmac total_ns=%d",
 			snap.Crypto.Sign.TotalNS, snap.Crypto.HeavyHMAC.TotalNS)
@@ -309,24 +309,19 @@ func TestRunSweepTelemetry(t *testing.T) {
 	}
 }
 
-// TestRunInspect exercises the -inspect path end to end: the run serves a
-// live inspector, the stderr notice names the bound address, and the
-// telemetry report carries the per-phase span table (trace_load from the CLI
-// itself plus engine/protocol spans from inside the run).
-func TestRunInspect(t *testing.T) {
+// TestRunTelemetrySpans checks that the telemetry report carries the
+// per-phase span table: trace_load from the CLI itself plus engine and
+// protocol spans from inside the run.
+func TestRunTelemetrySpans(t *testing.T) {
 	dir := t.TempDir()
 	report := filepath.Join(dir, "report.json")
 	var out, errOut bytes.Buffer
 	err := run([]string{
 		"-preset", "infocom05", "-protocol", "g2g-epidemic",
-		"-ttl", "30m", "-interval", "2m",
-		"-inspect", "127.0.0.1:0", "-telemetry", report,
+		"-ttl", "30m", "-interval", "2m", "-telemetry", report,
 	}, &out, &errOut)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !strings.Contains(errOut.String(), "inspector on http://127.0.0.1:") {
-		t.Errorf("no inspector notice on stderr:\n%s", errOut.String())
 	}
 
 	b, err := os.ReadFile(report)

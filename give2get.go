@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"give2get/internal/engine"
@@ -22,10 +21,9 @@ import (
 // field.
 type Telemetry = obs.Snapshot
 
-// Metrics is a live telemetry registry. Every recording operation is atomic,
-// so one registry may be shared by concurrent runs (aggregating them) and
-// snapshotted at any moment while runs are still executing — that is what the
-// CLIs' live run inspector does.
+// Metrics is a telemetry registry. Every recording operation is atomic, so
+// one registry may be shared by concurrent runs, aggregating them (the
+// repeats of a RunSweep do).
 type Metrics = obs.Metrics
 
 // NewMetrics returns a fresh telemetry registry for SimulationConfig.Registry.
@@ -112,22 +110,17 @@ type SimulationConfig struct {
 	// writes them as leveled JSON lines. Implementations must be safe for
 	// concurrent use (RunSweep shares the sink across repeats).
 	Sink TraceSink
-	// Progress, when non-nil, receives a one-line progress report every
-	// ProgressInterval of wall time while the run executes.
-	Progress io.Writer
-	// ProgressInterval is the progress period; zero means 10 seconds.
-	ProgressInterval time.Duration
 
 	// Audit, when enabled, runs the online invariant auditor alongside the
 	// simulation and attaches its report to the result.
 	Audit AuditConfig
 
 	// Registry, when non-nil, is the registry the run records its telemetry
-	// into (instead of a fresh private one). Share it across runs to
-	// aggregate them, or snapshot it mid-run for live progress — all
-	// recording is atomic. Per-primitive crypto timers and the span profile
-	// are recorded only into an attached registry; counts and phase wall
-	// times are recorded either way.
+	// into (instead of a fresh private one). Share it across runs, also
+	// concurrent ones, to aggregate them: all recording is atomic.
+	// Per-primitive crypto timers and the span profile are recorded only
+	// into an attached registry; counts and phase wall times are recorded
+	// either way.
 	Registry *Metrics
 
 	// Context, when non-nil, cancels the run: the engine stops before its
@@ -243,8 +236,6 @@ func engineConfig(cfg SimulationConfig, seed int64) (engine.Config, error) {
 		ecfg.Crypto = engine.CryptoReal
 	}
 	ecfg.TraceSink = cfg.Sink
-	ecfg.Progress = cfg.Progress
-	ecfg.ProgressEvery = cfg.ProgressInterval
 	if cfg.Audit.Enabled {
 		ecfg.Audit = &invariant.Options{Label: cfg.Audit.Label}
 	}

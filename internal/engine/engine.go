@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -93,11 +92,6 @@ type Config struct {
 	// run — callers decide what a failed audit means (see
 	// runner.Options.StrictAudit).
 	Audit *invariant.Options
-	// Progress, when non-nil, receives periodic one-line progress reports
-	// every ProgressEvery of wall time (default 10s) while the run executes.
-	Progress io.Writer
-	// ProgressEvery is the wall-clock period of progress reports.
-	ProgressEvery time.Duration
 	// Context, when non-nil, allows cancellation: once it is done, the
 	// engine stops before the next event and returns ErrInterrupted.
 	Context context.Context
@@ -441,7 +435,7 @@ func (e *engine) run() (*Result, error) {
 	// window boundaries. They touch no simulation state and are scheduled
 	// last into the periodic band, so same-instant protocol events keep their
 	// order and the run stays deterministic in virtual time. They double as
-	// the phase markers for the live inspector and the trace sink.
+	// the phase markers of the trace sink.
 	if e.cfg.WindowFrom >= e.startAt {
 		if err := e.schedulePeriodic(s, e.cfg.WindowFrom, opWindowFrom); err != nil {
 			return nil, err
@@ -473,11 +467,9 @@ func (e *engine) finishRun(s *sim.Simulator) (*Result, error) {
 		defer context.AfterFunc(ctx, func() { e.cancelled.Store(true) })()
 	}
 
-	stopProgress := e.startProgress()
 	wallStart := time.Now()
 	endedAt, err := s.RunUntil(e.endAt)
 	wallEnd := time.Now()
-	stopProgress()
 	if err != nil {
 		return nil, err
 	}
@@ -547,56 +539,14 @@ func (e *engine) scheduleAll(s *sim.Simulator) error {
 	return e.scheduleMemorySampling(s)
 }
 
-// emitPhase marks a phase transition: the current-phase gauge the live
-// inspector reads and one "phase" milestone record for the trace sink.
+// emitPhase marks a phase transition with one "phase" milestone record for
+// the trace sink.
 func (e *engine) emitPhase(at sim.Time, p obs.Phase) {
-	e.metrics.Engine.EnterPhase(p)
 	if sink := e.cfg.TraceSink; sink != nil && sink.Enabled(obs.LevelInfo) {
 		rec := obs.NewRecord(time.Duration(at), obs.LevelInfo, "phase")
 		rec.Wall = time.Now()
 		rec.Reason = p.String()
 		sink.Emit(rec)
-	}
-}
-
-// startProgress launches the periodic progress reporter; the returned stop
-// function blocks until the reporter goroutine exits. The reporter reads
-// only atomic counters (and the kernel's mirrored clock), so it never races
-// the single-threaded simulation.
-func (e *engine) startProgress() (stop func()) {
-	if e.cfg.Progress == nil {
-		return func() {}
-	}
-	every := e.cfg.ProgressEvery
-	if every <= 0 {
-		every = 10 * time.Second
-	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	start := time.Now()
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				m := e.metrics
-				fmt.Fprintf(e.cfg.Progress,
-					"progress: sim=%v events=%d generated=%d delivered=%d wall=%v\n",
-					m.Sim.SimNow().Round(time.Second),
-					m.Sim.EventsFired.Load(),
-					m.Engine.MessagesGenerated.Load(),
-					m.Engine.MessagesDelivered.Load(),
-					time.Since(start).Round(time.Second))
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-finished
 	}
 }
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"encoding/json"
 	"io"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -133,8 +132,8 @@ func TestRunTelemetrySnapshot(t *testing.T) {
 	}
 }
 
-// TestTracingDoesNotPerturbRun: attaching sinks and telemetry must leave the
-// simulation bit-identical in virtual time.
+// TestTracingDoesNotPerturbRun: attaching a sink and telemetry must leave
+// the simulation bit-identical in virtual time.
 func TestTracingDoesNotPerturbRun(t *testing.T) {
 	plain := baseConfig(t, protocol.G2GEpidemic)
 	ref, err := Run(plain)
@@ -144,7 +143,7 @@ func TestTracingDoesNotPerturbRun(t *testing.T) {
 
 	traced := baseConfig(t, protocol.G2GEpidemic)
 	info := &collectSink{min: obs.LevelInfo}
-	traced.TraceSink = obs.Multi(info, obs.NewJSONSink(io.Discard, obs.LevelDebug))
+	traced.TraceSink = info
 	traced.Telemetry = obs.NewMetrics()
 	got, err := Run(traced)
 	if err != nil {
@@ -206,21 +205,6 @@ func TestSharedTelemetryAggregates(t *testing.T) {
 	}
 	if m.Snapshot().Engine.Phases.Window.WallNS <= 0 {
 		t.Fatal("no window wall time aggregated")
-	}
-}
-
-// TestProgressReporting checks the periodic progress stream.
-func TestProgressReporting(t *testing.T) {
-	var buf strings.Builder
-	cfg := baseConfig(t, protocol.G2GEpidemic)
-	cfg.Progress = &buf
-	cfg.ProgressEvery = time.Millisecond
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "progress: sim=") || !strings.Contains(out, "events=") {
-		t.Fatalf("no progress lines in %q", out)
 	}
 }
 

@@ -110,18 +110,20 @@ const (
 	RuleAccountingMismatch = "accounting-mismatch"
 )
 
+// The auditor's fixed bounds: how many trailing events per message are kept
+// for violation excerpts, and how many violations a report retains (it still
+// counts the overflow).
+const (
+	timelineDepth = 8
+	maxViolations = 100
+)
+
 // Options is the caller-facing audit configuration (the engine config and
 // the public API embed it).
 type Options struct {
 	// Label tags the report and its violations with the run's identity
 	// (sweep spec label, CLI invocation, ...).
 	Label string
-	// TimelineDepth is how many trailing events per message are kept for
-	// violation excerpts; 0 means 8.
-	TimelineDepth int
-	// MaxViolations caps the retained violations (the report still counts
-	// the overflow); 0 means 100.
-	MaxViolations int
 	// AssumeHonest audits the run as if its deviant set were empty: every
 	// detection then violates the honest-run rules (unexpected-detection,
 	// false-accusation). It is the supported way to drive the violation
@@ -215,12 +217,6 @@ type Auditor struct {
 
 // New builds an auditor for one run.
 func New(cfg Config) *Auditor {
-	if cfg.TimelineDepth <= 0 {
-		cfg.TimelineDepth = 8
-	}
-	if cfg.MaxViolations <= 0 {
-		cfg.MaxViolations = 100
-	}
 	a := &Auditor{
 		cfg:          cfg,
 		msgs:         make(map[g2gcrypto.Digest]*msgState),
@@ -283,8 +279,8 @@ func (a *Auditor) flushDigest() {
 }
 
 // note appends rec to the message's trailing timeline excerpt.
-func (m *msgState) note(rec obs.Record, depth int) {
-	if len(m.timeline) >= depth {
+func (m *msgState) note(rec obs.Record) {
+	if len(m.timeline) >= timelineDepth {
 		copy(m.timeline, m.timeline[1:])
 		m.timeline = m.timeline[:len(m.timeline)-1]
 	}
@@ -300,7 +296,7 @@ func record(at sim.Time, event string) obs.Record {
 // excerpt when the message is known.
 func (a *Auditor) violate(rule string, m *msgState, h g2gcrypto.Digest, at sim.Time, format string, args ...any) {
 	a.violationsAll++
-	if len(a.violations) >= a.cfg.MaxViolations {
+	if len(a.violations) >= maxViolations {
 		return
 	}
 	v := Violation{
@@ -335,7 +331,7 @@ func (a *Auditor) Generated(h g2gcrypto.Digest, id message.ID, src, dst trace.No
 	m := &msgState{id: id, src: src, dst: dst, genAt: at}
 	rec := record(at, "generate")
 	rec.From, rec.To = int(src), int(dst)
-	m.note(rec, a.cfg.TimelineDepth)
+	m.note(rec)
 	a.msgs[h] = m
 	a.generated++
 	if src == dst {
@@ -361,7 +357,7 @@ func (a *Auditor) Replicated(h g2gcrypto.Digest, from, to trace.NodeID, at sim.T
 	}
 	rec := record(at, "replicate")
 	rec.From, rec.To = int(from), int(to)
-	m.note(rec, a.cfg.TimelineDepth)
+	m.note(rec)
 	m.replicas++
 	k := handoff{hash: h, from: from, to: to}
 	a.replicatedBy[k]++
@@ -396,7 +392,7 @@ func (a *Auditor) Delivered(h g2gcrypto.Digest, at sim.Time) {
 		a.violate(RuleOrphanDeliver, nil, h, at, "delivery of a message never generated")
 		return
 	}
-	m.note(record(at, "deliver"), a.cfg.TimelineDepth)
+	m.note(record(at, "deliver"))
 	if at < m.genAt {
 		a.violate(RuleTimeTravel, m, h, at, "delivery before generation at %v", m.genAt)
 	}
@@ -447,7 +443,7 @@ func (a *Auditor) Detected(accused trace.NodeID, reason wire.MisbehaviorReason, 
 		rec := record(at, "detect")
 		rec.Node = int(accused)
 		rec.Reason = reason.String()
-		m.note(rec, a.cfg.TimelineDepth)
+		m.note(rec)
 	}
 
 	// Soundness: detections may only name genuine deviants, with the reason

@@ -437,7 +437,7 @@ func TestDigestDeterminismAndSensitivity(t *testing.T) {
 }
 
 func TestViolationContext(t *testing.T) {
-	a := newTestAuditor(t, func(c *Config) { c.Label = "unit/run"; c.TimelineDepth = 4 })
+	a := newTestAuditor(t, func(c *Config) { c.Label = "unit/run" })
 	id := message.MakeID(1, 7)
 	a.Generated(h(1), id, 1, 2, 0)
 	a.Replicated(h(1), 1, 3, sim.Minute)
@@ -466,16 +466,16 @@ func TestViolationContext(t *testing.T) {
 }
 
 func TestViolationCap(t *testing.T) {
-	a := newTestAuditor(t, func(c *Config) { c.MaxViolations = 2 })
-	for i := 0; i < 5; i++ {
-		a.Delivered(h(byte(100+i)), sim.Minute) // five orphan deliveries
+	a := newTestAuditor(t, nil)
+	for i := 0; i < maxViolations+5; i++ {
+		a.Delivered(h(byte(100+i)), sim.Minute) // orphan deliveries
 	}
 	rep := finalizeClean(a)
-	if len(rep.Violations) != 2 {
-		t.Fatalf("retained %d violations, want 2", len(rep.Violations))
+	if len(rep.Violations) != 100 {
+		t.Fatalf("retained %d violations, want 100", len(rep.Violations))
 	}
-	if rep.TotalViolations != 5 {
-		t.Fatalf("total = %d, want 5", rep.TotalViolations)
+	if rep.TotalViolations != 105 {
+		t.Fatalf("total = %d, want 105", rep.TotalViolations)
 	}
 	if rep.Ok() {
 		t.Fatal("capped report must still fail")

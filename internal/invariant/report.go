@@ -73,7 +73,7 @@ type Report struct {
 	// Detections lists every Detected event in event order.
 	Detections []Detection `json:"detections,omitempty"`
 
-	// Violations holds the retained breaches (capped at MaxViolations);
+	// Violations holds the retained breaches, the first 100 of them;
 	// TotalViolations counts all of them, overflow included.
 	Violations      []Violation `json:"violations,omitempty"`
 	TotalViolations int         `json:"total_violations"`

@@ -216,47 +216,3 @@ func (s *JSONSink) Err() error {
 	defer s.mu.Unlock()
 	return s.err
 }
-
-// multiSink fans records out to several sinks, honoring each sink's level.
-type multiSink struct {
-	sinks []TraceSink
-}
-
-// Multi combines sinks into one TraceSink. Nil entries are dropped; with
-// zero or one live sink the result is nil or that sink unwrapped, so callers
-// can build the chain unconditionally and still get the nil fast path.
-func Multi(sinks ...TraceSink) TraceSink {
-	live := make([]TraceSink, 0, len(sinks))
-	for _, s := range sinks {
-		if s != nil {
-			live = append(live, s)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	default:
-		return &multiSink{sinks: live}
-	}
-}
-
-// Enabled implements TraceSink: true if any child sink is enabled.
-func (m *multiSink) Enabled(l Level) bool {
-	for _, s := range m.sinks {
-		if s.Enabled(l) {
-			return true
-		}
-	}
-	return false
-}
-
-// Emit implements TraceSink.
-func (m *multiSink) Emit(rec Record) {
-	for _, s := range m.sinks {
-		if s.Enabled(rec.Level) {
-			s.Emit(rec)
-		}
-	}
-}

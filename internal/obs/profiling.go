@@ -3,113 +3,65 @@ package obs
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"runtime"
-	rpprof "runtime/pprof"
-	"time"
+	"runtime/pprof"
 )
 
-// Profiler holds the profiling options every CLI exposes: a CPU profile, a
-// heap profile, and a live net/http/pprof endpoint. The zero value (all
-// fields empty) starts nothing and stops instantly.
+// Profiler holds the profiling options every CLI exposes: a CPU profile and
+// a heap profile, each written to a file. The zero value (both fields empty)
+// starts nothing and stops instantly.
 type Profiler struct {
 	CPUProfile string
 	MemProfile string
-	PprofAddr  string
 
-	cpuFile  *os.File
-	listener net.Listener
-	server   *http.Server
+	cpuFile *os.File
 }
 
 // RegisterFlags wires the standard profiling flags onto fs.
 func (p *Profiler) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&p.CPUProfile, "cpuprofile", "", "write a CPU profile to `file`")
 	fs.StringVar(&p.MemProfile, "memprofile", "", "write a heap profile to `file` on exit")
-	fs.StringVar(&p.PprofAddr, "pprof", "", "serve net/http/pprof on `addr` (e.g. :6060)")
 }
 
 // Start begins the configured profiling. It returns a stop function that
-// must be called before exit: it stops the CPU profile, writes the heap
-// profile, and shuts down the pprof endpoint. On error nothing is left
-// running.
+// must be called before exit: it stops the CPU profile and writes the heap
+// profile. On error nothing is left running.
 func (p *Profiler) Start() (stop func() error, err error) {
 	if p.CPUProfile != "" {
 		f, err := os.Create(p.CPUProfile)
 		if err != nil {
 			return nil, fmt.Errorf("cpuprofile: %w", err)
 		}
-		if err := rpprof.StartCPUProfile(f); err != nil {
+		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("cpuprofile: %w", err)
 		}
 		p.cpuFile = f
 	}
-	if p.PprofAddr != "" {
-		ln, err := net.Listen("tcp", p.PprofAddr)
-		if err != nil {
-			p.stopCPU()
-			return nil, fmt.Errorf("pprof: %w", err)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		p.listener = ln
-		p.server = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-		go func() { _ = p.server.Serve(ln) }()
-	}
 	return p.stop, nil
 }
 
-// Addr returns the pprof endpoint's bound address ("" when not serving).
-// Useful when PprofAddr used port 0.
-func (p *Profiler) Addr() string {
-	if p.listener == nil {
-		return ""
-	}
-	return p.listener.Addr().String()
-}
-
-func (p *Profiler) stopCPU() {
-	if p.cpuFile == nil {
-		return
-	}
-	rpprof.StopCPUProfile()
-	p.cpuFile.Close()
-	p.cpuFile = nil
-}
-
 func (p *Profiler) stop() error {
-	p.stopCPU()
-	var firstErr error
-	if p.server != nil {
-		if err := p.server.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		p.server = nil
-		p.listener = nil
+	if p.cpuFile != nil {
+		pprof.StopCPUProfile()
+		p.cpuFile.Close()
+		p.cpuFile = nil
 	}
-	if p.MemProfile != "" {
-		f, err := os.Create(p.MemProfile)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("memprofile: %w", err)
-			}
-		} else {
-			runtime.GC()
-			if err := rpprof.WriteHeapProfile(f); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("memprofile: %w", err)
-			}
-			if err := f.Close(); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("memprofile: %w", err)
-			}
-		}
+	if p.MemProfile == "" {
+		return nil
 	}
-	return firstErr
+	f, err := os.Create(p.MemProfile)
+	if err != nil {
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	runtime.GC()
+	err = pprof.WriteHeapProfile(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	return nil
 }

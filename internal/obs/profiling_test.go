@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -47,33 +44,5 @@ func TestProfilerProfiles(t *testing.T) {
 		if st.Size() == 0 {
 			t.Fatalf("profile %s is empty", f)
 		}
-	}
-}
-
-func TestProfilerPprofEndpoint(t *testing.T) {
-	p := Profiler{PprofAddr: "127.0.0.1:0"}
-	stop, err := p.Start()
-	if err != nil {
-		t.Skipf("cannot listen: %v", err)
-	}
-	defer stop()
-	addr := p.Addr()
-	if addr == "" {
-		t.Fatal("no bound address")
-	}
-	resp, err := http.Get("http://" + addr + "/debug/pprof/")
-	if err != nil {
-		t.Fatalf("GET pprof index: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pprof index status %d", resp.StatusCode)
-	}
-	if !strings.Contains(string(body), "profile") {
-		t.Fatalf("pprof index unexpected body: %.200s", body)
-	}
-	if err := stop(); err != nil {
-		t.Fatalf("stop: %v", err)
 	}
 }

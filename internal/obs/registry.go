@@ -52,10 +52,6 @@ type SimStats struct {
 	EventsFired     Counter
 	// QueueHighWater is the deepest the event queue ever got.
 	QueueHighWater MaxGauge
-	// simNow mirrors the kernel clock (nanoseconds) so concurrent progress
-	// reporters can read the current virtual time without touching the
-	// single-threaded simulator.
-	simNow atomic.Int64
 }
 
 // NoteScheduled records one scheduled event and the resulting queue depth.
@@ -67,22 +63,12 @@ func (s *SimStats) NoteScheduled(queueDepth int) {
 	s.QueueHighWater.Observe(int64(queueDepth))
 }
 
-// NoteFired records one executed event at virtual instant at.
-func (s *SimStats) NoteFired(at time.Duration) {
+// NoteFired records one executed event.
+func (s *SimStats) NoteFired() {
 	if s == nil {
 		return
 	}
 	s.EventsFired.Inc()
-	s.simNow.Store(int64(at))
-}
-
-// SimNow returns the virtual time of the most recently fired event. It is
-// safe to call from other goroutines while the simulation runs.
-func (s *SimStats) SimNow() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return time.Duration(s.simNow.Load())
 }
 
 // SimSnapshot is the frozen form of SimStats.
@@ -90,8 +76,6 @@ type SimSnapshot struct {
 	EventsScheduled int64 `json:"events_scheduled"`
 	EventsFired     int64 `json:"events_fired"`
 	QueueHighWater  int64 `json:"queue_high_water"`
-	// SimEndNS is the virtual time of the last fired event, in nanoseconds.
-	SimEndNS int64 `json:"sim_end_ns"`
 }
 
 func (s *SimStats) snapshot() SimSnapshot {
@@ -99,7 +83,6 @@ func (s *SimStats) snapshot() SimSnapshot {
 		EventsScheduled: s.EventsScheduled.Load(),
 		EventsFired:     s.EventsFired.Load(),
 		QueueHighWater:  s.QueueHighWater.Load(),
-		SimEndNS:        s.simNow.Load(),
 	}
 }
 
@@ -151,11 +134,6 @@ type EngineStats struct {
 	// phaseNS accumulates wall time per phase (adds, so a shared registry
 	// aggregates across a sweep's runs).
 	phaseNS [numPhases]atomic.Int64
-	// curPhase mirrors the phase the run is currently executing (stored as
-	// phase+1 so the zero value reads as "no run started"), letting concurrent
-	// readers — the live inspector's progress stream — label progress without
-	// touching the single-threaded engine.
-	curPhase atomic.Int32
 }
 
 // NoteContact records one replayed contact start.
@@ -224,27 +202,6 @@ func (e *EngineStats) NotePhase(p Phase, d time.Duration) {
 		return
 	}
 	e.phaseNS[p].Add(int64(d))
-}
-
-// EnterPhase marks p as the phase the run is currently in.
-func (e *EngineStats) EnterPhase(p Phase) {
-	if e == nil || p < 0 || p >= numPhases {
-		return
-	}
-	e.curPhase.Store(int32(p) + 1)
-}
-
-// CurrentPhase returns the phase the run is in and whether any run has
-// entered a phase yet. It is safe to call from other goroutines.
-func (e *EngineStats) CurrentPhase() (Phase, bool) {
-	if e == nil {
-		return 0, false
-	}
-	v := e.curPhase.Load()
-	if v == 0 {
-		return 0, false
-	}
-	return Phase(v - 1), true
 }
 
 // PhaseSnapshot is one phase's frozen wall-clock accounting.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -191,23 +192,57 @@ func TestFailFastSkipsTail(t *testing.T) {
 	}
 }
 
+// progressLine is the exact form of the runner's per-run progress line,
+// numbered in completion order; the benchmark module parses it.
+var progressLine = regexp.MustCompile(`^run ([0-9]+)/([0-9]+) (\S+): (done|FAILED: .+) \(([0-9]+\.[0-9]{2})s\)$`)
+
 func TestProgressReportsEveryRun(t *testing.T) {
 	tr := testTrace(t)
 	var buf strings.Builder
 	specs := []Spec{
 		{Label: "a", Config: baseConfig(tr, 1)},
 		{Label: "b", Config: baseConfig(tr, 2)},
+		badSpec(tr, "boom"), // last, so its failure skips no other run
 	}
 	// The progress writer is only written under the runner's own mutex, so a
 	// plain strings.Builder is safe here.
-	if _, err := Run(specs, Options{Jobs: 2, Progress: &buf}); err != nil {
-		t.Fatal(err)
+	out, err := Run(specs, Options{Jobs: 2, Progress: &buf})
+	if err == nil {
+		t.Fatal("no error from a batch with a failing run")
 	}
-	got := buf.String()
-	for _, want := range []string{"a", "b", "2/2", "done"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("progress missing %q:\n%s", want, got)
+	slot := map[string]int{"a": 0, "b": 1, "boom": 2}
+	seen := make(map[string]bool)
+	ordinals := make(map[string]bool)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	for _, line := range lines {
+		m := progressLine.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("progress line %q does not match %s", line, progressLine)
+			continue
 		}
+		ordinal, n, label, status, secs := m[1], m[2], m[3], m[4], m[5]
+		i, ok := slot[label]
+		if !ok || seen[label] || ordinals[ordinal] || n != "3" {
+			t.Errorf("progress line %q: unknown or repeated label or ordinal", line)
+			continue
+		}
+		seen[label], ordinals[ordinal] = true, true
+		want := "done"
+		if out[i].Err != nil {
+			want = "FAILED: " + out[i].Err.Error()
+		}
+		if status != want {
+			t.Errorf("run %s: status %q, want %q", label, status, want)
+		}
+		if w := fmt.Sprintf("%.2f", out[i].Wall.Seconds()); secs != w {
+			t.Errorf("run %s: wall %ss, want %ss", label, secs, w)
+		}
+	}
+	if len(lines) != len(specs) || !ordinals["1"] || !ordinals["2"] || !ordinals["3"] {
+		t.Errorf("want one line per run numbered 1..3:\n%s", buf.String())
+	}
+	if out[0].Err != nil || out[1].Err != nil || out[2].Err == nil {
+		t.Errorf("want a and b done and boom failed, got errors %v, %v, %v", out[0].Err, out[1].Err, out[2].Err)
 	}
 }
 

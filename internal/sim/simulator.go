@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"give2get/internal/obs"
 )
@@ -82,7 +81,7 @@ func (s *Simulator) Run() (Time, error) {
 			break
 		}
 		s.now = e.At
-		s.stats.NoteFired(time.Duration(e.At))
+		s.stats.NoteFired()
 		e.H.HandleEvent(s, e)
 	}
 	return s.now, nil

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"testing"
-	"time"
 
 	"give2get/internal/obs"
 )
@@ -31,9 +30,6 @@ func TestSimulatorStats(t *testing.T) {
 	}
 	if got := st.QueueHighWater.Load(); got != 4 {
 		t.Fatalf("queue high water = %d, want 4", got)
-	}
-	if got := st.SimNow(); got != 3*time.Second {
-		t.Fatalf("sim now = %v, want 3s", got)
 	}
 }
 

@@ -35,8 +35,3 @@ type JSONTraceSink = obs.JSONSink
 func NewJSONTraceSink(w io.Writer, min TraceLevel) *JSONTraceSink {
 	return obs.NewJSONSink(w, min)
 }
-
-// MultiSink fans records out to every non-nil sink.
-func MultiSink(sinks ...TraceSink) TraceSink {
-	return obs.Multi(sinks...)
-}
