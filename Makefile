@@ -94,6 +94,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParamsValidate -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzProofMemo -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzDeclineRecord -fuzztime=$(FUZZTIME) ./internal/protocol
+	$(GO) test -run='^$$' -fuzz=FuzzFQRecord -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzFastVerifyMemo -fuzztime=$(FUZZTIME) ./internal/g2gcrypto
 	$(GO) test -run='^$$' -fuzz=FuzzSignMemo -fuzztime=$(FUZZTIME) ./internal/g2gcrypto
 

@@ -162,6 +162,27 @@ func TestTraceLogWriteError(t *testing.T) {
 	}
 }
 
+// TestProfileWriteError points -cpuprofile, then -memprofile, at a device
+// that refuses every write: the run must fail with the write error, as
+// -tracelog and -telemetry do, though runtime/pprof drops it.
+func TestProfileWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		t.Run(flag, func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			err := run([]string{
+				"-preset", "infocom05", "-protocol", "g2g-epidemic",
+				"-ttl", "30m", "-interval", "2m", flag, "/dev/full",
+			}, &out, &errOut)
+			if !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("%s /dev/full: %v, want ENOSPC", flag, err)
+			}
+		})
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	tests := []struct {
 		name string

@@ -192,6 +192,37 @@ func TestPayloadEncryptDecrypt(t *testing.T) {
 	}
 }
 
+// TestEncryptedSize pins the payload framing the relay phase charges a
+// refused RELAY by without encrypting: the output is EncryptedSize bytes,
+// and the nonce is the first PayloadNonceSize bytes of the randomness, read
+// in one piece.
+func TestEncryptedSize(t *testing.T) {
+	var key SessionKey
+	for _, n := range []int{0, 1, 100, 4097} {
+		r := &countingReader{}
+		box, err := EncryptPayload(key, make([]byte, n), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(box) != EncryptedSize(n) {
+			t.Errorf("%d-byte payload encrypted to %d bytes, EncryptedSize says %d", n, len(box), EncryptedSize(n))
+		}
+		if r.reads != 1 || r.bytes != PayloadNonceSize {
+			t.Errorf("%d-byte payload read %d bytes in %d reads, want %d in 1", n, r.bytes, r.reads, PayloadNonceSize)
+		}
+	}
+}
+
+// countingReader is a zero-byte randomness source that counts its reads.
+type countingReader struct{ reads, bytes int }
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	r.reads++
+	r.bytes += len(p)
+	clear(p)
+	return len(p), nil
+}
+
 func TestHeavyHMAC(t *testing.T) {
 	msg := []byte("message under challenge")
 	seed := []byte("random seed s")

@@ -168,9 +168,22 @@ func newGCM(key [32]byte) (cipher.AEAD, error) {
 	return gcm, nil
 }
 
+// PayloadNonceSize is the length of the nonce EncryptPayload reads from its
+// randomness and puts ahead of the ciphertext; payloadTagSize is the GCM
+// tag that follows the ciphertext.
+const (
+	PayloadNonceSize = 12
+	payloadTagSize   = 16
+)
+
+// EncryptedSize is the length of EncryptPayload's output for a plaintext of
+// n bytes.
+func EncryptedSize(n int) int { return PayloadNonceSize + n + payloadTagSize }
+
 // EncryptPayload implements the Ek(m) step of the relay phase: message m is
 // handed over under a fresh random key k that is revealed only after the
-// proof of relay is signed. AES-256-GCM; wire format nonce || ciphertext.
+// proof of relay is signed. AES-256-GCM; wire format nonce || ciphertext ||
+// tag, EncryptedSize(len(plaintext)) bytes.
 func EncryptPayload(key SessionKey, plaintext []byte, randomness io.Reader) ([]byte, error) {
 	if randomness == nil {
 		randomness = rand.Reader
@@ -179,7 +192,7 @@ func EncryptPayload(key SessionKey, plaintext []byte, randomness io.Reader) ([]b
 	if err != nil {
 		return nil, err
 	}
-	nonce := make([]byte, gcm.NonceSize())
+	nonce := make([]byte, PayloadNonceSize)
 	if _, err := io.ReadFull(randomness, nonce); err != nil {
 		return nil, fmt.Errorf("g2gcrypto: nonce: %w", err)
 	}

@@ -119,24 +119,33 @@ type g2gCustody struct {
 // RELAY_RQST, or FQ_RQST about the real destination (a decoy differs every
 // time and never uses the record) — names no peer, so every offer of the
 // copy at one instant signs the same bytes: the body is boxed once, and
-// rqst memoizes the last signature.
+// rqst memoizes the last signature. Both providers sign deterministically,
+// so an exchange repeated at one instant, between the same two nodes, about
+// the same copy, with the same answer, repeats byte-identical envelopes;
+// the record answers such a repeat, which reaches it only past the
+// blacklist checks, charging what the recorded exchange cost.
 //
-// Under G2G Epidemic it also keeps the peers that declined the copy at the
+// Under G2G Epidemic it keeps the peers that declined the copy at the
 // instant at. A peer declines because it holds the message, and custody
 // keeps it until genAt+Δ2, after the last offer at genAt+Δ1, so a repeat of
-// the offer at that instant is declined again with byte-identical envelopes
-// (both providers sign deterministically); a decline calls no observer and
-// draws no RNG. requestRelay answers such a repeat, which reaches it only
-// past the blacklist checks, from the record, charging what the recorded
-// exchange cost.
+// the offer at that instant is declined again; a decline calls no observer
+// and draws no RNG.
+//
+// Under G2G Delegation it keeps the FQ_RESP each peer answered the copy's
+// FQ_RQST with at the instant at. The answer is the peer's reported quality
+// and frame, which a meeting observed at that instant can change, so a
+// repeat is answered from the record only while the peer's answer,
+// recomputed, is the recorded one (see exchangeFQ).
 type offerRecord struct {
 	rqst     g2gcrypto.SignMemo
 	body     wire.Body
 	at       sim.Time
 	declined []trace.NodeID
-	// rqstSize and declineSize are the wire sizes of the recorded
-	// RELAY_RQST and RELAY_DECLINE envelopes.
-	rqstSize, declineSize int32
+	answers  []wire.Signed
+	// rqstSize and answerSize are the wire sizes of the recorded request
+	// and answer envelopes: RELAY_RQST and RELAY_DECLINE, or FQ_RQST and
+	// FQ_RESP.
+	rqstSize, answerSize int32
 }
 
 // declinedBy reports whether peer declined the copy's offer at now.
@@ -144,14 +153,46 @@ func (o *offerRecord) declinedBy(now sim.Time, peer trace.NodeID) bool {
 	return o.at == now && slices.Contains(o.declined, peer)
 }
 
-// noteDecline records that peer declined the copy's offer at now, in an
-// exchange of envelopes req and ack. A new instant starts a new peer list.
-func (o *offerRecord) noteDecline(now sim.Time, peer trace.NodeID, req, ack wire.Signed) {
-	if o.at != now {
-		o.at, o.declined = now, o.declined[:0]
+// answerOf returns peer's recorded FQ_RESP to the copy's FQ_RQST at now.
+func (o *offerRecord) answerOf(now sim.Time, peer trace.NodeID) (wire.Signed, bool) {
+	if o.at == now {
+		for _, a := range o.answers {
+			if a.Signer == peer {
+				return a, true
+			}
+		}
 	}
+	return wire.Signed{}, false
+}
+
+// note records the sizes of an exchange of envelopes req and ack at now. A
+// new instant starts new lists.
+func (o *offerRecord) note(now sim.Time, req, ack wire.Signed) {
+	if o.at != now {
+		clear(o.answers)
+		o.at, o.declined, o.answers = now, o.declined[:0], o.answers[:0]
+	}
+	o.rqstSize, o.answerSize = int32(wire.SizeOf(req)), int32(wire.SizeOf(ack))
+}
+
+// noteDecline records that peer declined the copy's offer at now, in an
+// exchange of envelopes req and ack.
+func (o *offerRecord) noteDecline(now sim.Time, peer trace.NodeID, req, ack wire.Signed) {
+	o.note(now, req, ack)
 	o.declined = append(o.declined, peer)
-	o.rqstSize, o.declineSize = int32(wire.SizeOf(req)), int32(wire.SizeOf(ack))
+}
+
+// noteAnswer records the FQ_RESP ack its signer answered the copy's FQ_RQST
+// req with at now, in place of an earlier answer of that instant.
+func (o *offerRecord) noteAnswer(now sim.Time, req, ack wire.Signed) {
+	o.note(now, req, ack)
+	for i, a := range o.answers {
+		if a.Signer == ack.Signer {
+			o.answers[i] = ack
+			return
+		}
+	}
+	o.answers = append(o.answers, ack)
 }
 
 // copyDelegation is the state only a G2G Delegation copy keeps. It sits
@@ -165,14 +206,18 @@ type copyDelegation struct {
 	failedFQ []wire.Signed
 }
 
-// terms are what G2G Delegation's offer handshake settles for one handoff:
-// the label the RELAY presents, the declarations it carries, and the peer's
-// FQ_RESP, which the PoR must repeat and whose quality becomes the label of
-// both copies. They stay zero under G2G Epidemic.
+// terms are what the offer handshake settles for one handoff. Under G2G
+// Delegation: the label the RELAY presents, the declarations it carries
+// (the copy's own; the source's RELAY carries a copy of them), and the
+// peer's FQ_RESP, which the PoR must repeat and whose quality becomes the
+// label of both copies; they stay zero under G2G Epidemic. sigLen is the
+// length of the signature on the peer's answer, which a RELAY's signature
+// shares.
 type terms struct {
 	fm          message.Quality
 	attachments []wire.Signed
 	claim       wire.FQResponse
+	sigLen      int
 }
 
 type pendingTest struct {
@@ -448,19 +493,27 @@ func (n *g2gNode) spent(c *g2gCustody) bool {
 // and the key reveal (steps 3–5 of Fig. 1, 10–12 of Fig. 6).
 func (n *g2gNode) relayOne(now sim.Time, c *g2gCustody, other *g2gNode) bool {
 	var t terms
+	var ok bool
 	if n.del == nil {
-		if !n.requestRelay(now, c, other) {
-			return false
-		}
+		t, ok = n.requestRelay(now, c, other)
 	} else {
 		// The peer's claim answers this exchange only, however it ends.
 		defer other.del.dropClaim()
-		var ok bool
-		if t, ok = n.qualify(now, c, other); !ok {
-			return false
-		}
+		t, ok = n.qualify(now, c, other)
+	}
+	if !ok {
+		return false
 	}
 	h := c.hash
+	if other.holds(h) {
+		n.chargeRefusedRelay(c, t, other)
+		return false
+	}
+	if c.isSource {
+		// A relay's declarations never change; the source's do, so it
+		// sends a copy.
+		t.attachments = append([]wire.Signed(nil), t.attachments...)
+	}
 
 	// Step 3: RELAY with the payload encrypted under a fresh key.
 	key := newSessionKey(n.env.RNG)
@@ -520,48 +573,78 @@ func (n *g2gNode) relayOne(now sim.Time, c *g2gCustody, other *g2gNode) bool {
 // requestRelay is G2G Epidemic's offer handshake (Fig. 1 steps 1–2):
 // RELAY_RQST, answered RELAY_OK or RELAY_DECLINE. A repeat of a declined
 // offer at the same instant is answered from the copy's offer record.
-func (n *g2gNode) requestRelay(now sim.Time, c *g2gCustody, other *g2gNode) bool {
+func (n *g2gNode) requestRelay(now sim.Time, c *g2gCustody, other *g2gNode) (terms, bool) {
 	if c.offer == nil {
 		c.offer = &offerRecord{body: wire.RelayRequest{Hash: c.hash}}
 	}
 	o := c.offer
 	if o.declinedBy(now, other.ID()) {
-		n.replayDecline(o, other)
-		return false
+		n.replay(o, wire.KindRelayDecline, other)
+		return terms{}, false
 	}
 	req := n.signedMemo(now, o.body, &o.rqst)
 	ack, ok := other.handleRelayRequest(now, req)
 	if !ok || ack.Signer != other.ID() || !n.verified(ack) {
-		return false
+		return terms{}, false
 	}
 	switch body := ack.Body.(type) {
 	case wire.RelayOK:
-		return body.Hash == c.hash
+		return terms{sigLen: len(ack.Sig)}, body.Hash == c.hash
 	case wire.RelayDecline:
 		if body.Hash == c.hash {
 			o.noteDecline(now, other.ID(), req, ack)
 		}
 	}
-	return false
+	return terms{}, false
 }
 
-// replayDecline charges a recorded declined exchange again, exactly as the
-// full one costs: each node signs one envelope and verifies the other's,
-// the wire carries both at their recorded sizes, and the crypto telemetry
-// (the stats the engine instruments the System with) counts two signatures
-// and two verifications. Like a memo hit it takes no time: the paper's cost
-// model owes every statement, not the simulator's work.
-func (n *g2gNode) replayDecline(o *offerRecord, other *g2gNode) {
+// replay charges a recorded exchange again, exactly as the full one costs:
+// each node signs one envelope and verifies the other's, the wire carries
+// the request and the answer (of kind answer) at their recorded sizes, and
+// the crypto telemetry (the stats the engine instruments the System with)
+// counts two signatures and two verifications. Like a memo hit it takes no
+// time: the paper's cost model owes every statement, not the simulator's
+// work.
+func (n *g2gNode) replay(o *offerRecord, answer wire.Kind, other *g2gNode) {
 	n.noteSign()
 	n.noteVerify()
 	other.noteSign()
 	other.noteVerify()
-	n.env.stats.NoteWire(uint8(wire.KindRelayRequest), int(o.rqstSize))
-	n.env.stats.NoteWire(uint8(wire.KindRelayDecline), int(o.declineSize))
+	n.env.stats.NoteWire(uint8(o.body.Kind()), int(o.rqstSize))
+	n.env.stats.NoteWire(uint8(answer), int(o.answerSize))
 	for range 2 {
 		n.env.crypto.NoteSign(0)
 		n.env.crypto.NoteVerify(0)
 	}
+}
+
+// chargeRefusedRelay charges the RELAY of c to a peer that holds the
+// message, which the peer refuses (handleRelayTransfer), exactly as
+// building it costs, without building it: the session key and the
+// payload's nonce drawn from the RNG, this node's signature, the RELAY on
+// the wire at the size the built envelope has, and the peer's verification
+// before it refuses. Encrypting the payload is no signed statement and no
+// wire message, so it is not charged. Like a memo hit this takes no time.
+func (n *g2gNode) chargeRefusedRelay(c *g2gCustody, t terms, other *g2gNode) {
+	newSessionKey(n.env.RNG)
+	var nonce [g2gcrypto.PayloadNonceSize]byte
+	n.env.RNG.Bytes(nonce[:])
+	n.noteSign()
+	other.noteVerify()
+	// An envelope's size grows byte for byte with its ciphertext and its
+	// signature, so it is sized without both and they are added.
+	size := wire.SizeOf(wire.Signed{Body: wire.RelayTransfer{Attachments: t.attachments}}) +
+		g2gcrypto.EncryptedSize(len(c.raw)) + t.sigLen
+	n.env.stats.NoteWire(uint8(wire.KindRelayTransfer), size)
+	n.env.crypto.NoteSign(0)
+	n.env.crypto.NoteVerify(0)
+}
+
+// holds reports whether this node holds message h. Such a node declines a
+// RELAY_RQST for h and refuses a RELAY of it.
+func (n *g2gNode) holds(h g2gcrypto.Digest) bool {
+	_, ok := n.custody[h]
+	return ok
 }
 
 func (n *g2gNode) handleRelayRequest(now sim.Time, req wire.Signed) (wire.Signed, bool) {
@@ -572,7 +655,7 @@ func (n *g2gNode) handleRelayRequest(now sim.Time, req wire.Signed) (wire.Signed
 	// B would not lie here: it does not yet know whether it is the
 	// destination, so declining without having seen the message would be
 	// against its own interest.
-	if _, seen := n.custody[body.Hash]; seen {
+	if n.holds(body.Hash) {
 		return n.signed(now, wire.RelayDecline{Hash: body.Hash}), true
 	}
 	return n.signed(now, wire.RelayOK{Hash: body.Hash}), true
@@ -586,19 +669,18 @@ func (n *g2gNode) qualify(now sim.Time, c *g2gCustody, other *g2gNode) (terms, b
 	isDest := c.msg.Dest == other.ID()
 	// A decoy differs every time, so only the real D′ goes through the
 	// offer record.
-	var dPrime trace.NodeID
-	var body wire.Body
-	var rqst *g2gcrypto.SignMemo
+	var fqRespEnv wire.Signed
+	var fqResp wire.FQResponse
+	var ok bool
 	if isDest {
-		dPrime = n.randomDecoy(other.ID())
-		body = wire.FQRequest{Hash: c.hash, DPrime: dPrime}
+		dPrime := n.randomDecoy(other.ID())
+		fqRespEnv, fqResp, ok = n.exchangeFQ(now, c.hash, dPrime, nil, other)
 	} else {
 		if c.offer == nil {
 			c.offer = &offerRecord{body: wire.FQRequest{Hash: c.hash, DPrime: c.msg.Dest}}
 		}
-		dPrime, body, rqst = c.msg.Dest, c.offer.body, &c.offer.rqst
+		fqRespEnv, fqResp, ok = n.exchangeFQ(now, c.hash, c.msg.Dest, c.offer, other)
 	}
-	fqRespEnv, fqResp, ok := n.exchangeFQ(now, dPrime, body, rqst, other)
 	if !ok {
 		return terms{}, false
 	}
@@ -623,24 +705,38 @@ func (n *g2gNode) qualify(now sim.Time, c *g2gCustody, other *g2gNode) (terms, b
 		}
 		return terms{}, false
 	}
-	// A relay's declarations never change; the source's do, so it sends a
-	// copy.
-	t := terms{fm: presentedFM, attachments: d.failedFQ, claim: fqResp}
-	if c.isSource {
-		t.attachments = append([]wire.Signed(nil), d.failedFQ...)
-	}
-	return t, true
+	return terms{fm: presentedFM, attachments: d.failedFQ, claim: fqResp, sigLen: len(fqRespEnv.Sig)}, true
 }
 
-// exchangeFQ runs the forwarding decision's quality exchange (Fig. 6 step 8):
-// the signed FQ_RQST body about dPrime to the peer, through the request memo
-// rqst (nil for a decoy), and the validation of its FQ_RESP. It is the
-// "decide" span of the per-phase profile.
-func (n *g2gNode) exchangeFQ(now sim.Time, dPrime trace.NodeID, body wire.Body,
-	rqst *g2gcrypto.SignMemo, other *g2gNode) (wire.Signed, wire.FQResponse, bool) {
+// exchangeFQ runs the forwarding decision's quality exchange (Fig. 6 step 8)
+// about message h: the signed FQ_RQST about dPrime to the peer and the
+// validation of its FQ_RESP. It is the "decide" span of the per-phase
+// profile. An exchange about a decoy (o nil) is always made in full. One
+// about the real D′ goes through the copy's offer record o: the request is
+// signed through its memo, and a repeat at the instant of a recorded
+// exchange, with a peer whose answer recomputed now is the recorded one,
+// is answered from the record. It is charged as the full exchange and
+// leaves the peer's FQ claim as the full exchange does.
+func (n *g2gNode) exchangeFQ(now sim.Time, h g2gcrypto.Digest, dPrime trace.NodeID,
+	o *offerRecord, other *g2gNode) (wire.Signed, wire.FQResponse, bool) {
 
 	n.env.spans.Enter(obs.SpanDecide)
 	defer n.env.spans.Exit()
+	var body wire.Body
+	var rqst *g2gcrypto.SignMemo
+	if o == nil {
+		body = wire.FQRequest{Hash: h, DPrime: dPrime}
+	} else {
+		if env, ok := o.answerOf(now, other.ID()); ok {
+			// answerOf holds only FQ_RESPs that passed the checks below.
+			if resp := env.Body.(wire.FQResponse); resp == other.fqAnswer(now, n.ID(), dPrime) {
+				n.replay(o, wire.KindFQResponse, other)
+				other.del.claim = fqClaim{hash: h, requester: n.ID(), resp: resp, valid: true}
+				return env, resp, true
+			}
+		}
+		body, rqst = o.body, &o.rqst
+	}
 	fqReq := n.signedMemo(now, body, rqst)
 	fqRespEnv, ok := other.handleFQRequest(now, fqReq)
 	if !ok || fqRespEnv.Signer != other.ID() || !n.verified(fqRespEnv) {
@@ -649,6 +745,9 @@ func (n *g2gNode) exchangeFQ(now sim.Time, dPrime trace.NodeID, body wire.Body,
 	fqResp, ok := fqRespEnv.Body.(wire.FQResponse)
 	if !ok || fqResp.Responder != other.ID() || fqResp.DPrime != dPrime {
 		return wire.Signed{}, wire.FQResponse{}, false
+	}
+	if o != nil {
+		o.noteAnswer(now, fqReq, fqRespEnv)
 	}
 	return fqRespEnv, fqResp, true
 }
@@ -672,14 +771,7 @@ func (n *g2gNode) handleFQRequest(now sim.Time, req wire.Signed) (wire.Signed, b
 		return wire.Signed{}, false
 	}
 	d := n.del
-	fq, frame := d.quality.reportedQuality(body.DPrime, now, n.kind.UsesFrequency())
-	if n.behavior.Deviation == Liar && n.deviates(req.Signer) {
-		// A liar declares quality zero to avoid ever being chosen as a
-		// relay. The frame index stays truthful so the claim looks
-		// well-formed.
-		fq = 0
-	}
-	resp := wire.FQResponse{Responder: n.ID(), DPrime: body.DPrime, FQ: fq, Frame: frame}
+	resp := n.fqAnswer(now, req.Signer, body.DPrime)
 	d.claim = fqClaim{hash: body.Hash, requester: req.Signer, resp: resp, valid: true}
 	memo := d.fqResp[body.DPrime]
 	if memo == nil {
@@ -687,6 +779,20 @@ func (n *g2gNode) handleFQRequest(now sim.Time, req wire.Signed) (wire.Signed, b
 		d.fqResp[body.DPrime] = memo
 	}
 	return n.signedMemo(now, resp, memo), true
+}
+
+// fqAnswer is the FQ_RESP this node answers requester's FQ_RQST about
+// dPrime with at now: its reported quality toward dPrime and the frame it
+// is reported for.
+func (n *g2gNode) fqAnswer(now sim.Time, requester, dPrime trace.NodeID) wire.FQResponse {
+	fq, frame := n.del.quality.reportedQuality(dPrime, now, n.kind.UsesFrequency())
+	if n.behavior.Deviation == Liar && n.deviates(requester) {
+		// A liar declares quality zero to avoid ever being chosen as a
+		// relay. The frame index stays truthful so the claim looks
+		// well-formed.
+		fq = 0
+	}
+	return wire.FQResponse{Responder: n.ID(), DPrime: dPrime, FQ: fq, Frame: frame}
 }
 
 // dropClaim forgets the FQ_RESP of the exchange that just ended.
@@ -697,7 +803,7 @@ func (n *g2gNode) handleRelayTransfer(now sim.Time, transfer wire.Signed) (wire.
 	if !ok || !n.verified(transfer) {
 		return wire.Signed{}, false
 	}
-	if _, seen := n.custody[body.Hash]; seen {
+	if n.holds(body.Hash) {
 		return wire.Signed{}, false
 	}
 	por := wire.ProofOfRelay{Hash: body.Hash, From: transfer.Signer, To: n.ID()}

@@ -290,75 +290,14 @@ func (s *memoSpy) SignMemo(m *g2gcrypto.SignMemo, data []byte) g2gcrypto.Signatu
 func (b *base) spyOnSigns(log *memoLog) { b.self = &memoSpy{Identity: b.self, log: log} }
 
 // TestSameInstantSessionsHitSignMemos re-runs one session pair at one
-// instant, as the engine's cascades do. Under G2G Epidemic every repeated
-// offer is declined and answered from the copy's offer record (see
-// checkDeclineRecord). Under G2G Delegation every FQ_RQST and FQ_RESP
-// repeats a statement signed moments before and must hit its memo; one
-// second later the same sessions sign new statements and must all miss.
+// instant, as the engine's cascades do. A repeat of an exchange already
+// made at that instant, between the same two nodes, about the same copy, is
+// answered from the copy's offer record: under G2G Epidemic a declined
+// offer (see checkDeclineRecord), under G2G Delegation an FQ exchange whose
+// answer has not changed (see checkFQRecord). The same copy offered to
+// another peer at that instant signs its request through the record's
+// memo, which hits.
 func TestSameInstantSessionsHitSignMemos(t *testing.T) {
 	t.Run(G2GEpidemic.String(), checkDeclineRecord)
-	t.Run(G2GDelegationFrequency.String(), func(t *testing.T) {
-		memo := []wire.Kind{wire.KindFQRequest, wire.KindFQResponse}
-		w := newWorld(t, G2GDelegationFrequency, 7, testParams(), nil)
-		// Each source is the better carrier toward its own destinations, so
-		// neither peer ever qualifies.
-		for i, q := range []struct {
-			node, dest trace.NodeID
-			n          int
-		}{{0, 3, 2}, {1, 3, 1}, {0, 5, 2}, {1, 5, 1}, {1, 4, 2}, {0, 4, 1}, {1, 6, 2}, {0, 6, 1}} {
-			primeQuality(w, q.node, q.dest, q.n, sim.Time(i)*3*sim.Minute, sim.Minute)
-		}
-		w.generate(frame1, 0, 3)
-		w.generate(frame1, 0, 5)
-		w.generate(frame1, 1, 4)
-		w.generate(frame1, 1, 6)
-		at := frame1 + sim.Minute
-		log := newMemoLog()
-		for _, n := range w.nodes {
-			n.(interface{ spyOnSigns(*memoLog) }).spyOnSigns(log)
-		}
-		replicated := len(w.rec.replicated)
-
-		w.meet(at, 0, 1)
-		first := make(map[wire.Kind]int)
-		for _, k := range memo {
-			if first[k] = log.hits[k] + log.misses[k]; first[k] == 0 || log.bare[k] != 0 {
-				t.Fatalf("first pass signed %d %v through memos and %d without", first[k], k, log.bare[k])
-			}
-		}
-		for _, pass := range []struct {
-			name string
-			at   sim.Time
-			hit  bool
-		}{
-			{"re-run at the same instant", at, true},
-			{"one second later", at + sim.Second, false},
-		} {
-			log.reset()
-			w.meet(pass.at, 0, 1)
-			for _, k := range memo {
-				hits, misses := log.hits[k], log.misses[k]
-				if !pass.hit {
-					hits, misses = misses, hits
-				}
-				if hits != first[k] || misses != 0 || log.bare[k] != 0 {
-					t.Errorf("%s: %v signed %d hits, %d misses and %d without a memo; want %d, all hit=%v",
-						pass.name, k, log.hits[k], log.misses[k], log.bare[k], first[k], pass.hit)
-				}
-			}
-		}
-		if len(w.rec.replicated) != replicated {
-			t.Fatal("a copy changed hands; the passes no longer repeat one exchange")
-		}
-		// Offering a message to its destination asks about a decoy, which
-		// never goes through the request memo.
-		log.reset()
-		w.meet(at+2*sim.Second, 0, 3)
-		if log.bare[wire.KindFQRequest] != 1 {
-			t.Errorf("decoy exchange: %d FQ_RQST signed without a memo, want 1", log.bare[wire.KindFQRequest])
-		}
-		if log.misses[wire.KindFQRequest]+log.hits[wire.KindFQRequest] != 1 {
-			t.Errorf("FQ_RQST about a real destination (5) not signed through its memo: %v", log.misses)
-		}
-	})
+	t.Run(G2GDelegationFrequency.String(), checkFQRecord)
 }
