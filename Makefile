@@ -13,7 +13,7 @@ BENCH_NS_TOLERANCE ?= 25
 # the wall gate: at -benchtime=1x they are a single timer sample.
 BENCH_NS_FLOOR ?= 1000000
 
-.PHONY: all build test vet fmt no-net race bench bench-smoke bench-diff bench-tests fuzz cover trace-roundtrip kill-resume check ci
+.PHONY: all build test vet fmt no-net race bench bench-smoke bench-diff bench-tests fuzz cover trace-roundtrip kill-resume examples check ci
 
 all: check
 
@@ -167,15 +167,25 @@ kill-resume:
 	rm -rf $$dir; \
 	exit $$status
 
+# Every example program, run end to end: `go build ./...` only compiles
+# them, and an example can fail at run time (examples/audit exits non-zero
+# when an honest node is framed). About 10 s on 2 vCPUs, builds excluded.
+examples:
+	@for d in examples/*/; do \
+	  $(GO) run ./$$d >/dev/null || { echo "examples: $$d FAILED"; exit 1; }; \
+	  echo "examples: $$d ok"; \
+	done
+
 check: build vet test race
 
 # ci is the documented verification entry point: build, vet, the gofmt
 # gate, the dependency gate, the coverage floor, the race pass, the benchmark
 # module's tests, the benchmark smoke pass, the trace-format round-trip gate,
-# the kill/resume crash-safety gate, a quick-mode experiment smoke run through
-# the parallel scheduler, and a fully audited honest run on each preset (the
-# auditor fails the command on any invariant violation).
-ci: build vet fmt no-net cover race bench-tests bench-smoke trace-roundtrip kill-resume
+# the kill/resume crash-safety gate, every example program, a quick-mode
+# experiment smoke run through the parallel scheduler, and a fully audited
+# honest run on each preset (the auditor fails the command on any invariant
+# violation).
+ci: build vet fmt no-net cover race bench-tests bench-smoke trace-roundtrip kill-resume examples
 	$(GO) run ./cmd/g2gexp -experiment secV -quick -jobs 0 >/dev/null
 	$(GO) run ./cmd/g2gsim -preset infocom05 -protocol g2g-epidemic -ttl 10m -interval 60s -audit >/dev/null
 	$(GO) run ./cmd/g2gsim -preset cambridge06 -protocol g2g-delegation-frequency -ttl 10m -interval 60s -audit >/dev/null

@@ -376,7 +376,7 @@ func BenchmarkHeavyHMAC(b *testing.B) {
 // BenchmarkRealSignVerify measures the real-crypto envelope cost per relay
 // handoff step.
 func BenchmarkRealSignVerify(b *testing.B) {
-	sys, err := g2gcrypto.NewReal(2, nil)
+	sys, err := g2gcrypto.NewReal(2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -68,6 +68,39 @@ func TestRunJobsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestResumeRendersRestoredRuns renders experiments wholly from their
+// journals: a resume that restores every run, running none (with -v a run
+// prints a "run i/n" line), must print the same tables as the journaled
+// invocation. payoff reads each restored result's detections, per-source
+// counts and usage.
+func TestResumeRendersRestoredRuns(t *testing.T) {
+	dir := t.TempDir()
+	for _, id := range []string{"payoff", "fig7"} {
+		render := func(extra ...string) (string, string) {
+			t.Helper()
+			var out, errOut bytes.Buffer
+			args := append([]string{"-experiment", id, "-tiny", "-audit", "-v", "-checkpoint-dir", dir}, extra...)
+			if err := run(args, &out, &errOut); err != nil {
+				t.Fatalf("%v: %v", args, err)
+			}
+			return out.String(), errOut.String()
+		}
+		want, ran := render()
+		if !strings.HasPrefix(ran, "run ") {
+			t.Fatalf("%s: the journaled invocation logged no runs:\n%s", id, ran)
+		}
+		got, progress := render("-resume")
+		if got != want {
+			t.Errorf("%s: restored runs render\n%s\nthe journaled invocation rendered\n%s", id, got, want)
+		}
+		for _, line := range strings.Split(progress, "\n") {
+			if strings.HasPrefix(line, "run ") {
+				t.Errorf("%s: the resume ran a journaled run again: %q", id, line)
+			}
+		}
+	}
+}
+
 // TestRunSpansFig7 drives the acceptance scenario end to end: a
 // telemetry-enabled Fig. 7 run with the auditor on reports a per-phase span
 // table spanning the whole stack — engine (contact_schedule, session),

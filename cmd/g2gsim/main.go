@@ -118,9 +118,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	if *deviants > 0 {
 		cfg.Deviation = give2get.Deviation(*deviation)
-		for i := 0; i < *deviants && i < tr.Nodes(); i++ {
-			// Deterministic spread across the population.
-			cfg.Deviants = append(cfg.Deviants, (i*7+int(*seed))%tr.Nodes())
+		n := tr.Nodes()
+		for i := 0; i < *deviants && i < n; i++ {
+			// Deterministic spread across the population, for any seed sign.
+			cfg.Deviants = append(cfg.Deviants, ((i*7+int(*seed))%n+n)%n)
 		}
 		cfg.Deviants = dedupe(cfg.Deviants)
 	}

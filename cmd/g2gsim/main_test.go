@@ -33,21 +33,24 @@ func TestRunBasic(t *testing.T) {
 	}
 }
 
+// TestRunWithDeviants spreads the deviants from the seed, which may be
+// negative.
 func TestRunWithDeviants(t *testing.T) {
-	var out, errOut bytes.Buffer
-	err := run([]string{
-		"-preset", "infocom05", "-protocol", "g2g-epidemic",
-		"-ttl", "30m", "-interval", "2m",
-		"-deviants", "5", "-deviation", "dropper",
-	}, &out, &errOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "detection:") {
-		t.Errorf("no detection line:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "0 false accusations") {
-		t.Errorf("false accusations reported:\n%s", out.String())
+	for _, seed := range []string{"1", "-3"} {
+		var out, errOut bytes.Buffer
+		err := run([]string{
+			"-preset", "infocom05", "-protocol", "g2g-epidemic",
+			"-ttl", "30m", "-interval", "2m", "-seed", seed,
+			"-deviants", "5", "-deviation", "dropper",
+		}, &out, &errOut)
+		if err != nil {
+			t.Fatalf("-seed %s: %v", seed, err)
+		}
+		for _, want := range []string{"5 droppers", "detection:", "0 false accusations"} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("-seed %s: output missing %q:\n%s", seed, want, out.String())
+			}
+		}
 	}
 }
 
@@ -101,6 +104,29 @@ func TestResumeUnderChangedProtocol(t *testing.T) {
 		if got := sweep("-checkpoint-dir", dir, "-protocol", "g2g-epidemic", "-resume"); got != want {
 			t.Errorf("resume %d printed\n%s\nwant the fresh run's\n%s", pass, got, want)
 		}
+	}
+}
+
+// TestJournalEntrySize bounds what the journal keeps of a run: its result,
+// which grows with the population and the deliveries, not with the
+// messages. The audited Infocom05 run (41 nodes, 1,729 messages) journals
+// about 25 KB.
+func TestJournalEntrySize(t *testing.T) {
+	dir := t.TempDir()
+	var out, errOut bytes.Buffer
+	if err := run([]string{"-preset", "infocom05", "-protocol", "epidemic", "-audit",
+		"-checkpoint-dir", dir}, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "1729 generated") {
+		t.Fatalf("unexpected workload:\n%s", out.String())
+	}
+	info, err := os.Stat(filepath.Join(dir, "sweep.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() >= 64<<10 {
+		t.Errorf("the run's journal entry is %d bytes, want under 64 KB", info.Size())
 	}
 }
 

@@ -271,8 +271,8 @@ func Run(cfg SimulationConfig) (*Result, error) {
 
 // publicResult converts an engine result into the public shape.
 func publicResult(res *engine.Result) *Result {
-	detections := make([]DetectionInfo, 0, len(res.Collector.Detections()))
-	for _, d := range res.Collector.Detections() {
+	detections := make([]DetectionInfo, 0, len(res.Detections))
+	for _, d := range res.Detections {
 		detections = append(detections, DetectionInfo{
 			Node:   int(d.Accused),
 			Reason: d.Reason.String(),

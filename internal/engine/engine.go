@@ -142,18 +142,18 @@ func (c Config) Validate() error {
 type Result struct {
 	Summary   metrics.Summary
 	Detection metrics.DetectionSummary
-	// Collector exposes the raw event aggregates.
-	Collector *metrics.Collector
-	// Communities is non-nil when community detection ran.
-	Communities *kclique.Communities
-	// Usage holds each node's resource accounting (indexed by node id):
-	// the energy/memory inputs of the paper's payoff function.
-	Usage []protocol.Usage
-	// EndedAt is the virtual time the simulation settled.
-	EndedAt sim.Time
+	// Detections holds the first detection of each accused node, sorted by
+	// accused id.
+	Detections []metrics.Detection
+	// Sources holds each node's own generated and delivered messages, and
+	// Usage its resource accounting, both indexed by node id: the delivery,
+	// energy and memory inputs of the paper's payoff function.
+	Sources []metrics.SourceStats
+	Usage   []protocol.Usage
 	// Telemetry is the run report: sim-kernel, engine, protocol, and crypto
-	// counters plus per-phase wall timings. Always non-nil.
-	Telemetry *obs.Snapshot
+	// counters plus per-phase wall timings. Always non-nil. It is wall-clock
+	// data of the process that ran, so the result's JSON form leaves it out.
+	Telemetry *obs.Snapshot `json:"-"`
 	// Audit is the invariant auditor's report; non-nil exactly when
 	// Config.Audit was set. A report with violations does not make the run
 	// fail here — see Report.Err for the strict form.
@@ -195,7 +195,6 @@ type engine struct {
 	auditor   *invariant.Auditor
 	spans     *obs.SpanRecorder
 	nodes     []protocol.Node
-	comms     *kclique.Communities
 
 	// active tracks currently overlapping contacts per pair.
 	active map[trace.PairKey]int
@@ -282,7 +281,7 @@ func newEngine(cfg Config) (*engine, error) {
 	var err error
 	switch cfg.Crypto {
 	case CryptoReal:
-		sys, err = g2gcrypto.NewReal(population, nil)
+		sys, err = g2gcrypto.NewReal(population, cfg.Seed)
 	case CryptoFast, "":
 		sys, err = g2gcrypto.NewFast(population, cfg.Seed)
 	default:
@@ -407,7 +406,6 @@ func (e *engine) buildBehavior() (protocol.Behavior, error) {
 			return b, fmt.Errorf("engine: community detection: %w", err)
 		}
 	}
-	e.comms = comms
 	b.SameCommunity = comms.SameCommunity
 	return b, nil
 }
@@ -496,13 +494,12 @@ func (e *engine) finishRun(s *sim.Simulator) (*Result, error) {
 		usage[i] = n.UsageSnapshot()
 	}
 	result := &Result{
-		Summary:     e.collector.Summarize(),
-		Detection:   e.collector.SummarizeDetection(e.cfg.Deviants),
-		Collector:   e.collector,
-		Communities: e.comms,
-		Usage:       usage,
-		EndedAt:     endedAt,
-		Telemetry:   e.metrics.Snapshot(),
+		Summary:    e.collector.Summarize(),
+		Detection:  e.collector.SummarizeDetection(e.cfg.Deviants),
+		Detections: e.collector.Detections(),
+		Sources:    e.collector.Sources(len(e.nodes)),
+		Usage:      usage,
+		Telemetry:  e.metrics.Snapshot(),
 	}
 	if e.auditor != nil {
 		fin := invariant.Finalization{

@@ -2,9 +2,12 @@ package engine
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"give2get/internal/kclique"
 	"give2get/internal/mobility"
 	"give2get/internal/obs"
 	"give2get/internal/protocol"
@@ -130,8 +133,8 @@ func TestRunHonestG2GNoDetections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Collector.Detections()) != 0 {
-			t.Errorf("%v: honest run produced detections: %+v", kind, res.Collector.Detections())
+		if len(res.Detections) != 0 {
+			t.Errorf("%v: honest run produced detections: %+v", kind, res.Detections)
 		}
 	}
 }
@@ -194,6 +197,10 @@ func TestRunG2GDelegationDetectsCheaters(t *testing.T) {
 	}
 }
 
+// TestRunWithOutsidersDetectsCommunities: a with-outsiders run without
+// Config.Communities detects them on the trace. It must equal the run given
+// the same detection up front, and differ from deviants that drop for
+// everyone.
 func TestRunWithOutsidersDetectsCommunities(t *testing.T) {
 	cfg := baseConfig(t, protocol.G2GEpidemic)
 	cfg.Deviants = []trace.NodeID{2, 7}
@@ -203,24 +210,72 @@ func TestRunWithOutsidersDetectsCommunities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Communities == nil || res.Communities.Len() == 0 {
-		t.Fatal("communities not detected for the with-outsiders run")
-	}
 	if res.Detection.FalseAccusations != 0 {
 		t.Errorf("false accusations = %d", res.Detection.FalseAccusations)
 	}
-}
 
-func TestRunRealCrypto(t *testing.T) {
-	cfg := baseConfig(t, protocol.G2GEpidemic)
-	cfg.Crypto = CryptoReal
-	cfg.MessageInterval = 2 * sim.Minute // keep the real-crypto run small
-	res, err := Run(cfg)
+	given := cfg
+	given.Communities, err = kclique.DetectAuto(cfg.Trace.(*trace.Trace), kclique.DefaultOptions().K)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Summary.Generated == 0 || res.Summary.Delivered == 0 {
-		t.Errorf("real-crypto run did not move messages: %+v", res.Summary)
+	if given.Communities.Len() == 0 {
+		t.Fatal("the test trace has no communities")
+	}
+	want, err := Run(given)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Summary != want.Summary || !reflect.DeepEqual(res.Usage, want.Usage) {
+		t.Errorf("detected communities ran %+v, given ones %+v", res.Summary, want.Summary)
+	}
+
+	cfg.OnlyOutsiders = false
+	everyone, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(res.Usage, everyone.Usage) {
+		t.Error("dropping only for outsiders ran exactly as dropping for everyone")
+	}
+}
+
+// TestRunRealCrypto: a real-crypto run moves messages, and it is
+// reproducible for a fixed seed: two audited runs emit the same trace
+// records, message hashes included, and the same audit digest.
+func TestRunRealCrypto(t *testing.T) {
+	run := func() ([]obs.Record, string) {
+		cfg := auditConfig(t, protocol.G2GEpidemic)
+		cfg.Crypto = CryptoReal
+		cfg.MessageInterval = 2 * sim.Minute // keep the real-crypto run small
+		cfg.Deviants = []trace.NodeID{2, 7}
+		cfg.Deviation = protocol.Dropper
+		sink := &collectSink{min: obs.LevelDebug}
+		cfg.TraceSink = sink
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Summary.Generated == 0 || res.Summary.Delivered == 0 {
+			t.Errorf("real-crypto run did not move messages: %+v", res.Summary)
+		}
+		for i := range sink.recs {
+			sink.recs[i].Wall = time.Time{}
+		}
+		return sink.recs, mustAuditClean(t, res).Digest
+	}
+	recs, digest := run()
+	again, digestAgain := run()
+	if digest != digestAgain {
+		t.Errorf("audit digests differ: %s, then %s", digest, digestAgain)
+	}
+	for i := range recs {
+		if i >= len(again) || recs[i] != again[i] {
+			t.Fatalf("trace record %d differs between two runs of one seed: %+v", i, recs[i])
+		}
+	}
+	if len(again) != len(recs) {
+		t.Fatalf("%d trace records, then %d", len(recs), len(again))
 	}
 }
 
@@ -356,13 +411,18 @@ func TestRunCollectsUsage(t *testing.T) {
 	if memory <= 0 {
 		t.Error("memory integral is zero despite live buffers")
 	}
-	// Per-source stats must cover every generated message.
-	total := 0
-	for _, s := range res.Collector.PerSource() {
-		total += s.Generated
+	// Per-source stats must cover every node and every message.
+	if len(res.Sources) != 12 {
+		t.Fatalf("source entries = %d, want one per node", len(res.Sources))
 	}
-	if total != res.Summary.Generated {
-		t.Errorf("per-source generated %d != summary %d", total, res.Summary.Generated)
+	generated, delivered := 0, 0
+	for _, s := range res.Sources {
+		generated += s.Generated
+		delivered += s.Delivered
+	}
+	if generated != res.Summary.Generated || delivered != res.Summary.Delivered {
+		t.Errorf("per-source generated/delivered %d/%d != summary %d/%d",
+			generated, delivered, res.Summary.Generated, res.Summary.Delivered)
 	}
 }
 

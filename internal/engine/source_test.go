@@ -3,6 +3,7 @@ package engine
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"give2get/internal/invariant"
@@ -90,8 +91,8 @@ func TestAuditDifferentialSource(t *testing.T) {
 
 // TestBinarySourceCommunities checks that community detection — which needs
 // random access — works transparently when the engine is fed a file-backed
-// source: the engine materializes the stream once for detection and the
-// detected structure matches the in-memory run's.
+// source: the engine materializes the stream once for detection, and the
+// run, whose deviants drop only for outsiders, equals the in-memory run.
 func TestBinarySourceCommunities(t *testing.T) {
 	cfg := baseConfig(t, protocol.G2GEpidemic)
 	cfg.Deviants = []trace.NodeID{2, 7}
@@ -108,14 +109,10 @@ func TestBinarySourceCommunities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if memRes.Communities == nil || binRes.Communities == nil {
-		t.Fatal("with-outsiders run detected no communities")
+	if memRes.Summary != binRes.Summary {
+		t.Fatalf("summaries differ:\nmemory=%+v\nbinary=%+v", memRes.Summary, binRes.Summary)
 	}
-	if got, want := binRes.Communities.Len(), memRes.Communities.Len(); got != want {
-		t.Fatalf("community counts differ: binary=%d memory=%d", got, want)
-	}
-	if memRes.Summary.Delivered != binRes.Summary.Delivered {
-		t.Fatalf("deliveries differ: memory=%d binary=%d",
-			memRes.Summary.Delivered, binRes.Summary.Delivered)
+	if !reflect.DeepEqual(memRes.Detections, binRes.Detections) || !reflect.DeepEqual(memRes.Usage, binRes.Usage) {
+		t.Fatal("detections or usage differ between the memory and binary runs")
 	}
 }

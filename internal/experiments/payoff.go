@@ -92,10 +92,9 @@ func Payoff(opts Options) ([]*metrics.Table, error) {
 		isDeviant[d] = struct{}{}
 	}
 	evicted := make(map[trace.NodeID]struct{})
-	for _, det := range res.Collector.Detections() {
+	for _, det := range res.Detections {
 		evicted[det.Accused] = struct{}{}
 	}
-	perSource := res.Collector.PerSource()
 
 	var honest, dropper payoffAccumulator
 	for n := 0; n < tr.Nodes(); n++ {
@@ -104,7 +103,7 @@ func Payoff(opts Options) ([]*metrics.Table, error) {
 		if _, ok := isDeviant[id]; ok {
 			acc = &dropper
 		}
-		src := perSource[id]
+		src := res.Sources[n]
 		acc.nodes++
 		acc.generated += src.Generated
 		acc.delivered += src.Delivered

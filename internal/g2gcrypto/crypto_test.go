@@ -13,7 +13,7 @@ import (
 // systems returns one instance of every provider for provider-generic tests.
 func systems(t *testing.T, nodes int) map[string]System {
 	t.Helper()
-	real, err := NewReal(nodes, nil)
+	real, err := NewReal(nodes, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestUnknownNodeErrors(t *testing.T) {
 			}
 		})
 	}
-	if _, err := NewReal(0, nil); err == nil {
+	if _, err := NewReal(0, 1); err == nil {
 		t.Error("NewReal(0) accepted")
 	}
 	if _, err := NewFast(-1, 0); err == nil {
@@ -163,13 +163,48 @@ func TestFastDeterministic(t *testing.T) {
 	}
 }
 
+// TestRealDeterministic: the real provider draws its keys, seal ephemerals
+// and nonces from one stream seeded by its seed, so two providers built with
+// one seed sign and seal identically call for call, and another seed does
+// not.
+func TestRealDeterministic(t *testing.T) {
+	trail := func(seed int64) [][]byte {
+		sys, err := NewReal(3, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := sys.Identity(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := [][]byte{id.Sign([]byte("x"))}
+		for i := 0; i < 3; i++ {
+			box, err := sys.SealFor(trace.NodeID(i), []byte("m"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, box)
+		}
+		return out
+	}
+	a, b, c := trail(7), trail(7), trail(8)
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			t.Errorf("output %d differs under one seed", i)
+		}
+		if bytes.Equal(a[i], c[i]) {
+			t.Errorf("output %d is the same under two seeds", i)
+		}
+	}
+}
+
 func TestPayloadEncryptDecrypt(t *testing.T) {
 	var key SessionKey
 	if _, err := rand.Read(key[:]); err != nil {
 		t.Fatal(err)
 	}
 	msg := []byte("the message m, handed over before the key is revealed")
-	box, err := EncryptPayload(key, msg, nil)
+	box, err := EncryptPayload(key, msg, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +292,7 @@ func TestHashStable(t *testing.T) {
 // Property: for both providers, signatures verify for the signer and sealing
 // round-trips for arbitrary plaintexts.
 func TestProvidersRoundTripProperty(t *testing.T) {
-	real, err := NewReal(3, nil)
+	real, err := NewReal(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

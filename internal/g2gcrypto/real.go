@@ -5,10 +5,11 @@ import (
 	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/ed25519"
-	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math/rand/v2"
 
 	"give2get/internal/trace"
 )
@@ -21,7 +22,10 @@ import (
 // after setup.
 type realSystem struct {
 	identities []*realIdentity
-	random     io.Reader
+	// stream is the run's one source of key material, seeded: keys, seal
+	// ephemerals and nonces are drawn from it in call order, so a run is
+	// reproducible for a fixed seed. A simulation needs that, not secrecy.
+	stream *rand.ChaCha8
 }
 
 type realIdentity struct {
@@ -37,38 +41,48 @@ var (
 	_ Identity = (*realIdentity)(nil)
 )
 
-// NewReal sets up a real-crypto PKI for a population of nodes. randomness
-// may be nil, in which case crypto/rand is used.
-func NewReal(nodes int, randomness io.Reader) (System, error) {
+// NewReal sets up a real-crypto PKI for a population of nodes,
+// deterministically from seed.
+func NewReal(nodes int, seed int64) (System, error) {
 	if nodes <= 0 {
 		return nil, fmt.Errorf("g2gcrypto: population must be positive, got %d", nodes)
 	}
-	if randomness == nil {
-		randomness = rand.Reader
-	}
+	var seedBytes [8]byte
+	binary.LittleEndian.PutUint64(seedBytes[:], uint64(seed))
 	s := &realSystem{
 		identities: make([]*realIdentity, nodes),
-		random:     randomness,
+		stream:     rand.NewChaCha8(sha256.Sum256(append([]byte("g2g-real-stream:"), seedBytes[:]...))),
 	}
-	curve := ecdh.X25519()
 	for n := 0; n < nodes; n++ {
-		pub, priv, err := ed25519.GenerateKey(randomness)
+		priv := ed25519.NewKeyFromSeed(s.draw(ed25519.SeedSize))
+		boxKey, err := s.newBoxKey()
 		if err != nil {
-			return nil, fmt.Errorf("g2gcrypto: generate signing key for node %d: %w", n, err)
-		}
-		boxKey, err := curve.GenerateKey(randomness)
-		if err != nil {
-			return nil, fmt.Errorf("g2gcrypto: generate box key for node %d: %w", n, err)
+			return nil, fmt.Errorf("g2gcrypto: box key for node %d: %w", n, err)
 		}
 		s.identities[n] = &realIdentity{
 			node:    trace.NodeID(n),
 			signKey: priv,
-			signPub: pub,
+			signPub: priv.Public().(ed25519.PublicKey),
 			boxKey:  boxKey,
 			boxPub:  boxKey.PublicKey(),
 		}
 	}
 	return s, nil
+}
+
+// draw returns the stream's next n bytes.
+func (s *realSystem) draw(n int) []byte {
+	out := make([]byte, (n+7)/8*8)
+	for i := 0; i < len(out); i += 8 {
+		binary.LittleEndian.PutUint64(out[i:], s.stream.Uint64())
+	}
+	return out[:n]
+}
+
+// newBoxKey draws an X25519 private key. Unlike ecdh's GenerateKey it reads
+// exactly 32 bytes, never a random extra one.
+func (s *realSystem) newBoxKey() (*ecdh.PrivateKey, error) {
+	return ecdh.X25519().NewPrivateKey(s.draw(32))
 }
 
 func (s *realSystem) Name() string { return "real" }
@@ -94,8 +108,7 @@ func (s *realSystem) SealFor(dest trace.NodeID, plaintext []byte) ([]byte, error
 	if int(dest) < 0 || int(dest) >= len(s.identities) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, dest)
 	}
-	curve := ecdh.X25519()
-	eph, err := curve.GenerateKey(s.random)
+	eph, err := s.newBoxKey()
 	if err != nil {
 		return nil, fmt.Errorf("g2gcrypto: ephemeral key: %w", err)
 	}
@@ -107,10 +120,7 @@ func (s *realSystem) SealFor(dest trace.NodeID, plaintext []byte) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	nonce := make([]byte, gcm.NonceSize())
-	if _, err := io.ReadFull(s.random, nonce); err != nil {
-		return nil, fmt.Errorf("g2gcrypto: nonce: %w", err)
-	}
+	nonce := s.draw(gcm.NonceSize())
 	out := make([]byte, 0, 32+len(nonce)+len(plaintext)+gcm.Overhead())
 	out = append(out, eph.PublicKey().Bytes()...)
 	out = append(out, nonce...)
@@ -183,11 +193,9 @@ func EncryptedSize(n int) int { return PayloadNonceSize + n + payloadTagSize }
 // EncryptPayload implements the Ek(m) step of the relay phase: message m is
 // handed over under a fresh random key k that is revealed only after the
 // proof of relay is signed. AES-256-GCM; wire format nonce || ciphertext ||
-// tag, EncryptedSize(len(plaintext)) bytes.
+// tag, EncryptedSize(len(plaintext)) bytes. The nonce is read from
+// randomness, the run's seeded stream in a simulation.
 func EncryptPayload(key SessionKey, plaintext []byte, randomness io.Reader) ([]byte, error) {
-	if randomness == nil {
-		randomness = rand.Reader
-	}
 	gcm, err := newGCM(key)
 	if err != nil {
 		return nil, err

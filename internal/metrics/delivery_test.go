@@ -25,7 +25,7 @@ func TestReplicasAtDeliverySealedOnce(t *testing.T) {
 	c.Delivered(h, tDeliver)
 	c.Replicated(h, relay, dst, tDeliver)
 
-	if got := c.replicasAtDelivery[h]; got != 2 {
+	if got := c.msgs[h].replicasAtDelivery; got != 2 {
 		t.Fatalf("replicasAtDelivery = %d, want 2 (pre-existing + delivering)", got)
 	}
 
@@ -34,10 +34,10 @@ func TestReplicasAtDeliverySealedOnce(t *testing.T) {
 	c.Replicated(h, src, late, sim.Time(200))
 	c.Delivered(h, sim.Time(250))
 	c.Replicated(h, relay, dst, tDeliver)
-	if got := c.replicasAtDelivery[h]; got != 2 {
+	if got := c.msgs[h].replicasAtDelivery; got != 2 {
 		t.Fatalf("snapshot moved after sealing: %d, want 2", got)
 	}
-	if at := c.delivered[h]; at != tDeliver {
+	if at := c.msgs[h].deliveredAt; at != tDeliver {
 		t.Fatalf("delivery time overwritten: %v, want %v", at, tDeliver)
 	}
 
@@ -62,12 +62,12 @@ func TestReplicasAtDeliveryNonDestinationSameInstant(t *testing.T) {
 	c.Delivered(h, tDeliver)
 	// Cascade at the same contact hands a copy to a bystander first…
 	c.Replicated(h, src, other, tDeliver)
-	if got := c.replicasAtDelivery[h]; got != 0 {
+	if got := c.msgs[h].replicasAtDelivery; got != 0 {
 		t.Fatalf("bystander replica folded in: %d, want 0", got)
 	}
 	// …then the destination's own handoff arrives and is counted.
 	c.Replicated(h, src, dst, tDeliver)
-	if got := c.replicasAtDelivery[h]; got != 1 {
+	if got := c.msgs[h].replicasAtDelivery; got != 1 {
 		t.Fatalf("replicasAtDelivery = %d, want 1", got)
 	}
 }

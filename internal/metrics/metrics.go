@@ -20,25 +20,28 @@ import (
 type Collector struct {
 	mu sync.Mutex
 
-	generated map[g2gcrypto.Digest]genRecord
-	delivered map[g2gcrypto.Digest]sim.Time
-	replicas  map[g2gcrypto.Digest]int
-	// replicasAtDelivery snapshots, per delivered message, how many
-	// replicas existed when the destination first got it. sealed marks
-	// snapshots as final: the protocols report Delivered before the
-	// Replicated event of the delivering handoff itself, so the snapshot is
-	// amended exactly once when that same-instant replica arrives, then
-	// frozen against later replication and duplicate deliveries.
-	replicasAtDelivery map[g2gcrypto.Digest]int
-	sealed             map[g2gcrypto.Digest]bool
-	detections         map[trace.NodeID]Detection
-	testsRun           int
-	testsFail          int
+	// msgs holds one record per message, so each lifecycle event costs one
+	// map lookup.
+	msgs       map[g2gcrypto.Digest]*msgRecord
+	detections map[trace.NodeID]Detection
+	testsRun   int
+	testsFail  int
 }
 
-type genRecord struct {
-	src, dst trace.NodeID
-	at       sim.Time
+// msgRecord is one message's lifecycle as the collector saw it.
+type msgRecord struct {
+	src, dst    trace.NodeID
+	genAt       sim.Time
+	deliveredAt sim.Time
+	replicas    int
+	// replicasAtDelivery snapshots how many replicas existed when the
+	// destination first got the message. sealed marks the snapshot as final:
+	// the protocols report Delivered before the Replicated event of the
+	// delivering handoff itself, so the snapshot is amended exactly once
+	// when that same-instant replica arrives, then frozen against later
+	// replication and duplicate deliveries.
+	replicasAtDelivery           int
+	generated, delivered, sealed bool
 }
 
 // Detection records the first time a node was exposed by a valid proof of
@@ -67,36 +70,42 @@ var _ protocol.Observer = (*Collector)(nil)
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
-		generated:          make(map[g2gcrypto.Digest]genRecord),
-		delivered:          make(map[g2gcrypto.Digest]sim.Time),
-		replicas:           make(map[g2gcrypto.Digest]int),
-		replicasAtDelivery: make(map[g2gcrypto.Digest]int),
-		sealed:             make(map[g2gcrypto.Digest]bool),
-		detections:         make(map[trace.NodeID]Detection),
+		msgs:       make(map[g2gcrypto.Digest]*msgRecord),
+		detections: make(map[trace.NodeID]Detection),
 	}
+}
+
+// record returns h's record, creating it on h's first event.
+func (c *Collector) record(h g2gcrypto.Digest) *msgRecord {
+	r := c.msgs[h]
+	if r == nil {
+		r = new(msgRecord)
+		c.msgs[h] = r
+	}
+	return r
 }
 
 // Generated implements protocol.Observer.
 func (c *Collector) Generated(h g2gcrypto.Digest, _ message.ID, src, dst trace.NodeID, at sim.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.generated[h] = genRecord{src: src, dst: dst, at: at}
+	r := c.record(h)
+	r.src, r.dst, r.genAt, r.generated = src, dst, at, true
 }
 
 // Replicated implements protocol.Observer.
 func (c *Collector) Replicated(h g2gcrypto.Digest, _, to trace.NodeID, at sim.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.replicas[h]++
+	r := c.record(h)
+	r.replicas++
 	// The protocols fire Delivered before the Replicated event of the very
 	// handoff that delivered, so that replica is missing from the snapshot
 	// taken in Delivered. Fold it in — exactly once — when it arrives: same
 	// instant, addressed to the destination, snapshot not yet sealed.
-	if dat, ok := c.delivered[h]; ok && !c.sealed[h] && dat == at {
-		if gen, ok := c.generated[h]; ok && to == gen.dst {
-			c.replicasAtDelivery[h]++
-			c.sealed[h] = true
-		}
+	if r.delivered && !r.sealed && r.deliveredAt == at && r.generated && to == r.dst {
+		r.replicasAtDelivery++
+		r.sealed = true
 	}
 }
 
@@ -106,9 +115,9 @@ func (c *Collector) Replicated(h g2gcrypto.Digest, _, to trace.NodeID, at sim.Ti
 func (c *Collector) Delivered(h g2gcrypto.Digest, at sim.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.delivered[h]; !ok {
-		c.delivered[h] = at
-		c.replicasAtDelivery[h] = c.replicas[h]
+	if r := c.record(h); !r.delivered {
+		r.delivered, r.deliveredAt = true, at
+		r.replicasAtDelivery = r.replicas
 	}
 }
 
@@ -138,7 +147,6 @@ type Summary struct {
 	Delivered   int
 	SuccessRate float64 // percent
 	MeanDelay   sim.Time
-	MedianDelay sim.Time
 	// MeanCost is the average number of replicas created per generated
 	// message over the message's whole lifetime.
 	MeanCost float64
@@ -158,42 +166,33 @@ func (c *Collector) Summarize() Summary {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	s := Summary{
-		Generated:   len(c.generated),
-		Delivered:   len(c.delivered),
-		TestsRun:    c.testsRun,
-		TestsFailed: c.testsFail,
-	}
-	var delays []sim.Time
-	for h, at := range c.delivered {
-		gen, ok := c.generated[h]
-		if !ok {
+	s := Summary{TestsRun: c.testsRun, TestsFailed: c.testsFail}
+	var delay sim.Time
+	var delays, atDelivery int
+	for _, r := range c.msgs {
+		s.TotalReplicas += r.replicas
+		if r.generated {
+			s.Generated++
+		}
+		if !r.delivered {
 			continue
 		}
-		delays = append(delays, at-gen.at)
-	}
-	if len(delays) > 0 {
-		sort.Slice(delays, func(i, j int) bool { return delays[i] < delays[j] })
-		var total sim.Time
-		for _, d := range delays {
-			total += d
+		s.Delivered++
+		atDelivery += r.replicasAtDelivery
+		if r.generated {
+			delay += r.deliveredAt - r.genAt
+			delays++
 		}
-		s.MeanDelay = total / sim.Time(len(delays))
-		s.MedianDelay = delays[len(delays)/2]
 	}
-	for _, n := range c.replicas {
-		s.TotalReplicas += n
+	if delays > 0 {
+		s.MeanDelay = delay / sim.Time(delays)
 	}
 	if s.Generated > 0 {
 		s.SuccessRate = 100 * float64(s.Delivered) / float64(s.Generated)
 		s.MeanCost = float64(s.TotalReplicas) / float64(s.Generated)
 	}
-	if len(c.replicasAtDelivery) > 0 {
-		total := 0
-		for _, n := range c.replicasAtDelivery {
-			total += n
-		}
-		s.MeanCostToDelivery = float64(total) / float64(len(c.replicasAtDelivery))
+	if s.Delivered > 0 {
+		s.MeanCostToDelivery = float64(atDelivery) / float64(s.Delivered)
 	}
 	return s
 }
@@ -249,19 +248,20 @@ type SourceStats struct {
 	Delivered int
 }
 
-// PerSource returns, per source node, how many of its own messages were
-// generated and delivered.
-func (c *Collector) PerSource() map[trace.NodeID]SourceStats {
+// Sources returns, for each of a population of nodes (indexed by node id),
+// how many of its own messages were generated and delivered.
+func (c *Collector) Sources(nodes int) []SourceStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[trace.NodeID]SourceStats)
-	for h, rec := range c.generated {
-		s := out[rec.src]
-		s.Generated++
-		if _, ok := c.delivered[h]; ok {
-			s.Delivered++
+	out := make([]SourceStats, nodes)
+	for _, r := range c.msgs {
+		if !r.generated {
+			continue
 		}
-		out[rec.src] = s
+		out[r.src].Generated++
+		if r.delivered {
+			out[r.src].Delivered++
+		}
 	}
 	return out
 }

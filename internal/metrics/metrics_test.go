@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -43,6 +44,11 @@ func TestSummarizeDelivery(t *testing.T) {
 	}
 	if s.MeanCost != 1 {
 		t.Errorf("mean cost = %v, want 1", s.MeanCost)
+	}
+	c.Generated(digest(4), 0, 2, 0, 30*sim.Second)
+	want := []SourceStats{{Generated: 3, Delivered: 2}, {}, {Generated: 1}, {}}
+	if got := c.Sources(4); !reflect.DeepEqual(got, want) {
+		t.Errorf("sources = %+v, want %+v", got, want)
 	}
 }
 

@@ -57,7 +57,7 @@ func TestRefusedRelayCharges(t *testing.T) {
 		make func(n int) (g2gcrypto.System, error)
 	}{
 		{"fast", func(n int) (g2gcrypto.System, error) { return g2gcrypto.NewFast(n, 7) }},
-		{"real", func(n int) (g2gcrypto.System, error) { return g2gcrypto.NewReal(n, nil) }},
+		{"real", func(n int) (g2gcrypto.System, error) { return g2gcrypto.NewReal(n, 7) }},
 	} {
 		t.Run(p.name, func(t *testing.T) {
 			sysW, err := p.make(5)
@@ -132,7 +132,7 @@ func TestRefusedRelayCharges(t *testing.T) {
 // `go test ./internal/protocol -run TestRealProviderCostGolden -update`
 // after an intended change of the cost model.
 func TestRealProviderCostGolden(t *testing.T) {
-	sys, err := g2gcrypto.NewReal(7, nil)
+	sys, err := g2gcrypto.NewReal(7, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package runner
 import (
 	"bufio"
 	"bytes"
-	"encoding/base64"
-	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -13,11 +11,7 @@ import (
 	"sync"
 
 	"give2get/internal/engine"
-	"give2get/internal/invariant"
-	"give2get/internal/metrics"
 	"give2get/internal/obs"
-	"give2get/internal/protocol"
-	"give2get/internal/sim"
 	"give2get/internal/trace"
 )
 
@@ -36,67 +30,16 @@ import (
 // journalName is the sweep journal's file name inside Options.CheckpointDir.
 const journalName = "sweep.journal"
 
-// journalEntry is one completed run.
+// journalEntry is one completed run. Result is the run's result as plain
+// JSON, without its wall-clock telemetry (engine.Result leaves it out), so an
+// entry grows with the population and the deliveries, not with the messages.
+// A line without a result, such as one written in another format, restores
+// nothing and its spec re-runs.
 type journalEntry struct {
-	Index       int    `json:"index"`
-	Label       string `json:"label"`
-	Fingerprint string `json:"fingerprint"`
-	Digest      string `json:"digest,omitempty"`
-	Snapshot    string `json:"snapshot"`
-}
-
-// resultSnapshot is the serializable core of an engine.Result: everything
-// experiment rendering consumes. Wall-clock telemetry is process-local and
-// deliberately not journaled.
-type resultSnapshot struct {
-	Summary   metrics.Summary
-	Detection metrics.DetectionSummary
-	Collector metrics.CollectorState
-	Usage     []protocol.Usage
-	EndedAt   sim.Time
-	Audit     *invariant.Report
-}
-
-func snapshotResult(res *engine.Result) (string, error) {
-	snap := resultSnapshot{
-		Summary:   res.Summary,
-		Detection: res.Detection,
-		Usage:     res.Usage,
-		EndedAt:   res.EndedAt,
-		Audit:     res.Audit,
-	}
-	if res.Collector != nil {
-		snap.Collector = res.Collector.State()
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		return "", err
-	}
-	return base64.StdEncoding.EncodeToString(buf.Bytes()), nil
-}
-
-func restoreResult(encoded string) (*engine.Result, error) {
-	raw, err := base64.StdEncoding.DecodeString(encoded)
-	if err != nil {
-		return nil, err
-	}
-	var snap resultSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&snap); err != nil {
-		return nil, err
-	}
-	collector := metrics.NewCollector()
-	collector.Restore(snap.Collector)
-	return &engine.Result{
-		Summary:   snap.Summary,
-		Detection: snap.Detection,
-		Collector: collector,
-		Usage:     snap.Usage,
-		EndedAt:   snap.EndedAt,
-		Audit:     snap.Audit,
-		// Journal-restored runs carry no wall-clock telemetry; the snapshot
-		// keeps the always-non-nil contract.
-		Telemetry: obs.NewMetrics().Snapshot(),
-	}, nil
+	Index       int            `json:"index"`
+	Label       string         `json:"label"`
+	Fingerprint string         `json:"fingerprint"`
+	Result      *engine.Result `json:"result"`
 }
 
 // fingerprints returns each spec's engine configuration fingerprint in its
@@ -154,30 +97,25 @@ func openJournal(path string, specs []Spec, resume bool) (*journal, map[int]Outc
 // replayJournal parses a journal against the current specs, whose
 // fingerprints are fps, and returns the outcomes it proves complete. A line
 // that does not parse (torn by a crash or a failed write) is skipped, and so
-// is an entry whose index, label or fingerprint does not match its spec,
-// whose snapshot no longer decodes, or whose digest disagrees with the
-// snapshot: those specs re-run.
+// is an entry without a result or whose index, label or fingerprint does not
+// match its spec: those specs re-run.
 func replayJournal(data []byte, specs []Spec, fps []string) (map[int]Outcome, error) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(nil, 64<<20) // snapshots are long lines
+	sc.Buffer(nil, 64<<20) // an entry grows with the population
 	restored := map[int]Outcome{}
 	for sc.Scan() {
 		var e journalEntry
-		if json.Unmarshal(sc.Bytes(), &e) != nil {
+		if json.Unmarshal(sc.Bytes(), &e) != nil || e.Result == nil {
 			continue
 		}
 		if e.Index < 0 || e.Index >= len(specs) || e.Label != specs[e.Index].Label ||
 			e.Fingerprint != fps[e.Index] {
 			continue
 		}
-		res, err := restoreResult(e.Snapshot)
-		if err != nil {
-			continue
-		}
-		if e.Digest != "" && (res.Audit == nil || res.Audit.Digest != e.Digest) {
-			continue
-		}
-		restored[e.Index] = Outcome{Label: e.Label, Result: res, Restored: true}
+		// Journal-restored runs carry no wall-clock telemetry; the snapshot
+		// keeps the always-non-nil contract.
+		e.Result.Telemetry = obs.NewMetrics().Snapshot()
+		restored[e.Index] = Outcome{Label: e.Label, Result: e.Result, Restored: true}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -187,15 +125,7 @@ func replayJournal(data []byte, specs []Spec, fps []string) (map[int]Outcome, er
 
 // record appends one completed run, synced before returning.
 func (j *journal) record(index int, spec Spec, res *engine.Result) error {
-	snap, err := snapshotResult(res)
-	if err != nil {
-		return err
-	}
-	e := journalEntry{Index: index, Label: spec.Label, Fingerprint: j.fingerprints[index], Snapshot: snap}
-	if res.Audit != nil {
-		e.Digest = res.Audit.Digest
-	}
-	line, err := json.Marshal(e)
+	line, err := json.Marshal(journalEntry{Index: index, Label: spec.Label, Fingerprint: j.fingerprints[index], Result: res})
 	if err != nil {
 		return err
 	}

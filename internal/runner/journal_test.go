@@ -1,7 +1,11 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -15,6 +19,7 @@ import (
 
 	"give2get/internal/engine"
 	"give2get/internal/invariant"
+	"give2get/internal/metrics"
 	"give2get/internal/protocol"
 	"give2get/internal/sim"
 	"give2get/internal/trace"
@@ -79,9 +84,9 @@ func fresh(t *testing.T, specs []Spec) []string {
 // TestJournalResumeSkipsCompleted completes a journaled sweep, then resumes
 // it under the same configurations over a trace that counts its passes:
 // every outcome must come back restored from the journal, never re-run, with
-// the recorded results intact. The resume reads the shared trace once, to
-// fingerprint it, and no run reads it; a batch without a checkpoint
-// directory never fingerprints.
+// every field of the recorded result but the wall-clock telemetry intact.
+// The resume reads the shared trace once, to fingerprint it, and no run
+// reads it; a batch without a checkpoint directory never fingerprints.
 func TestJournalResumeSkipsCompleted(t *testing.T) {
 	tr := testTrace(t)
 	dir := t.TempDir()
@@ -125,11 +130,13 @@ func TestJournalResumeSkipsCompleted(t *testing.T) {
 		if o.Result.Telemetry == nil {
 			t.Errorf("outcome %d: restored result lost the telemetry contract", i)
 		}
-		if got := o.Result.Collector.Summarize(); got != first[i].Result.Summary {
-			t.Errorf("outcome %d: restored collector summarizes %+v, want %+v", i, got, first[i].Result.Summary)
+		got, ran := *o.Result, *first[i].Result
+		got.Telemetry, ran.Telemetry = nil, nil
+		if !reflect.DeepEqual(got, ran) {
+			t.Errorf("outcome %d: restored result\n%+v\nwant\n%+v", i, got, ran)
 		}
-		if !reflect.DeepEqual(o.Result.Usage, first[i].Result.Usage) {
-			t.Errorf("outcome %d: restored usage diverged", i)
+		if len(ran.Detections) == 0 || len(ran.Sources) == 0 {
+			t.Errorf("outcome %d: the run has no detections or sources to restore", i)
 		}
 	}
 }
@@ -246,6 +253,72 @@ func TestJournalTornTailReruns(t *testing.T) {
 		for i, o := range out {
 			if o.Restored != wantRestored[i] {
 				t.Errorf("resume %d, outcome %d: restored %v, want %v", pass, i, o.Restored, wantRestored[i])
+			}
+		}
+		for i, d := range mustDigests(t, out) {
+			if d != want[i] {
+				t.Errorf("resume %d, outcome %d digest %s, want %s", pass, i, d, want[i])
+			}
+		}
+	}
+}
+
+// TestJournalSnapshotFormatReruns resumes a journal whose entries are in the
+// earlier format: the same index, label and fingerprint, with the result as a
+// base64 gob "snapshot" in place of "result". Such a line decodes as JSON, so
+// it must not restore a result missing its detections and sources: every
+// spec re-runs to a fresh run's digest, and the next resume restores the
+// entries the re-runs appended.
+func TestJournalSnapshotFormatReruns(t *testing.T) {
+	tr := testTrace(t)
+	dir := t.TempDir()
+	journal := filepath.Join(dir, journalName)
+	specs := journalSpecs(tr, 2)
+	want := fresh(t, specs)
+	if _, err := Run(specs, Options{Jobs: 1, CheckpointDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old bytes.Buffer
+	for _, line := range strings.Fields(string(data)) {
+		var e journalEntry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := gob.NewEncoder(&snap).Encode(struct {
+			Summary   metrics.Summary
+			Detection metrics.DetectionSummary
+			Usage     []protocol.Usage
+			Audit     *invariant.Report
+		}{e.Result.Summary, e.Result.Detection, e.Result.Usage, e.Result.Audit}); err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(map[string]any{
+			"index": e.Index, "label": e.Label, "fingerprint": e.Fingerprint,
+			"digest": e.Result.Audit.Digest, "snapshot": base64.StdEncoding.EncodeToString(snap.Bytes()),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old.WriteString("\n" + string(b) + "\n")
+	}
+	if err := os.WriteFile(journal, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for pass, wantRestored := range []bool{false, true} {
+		out, err := Run(specs, Options{Jobs: 1, CheckpointDir: dir, Resume: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range out {
+			if o.Restored != wantRestored {
+				t.Errorf("resume %d, outcome %d: restored %v, want %v", pass, i, o.Restored, wantRestored)
 			}
 		}
 		for i, d := range mustDigests(t, out) {

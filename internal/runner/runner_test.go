@@ -112,8 +112,8 @@ func TestConcurrentRunsMatchSequential(t *testing.T) {
 		if !reflect.DeepEqual(got.Usage, want.Usage) {
 			t.Errorf("run %d usage accounting diverged", i)
 		}
-		if got.EndedAt != want.EndedAt {
-			t.Errorf("run %d ended at %v, sequential twin at %v", i, got.EndedAt, want.EndedAt)
+		if !reflect.DeepEqual(got.Detections, want.Detections) || !reflect.DeepEqual(got.Sources, want.Sources) {
+			t.Errorf("run %d detections or per-source stats diverged", i)
 		}
 		wantGenerated += int64(want.Summary.Generated)
 	}
