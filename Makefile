@@ -95,8 +95,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzProofMemo -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzDeclineRecord -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzFQRecord -fuzztime=$(FUZZTIME) ./internal/protocol
-	$(GO) test -run='^$$' -fuzz=FuzzFastVerifyMemo -fuzztime=$(FUZZTIME) ./internal/g2gcrypto
-	$(GO) test -run='^$$' -fuzz=FuzzSignMemo -fuzztime=$(FUZZTIME) ./internal/g2gcrypto
+	$(GO) test -run='^$$' -fuzz=FuzzSignMemo -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzVerifyMemo -fuzztime=$(FUZZTIME) ./internal/wire
 
 # Coverage with a per-package floor (COVER_FLOOR percent) over the library
 # packages. The profile lands in cover.out for `go tool cover -html`.

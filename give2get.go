@@ -94,7 +94,8 @@ type SimulationConfig struct {
 	// the paper's 4 seconds.
 	MessageInterval time.Duration
 
-	// Deviants lists the node ids that play the Deviation strategy.
+	// Deviants lists the node ids that play the Deviation strategy, each
+	// once: a repeated id is an error.
 	Deviants []int
 	// Deviation is the deviants' strategy; empty means honest.
 	Deviation Deviation

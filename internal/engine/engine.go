@@ -96,7 +96,8 @@ type Config struct {
 	// engine stops before the next event and returns ErrInterrupted.
 	Context context.Context
 
-	// Deviants lists the nodes that deviate, all with the same deviation.
+	// Deviants lists the nodes that deviate, each once, all with the same
+	// deviation.
 	Deviants []trace.NodeID
 	// Deviation is the deviants' strategy.
 	Deviation protocol.Deviation
@@ -130,9 +131,12 @@ func (c Config) Validate() error {
 	if err := c.Params.Validate(); err != nil {
 		return err
 	}
-	for _, d := range c.Deviants {
+	for i, d := range c.Deviants { // a repeat would skew the detection rate
 		if int(d) < 0 || int(d) >= c.Trace.Nodes() {
 			return fmt.Errorf("engine: deviant %d outside population", d)
+		}
+		if slices.Contains(c.Deviants[:i], d) {
+			return fmt.Errorf("engine: deviant %d listed twice", d)
 		}
 	}
 	return nil

@@ -309,6 +309,26 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigValidateRejectsRepeatedDeviant: the engine runs a deviant set,
+// but the detection rate divides by the list's length, so a list naming a
+// node twice reported the same run at half its rate. Validate refuses the
+// list and names the repeated id.
+func TestConfigValidateRejectsRepeatedDeviant(t *testing.T) {
+	cfg := baseConfig(t, protocol.G2GEpidemic)
+	cfg.Deviants = []trace.NodeID{3, 1}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("distinct deviants refused: %v", err)
+	}
+	cfg.Deviants = []trace.NodeID{3, 1, 3, 1}
+	err := cfg.Validate()
+	if err == nil || err.Error() != "engine: deviant 3 listed twice" {
+		t.Fatalf("Validate = %v, want the repeated deviant 3 named", err)
+	}
+	if _, runErr := Run(cfg); runErr == nil || runErr.Error() != err.Error() {
+		t.Errorf("Run = %v, want %v", runErr, err)
+	}
+}
+
 // TestG2GDelegationNeedsThreeNodes: when a G2G Delegation source meets its
 // destination it asks about a decoy D′ other than both peers (Fig. 6), and
 // on two nodes there is none. Validate must refuse the run up front rather

@@ -10,11 +10,11 @@
 //
 //   - Real: Ed25519 signatures, X25519+AES-GCM hybrid sealing, AES-GCM
 //     payload encryption. Proves the wire protocol is implementable with
-//     real primitives; used by unit tests and the examples.
+//     real primitives; -realcrypto runs and abl-crypto select it.
 //   - Fast: keyed-HMAC "signatures" with per-node secrets derived from one
 //     simulation master secret. Cryptographically meaningless outside a
-//     closed simulation, but ~50x cheaper, which keeps thousand-run
-//     parameter sweeps tractable. An ablation bench quantifies the gap.
+//     closed simulation, but far cheaper, which keeps thousand-run
+//     parameter sweeps tractable. The abl-crypto experiment measures the gap.
 package g2gcrypto
 
 import (
@@ -46,30 +46,12 @@ var (
 type Identity interface {
 	// Node returns the identity's owner.
 	Node() trace.NodeID
-	// Sign produces a signature over data with the node's private key.
-	// Implementations must not retain data: callers may reuse the slice
-	// (wire.Scratch passes a shared encode buffer). Sign(data) is
-	// SignMemo(nil, data).
+	// Sign produces a signature over data with the node's private key,
+	// deterministically (wire.Scratch's memos rely on it). Implementations
+	// must not retain data: callers may reuse the slice.
 	Sign(data []byte) Signature
-	// SignMemo is Sign through a caller-held memo of one earlier signature
-	// (see SignMemo); m may be nil. The returned slice never aliases m.
-	SignMemo(m *SignMemo, data []byte) Signature
 	// Open decrypts a blob sealed for this node with SealFor.
 	Open(box []byte) ([]byte, error)
-}
-
-// SignMemo is a caller-held, one-entry memo of a signature: the signer and
-// the memo's own copies of the signing input and the MAC. The zero value is
-// empty, and only the provider reads or fills it. A caller keeps one where
-// it re-signs the same statement — a protocol node offering one custody copy
-// to every peer of an instant — so the fast provider can answer a repeat
-// from it instead of recomputing the MAC; the real provider ignores it. A
-// memo belongs to one run, like the System. Do not copy a memo once used:
-// the copy would share its input buffer.
-type SignMemo struct {
-	signer *fastIdentity // nil while empty
-	input  []byte
-	mac    [sha256.Size]byte
 }
 
 // System models the deployed PKI: the authority has issued certificates for
@@ -80,7 +62,7 @@ type System interface {
 	Name() string
 	// Nodes returns the registered population size.
 	Nodes() int
-	// Identity returns node n's private identity.
+	// Identity returns node n's private identity, one == value per node.
 	Identity(n trace.NodeID) (Identity, error)
 	// Verify checks that sig is signer's signature over data. Like
 	// Identity.Sign, implementations must not retain data.

@@ -1,7 +1,6 @@
 package g2gcrypto
 
 import (
-	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding"
@@ -27,16 +26,11 @@ import (
 type fastSystem struct {
 	master     [32]byte
 	identities []*fastIdentity
-	// last is a one-entry memo of the most recent signature. Protocols verify
-	// an envelope right after its signer produced it, so most verifies ask
-	// for exactly the MAC the last Sign computed.
-	last SignMemo
 }
 
 type fastIdentity struct {
 	node   trace.NodeID
 	secret [32]byte
-	system *fastSystem
 
 	// signMAC is the persistent HMAC(secret) state for Sign/Verify;
 	// verifyScratch receives recomputed signatures during Verify so
@@ -92,7 +86,6 @@ func NewFast(nodes int, seed int64) (System, error) {
 			node:    trace.NodeID(n),
 			secret:  s.nodeSecret(trace.NodeID(n), "sign"),
 			sealKey: s.nodeSecret(trace.NodeID(n), "seal"),
-			system:  s,
 		}
 		id.signMAC = hmac.New(sha256.New, id.secret[:])
 		id.sealMAC = hmac.New(sha256.New, id.sealKey[:])
@@ -129,9 +122,6 @@ func (s *fastSystem) Verify(signer trace.NodeID, data []byte, sig Signature) boo
 		return false
 	}
 	id := s.identities[signer]
-	if s.last.holds(id, data) {
-		return hmac.Equal(s.last.mac[:], sig)
-	}
 	id.signMAC.Reset()
 	id.signMAC.Write(data)
 	id.verifyScratch = id.signMAC.Sum(id.verifyScratch[:0])
@@ -157,44 +147,16 @@ func (s *fastSystem) SealFor(dest trace.NodeID, plaintext []byte) ([]byte, error
 
 func (id *fastIdentity) Node() trace.NodeID { return id.node }
 
-func (id *fastIdentity) Sign(data []byte) Signature { return id.SignMemo(nil, data) }
-
-// SignMemo answers a repeat of m's input by this identity from m without
-// computing the MAC, and otherwise computes it and refills m. The MAC is a
-// pure function of (secret, input), so both paths return the same bytes,
-// each in a fresh arena slot, and both make the signature the system's last,
-// so the verify that follows hits that memo either way.
-func (id *fastIdentity) SignMemo(m *SignMemo, data []byte) Signature {
+// Sign computes the MAC into a fresh arena slot.
+func (id *fastIdentity) Sign(data []byte) Signature {
 	if cap(id.sigArena)-len(id.sigArena) < sha256.Size {
 		id.sigArena = make([]byte, 0, sigArenaChunk)
 	}
 	start := len(id.sigArena)
-	if m != nil && m.holds(id, data) {
-		id.sigArena = append(id.sigArena, m.mac[:]...)
-	} else {
-		id.signMAC.Reset()
-		id.signMAC.Write(data)
-		id.sigArena = id.signMAC.Sum(id.sigArena)
-		if m != nil {
-			m.fill(id, data, id.sigArena[start:])
-		}
-	}
-	sig := id.sigArena[start:len(id.sigArena):len(id.sigArena)]
-	id.system.last.fill(id, data, sig)
-	return Signature(sig)
-}
-
-// holds reports whether the memo is id's signature over exactly data.
-func (m *SignMemo) holds(id *fastIdentity, data []byte) bool {
-	return m.signer == id && bytes.Equal(m.input, data)
-}
-
-// fill makes the memo id's signature mac over data, copying both, so a
-// caller mutating either afterwards can only make the memo miss.
-func (m *SignMemo) fill(id *fastIdentity, data, mac []byte) {
-	m.signer = id
-	m.input = append(m.input[:0], data...)
-	copy(m.mac[:], mac)
+	id.signMAC.Reset()
+	id.signMAC.Write(data)
+	id.sigArena = id.signMAC.Sum(id.sigArena)
+	return Signature(id.sigArena[start:len(id.sigArena):len(id.sigArena)])
 }
 
 func (id *fastIdentity) Open(box []byte) ([]byte, error) {

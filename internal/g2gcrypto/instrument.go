@@ -1,6 +1,7 @@
 package g2gcrypto
 
 import (
+	"fmt"
 	"time"
 
 	"give2get/internal/obs"
@@ -16,23 +17,30 @@ func Instrument(sys System, st *obs.CryptoStats) System {
 		return sys
 	}
 	st.SetProvider(sys.Name())
-	return &instrumentedSystem{inner: sys, stats: st}
+	return &instrumentedSystem{inner: sys, stats: st, ids: make([]*instrumentedIdentity, sys.Nodes())}
 }
 
 type instrumentedSystem struct {
 	inner System
 	stats *obs.CryptoStats
+	ids   []*instrumentedIdentity // one wrapper per node, made on first use
 }
 
 func (s *instrumentedSystem) Name() string { return s.inner.Name() }
 func (s *instrumentedSystem) Nodes() int   { return s.inner.Nodes() }
 
 func (s *instrumentedSystem) Identity(n trace.NodeID) (Identity, error) {
-	id, err := s.inner.Identity(n)
-	if err != nil {
-		return nil, err
+	if int(n) < 0 || int(n) >= len(s.ids) {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, n)
 	}
-	return &instrumentedIdentity{inner: id, stats: s.stats}, nil
+	if s.ids[n] == nil {
+		id, err := s.inner.Identity(n)
+		if err != nil {
+			return nil, err
+		}
+		s.ids[n] = &instrumentedIdentity{inner: id, stats: s.stats}
+	}
+	return s.ids[n], nil
 }
 
 func (s *instrumentedSystem) Verify(signer trace.NodeID, data []byte, sig Signature) bool {
@@ -66,18 +74,14 @@ type instrumentedIdentity struct {
 
 func (id *instrumentedIdentity) Node() trace.NodeID { return id.inner.Node() }
 
-func (id *instrumentedIdentity) Sign(data []byte) Signature { return id.SignMemo(nil, data) }
-
-// SignMemo counts every call as one signature, memo hit or not: the memo
-// lives below the wrapper, so counts and timings cover what callers asked for.
-func (id *instrumentedIdentity) SignMemo(m *SignMemo, data []byte) Signature {
+func (id *instrumentedIdentity) Sign(data []byte) Signature {
 	if !id.stats.Timed() {
-		sig := id.inner.SignMemo(m, data)
+		sig := id.inner.Sign(data)
 		id.stats.NoteSign(0)
 		return sig
 	}
 	start := time.Now()
-	sig := id.inner.SignMemo(m, data)
+	sig := id.inner.Sign(data)
 	id.stats.NoteSign(time.Since(start))
 	return sig
 }

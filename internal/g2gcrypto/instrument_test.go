@@ -2,6 +2,7 @@ package g2gcrypto
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"give2get/internal/obs"
@@ -25,6 +26,14 @@ func TestInstrumentTransparent(t *testing.T) {
 	id, err := sys.Identity(1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// One wrapper per node, as the System contract requires: wire.Scratch
+	// compares identities to answer a verify from its memo.
+	if again, err := sys.Identity(1); err != nil || again != id {
+		t.Fatalf("second Identity(1) = %v, %v; want the first wrapper", again, err)
+	}
+	if _, err := sys.Identity(4); !errors.Is(err, ErrUnknownNode) {
+		t.Fatalf("Identity(4) of 4 nodes: err = %v, want ErrUnknownNode", err)
 	}
 	data := []byte("payload")
 	sig := id.Sign(data)

@@ -7,8 +7,6 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"testing"
-
-	"give2get/internal/trace"
 )
 
 // referenceHeavyHMAC is the straightforward hmac.New-per-round construction
@@ -122,24 +120,6 @@ func TestFastSignAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestFastSignMemoAllocCeiling: a memo hit copies the memo's MAC into the
-// signature arena, whose one chunk per 32 signatures the whole-number
-// average of AllocsPerRun reports as 0, as for Sign.
-func TestFastSignMemoAllocCeiling(t *testing.T) {
-	_, id := fastProvider(t)
-	data := bytes.Repeat([]byte{0x5A}, 96)
-	var m SignMemo
-	id.SignMemo(&m, data)
-	allocs := testing.AllocsPerRun(200, func() {
-		if len(id.SignMemo(&m, data)) != sha256.Size {
-			t.Fatal("bad signature length")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("fast SignMemo hit: %.1f allocs/op, ceiling 0", allocs)
-	}
-}
-
 func TestFastVerifyAllocCeiling(t *testing.T) {
 	sys, id := fastProvider(t)
 	data := bytes.Repeat([]byte{0x5A}, 96)
@@ -152,257 +132,6 @@ func TestFastVerifyAllocCeiling(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("fast Verify: %.1f allocs/op, ceiling 0", allocs)
 	}
-}
-
-// TestFastVerifyMemo pins the last-signature memo: a hit must answer exactly
-// as a recomputation would, and anything but the same signer over the same
-// bytes must miss. Node 1 signs; hit says whether Verify then finds the memo
-// holding its signer and input, so both paths are exercised.
-func TestFastVerifyMemo(t *testing.T) {
-	data := []byte("RELAY_RQST signing input")
-	cases := []struct {
-		name      string
-		claimed   trace.NodeID // the signer Verify is told
-		flipInput bool         // flip a byte of the verified input
-		flipSig   bool         // flip a byte of the returned signature in place
-		signLater bool         // sign other inputs before verifying
-		hit, want bool
-	}{
-		{name: "verify right after its sign", claimed: 1, hit: true, want: true},
-		{name: "same bytes under another claimed signer", claimed: 2},
-		{name: "one flipped input byte", claimed: 1, flipInput: true},
-		{name: "returned signature flipped in place", claimed: 1, flipSig: true, hit: true},
-		{name: "earlier signature after later signs", claimed: 1, signLater: true, want: true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sys, err := NewFast(4, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			input := append([]byte(nil), data...)
-			sig := mustIdentity(t, sys, 1).Sign(input)
-			if tc.flipInput {
-				input[3] ^= 0x01
-			}
-			if tc.flipSig {
-				sig[0] ^= 0x01
-			}
-			if tc.signLater {
-				mustIdentity(t, sys, 2).Sign([]byte("RELAY_DECLINE"))
-				mustIdentity(t, sys, 1).Sign([]byte("KEY"))
-			}
-			fs := sys.(*fastSystem)
-			if hit := fs.last.holds(fs.identities[tc.claimed], input); hit != tc.hit {
-				t.Fatalf("memo hit = %v, want %v", hit, tc.hit)
-			}
-			if got := sys.Verify(tc.claimed, input, sig); got != tc.want {
-				t.Errorf("Verify = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
-// FuzzFastVerifyMemo checks that a provider that has just signed answers
-// every verify exactly as a fresh provider with the same seed, whose memo is
-// empty, does. mutate%5 picks what the verifier is shown: the signed input
-// unchanged, a flipped input byte, a flipped signature byte (in the returned
-// slice, so the memo must hold its own copy), another claimed signer, or the
-// signature checked after a later sign has replaced the memo.
-func FuzzFastVerifyMemo(f *testing.F) {
-	f.Add(uint8(1), []byte("relay request"), uint8(0), uint16(0))
-	f.Add(uint8(0), []byte{}, uint8(1), uint16(3))
-	f.Add(uint8(3), []byte{0xff, 0x00}, uint8(2), uint16(31))
-	f.Add(uint8(2), []byte("decline"), uint8(3), uint16(1))
-	f.Add(uint8(1), bytes.Repeat([]byte{0x5a}, 200), uint8(4), uint16(7))
-
-	f.Fuzz(func(t *testing.T, signer uint8, input []byte, mutate uint8, pos uint16) {
-		const nodes = 4
-		sys, err := NewFast(nodes, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := NewFast(nodes, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		who := trace.NodeID(signer % nodes)
-		input = append([]byte(nil), input...)
-		sig := mustIdentity(t, sys, who).Sign(input)
-		claimed := who
-		switch mutate % 5 {
-		case 1:
-			if len(input) == 0 {
-				input = append(input, 0)
-			} else {
-				input[int(pos)%len(input)] ^= 0x01
-			}
-		case 2:
-			sig[int(pos)%len(sig)] ^= 0x01
-		case 3:
-			claimed = (who + 1 + trace.NodeID(pos%(nodes-1))) % nodes
-		case 4:
-			mustIdentity(t, sys, (who+1)%nodes).Sign(append(input, 0))
-		}
-		got := sys.Verify(claimed, input, sig)
-		if want := fresh.Verify(claimed, input, sig); got != want {
-			t.Fatalf("mutation %d: memo Verify = %v, fresh provider = %v", mutate%5, got, want)
-		}
-		if honest := mutate%5 == 0 || mutate%5 == 4; got != honest {
-			t.Fatalf("mutation %d: Verify = %v, want %v", mutate%5, got, honest)
-		}
-	})
-}
-
-// TestSignMemo pins the caller-held signature memo: a repeat by the same
-// identity over byte-equal input answers from the memo, anything else
-// recomputes and refills it, and every answer equals a fresh provider's.
-// Node 1 fills the memo over a copy of base (unless empty), then the signer
-// signs input, or that very copy with one byte flipped in place; hit says
-// whether the memo holds that identity and input beforehand, so both paths
-// are exercised.
-func TestSignMemo(t *testing.T) {
-	base := []byte("FQ_RESP signing input")
-	cases := []struct {
-		name     string
-		empty    bool // leave the memo at its zero value
-		flipHit  bool // flip the slice an earlier hit returned, in place
-		flipFill bool // sign the slice the memo was filled from, one byte flipped
-		signer   trace.NodeID
-		input    []byte
-		hit      bool
-	}{
-		{name: "repeat", signer: 1, input: base, hit: true},
-		{name: "one flipped input byte", signer: 1, flipFill: true},
-		{name: "different input length", signer: 1, input: base[:len(base)-1]},
-		{name: "input longer than the memo buffer", signer: 1,
-			input: append(append([]byte(nil), base...), bytes.Repeat([]byte{0xA5}, 200)...)},
-		{name: "memo filled by another identity", signer: 2, input: base},
-		{name: "returned signature flipped after a hit", flipHit: true, signer: 1, input: base, hit: true},
-		{name: "zero memo over empty input", empty: true, signer: 1, input: []byte{}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sys, err := NewFast(4, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh, err := NewFast(4, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var m SignMemo
-			filled := append([]byte(nil), base...)
-			if !tc.empty {
-				mustIdentity(t, sys, 1).SignMemo(&m, filled)
-			}
-			input := tc.input
-			if tc.flipFill {
-				filled[4] ^= 0x01
-				input = filled
-			}
-			if tc.flipHit {
-				sig := mustIdentity(t, sys, 1).SignMemo(&m, base)
-				sig[0] ^= 0x01
-			}
-			// Another signature takes over the last-signature memo, so the
-			// verify below hits it only if the memo sign refreshed it.
-			mustIdentity(t, sys, 3).Sign([]byte("RELAY_OK"))
-
-			fs := sys.(*fastSystem)
-			id := fs.identities[tc.signer]
-			if hit := m.holds(id, input); hit != tc.hit {
-				t.Fatalf("memo hit = %v, want %v", hit, tc.hit)
-			}
-			sig := id.SignMemo(&m, input)
-			if want := mustIdentity(t, fresh, tc.signer).Sign(input); !bytes.Equal(sig, want) {
-				t.Fatalf("SignMemo = %x, fresh provider signs %x", sig, want)
-			}
-			if !m.holds(id, input) {
-				t.Error("memo does not hold the signature it just returned")
-			}
-			if !fs.last.holds(id, input) {
-				t.Error("the sign did not refresh the last-signature memo")
-			}
-			if !sys.Verify(tc.signer, input, sig) {
-				t.Error("Verify rejected the memo signature")
-			}
-		})
-	}
-}
-
-// FuzzSignMemo checks that signing through a memo answers exactly as a fresh
-// provider with the same seed, whose memos are empty, does. Node who fills
-// the memo over input; mutate%6 then picks the next sign through it: the
-// same bytes, a byte flipped in the caller's slice (so the memo must hold
-// its own copy of the input), a shorter input, an input longer than the
-// memo's buffer, another signer, or the same bytes after the caller flipped
-// the signature a hit returned (so the memo must hold its own MAC).
-func FuzzSignMemo(f *testing.F) {
-	f.Add(uint8(1), []byte("relay request"), uint8(0), uint16(0))
-	f.Add(uint8(0), []byte{}, uint8(1), uint16(3))
-	f.Add(uint8(3), []byte{0xff, 0x00}, uint8(2), uint16(31))
-	f.Add(uint8(2), []byte("decline"), uint8(3), uint16(1))
-	f.Add(uint8(1), bytes.Repeat([]byte{0x5a}, 200), uint8(4), uint16(7))
-	f.Add(uint8(2), []byte("fq response"), uint8(5), uint16(9))
-	f.Add(uint8(1), []byte("fq request"), uint8(1), uint16(5))
-
-	f.Fuzz(func(t *testing.T, signer uint8, input []byte, mutate uint8, pos uint16) {
-		const nodes = 4
-		sys, err := NewFast(nodes, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := NewFast(nodes, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		who := trace.NodeID(signer % nodes)
-		input = append([]byte(nil), input...)
-		var m SignMemo
-		first := mustIdentity(t, sys, who).SignMemo(&m, input)
-		if want := mustIdentity(t, fresh, who).Sign(input); !bytes.Equal(first, want) {
-			t.Fatalf("first SignMemo = %x, fresh provider signs %x", first, want)
-		}
-		next := who
-		switch mutate % 6 {
-		case 1:
-			if len(input) == 0 {
-				input = append(input, 0)
-			} else {
-				input[int(pos)%len(input)] ^= 0x01
-			}
-		case 2:
-			input = input[:len(input)/2]
-		case 3:
-			input = append(input, bytes.Repeat([]byte{byte(pos)}, 1+int(pos%300))...)
-		case 4:
-			next = (who + 1 + trace.NodeID(pos%(nodes-1))) % nodes
-		case 5:
-			hit := mustIdentity(t, sys, who).SignMemo(&m, input)
-			hit[int(pos)%len(hit)] ^= 0x01
-		}
-		want := mustIdentity(t, fresh, next).Sign(input)
-		for i := 0; i < 2; i++ { // the second sign is a repeat of the first
-			got := mustIdentity(t, sys, next).SignMemo(&m, input)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("mutation %d, sign %d: SignMemo = %x, fresh provider signs %x", mutate%6, i, got, want)
-			}
-			if !sys.Verify(next, input, got) {
-				t.Fatalf("mutation %d, sign %d: Verify rejected the signature", mutate%6, i)
-			}
-		}
-	})
-}
-
-// mustIdentity returns node n's identity from sys.
-func mustIdentity(t *testing.T, sys System, n trace.NodeID) Identity {
-	t.Helper()
-	id, err := sys.Identity(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return id
 }
 
 func TestFastSealOpenAllocCeilings(t *testing.T) {

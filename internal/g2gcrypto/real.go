@@ -133,9 +133,6 @@ func (id *realIdentity) Sign(data []byte) Signature {
 	return ed25519.Sign(id.signKey, data)
 }
 
-// SignMemo implements Identity. Ed25519 signing takes no memo.
-func (id *realIdentity) SignMemo(_ *SignMemo, data []byte) Signature { return id.Sign(data) }
-
 func (id *realIdentity) Open(box []byte) ([]byte, error) {
 	curve := ecdh.X25519()
 	const pubLen = 32

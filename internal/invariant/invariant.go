@@ -184,6 +184,8 @@ type pendingFailure struct {
 type Auditor struct {
 	mu  sync.Mutex
 	cfg Config
+	// scratch never signs, so every re-verification reaches the provider.
+	scratch wire.Scratch
 
 	msgs map[g2gcrypto.Digest]*msgState
 
@@ -496,7 +498,7 @@ func (a *Auditor) RelayProven(por wire.Signed, at sim.Time) {
 		return
 	}
 	m := a.msgs[body.Hash]
-	if !por.Verify(a.cfg.Sys) {
+	if !a.scratch.Verify(a.cfg.Sys, por) {
 		a.violate(RuleBadPoR, m, body.Hash, at,
 			"PoR %d→%d does not verify", body.From, body.To)
 	}
@@ -524,11 +526,11 @@ func (a *Auditor) MisbehaviorReported(pom wire.Signed, at sim.Time) {
 		a.violate(RuleBadPoM, nil, g2gcrypto.Digest{}, at, "PoM carries a %T body", pom.Body)
 		return
 	}
-	if !pom.Verify(a.cfg.Sys) {
+	if !a.scratch.Verify(a.cfg.Sys, pom) {
 		a.violate(RuleBadPoM, nil, g2gcrypto.Digest{}, at,
 			"PoM against %d has an invalid envelope", body.Accused)
 	}
-	if !body.ValidEvidence(a.cfg.Sys) {
+	if !body.ValidEvidence(&a.scratch, a.cfg.Sys) {
 		a.violate(RuleBadPoM, nil, g2gcrypto.Digest{}, at,
 			"PoM against %d has invalid evidence", body.Accused)
 	}

@@ -58,7 +58,7 @@ type delegation struct {
 	// fqResp memoizes, per D′, this node's last FQ_RESP about it. The reply
 	// names neither the requester nor the message, so every peer asking
 	// about one D′ at one instant is answered with the same signed bytes.
-	fqResp map[trace.NodeID]*g2gcrypto.SignMemo
+	fqResp map[trace.NodeID]*wire.SignMemo
 	// claim is the FQ_RESP this node issued in the exchange under way, so
 	// the PoR it signs moments later is consistent with it. It answers only
 	// the RELAY of that exchange: the requester's relayOne drops it on
@@ -137,7 +137,7 @@ type g2gCustody struct {
 // repeat is answered from the record only while the peer's answer,
 // recomputed, is the recorded one (see exchangeFQ).
 type offerRecord struct {
-	rqst     g2gcrypto.SignMemo
+	rqst     wire.SignMemo
 	body     wire.Body
 	at       sim.Time
 	declined []trace.NodeID
@@ -249,7 +249,7 @@ func newG2GNode(env *Env, self g2gcrypto.Identity, behavior Behavior, kind Kind)
 	if kind.IsDelegation() {
 		n.del = &delegation{
 			quality: newQualityTable(env.Params.QualityFrame),
-			fqResp:  make(map[trace.NodeID]*g2gcrypto.SignMemo),
+			fqResp:  make(map[trace.NodeID]*wire.SignMemo),
 			audited: make(map[auditKey]struct{}),
 		}
 	}
@@ -599,45 +599,33 @@ func (n *g2gNode) requestRelay(now sim.Time, c *g2gCustody, other *g2gNode) (ter
 }
 
 // replay charges a recorded exchange again, exactly as the full one costs:
-// each node signs one envelope and verifies the other's, the wire carries
-// the request and the answer (of kind answer) at their recorded sizes, and
-// the crypto telemetry (the stats the engine instruments the System with)
-// counts two signatures and two verifications. Like a memo hit it takes no
-// time: the paper's cost model owes every statement, not the simulator's
-// work.
+// this node signs the request, at its recorded size, and the peer verifies
+// it; the peer signs the answer, of kind answer at its recorded size, and
+// this node verifies it.
 func (n *g2gNode) replay(o *offerRecord, answer wire.Kind, other *g2gNode) {
-	n.noteSign()
-	n.noteVerify()
-	other.noteSign()
-	other.noteVerify()
-	n.env.stats.NoteWire(uint8(o.body.Kind()), int(o.rqstSize))
-	n.env.stats.NoteWire(uint8(answer), int(o.answerSize))
-	for range 2 {
-		n.env.crypto.NoteSign(0)
-		n.env.crypto.NoteVerify(0)
-	}
+	n.chargeSigned(o.body.Kind(), int(o.rqstSize))
+	other.chargeVerified()
+	other.chargeSigned(answer, int(o.answerSize))
+	n.chargeVerified()
 }
 
 // chargeRefusedRelay charges the RELAY of c to a peer that holds the
 // message, which the peer refuses (handleRelayTransfer), exactly as
 // building it costs, without building it: the session key and the
-// payload's nonce drawn from the RNG, this node's signature, the RELAY on
-// the wire at the size the built envelope has, and the peer's verification
-// before it refuses. Encrypting the payload is no signed statement and no
-// wire message, so it is not charged. Like a memo hit this takes no time.
+// payload's nonce drawn from the RNG, this node's signature with the RELAY
+// on the wire at the size the built envelope has, and the peer's
+// verification before it refuses. Encrypting the payload is no signed
+// statement and no wire message, so it is not charged.
 func (n *g2gNode) chargeRefusedRelay(c *g2gCustody, t terms, other *g2gNode) {
 	newSessionKey(n.env.RNG)
 	var nonce [g2gcrypto.PayloadNonceSize]byte
 	n.env.RNG.Bytes(nonce[:])
-	n.noteSign()
-	other.noteVerify()
 	// An envelope's size grows byte for byte with its ciphertext and its
 	// signature, so it is sized without both and they are added.
 	size := wire.SizeOf(wire.Signed{Body: wire.RelayTransfer{Attachments: t.attachments}}) +
 		g2gcrypto.EncryptedSize(len(c.raw)) + t.sigLen
-	n.env.stats.NoteWire(uint8(wire.KindRelayTransfer), size)
-	n.env.crypto.NoteSign(0)
-	n.env.crypto.NoteVerify(0)
+	n.chargeSigned(wire.KindRelayTransfer, size)
+	other.chargeVerified()
 }
 
 // holds reports whether this node holds message h. Such a node declines a
@@ -723,7 +711,7 @@ func (n *g2gNode) exchangeFQ(now sim.Time, h g2gcrypto.Digest, dPrime trace.Node
 	n.env.spans.Enter(obs.SpanDecide)
 	defer n.env.spans.Exit()
 	var body wire.Body
-	var rqst *g2gcrypto.SignMemo
+	var rqst *wire.SignMemo
 	if o == nil {
 		body = wire.FQRequest{Hash: h, DPrime: dPrime}
 	} else {
@@ -775,7 +763,7 @@ func (n *g2gNode) handleFQRequest(now sim.Time, req wire.Signed) (wire.Signed, b
 	d.claim = fqClaim{hash: body.Hash, requester: req.Signer, resp: resp, valid: true}
 	memo := d.fqResp[body.DPrime]
 	if memo == nil {
-		memo = new(g2gcrypto.SignMemo)
+		memo = new(wire.SignMemo)
 		d.fqResp[body.DPrime] = memo
 	}
 	return n.signedMemo(now, resp, memo), true

@@ -64,17 +64,21 @@ func (s countingSystem) Verify(signer trace.NodeID, data []byte, sig g2gcrypto.S
 	return s.System.Verify(signer, data, sig)
 }
 
+// countingIdentity is comparable, as the System contract requires: two
+// wrappers of one identity counting into one log are equal.
 type countingIdentity struct {
 	g2gcrypto.Identity
 	calls *providerCalls
 }
 
-func (id countingIdentity) Sign(data []byte) g2gcrypto.Signature { return id.SignMemo(nil, data) }
-
-func (id countingIdentity) SignMemo(m *g2gcrypto.SignMemo, data []byte) g2gcrypto.Signature {
+func (id countingIdentity) Sign(data []byte) g2gcrypto.Signature {
 	id.calls.signs[wire.Kind(data[0])]++
-	return id.Identity.SignMemo(m, data)
+	return id.Identity.Sign(data)
 }
+
+// provider makes a crypto system for a population from a seed, as
+// g2gcrypto.NewFast and NewReal do.
+type provider func(nodes int, seed int64) (g2gcrypto.System, error)
 
 // newMeteredWorld is newWorld with a telemetry registry attached as the
 // engine attaches one: the System instrumented with the registry's crypto
@@ -84,11 +88,19 @@ func newMeteredWorld(t *testing.T, kind Kind, population int, params Params,
 	behaviors map[trace.NodeID]Behavior) (*world, *obs.Metrics, *providerCalls) {
 
 	t.Helper()
-	fast, err := g2gcrypto.NewFast(population, 7)
+	return newMeteredWorldBy(t, g2gcrypto.NewFast, kind, population, params, behaviors)
+}
+
+// newMeteredWorldBy is newMeteredWorld on the system newSys sets up.
+func newMeteredWorldBy(t *testing.T, newSys provider, kind Kind, population int, params Params,
+	behaviors map[trace.NodeID]Behavior) (*world, *obs.Metrics, *providerCalls) {
+
+	t.Helper()
+	sys, err := newSys(population, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newMeteredWorldOn(t, fast, kind, params, behaviors)
+	return newMeteredWorldOn(t, sys, kind, params, behaviors)
 }
 
 // newMeteredWorldOn is newMeteredWorld over the crypto system sys.
@@ -185,8 +197,8 @@ func (l ledger) minus(before ledger) ledger {
 // the provider not once, yet charge every node, the wire and the crypto
 // counters exactly what the first run did. One second later is a new
 // instant: both meetings reach the provider again exactly as they first did.
-func checkDeclineRecord(t *testing.T) {
-	w, m, calls := newMeteredWorld(t, G2GEpidemic, 7, testParams(), nil)
+func checkDeclineRecord(t *testing.T, newSys provider) {
+	w, m, calls := newMeteredWorldBy(t, newSys, G2GEpidemic, 7, testParams(), nil)
 	w.generate(0, 0, 3)
 	w.generate(0, 1, 4)
 	w.generate(0, 2, 5)
@@ -198,14 +210,9 @@ func checkDeclineRecord(t *testing.T) {
 			t.Fatalf("node %d holds %d messages after the setup, want 3", n.ID(), got)
 		}
 	}
-	log := newMemoLog()
-	for _, n := range w.nodes {
-		n.(*g2gNode).spyOnSigns(log)
-	}
 	replicated := len(w.rec.replicated)
 	meet := func(at sim.Time, peer trace.NodeID) (ledger, providerCalls) {
 		t.Helper()
-		log.reset()
 		calls.reset()
 		before := takeLedger(w, m)
 		w.meet(at, 0, peer)
@@ -213,15 +220,20 @@ func checkDeclineRecord(t *testing.T) {
 	}
 	rqst, decline := wire.KindRelayRequest.String(), wire.KindRelayDecline.String()
 
-	// declined checks that a meeting exchanged only declined offers, each
-	// signed at the provider.
-	declined := func(name string, l ledger, calls providerCalls, offers int) {
+	// declined checks that a meeting exchanged only declined offers, of
+	// whose RELAY_RQSTs the memos answered rqstHits; every RELAY_DECLINE is
+	// signed at the provider, and no verify reaches it.
+	declined := func(name string, l ledger, calls providerCalls, offers, rqstHits int) {
 		t.Helper()
 		if len(l.wire) != 2 || l.wire[rqst].Count != int64(offers) || l.wire[decline].Count != int64(offers) {
 			t.Fatalf("%s sent %v, want %d declined offers", name, l.wire, offers)
 		}
-		if calls.signs[wire.KindRelayRequest] != offers || calls.signs[wire.KindRelayDecline] != offers {
-			t.Fatalf("%s signed %v at the provider, want %d RELAY_RQST and RELAY_DECLINE", name, calls.signs, offers)
+		if calls.signs[wire.KindRelayRequest] != offers-rqstHits || calls.signs[wire.KindRelayDecline] != offers {
+			t.Fatalf("%s signed %v at the provider, want %d RELAY_RQST and %d RELAY_DECLINE",
+				name, calls.signs, offers-rqstHits, offers)
+		}
+		if len(calls.verifies) != 0 {
+			t.Fatalf("%s verified %v at the provider, want none", name, calls.verifies)
 		}
 	}
 
@@ -229,15 +241,11 @@ func checkDeclineRecord(t *testing.T) {
 	// offers the other the two messages it did not hand over itself.
 	at := 2 * sim.Minute
 	first, firstCalls := meet(at, 1)
-	declined("first meeting", first, firstCalls, 4)
+	declined("first meeting", first, firstCalls, 4, 0)
 	// Node 0 offers node 2 only node 2's own message, which it offered node
 	// 1 moments before; node 2 offers node 0 its copies of messages 0 and 1.
 	second, secondCalls := meet(at, 2)
-	declined("second peer at the same instant", second, secondCalls, 3)
-	if log.hits[wire.KindRelayRequest] != 1 || log.misses[wire.KindRelayRequest] != 2 {
-		t.Errorf("second peer: RELAY_RQST memo hits %d, misses %d; want node 0's one to hit, node 2's two to miss",
-			log.hits[wire.KindRelayRequest], log.misses[wire.KindRelayRequest])
-	}
+	declined("second peer at the same instant", second, secondCalls, 3, 1)
 
 	rerun, rerunCalls := meet(at, 1)
 	if rerunCalls.total() != 0 {
@@ -248,21 +256,17 @@ func checkDeclineRecord(t *testing.T) {
 	}
 
 	for _, pass := range []struct {
-		peer        trace.NodeID
-		want        ledger
-		wantCalls   providerCalls
-		wantRqstHit int
+		peer      trace.NodeID
+		want      ledger
+		wantCalls providerCalls
 	}{
-		{1, first, firstCalls, 0},
-		{2, second, secondCalls, 1},
+		{1, first, firstCalls},
+		{2, second, secondCalls},
 	} {
 		got, gotCalls := meet(at+sim.Second, pass.peer)
 		if !reflect.DeepEqual(gotCalls, pass.wantCalls) || !reflect.DeepEqual(got, pass.want) {
 			t.Errorf("one second later, peer %d: provider %+v and charges %+v; want %+v and %+v",
 				pass.peer, gotCalls, got, pass.wantCalls, pass.want)
-		}
-		if hits := log.hits[wire.KindRelayRequest]; hits != pass.wantRqstHit {
-			t.Errorf("one second later, peer %d: %d RELAY_RQST memo hits, want %d", pass.peer, hits, pass.wantRqstHit)
 		}
 	}
 	if len(w.rec.replicated) != replicated {
@@ -280,8 +284,8 @@ func checkDeclineRecord(t *testing.T) {
 // so is an exchange about a decoy repeated at one instant: node 0 offers
 // node 3 its copy of node 3's message, which node 3 already holds, so the
 // RELAY is refused and the offer repeats, each time about a fresh decoy.
-func checkFQRecord(t *testing.T) {
-	w, m, calls := newMeteredWorld(t, G2GDelegationFrequency, 8, testParams(), nil)
+func checkFQRecord(t *testing.T, newSys provider) {
+	w, m, calls := newMeteredWorldBy(t, newSys, G2GDelegationFrequency, 8, testParams(), nil)
 	for i, q := range []struct {
 		node, dest trace.NodeID
 		n          int
@@ -296,26 +300,27 @@ func checkFQRecord(t *testing.T) {
 	if len(w.rec.replicated) != 1 {
 		t.Fatalf("setup made %d handoffs, want 1", len(w.rec.replicated))
 	}
-	log := newMemoLog()
-	for _, n := range w.nodes {
-		n.(*g2gNode).spyOnSigns(log)
-	}
 	meet := func(at sim.Time, a, b trace.NodeID) (ledger, providerCalls) {
 		t.Helper()
-		log.reset()
 		calls.reset()
 		before := takeLedger(w, m)
 		w.meet(at, a, b)
 		return takeLedger(w, m).minus(before), calls.clone()
 	}
-	exchanged := func(name string, l ledger, calls providerCalls, n int) {
+	// exchanged checks that a meeting made n FQ exchanges, of whose FQ_RQSTs
+	// the memos answered rqstHits; every FQ_RESP is signed at the provider,
+	// and no verify reaches it.
+	exchanged := func(name string, l ledger, calls providerCalls, n, rqstHits int) {
 		t.Helper()
 		rqst, resp := wire.KindFQRequest.String(), wire.KindFQResponse.String()
 		if len(l.wire) != 2 || l.wire[rqst].Count != int64(n) || l.wire[resp].Count != int64(n) {
 			t.Fatalf("%s sent %v, want %d FQ exchanges", name, l.wire, n)
 		}
-		if calls.signs[wire.KindFQRequest] != n || calls.signs[wire.KindFQResponse] != n {
-			t.Fatalf("%s signed %v at the provider, want %d FQ_RQST and FQ_RESP", name, calls.signs, n)
+		if calls.signs[wire.KindFQRequest] != n-rqstHits || calls.signs[wire.KindFQResponse] != n {
+			t.Fatalf("%s signed %v at the provider, want %d FQ_RQST and %d FQ_RESP", name, calls.signs, n-rqstHits, n)
+		}
+		if len(calls.verifies) != 0 {
+			t.Fatalf("%s verified %v at the provider, want none", name, calls.verifies)
 		}
 	}
 	replicated := len(w.rec.replicated)
@@ -323,7 +328,7 @@ func checkFQRecord(t *testing.T) {
 	// Each node offers the other its two messages, and neither qualifies.
 	at := frame1 + sim.Minute
 	first, firstCalls := meet(at, 0, 1)
-	exchanged("first meeting", first, firstCalls, 4)
+	exchanged("first meeting", first, firstCalls, 4, 0)
 
 	rerun, rerunCalls := meet(at, 0, 1)
 	if rerunCalls.total() != 0 {
@@ -336,18 +341,12 @@ func checkFQRecord(t *testing.T) {
 	// Node 0 offers node 2 the two copies it offered node 1 moments before:
 	// both FQ_RQSTs hit their memos, and node 2 answers afresh.
 	second, secondCalls := meet(at, 0, 2)
-	exchanged("second peer at the same instant", second, secondCalls, 2)
-	if log.hits[wire.KindFQRequest] != 2 {
-		t.Errorf("second peer: %d FQ_RQST memo hits, want 2", log.hits[wire.KindFQRequest])
-	}
+	exchanged("second peer at the same instant", second, secondCalls, 2, 2)
 
 	later, laterCalls := meet(at+sim.Second, 0, 1)
 	if !reflect.DeepEqual(laterCalls, firstCalls) || !reflect.DeepEqual(later, first) {
 		t.Errorf("one second later: provider %+v and charges %+v; want %+v and %+v",
 			laterCalls, later, firstCalls, first)
-	}
-	if hits := log.hits[wire.KindFQRequest]; hits != 0 {
-		t.Errorf("one second later: %d FQ_RQST memo hits, want 0", hits)
 	}
 	if len(w.rec.replicated) != replicated {
 		t.Fatal("a copy changed hands; the meetings no longer repeat one exchange")
@@ -355,29 +354,34 @@ func checkFQRecord(t *testing.T) {
 
 	// Node 7 delivers node 3's message. Then node 0's offer of its own copy
 	// asks node 3 about a decoy, and node 3 refuses the RELAY; the offer of
-	// node 5's message goes through the record.
+	// node 5's message, at a new instant, is exchanged in full.
 	at += 2 * sim.Second
 	w.meet(at, 7, 3)
 	if len(w.rec.delivered) != 1 {
 		t.Fatal("node 7 did not deliver node 3's message")
 	}
 	replicated = len(w.rec.replicated)
-	decoy, _ := meet(at, 0, 3)
-	if decoy.wire[wire.KindRelayTransfer.String()].Count != 1 || log.bare[wire.KindFQRequest] != 1 {
-		t.Fatalf("decoy exchange sent %v with %d FQ_RQSTs signed without a memo, want one RELAY and one",
-			decoy.wire, log.bare[wire.KindFQRequest])
+	// A decoy differs every time, so its FQ_RQST never hits a memo; node
+	// 3's FQ_RESP about it hits only where node 3 answered about that decoy
+	// before at this instant, as it may have for node 7's delivery.
+	decoy, decoyCalls := meet(at, 0, 3)
+	if decoy.wire[wire.KindRelayTransfer.String()].Count != 1 || decoy.wire[wire.KindFQRequest.String()].Count != 2 {
+		t.Fatalf("decoy exchange sent %v, want one RELAY and two FQ_RQSTs", decoy.wire)
 	}
+	if decoyCalls.signs[wire.KindFQRequest] != 2 || decoyCalls.signs[wire.KindFQResponse] < 1 ||
+		decoyCalls.signs[wire.KindRelayTransfer] != 0 || len(decoyCalls.verifies) != 0 {
+		t.Fatalf("decoy exchange reached the provider with signs %v, verifies %v; want two FQ_RQSTs, one or two FQ_RESPs, no RELAY and no verify",
+			decoyCalls.signs, decoyCalls.verifies)
+	}
+	// The offer of node 5's message now goes through the record; the decoy
+	// exchange does not.
 	again, againCalls := meet(at, 0, 3)
 	if !reflect.DeepEqual(again, decoy) {
 		t.Errorf("repeated decoy exchange charged\n  %+v\nwant the first one's\n  %+v", again, decoy)
 	}
-	want := map[wire.Kind]int{wire.KindFQRequest: 1, wire.KindFQResponse: 1}
-	if !reflect.DeepEqual(againCalls.signs, want) || !reflect.DeepEqual(againCalls.verifies, want) {
-		t.Errorf("repeated decoy exchange reached the provider with signs %v, verifies %v; want %v each",
-			againCalls.signs, againCalls.verifies, want)
-	}
-	if log.bare[wire.KindFQRequest] != 1 {
-		t.Errorf("repeated decoy exchange: %d FQ_RQSTs signed without a memo, want 1", log.bare[wire.KindFQRequest])
+	if againCalls.signs[wire.KindFQRequest] != 1 || againCalls.signs[wire.KindFQResponse] > 1 || len(againCalls.verifies) != 0 {
+		t.Errorf("repeated decoy exchange reached the provider with signs %v, verifies %v; want one FQ_RQST, at most one FQ_RESP and no verify",
+			againCalls.signs, againCalls.verifies)
 	}
 	if len(w.rec.replicated) != replicated {
 		t.Fatal("node 3 took a message it holds")
@@ -386,18 +390,25 @@ func checkFQRecord(t *testing.T) {
 
 // TestOfferRecordSkipsAcceptedOffers pins that only a decline is recorded:
 // a repeat of an offer the peer accepted, at the same instant, is exchanged
-// in full and accepted again (a handoff can fail after the RELAY_OK).
+// in full and accepted again (a handoff can fail after the RELAY_OK). Its
+// RELAY_RQST repeats the bytes just signed, so the request memo answers it;
+// the peer signs its RELAY_OK afresh.
 func TestOfferRecordSkipsAcceptedOffers(t *testing.T) {
-	w, _, calls := newMeteredWorld(t, G2GEpidemic, 4, testParams(), nil)
+	w, m, calls := newMeteredWorld(t, G2GEpidemic, 4, testParams(), nil)
 	h := w.generate(0, 0, 3)
 	a, b := w.nodes[0].(*g2gNode), w.nodes[1].(*g2gNode)
-	for i := 0; i < 2; i++ {
+	for i, rqstSigns := range []int{1, 0} {
 		calls.reset()
+		before := takeLedger(w, m)
 		if _, ok := a.requestRelay(sim.Minute, a.custody[h], b); !ok {
 			t.Fatalf("offer %d of an unseen message declined", i)
 		}
-		if calls.signs[wire.KindRelayRequest] != 1 || calls.signs[wire.KindRelayOK] != 1 {
-			t.Fatalf("offer %d reached the provider with %v, want one RELAY_RQST and one RELAY_OK", i, calls.signs)
+		l := takeLedger(w, m).minus(before)
+		if l.wire[wire.KindRelayRequest.String()].Count != 1 || l.wire[wire.KindRelayOK.String()].Count != 1 {
+			t.Fatalf("offer %d sent %v, want one RELAY_RQST and one RELAY_OK", i, l.wire)
+		}
+		if calls.signs[wire.KindRelayRequest] != rqstSigns || calls.signs[wire.KindRelayOK] != 1 {
+			t.Fatalf("offer %d reached the provider with %v, want %d RELAY_RQST and one RELAY_OK", i, calls.signs, rqstSigns)
 		}
 	}
 }

@@ -290,9 +290,9 @@ type Env struct {
 	// unit-test Envs) disables region profiling at the cost of a pointer test.
 	spans *obs.SpanRecorder
 
-	// wireScratch is the run-wide signing-input buffer. An Env serves
-	// exactly one single-threaded run, so one scratch is enough for every
-	// node's sign/verify traffic.
+	// wireScratch is the run-wide signing-input buffer and signature memo.
+	// An Env serves exactly one single-threaded run, so one scratch is
+	// enough for every node's sign/verify traffic.
 	wireScratch wire.Scratch
 
 	// hmacScratch holds the run's reusable heavy-HMAC hash states, and proof
@@ -330,14 +330,16 @@ type pomVerdict struct {
 // instant, so the cache is cleared wholesale when it grows past this.
 const pomCacheLimit = 1024
 
-// SetMetrics attaches the run's telemetry registry to the environment and
-// teaches it the wire-kind names for snapshots. A nil registry detaches.
+// SetMetrics attaches the run's telemetry registry to the environment,
+// signature memo hits included, and teaches it the wire-kind names for
+// snapshots. A nil registry detaches.
 func (e *Env) SetMetrics(m *obs.Metrics) {
 	e.stats, e.crypto = nil, nil
 	if m != nil {
 		e.stats, e.crypto = &m.Protocol, &m.Crypto
 		m.Protocol.SetKindNamer(func(k uint8) string { return wire.Kind(k).String() })
 	}
+	e.wireScratch.Stats = e.crypto
 }
 
 // SetSpans attaches a span recorder to the environment, enabling per-region
@@ -384,8 +386,8 @@ func (e *Env) validatePoM(pom wire.Signed) (trace.NodeID, bool) {
 		return v.accused, v.ok
 	}
 	var v pomVerdict
-	if pom.Verify(e.Sys) {
-		if body, ok := pom.Body.(wire.Misbehavior); ok && body.ValidEvidence(e.Sys) {
+	if e.wireScratch.Verify(e.Sys, pom) {
+		if body, ok := pom.Body.(wire.Misbehavior); ok && body.ValidEvidence(&e.wireScratch, e.Sys) {
 			v = pomVerdict{accused: body.Accused, ok: true}
 		}
 	}
@@ -483,9 +485,9 @@ func (b *base) signed(at sim.Time, body wire.Body) wire.Signed {
 }
 
 // signedMemo is signed through a memo the caller keeps where the node
-// re-signs one statement (see g2gcrypto.SignMemo). A memo hit is accounted
+// re-signs one statement (see wire.SignMemo). A memo hit is accounted
 // exactly like a fresh signature: the paper's cost model owes every one.
-func (b *base) signedMemo(at sim.Time, body wire.Body, m *g2gcrypto.SignMemo) wire.Signed {
+func (b *base) signedMemo(at sim.Time, body wire.Body, m *wire.SignMemo) wire.Signed {
 	b.noteSign()
 	s := b.env.wireScratch.SignMemo(b.self, m, at, body)
 	b.env.stats.NoteWire(uint8(body.Kind()), wire.SizeOf(s))
@@ -512,6 +514,22 @@ func (b *base) noteQualityUpdate()     { b.env.stats.NoteQualityUpdate() }
 func (b *base) verified(s wire.Signed) bool {
 	b.noteVerify()
 	return b.env.wireScratch.Verify(b.env.Sys, s)
+}
+
+// chargeSigned charges a statement of kind and size this node signs without
+// building it: usage, wire and one crypto sign. Like a memo hit it takes no
+// time: the paper's cost model owes every statement, not the simulator's
+// work.
+func (b *base) chargeSigned(kind wire.Kind, size int) {
+	b.noteSign()
+	b.env.stats.NoteWire(uint8(kind), size)
+	b.env.crypto.NoteSign(0)
+}
+
+// chargeVerified charges a verification this node skips: usage and crypto.
+func (b *base) chargeVerified() {
+	b.noteVerify()
+	b.env.crypto.NoteVerify(0)
 }
 
 func newBase(env *Env, self g2gcrypto.Identity, behavior Behavior, kind Kind) base {
@@ -581,7 +599,7 @@ func (b *base) reportMisbehavior(now sim.Time, accused trace.NodeID, reason wire
 	// broadcast stays outside it, so each receiver's acceptPoM opens its own.
 	b.env.spans.Enter(obs.SpanPoM)
 	body := wire.Misbehavior{Accused: accused, Reason: reason, Evidence: evidence}
-	if !body.ValidEvidence(b.env.Sys) {
+	if !body.ValidEvidence(&b.env.wireScratch, b.env.Sys) {
 		// The accuser itself must hold verifiable evidence; otherwise the
 		// network would ignore the broadcast anyway.
 		b.env.spans.Exit()

@@ -9,7 +9,6 @@ import (
 	"give2get/internal/g2gcrypto"
 	"give2get/internal/sim"
 	"give2get/internal/trace"
-	"give2get/internal/wire"
 )
 
 // relayView is what the relay phase's per-copy eligibility predicate read
@@ -237,67 +236,30 @@ func custodyCount(n Node) int {
 	return 0
 }
 
-// memoLog applies the fast provider's hit rule to every memo a spied node
-// signs through: a sign hits when the memo last held the same signer's
-// signature over byte-equal input. TestSignMemo in g2gcrypto pins that the
-// provider answers from the memo exactly then. The log is local to one
-// test, never package state.
-type memoLog struct {
-	last               map[*g2gcrypto.SignMemo]memoEntry
-	hits, misses, bare map[wire.Kind]int
-}
-
-type memoEntry struct {
-	signer trace.NodeID
-	input  []byte
-}
-
-func newMemoLog() *memoLog {
-	return &memoLog{
-		last: make(map[*g2gcrypto.SignMemo]memoEntry),
-		hits: make(map[wire.Kind]int), misses: make(map[wire.Kind]int), bare: make(map[wire.Kind]int),
-	}
-}
-
-// reset clears the counts, keeping what each memo holds.
-func (l *memoLog) reset() {
-	clear(l.hits)
-	clear(l.misses)
-	clear(l.bare)
-}
-
-// memoSpy is a node identity that records its signs in a memoLog.
-type memoSpy struct {
-	g2gcrypto.Identity
-	log *memoLog
-}
-
-func (s *memoSpy) SignMemo(m *g2gcrypto.SignMemo, data []byte) g2gcrypto.Signature {
-	kind := wire.Kind(data[0]) // the signing input leads with the kind
-	if m == nil {
-		s.log.bare[kind]++
-	} else {
-		if e, ok := s.log.last[m]; ok && e.signer == s.Node() && bytes.Equal(e.input, data) {
-			s.log.hits[kind]++
-		} else {
-			s.log.misses[kind]++
-		}
-		s.log.last[m] = memoEntry{signer: s.Node(), input: bytes.Clone(data)}
-	}
-	return s.Identity.SignMemo(m, data)
-}
-
-func (b *base) spyOnSigns(log *memoLog) { b.self = &memoSpy{Identity: b.self, log: log} }
-
 // TestSameInstantSessionsHitSignMemos re-runs one session pair at one
-// instant, as the engine's cascades do. A repeat of an exchange already
-// made at that instant, between the same two nodes, about the same copy, is
-// answered from the copy's offer record: under G2G Epidemic a declined
-// offer (see checkDeclineRecord), under G2G Delegation an FQ exchange whose
-// answer has not changed (see checkFQRecord). The same copy offered to
-// another peer at that instant signs its request through the record's
-// memo, which hits.
+// instant, as the engine's cascades do, under both crypto providers. A
+// repeat of an exchange already made at that instant, between the same two
+// nodes, about the same copy, is answered from the copy's offer record:
+// under G2G Epidemic a declined offer (see checkDeclineRecord), under G2G
+// Delegation an FQ exchange whose answer has not changed (see
+// checkFQRecord). The same copy offered to another peer at that instant
+// signs its request through the record's memo, which hits, and every
+// verify follows the sign of the envelope it checks, so the scratch's last
+// signature answers it. The memos sit above the provider, so a hit never
+// reaches it: the real provider's Ed25519 is spared exactly what the fast
+// provider's HMAC is.
 func TestSameInstantSessionsHitSignMemos(t *testing.T) {
-	t.Run(G2GEpidemic.String(), checkDeclineRecord)
-	t.Run(G2GDelegationFrequency.String(), checkFQRecord)
+	for _, c := range []struct {
+		kind  Kind
+		check func(*testing.T, provider)
+	}{{G2GEpidemic, checkDeclineRecord}, {G2GDelegationFrequency, checkFQRecord}} {
+		t.Run(c.kind.String(), func(t *testing.T) {
+			for _, p := range []struct {
+				name   string
+				newSys provider
+			}{{"fast", g2gcrypto.NewFast}, {"real", g2gcrypto.NewReal}} {
+				t.Run(p.name, func(t *testing.T) { c.check(t, p.newSys) })
+			}
+		})
+	}
 }

@@ -39,18 +39,21 @@ func TestScratchSignAllocCeiling(t *testing.T) {
 			t.Fatal("empty signature")
 		}
 	})
-	// 1 alloc: the fast provider's returned signature. The encode buffer is
-	// reused across calls.
+	// 1 alloc: the fast provider's returned signature. The encode buffer
+	// and the last-signature copies are reused across calls.
 	if allocs > 1 {
 		t.Errorf("Scratch.Sign: %.1f allocs/op, ceiling 1", allocs)
 	}
 }
 
+// TestScratchVerifyAllocCeiling pins both verify paths: the last
+// signature's, and the provider's.
 func TestScratchVerifyAllocCeiling(t *testing.T) {
 	sc, sys, id, body := scratchFixture(t)
 	s := sc.Sign(id, sim.Hour, body)
+	other := sign(id, sim.Minute, body)
 	allocs := testing.AllocsPerRun(200, func() {
-		if !sc.Verify(sys, s) {
+		if !sc.Verify(sys, s) || !sc.Verify(sys, other) {
 			t.Fatal("verify failed")
 		}
 	})
@@ -60,8 +63,8 @@ func TestScratchVerifyAllocCeiling(t *testing.T) {
 }
 
 // TestScratchMatchesPackageSignVerify checks the scratch path signs and
-// verifies identically to the allocating path: the reference sign and
-// Signed.Verify.
+// verifies identically to the unbuffered path: the reference sign, and the
+// provider's Verify over a freshly encoded signing input.
 func TestScratchMatchesPackageSignVerify(t *testing.T) {
 	sc, sys, id, body := scratchFixture(t)
 	plain := sign(id, sim.Hour, body)
@@ -69,7 +72,8 @@ func TestScratchMatchesPackageSignVerify(t *testing.T) {
 	if string(plain.Sig) != string(scratched.Sig) {
 		t.Error("scratch Sign produced a different signature")
 	}
-	if !sc.Verify(sys, plain) || !plain.Verify(sys) || !scratched.Verify(sys) {
+	input := appendSigningInput(nil, id.Node(), sim.Hour, body)
+	if !sc.Verify(sys, plain) || !sys.Verify(id.Node(), input, scratched.Sig) || !verify(sys, scratched) {
 		t.Error("cross-path verification failed")
 	}
 	var empty Signed

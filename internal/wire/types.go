@@ -266,14 +266,14 @@ func (m Misbehavior) MarshalBody(dst []byte) []byte {
 
 // ValidEvidence reports whether the PoM's embedded evidence is usable: the
 // first document must be genuinely signed by the accused and every document
-// must verify. A PoM failing this check must be ignored (a malicious
-// reporter cannot frame a faithful node).
-func (m Misbehavior) ValidEvidence(sys g2gcrypto.System) bool {
+// must verify, through sc, against sys. A PoM failing this check must be
+// ignored (a malicious reporter cannot frame a faithful node).
+func (m Misbehavior) ValidEvidence(sc *Scratch, sys g2gcrypto.System) bool {
 	if len(m.Evidence) == 0 || m.Evidence[0].Signer != m.Accused {
 		return false
 	}
 	for _, e := range m.Evidence {
-		if !e.Verify(sys) {
+		if !sc.Verify(sys, e) {
 			return false
 		}
 	}

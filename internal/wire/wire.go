@@ -7,12 +7,14 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"give2get/internal/g2gcrypto"
 	"give2get/internal/message"
+	"give2get/internal/obs"
 	"give2get/internal/sim"
 	"give2get/internal/trace"
 )
@@ -84,26 +86,40 @@ func appendSigningInput(dst []byte, signer trace.NodeID, at sim.Time, body Body)
 	return body.MarshalBody(dst)
 }
 
-func signingInput(signer trace.NodeID, at sim.Time, body Body) []byte {
-	return appendSigningInput(make([]byte, 0, 64), signer, at, body)
-}
-
-// Verify checks the envelope signature against the claimed signer.
-func (s Signed) Verify(sys g2gcrypto.System) bool {
-	if s.Body == nil {
-		return false
-	}
-	return sys.Verify(s.Signer, signingInput(s.Signer, s.At, s.Body), s.Sig)
-}
-
 // Scratch signs and verifies envelopes through a reusable signing-input
-// buffer, eliminating the per-call encoding allocation of Signed.Verify. A Scratch is NOT safe for concurrent use: callers
-// own exactly one per single-threaded context (the protocol Env keeps one
-// per run). Crypto providers must not retain the input slice — both in-repo
-// providers consume it before returning, and the contract is documented on
-// g2gcrypto.Identity.Sign.
+// buffer and two memos, which serve either provider because both sign
+// deterministically (HMAC, RFC 8032 Ed25519): a caller-held SignMemo answers
+// a repeated sign, and the scratch's last signature, memo hit or not,
+// answers the verify that follows it. A Scratch is NOT safe for concurrent
+// use: callers own one per single-threaded context (the protocol Env keeps
+// one per run). Providers must not retain the input (see Identity.Sign).
 type Scratch struct {
-	buf []byte
+	// Stats, if set, is charged NoteSign(0) or NoteVerify(0) per memo hit,
+	// the call an instrumented provider would have charged.
+	Stats *obs.CryptoStats
+	buf   []byte
+	last  SignMemo
+	arena []byte // carves the signatures sign hits return
+}
+
+// arenaChunk is one arena allocation: 64 fast or 32 real signatures.
+const arenaChunk = 2048
+
+// SignMemo is a caller-held memo of one signature: the signer identity
+// (compared with ==) and the memo's own copies of the signing input and the
+// signature, so a caller mutating either can only make it miss. A caller
+// keeps one where it re-signs one statement, such as a custody copy offered
+// to every peer of an instant. The zero value is empty; do not copy a used
+// memo, as the copy would share its buffers.
+type SignMemo struct {
+	signer     g2gcrypto.Identity
+	input, sig []byte
+}
+
+func (m *SignMemo) fill(id g2gcrypto.Identity, input, sig []byte) {
+	m.signer = id
+	m.input = append(m.input[:0], input...)
+	m.sig = append(m.sig[:0], sig...)
 }
 
 // Sign wraps body in a Signed envelope stamped at the given virtual time.
@@ -111,24 +127,48 @@ func (sc *Scratch) Sign(id g2gcrypto.Identity, at sim.Time, body Body) Signed {
 	return sc.SignMemo(id, nil, at, body)
 }
 
-// SignMemo is Sign through a caller-held signature memo (see
-// g2gcrypto.SignMemo); m may be nil.
-func (sc *Scratch) SignMemo(id g2gcrypto.Identity, m *g2gcrypto.SignMemo, at sim.Time, body Body) Signed {
+// SignMemo is Sign through memo m, which may be nil: a repeat of m's signer
+// and input is answered from m without asking the provider, and anything
+// else is signed by id and refills m.
+func (sc *Scratch) SignMemo(id g2gcrypto.Identity, m *SignMemo, at sim.Time, body Body) Signed {
 	sc.buf = appendSigningInput(sc.buf[:0], id.Node(), at, body)
-	return Signed{
-		Signer: id.Node(),
-		At:     at,
-		Body:   body,
-		Sig:    id.SignMemo(m, sc.buf),
+	var sig g2gcrypto.Signature
+	if m != nil && m.signer == id && bytes.Equal(m.input, sc.buf) {
+		// A fresh arena slot, full-capacity sliced: the caller's copy is
+		// its own, and an append to it reallocates.
+		if cap(sc.arena)-len(sc.arena) < len(m.sig) {
+			sc.arena = make([]byte, 0, arenaChunk)
+		}
+		start := len(sc.arena)
+		sc.arena = append(sc.arena, m.sig...)
+		sig = sc.arena[start:len(sc.arena):len(sc.arena)]
+		sc.Stats.NoteSign(0)
+	} else {
+		sig = id.Sign(sc.buf)
+		if m != nil {
+			m.fill(id, sc.buf, sig)
+		}
 	}
+	sc.last.fill(id, sc.buf, sig)
+	return Signed{Signer: id.Node(), At: at, Body: body, Sig: sig}
 }
 
-// Verify is the scratch-buffered equivalent of Signed.Verify.
+// Verify checks the envelope signature against the claimed signer. The last
+// signature answers true when the input and every signature byte are equal
+// and it came from sys's own identity for the signer; otherwise sys
+// decides, as Ed25519 accepts valid signatures Sign never made, so a
+// mismatch is not false. A scratch that never signs always asks sys.
 func (sc *Scratch) Verify(sys g2gcrypto.System, s Signed) bool {
 	if s.Body == nil {
 		return false
 	}
 	sc.buf = appendSigningInput(sc.buf[:0], s.Signer, s.At, s.Body)
+	if l := &sc.last; bytes.Equal(l.sig, s.Sig) && bytes.Equal(l.input, sc.buf) {
+		if id, err := sys.Identity(s.Signer); err == nil && id == l.signer {
+			sc.Stats.NoteVerify(0)
+			return true
+		}
+	}
 	return sys.Verify(s.Signer, sc.buf, s.Sig)
 }
 

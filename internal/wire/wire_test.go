@@ -71,7 +71,7 @@ func TestSignedRoundTripAllKinds(t *testing.T) {
 		body := body
 		t.Run(body.Kind().String(), func(t *testing.T) {
 			env := sign(signer, 77*sim.Second, body)
-			if !env.Verify(sys) {
+			if !verify(sys, env) {
 				t.Fatal("fresh envelope does not verify")
 			}
 			decoded, err := UnmarshalSigned(env.Marshal())
@@ -84,7 +84,7 @@ func TestSignedRoundTripAllKinds(t *testing.T) {
 			if !reflect.DeepEqual(decoded.Body, env.Body) {
 				t.Errorf("body mismatch:\n got %#v\nwant %#v", decoded.Body, env.Body)
 			}
-			if !decoded.Verify(sys) {
+			if !verify(sys, decoded) {
 				t.Error("decoded envelope does not verify")
 			}
 		})
@@ -97,24 +97,24 @@ func TestTamperedEnvelopeFailsVerify(t *testing.T) {
 
 	wrongSigner := env
 	wrongSigner.Signer = 2
-	if wrongSigner.Verify(sys) {
+	if verify(sys, wrongSigner) {
 		t.Error("envelope verified under the wrong signer")
 	}
 
 	wrongTime := env
 	wrongTime.At = 2 * sim.Second
-	if wrongTime.Verify(sys) {
+	if verify(sys, wrongTime) {
 		t.Error("envelope verified with a modified timestamp")
 	}
 
 	wrongBody := env
 	wrongBody.Body = RelayOK{Hash: g2gcrypto.Hash([]byte("other"))}
-	if wrongBody.Verify(sys) {
+	if verify(sys, wrongBody) {
 		t.Error("envelope verified with a modified body")
 	}
 
 	var empty Signed
-	if empty.Verify(sys) {
+	if verify(sys, empty) {
 		t.Error("zero envelope verified")
 	}
 }
@@ -128,7 +128,7 @@ func TestKindBindingPreventsConfusion(t *testing.T) {
 	ok := sign(signer, sim.Second, RelayOK{Hash: h})
 	confused := ok
 	confused.Body = RelayRequest{Hash: h}
-	if confused.Verify(sys) {
+	if verify(sys, confused) {
 		t.Error("RELAY_OK signature accepted for RELAY_RQST")
 	}
 }
@@ -167,13 +167,13 @@ func TestMisbehaviorEvidence(t *testing.T) {
 		Hash: g2gcrypto.Hash([]byte("m")), From: 1, To: 4,
 	})
 	pom := Misbehavior{Accused: 4, Reason: ReasonDropped, Evidence: []Signed{por}}
-	if !pom.ValidEvidence(sys) {
+	if !pom.ValidEvidence(&Scratch{}, sys) {
 		t.Error("genuine evidence rejected")
 	}
 
 	// Framing: evidence signed by someone other than the accused.
 	framed := Misbehavior{Accused: 5, Reason: ReasonDropped, Evidence: []Signed{por}}
-	if framed.ValidEvidence(sys) {
+	if framed.ValidEvidence(&Scratch{}, sys) {
 		t.Error("PoM with mismatched evidence signer accepted")
 	}
 
@@ -182,12 +182,12 @@ func TestMisbehaviorEvidence(t *testing.T) {
 	forgedPor.Sig = append(g2gcrypto.Signature{}, por.Sig...)
 	forgedPor.Sig[0] ^= 1
 	forged := Misbehavior{Accused: 4, Reason: ReasonDropped, Evidence: []Signed{forgedPor}}
-	if forged.ValidEvidence(sys) {
+	if forged.ValidEvidence(&Scratch{}, sys) {
 		t.Error("PoM with forged evidence accepted")
 	}
 
 	// No evidence at all.
-	if (Misbehavior{Accused: 4, Reason: ReasonDropped}).ValidEvidence(sys) {
+	if (Misbehavior{Accused: 4, Reason: ReasonDropped}).ValidEvidence(&Scratch{}, sys) {
 		t.Error("PoM without evidence accepted")
 	}
 
@@ -195,7 +195,7 @@ func TestMisbehaviorEvidence(t *testing.T) {
 	other := sign(ident(t, sys, 2), sim.Minute, ProofOfRelay{From: 4, To: 2})
 	other.Sig[0] ^= 1
 	twoDoc := Misbehavior{Accused: 4, Reason: ReasonCheated, Evidence: []Signed{por, other}}
-	if twoDoc.ValidEvidence(sys) {
+	if twoDoc.ValidEvidence(&Scratch{}, sys) {
 		t.Error("PoM with one forged document accepted")
 	}
 }
@@ -235,7 +235,7 @@ func TestPORRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(decoded.Body, por) && decoded.Verify(sys)
+		return reflect.DeepEqual(decoded.Body, por) && verify(sys, decoded)
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -275,7 +275,7 @@ func TestUnmarshalMutatedEncodings(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			if s.Verify(sys) && i != 0 {
+			if verify(sys, s) && i != 0 {
 				// Flipping any byte of the envelope except... nothing: every
 				// byte is either header (signed), body (signed), or the
 				// signature itself.
@@ -286,12 +286,18 @@ func TestUnmarshalMutatedEncodings(t *testing.T) {
 }
 
 // sign wraps body in a Signed envelope through a fresh signing input: the
-// unbuffered reference for Scratch.
+// unbuffered, unmemoized reference for Scratch.Sign.
 func sign(id g2gcrypto.Identity, at sim.Time, body Body) Signed {
 	return Signed{
 		Signer: id.Node(),
 		At:     at,
 		Body:   body,
-		Sig:    id.Sign(signingInput(id.Node(), at, body)),
+		Sig:    id.Sign(appendSigningInput(nil, id.Node(), at, body)),
 	}
+}
+
+// verify checks s through a scratch that has never signed, so sys decides.
+func verify(sys g2gcrypto.System, s Signed) bool {
+	var sc Scratch
+	return sc.Verify(sys, s)
 }
