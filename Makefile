@@ -1,19 +1,8 @@
 GO ?= go
 FUZZTIME ?= 10s
 COVER_FLOOR ?= 70
-# Benchmark-gate harness knobs (see DESIGN.md "Performance").
-BENCH_OUT ?= BENCH_after.json
-BENCH_OLD ?= BENCH_baseline.json
-BENCH_NEW ?= BENCH_after.json
-BENCH_MAX_REGRESS ?= 10
-# Wall-time gate: fail bench-diff when ns/op regresses beyond this percent
-# (wide because single-iteration wall times are noisy; 0 disables).
-BENCH_NS_TOLERANCE ?= 25
-# Benchmarks whose baseline ns/op is below this floor (1ms) are exempt from
-# the wall gate: at -benchtime=1x they are a single timer sample.
-BENCH_NS_FLOOR ?= 1000000
 
-.PHONY: all build test vet fmt no-net race bench bench-smoke bench-diff bench-tests fuzz cover trace-roundtrip kill-resume examples check ci
+.PHONY: all build test vet fmt no-net race bench-smoke bench-tests fuzz cover kill-resume examples check ci
 
 all: check
 
@@ -46,20 +35,6 @@ no-net:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# Measurement run: every benchmark once with -benchmem, converted to the
-# machine-readable BENCH_*.json interchange format by cmd/benchjson. The
-# paper-artifact benches are whole audited simulations, so one iteration is
-# already a stable measurement; BENCH_OUT defaults to BENCH_after.json so
-# `make bench && make bench-diff` gates a working tree against the committed
-# BENCH_baseline.json.
-bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -timeout 60m -run='^$$' . ./internal/... >bench_output.txt; \
-	status=$$?; cat bench_output.txt; \
-	if [ $$status -ne 0 ]; then rm -f bench_output.txt; exit $$status; fi
-	$(GO) run ./cmd/benchjson -in bench_output.txt -o $(BENCH_OUT)
-	@rm -f bench_output.txt
-	@echo "bench: wrote $(BENCH_OUT)"
-
 # One iteration per benchmark with telemetry collection on: smoke-checks that
 # every bench still runs AND that the per-phase span pipeline works end to end
 # (the experiment benches record into a shared registry, the snapshot lands in
@@ -74,14 +49,6 @@ bench-smoke:
 # not reach it, and a change to those packages can break it unseen.
 bench-tests:
 	cd g2gbench && $(GO) test ./...
-
-# Compare two BENCH_*.json reports; exits non-zero when allocs/op on any
-# shared benchmark regresses by more than BENCH_MAX_REGRESS percent, or ns/op
-# by more than BENCH_NS_TOLERANCE percent (benchmarks with a baseline under
-# BENCH_NS_FLOOR ns sit below one reliable timer sample at -benchtime=1x and
-# are exempt from the wall gate, never the allocs gate).
-bench-diff:
-	$(GO) run ./cmd/benchjson -diff -max-regress $(BENCH_MAX_REGRESS) -ns-tolerance $(BENCH_NS_TOLERANCE) -ns-floor $(BENCH_NS_FLOOR) $(BENCH_OLD) $(BENCH_NEW)
 
 # Native fuzzing over every parser/validator entry point. Go allows one
 # -fuzz target per invocation, so each runs for FUZZTIME in turn. Plain
@@ -109,22 +76,6 @@ cover:
 		if (pct + 0 < floor) { printf "cover: %s below floor (%s%% < %d%%)\n", $$2, pct, floor; bad = 1 } \
 	} END { exit bad }' cover.txt && echo "cover: all packages >= $(COVER_FLOOR)%"
 	@rm -f cover.txt
-
-# Streaming-format gate run against the real CLIs: generate a trace, take
-# its canonical text form (one parse/serialize pass fixes the listing's
-# millisecond precision and ordering), then require text -> binary .g2gt ->
-# text to reproduce it byte for byte (the format's lossless contract; see
-# DESIGN.md "Trace pipeline").
-trace-roundtrip:
-	@dir=$$(mktemp -d); \
-	$(GO) run ./cmd/tracegen -preset infocom05 -out $$dir/raw.txt && \
-	$(GO) run ./cmd/traceconv -in $$dir/raw.txt -out $$dir/a.txt && \
-	$(GO) run ./cmd/traceconv -in $$dir/a.txt -out $$dir/a.g2gt && \
-	$(GO) run ./cmd/traceconv -in $$dir/a.g2gt -out $$dir/b.txt && \
-	cmp $$dir/a.txt $$dir/b.txt; \
-	status=$$?; rm -rf $$dir; \
-	if [ $$status -ne 0 ]; then echo "trace-roundtrip: FAILED"; exit $$status; fi; \
-	echo "trace-roundtrip: text -> binary -> text byte-identical"
 
 # Crash-safety gate run against the real CLI: an audited 3-repeat sweep on
 # one worker is killed (SIGTERM) once its journal holds a completed repeat,
@@ -180,12 +131,11 @@ check: build vet test race
 
 # ci is the documented verification entry point: build, vet, the gofmt
 # gate, the dependency gate, the coverage floor, the race pass, the benchmark
-# module's tests, the benchmark smoke pass, the trace-format round-trip gate,
-# the kill/resume crash-safety gate, every example program, a quick-mode
-# experiment smoke run through the parallel scheduler, and a fully audited
-# honest run on each preset (the auditor fails the command on any invariant
-# violation).
-ci: build vet fmt no-net cover race bench-tests bench-smoke trace-roundtrip kill-resume examples
+# module's tests, the benchmark smoke pass, the kill/resume crash-safety
+# gate, every example program, a quick-mode experiment smoke run through the
+# parallel scheduler, and a fully audited honest run on each preset (the
+# auditor fails the command on any invariant violation).
+ci: build vet fmt no-net cover race bench-tests bench-smoke kill-resume examples
 	$(GO) run ./cmd/g2gexp -experiment secV -quick -jobs 0 >/dev/null
 	$(GO) run ./cmd/g2gsim -preset infocom05 -protocol g2g-epidemic -ttl 10m -interval 60s -audit >/dev/null
 	$(GO) run ./cmd/g2gsim -preset cambridge06 -protocol g2g-delegation-frequency -ttl 10m -interval 60s -audit >/dev/null

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -21,9 +20,6 @@ import (
 	"give2get/internal/experiments"
 	"give2get/internal/g2gcrypto"
 	"give2get/internal/metrics"
-	"give2get/internal/mobility"
-	"give2get/internal/sim"
-	"give2get/internal/trace"
 )
 
 // benchOpts is the reduced workload every benchmark uses.
@@ -130,10 +126,9 @@ func BenchmarkFig7DetectionTime(b *testing.B) {
 }
 
 // reportSpanMetrics attaches the crypto-heavy spans' per-iteration self time
-// to the benchmark output as custom `<span>-ns/op` metrics. benchjson's diff
-// gates any shared metric whose unit ends in -ns/op with the same tolerance
-// as ns/op, so a regression localized to HMAC work, PoR handling, or PoM
-// validation fails bench-diff by name instead of hiding inside total wall.
+// to the benchmark output as custom `<span>-ns/op` metrics, so time spent in
+// HMAC work, PoR handling, or PoM validation reads by name instead of hiding
+// inside total wall.
 func reportSpanMetrics(b *testing.B, reg *Metrics) {
 	b.Helper()
 	for _, sp := range reg.Snapshot().Spans {
@@ -148,8 +143,7 @@ func reportSpanMetrics(b *testing.B, reg *Metrics) {
 // live telemetry registry attached to every run: the span profiler's
 // enabled-path overhead benchmark. Compare its ns/op against
 // BenchmarkFig7DetectionTime in the same report — the gap is what per-phase
-// profiling costs on a real experiment. Its span metrics feed the per-phase
-// ns gate in bench-diff.
+// profiling costs on a real experiment.
 func BenchmarkFig7DetectionTimeTelemetry(b *testing.B) {
 	reg := NewMetrics()
 	opts := benchOpts()
@@ -166,8 +160,7 @@ func BenchmarkFig7DetectionTimeTelemetry(b *testing.B) {
 // BenchmarkTable1G2GDelegationTelemetry is BenchmarkTable1G2GDelegation with
 // a private telemetry registry, existing for its span metrics: Table I is the
 // delegation-side crypto workload, so its crypto_hmac/por/pom per-phase
-// timings complete the bench-diff gate the Fig. 7 variant covers for the
-// epidemic side.
+// timings complement the Fig. 7 variant's.
 func BenchmarkTable1G2GDelegationTelemetry(b *testing.B) {
 	reg := NewMetrics()
 	opts := benchOpts()
@@ -178,82 +171,6 @@ func BenchmarkTable1G2GDelegationTelemetry(b *testing.B) {
 		}
 	}
 	reportSpanMetrics(b, reg)
-}
-
-// BenchmarkLargeTrace runs one 100,000-node out-of-core simulation: a long
-// warm-up streamed from a sorted binary .g2gt and a short window. The trace
-// is generated once per benchmark process.
-var (
-	largeTraceOnce sync.Once
-	largeTracePath string
-	largeTraceErr  error
-)
-
-// largeTraceFile streams a community-structured 100k-node trace (5000
-// communities of 20, sparse cross-community bridges, 14 virtual hours)
-// through the external merge sort into a temporary .g2gt, exactly like
-// `tracegen -large`.
-func largeTraceFile(b *testing.B) string {
-	b.Helper()
-	largeTraceOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "g2g-bench-large")
-		if err != nil {
-			largeTraceErr = err
-			return
-		}
-		path := filepath.Join(dir, "large.g2gt")
-		cfg := mobility.LargeConfig{
-			Name:          "bench-large",
-			Communities:   5000,
-			CommunitySize: 20,
-			AcrossDegree:  1,
-			Duration:      14 * sim.Hour,
-			Within:        mobility.PairParams{ShortGap: 45 * sim.Minute, LongGap: 6 * sim.Hour, BurstProb: 0.5},
-			Across:        mobility.PairParams{ShortGap: 60 * sim.Minute, LongGap: 10 * sim.Hour, BurstProb: 0.3},
-			ContactMean:   90 * sim.Second,
-		}
-		w := trace.NewExtWriter(path, cfg.Name, cfg.Nodes(), trace.ExtOptions{})
-		if err := mobility.GenerateLarge(cfg, 42, w.Add); err != nil {
-			largeTraceErr = err
-			return
-		}
-		if err := w.Close(); err != nil {
-			largeTraceErr = err
-			return
-		}
-		largeTracePath = path
-	})
-	if largeTraceErr != nil {
-		b.Fatal(largeTraceErr)
-	}
-	return largeTracePath
-}
-
-// BenchmarkLargeTrace's window sits at hour 13 of 14, so the run is
-// dominated by the warm-up's contact replay.
-func BenchmarkLargeTrace(b *testing.B) {
-	tr, err := OpenTrace(largeTraceFile(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := SimulationConfig{
-		Trace:           tr,
-		Protocol:        G2GEpidemic,
-		TTL:             30 * time.Minute,
-		Seed:            1,
-		WindowStart:     13 * time.Hour,
-		MessageInterval: 5 * time.Minute,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.SuccessRate, "delivery%")
-		}
-	}
 }
 
 // BenchmarkFig8Performance regenerates Fig. 8: cost/success/delay for all

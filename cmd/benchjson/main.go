@@ -1,94 +1,79 @@
-// Command benchjson converts `go test -bench` output into a machine-readable
-// JSON report, and diffs two such reports with a regression gate.
-//
-// Convert (reads benchmark output from stdin or -in):
-//
-//	go test -run='^$' -bench=. -benchmem ./... | go run ./cmd/benchjson -o BENCH.json
-//
-// Diff (exits non-zero when allocs/op regresses by more than -max-regress
-// percent — or, with -ns-tolerance above zero, when ns/op regresses by more
-// than that percent — on any benchmark present in both reports):
-//
-//	go run ./cmd/benchjson -diff BENCH_baseline.json BENCH_after.json -max-regress 10 -ns-tolerance 25
-//
-// Phase table (reads a g2g.telemetry/1 snapshot, e.g. the one `make
-// bench-smoke` collects via G2G_BENCH_TELEMETRY, and renders its per-phase
-// span breakdown):
+// Command benchjson renders the per-phase span breakdown of a
+// g2g.telemetry/1 snapshot as a table, e.g. the one `make bench-smoke`
+// collects via G2G_BENCH_TELEMETRY or a run's `-telemetry` report:
 //
 //	go run ./cmd/benchjson -phases bench_telemetry.json
-//
-// The JSON shape is stable: a header (goos/goarch/cpu) plus one record per
-// benchmark with iterations, ns/op, B/op, allocs/op, and any custom
-// ReportMetric values. It is the interchange format of `make bench`,
-// `make bench-smoke`, and the perf trajectory committed as BENCH_*.json.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"time"
 )
 
 func main() {
-	var (
-		out         = flag.String("o", "", "write the JSON report here (default stdout)")
-		in          = flag.String("in", "", "read benchmark output from this file (default stdin)")
-		diff        = flag.Bool("diff", false, "diff two JSON reports given as positional args")
-		maxRegress  = flag.Float64("max-regress", 10, "with -diff: fail when allocs/op grows by more than this percent")
-		nsTolerance = flag.Float64("ns-tolerance", 0, "with -diff: fail when ns/op grows by more than this percent (0 = wall time not gated)")
-		nsFloor     = flag.Float64("ns-floor", 1e6, "with -diff: exempt benchmarks whose baseline ns/op is below this from the wall-time gate (microbenchmark noise)")
-		phases      = flag.String("phases", "", "render the per-phase span table of this telemetry snapshot and exit")
-	)
+	phases := flag.String("phases", "", "render the per-phase span table of this telemetry snapshot")
 	flag.Parse()
+	if *phases == "" {
+		fmt.Fprintln(os.Stderr, "benchjson: -phases is required")
+		os.Exit(2)
+	}
+	if err := runPhases(os.Stdout, *phases); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(2)
+	}
+}
 
-	if *phases != "" {
-		if err := runPhases(os.Stdout, *phases); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(2)
-		}
-		return
-	}
-	if *diff {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "benchjson: -diff needs exactly two report files")
-			os.Exit(2)
-		}
-		code, err := runDiff(os.Stdout, flag.Arg(0), flag.Arg(1), *maxRegress, *nsTolerance, *nsFloor)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(2)
-		}
-		os.Exit(code)
-	}
+// phaseSnapshot is the slice of a g2g.telemetry/1 snapshot the phase table
+// needs: the schema marker and the span records.
+type phaseSnapshot struct {
+	Schema string `json:"schema"`
+	Spans  []struct {
+		Name   string `json:"name"`
+		Count  int64  `json:"count"`
+		WallNS int64  `json:"wall_ns"`
+		SelfNS int64  `json:"self_ns"`
+		MeanNS int64  `json:"mean_ns"`
+	} `json:"spans"`
+}
 
-	var r io.Reader = os.Stdin
-	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		r = f
-	}
-	report, err := Parse(r)
+// runPhases renders the per-phase span breakdown of a telemetry snapshot as a
+// table: one row per phase in the snapshot's (declaration) order, with self
+// time as a share of the total self time — the column that says where the
+// wall clock actually went, since self time excludes nested phases and so
+// sums without double counting.
+func runPhases(w io.Writer, path string) error {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(2)
+		return err
 	}
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(2)
+	var snap phaseSnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if len(snap.Spans) == 0 {
+		return fmt.Errorf("%s: no span records (schema %q) — was the run telemetry-enabled?", path, snap.Schema)
+	}
+	var totalSelf int64
+	for _, sp := range snap.Spans {
+		totalSelf += sp.SelfNS
+	}
+	fmt.Fprintf(w, "%-18s %12s %14s %14s %12s %7s\n",
+		"phase", "count", "wall", "self", "mean", "self%")
+	for _, sp := range snap.Spans {
+		share := 0.0
+		if totalSelf > 0 {
+			share = float64(sp.SelfNS) / float64(totalSelf) * 100
 		}
-		defer f.Close()
-		w = f
+		fmt.Fprintf(w, "%-18s %12d %14s %14s %12s %6.1f%%\n",
+			sp.Name, sp.Count,
+			time.Duration(sp.WallNS).Round(time.Microsecond),
+			time.Duration(sp.SelfNS).Round(time.Microsecond),
+			time.Duration(sp.MeanNS).Round(time.Nanosecond),
+			share)
 	}
-	if err := report.WriteJSON(w); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(2)
-	}
+	return nil
 }

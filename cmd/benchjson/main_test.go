@@ -7,242 +7,6 @@ import (
 	"testing"
 )
 
-const sample = `goos: linux
-goarch: amd64
-pkg: give2get
-cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkFig7DetectionTime            1  54382400140 ns/op  9088368232 B/op  94583433 allocs/op
-BenchmarkFig3Epidemic-8               1  2875354341 ns/op   2.000 tables  198249128 B/op  1221464 allocs/op
-BenchmarkHeavyHMAC      	    9337	    128227 ns/op	   7.99 MB/s
-PASS
-ok  	give2get	100.0s
-`
-
-func TestParse(t *testing.T) {
-	rep, err := Parse(strings.NewReader(sample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Goos != "linux" || rep.Goarch != "amd64" {
-		t.Fatalf("header not parsed: %+v", rep)
-	}
-	if len(rep.Benchmarks) != 3 {
-		t.Fatalf("got %d benchmarks, want 3", len(rep.Benchmarks))
-	}
-	fig7 := rep.Benchmarks[0]
-	if fig7.Name != "Fig7DetectionTime" || fig7.Pkg != "give2get" {
-		t.Fatalf("bad first benchmark: %+v", fig7)
-	}
-	if fig7.AllocsPerOp != 94583433 || fig7.BytesPerOp != 9088368232 || fig7.NsPerOp != 54382400140 {
-		t.Fatalf("bad fig7 values: %+v", fig7)
-	}
-	fig3 := rep.Benchmarks[1]
-	if fig3.Name != "Fig3Epidemic" {
-		t.Fatalf("GOMAXPROCS suffix not stripped: %q", fig3.Name)
-	}
-	if fig3.Metrics["tables"] != 2 {
-		t.Fatalf("custom metric lost: %+v", fig3.Metrics)
-	}
-	hmac := rep.Benchmarks[2]
-	if hmac.AllocsPerOp != -1 || hmac.BytesPerOp != -1 {
-		t.Fatalf("missing -benchmem should report -1: %+v", hmac)
-	}
-	if hmac.Metrics["MB/s"] != 7.99 {
-		t.Fatalf("throughput metric lost: %+v", hmac.Metrics)
-	}
-}
-
-func TestParseEmpty(t *testing.T) {
-	if _, err := Parse(strings.NewReader("PASS\nok\n")); err == nil {
-		t.Fatal("want error on input without benchmarks")
-	}
-}
-
-func writeReport(t *testing.T, dir, name string, r *Report) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := r.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestDiffGate(t *testing.T) {
-	dir := t.TempDir()
-	oldRep := &Report{Benchmarks: []Benchmark{
-		{Name: "A", Pkg: "p", NsPerOp: 100, AllocsPerOp: 1000, BytesPerOp: 1},
-		{Name: "B", Pkg: "p", NsPerOp: 100, AllocsPerOp: 1000, BytesPerOp: 1},
-		{Name: "OnlyOld", Pkg: "p", NsPerOp: 1, AllocsPerOp: 1, BytesPerOp: 1},
-	}}
-	pass := &Report{Benchmarks: []Benchmark{
-		{Name: "A", Pkg: "p", NsPerOp: 90, AllocsPerOp: 1050, BytesPerOp: 1}, // +5%: inside gate
-		{Name: "B", Pkg: "p", NsPerOp: 90, AllocsPerOp: 200, BytesPerOp: 1},
-	}}
-	fail := &Report{Benchmarks: []Benchmark{
-		{Name: "A", Pkg: "p", NsPerOp: 90, AllocsPerOp: 1200, BytesPerOp: 1}, // +20%: fails
-		{Name: "B", Pkg: "p", NsPerOp: 90, AllocsPerOp: 1000, BytesPerOp: 1},
-	}}
-
-	oldPath := writeReport(t, dir, "old.json", oldRep)
-	var sb strings.Builder
-	code, err := runDiff(&sb, oldPath, writeReport(t, dir, "pass.json", pass), 10, 0, 0)
-	if err != nil || code != 0 {
-		t.Fatalf("pass diff: code=%d err=%v\n%s", code, err, sb.String())
-	}
-	sb.Reset()
-	code, err = runDiff(&sb, oldPath, writeReport(t, dir, "fail.json", fail), 10, 0, 0)
-	if err != nil || code != 1 {
-		t.Fatalf("fail diff: code=%d err=%v\n%s", code, err, sb.String())
-	}
-	if !strings.Contains(sb.String(), "FAIL") {
-		t.Fatalf("diff output does not mark the regression:\n%s", sb.String())
-	}
-}
-
-// TestDiffNsGate pins both directions of the wall-time gate: a regression
-// beyond the tolerance fails, an improvement (or a regression inside the
-// band) passes, and a zero tolerance disables the gate entirely.
-func TestDiffNsGate(t *testing.T) {
-	dir := t.TempDir()
-	oldRep := &Report{Benchmarks: []Benchmark{
-		{Name: "A", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 1},
-		{Name: "B", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 1},
-	}}
-	oldPath := writeReport(t, dir, "old.json", oldRep)
-
-	t.Run("regression beyond tolerance fails", func(t *testing.T) {
-		slow := &Report{Benchmarks: []Benchmark{
-			{Name: "A", Pkg: "p", NsPerOp: 1500, AllocsPerOp: 100, BytesPerOp: 1}, // +50%
-			{Name: "B", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 1},
-		}}
-		var sb strings.Builder
-		code, err := runDiff(&sb, oldPath, writeReport(t, dir, "slow.json", slow), 10, 25, 0)
-		if err != nil || code != 1 {
-			t.Fatalf("ns regression not gated: code=%d err=%v\n%s", code, err, sb.String())
-		}
-		if !strings.Contains(sb.String(), "FAIL ns") || !strings.Contains(sb.String(), "ns/op regression beyond 25%") {
-			t.Fatalf("diff output does not name the ns gate:\n%s", sb.String())
-		}
-	})
-	t.Run("improvement and in-band noise pass", func(t *testing.T) {
-		fast := &Report{Benchmarks: []Benchmark{
-			{Name: "A", Pkg: "p", NsPerOp: 400, AllocsPerOp: 100, BytesPerOp: 1},  // -60%: improvement
-			{Name: "B", Pkg: "p", NsPerOp: 1100, AllocsPerOp: 100, BytesPerOp: 1}, // +10%: inside band
-		}}
-		var sb strings.Builder
-		code, err := runDiff(&sb, oldPath, writeReport(t, dir, "fast.json", fast), 10, 25, 0)
-		if err != nil || code != 0 {
-			t.Fatalf("improvement failed the ns gate: code=%d err=%v\n%s", code, err, sb.String())
-		}
-	})
-	t.Run("zero tolerance disables the gate", func(t *testing.T) {
-		slow := &Report{Benchmarks: []Benchmark{
-			{Name: "A", Pkg: "p", NsPerOp: 9000, AllocsPerOp: 100, BytesPerOp: 1}, // 9x slower
-			{Name: "B", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 1},
-		}}
-		var sb strings.Builder
-		code, err := runDiff(&sb, oldPath, writeReport(t, dir, "slow0.json", slow), 10, 0, 0)
-		if err != nil || code != 0 {
-			t.Fatalf("disabled ns gate still fired: code=%d err=%v\n%s", code, err, sb.String())
-		}
-	})
-	t.Run("sub-floor microbenchmarks are exempt", func(t *testing.T) {
-		// A at +800% would fail wildly, but its baseline (1000 ns) sits
-		// under the floor: one timer sample of a microbenchmark is noise.
-		// The allocs gate must keep covering it regardless.
-		slow := &Report{Benchmarks: []Benchmark{
-			{Name: "A", Pkg: "p", NsPerOp: 9000, AllocsPerOp: 100, BytesPerOp: 1},
-			{Name: "B", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 1},
-		}}
-		var sb strings.Builder
-		code, err := runDiff(&sb, oldPath, writeReport(t, dir, "floor.json", slow), 10, 25, 1e6)
-		if err != nil || code != 0 {
-			t.Fatalf("sub-floor benchmark gated: code=%d err=%v\n%s", code, err, sb.String())
-		}
-		sb.Reset()
-		leaky := &Report{Benchmarks: []Benchmark{
-			{Name: "A", Pkg: "p", NsPerOp: 9000, AllocsPerOp: 500, BytesPerOp: 1}, // +400% allocs
-			{Name: "B", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 1},
-		}}
-		code, err = runDiff(&sb, oldPath, writeReport(t, dir, "floorleak.json", leaky), 10, 25, 1e6)
-		if err != nil || code != 1 || !strings.Contains(sb.String(), "FAIL allocs") {
-			t.Fatalf("allocs gate lost under ns floor: code=%d err=%v\n%s", code, err, sb.String())
-		}
-	})
-	t.Run("both gates mark the row once", func(t *testing.T) {
-		both := &Report{Benchmarks: []Benchmark{
-			{Name: "A", Pkg: "p", NsPerOp: 1500, AllocsPerOp: 200, BytesPerOp: 1}, // +50% ns, +100% allocs
-			{Name: "B", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 1},
-		}}
-		var sb strings.Builder
-		code, err := runDiff(&sb, oldPath, writeReport(t, dir, "both.json", both), 10, 25, 0)
-		if err != nil || code != 1 {
-			t.Fatalf("double regression passed: code=%d err=%v\n%s", code, err, sb.String())
-		}
-		if !strings.Contains(sb.String(), "FAIL both") {
-			t.Fatalf("row not marked for both gates:\n%s", sb.String())
-		}
-	})
-}
-
-// TestDiffPhaseMetricGate pins the per-phase wall gate: shared custom
-// metrics with a -ns/op unit are held to the ns tolerance, metrics new in
-// the after-report are ignored (new phases, not regressions), and non-ns
-// custom metrics stay ungated.
-func TestDiffPhaseMetricGate(t *testing.T) {
-	dir := t.TempDir()
-	oldRep := &Report{Benchmarks: []Benchmark{
-		{Name: "A", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 1,
-			Metrics: map[string]float64{"crypto_hmac-ns/op": 1000, "tables": 2}},
-	}}
-	oldPath := writeReport(t, dir, "old.json", oldRep)
-
-	t.Run("phase regression fails by name", func(t *testing.T) {
-		slow := &Report{Benchmarks: []Benchmark{
-			{Name: "A", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 1,
-				Metrics: map[string]float64{"crypto_hmac-ns/op": 2000, "tables": 2}}, // +100% phase time
-		}}
-		var sb strings.Builder
-		code, err := runDiff(&sb, oldPath, writeReport(t, dir, "slow.json", slow), 10, 25, 0)
-		if err != nil || code != 1 {
-			t.Fatalf("phase regression not gated: code=%d err=%v\n%s", code, err, sb.String())
-		}
-		if !strings.Contains(sb.String(), "A:crypto_hmac") {
-			t.Fatalf("phase row not named:\n%s", sb.String())
-		}
-	})
-	t.Run("new phase and wild non-ns metrics pass", func(t *testing.T) {
-		ok := &Report{Benchmarks: []Benchmark{
-			{Name: "A", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 1,
-				Metrics: map[string]float64{"crypto_hmac-ns/op": 1100, // +10%: inside band
-					"pom-ns/op": 5000, // absent from old: ignored
-					"tables":    90}}, // non-ns metric: never gated
-		}}
-		var sb strings.Builder
-		code, err := runDiff(&sb, oldPath, writeReport(t, dir, "ok.json", ok), 10, 25, 0)
-		if err != nil || code != 0 {
-			t.Fatalf("in-band phase delta failed: code=%d err=%v\n%s", code, err, sb.String())
-		}
-	})
-	t.Run("zero tolerance skips phase gate", func(t *testing.T) {
-		slow := &Report{Benchmarks: []Benchmark{
-			{Name: "A", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 1,
-				Metrics: map[string]float64{"crypto_hmac-ns/op": 9000}},
-		}}
-		var sb strings.Builder
-		code, err := runDiff(&sb, oldPath, writeReport(t, dir, "slow0.json", slow), 10, 0, 0)
-		if err != nil || code != 0 {
-			t.Fatalf("disabled phase gate fired: code=%d err=%v\n%s", code, err, sb.String())
-		}
-	})
-}
-
-// TestPhasesTable renders the span breakdown of a telemetry snapshot.
 func TestPhasesTable(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "telemetry.json")
@@ -285,14 +49,5 @@ func TestPhasesErrors(t *testing.T) {
 	}
 	if err := runPhases(&strings.Builder{}, filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
-	}
-}
-
-func TestDiffNoCommon(t *testing.T) {
-	dir := t.TempDir()
-	a := writeReport(t, dir, "a.json", &Report{Benchmarks: []Benchmark{{Name: "A", Pkg: "p"}}})
-	b := writeReport(t, dir, "b.json", &Report{Benchmarks: []Benchmark{{Name: "B", Pkg: "p"}}})
-	if _, err := runDiff(&strings.Builder{}, a, b, 10, 0, 0); err == nil {
-		t.Fatal("want error when no benchmarks overlap")
 	}
 }

@@ -36,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("g2gsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		preset    = fs.String("preset", "infocom05", "built-in trace preset (infocom05|cambridge06|campus-spatial)")
+		preset    = fs.String("preset", "infocom05", "built-in trace preset (infocom05|cambridge06)")
 		tracePath = fs.String("trace", "", "contact trace file, text or binary .g2gt (overrides -preset)")
 		proto     = fs.String("protocol", "g2g-epidemic", "forwarding protocol")
 		ttl       = fs.Duration("ttl", 30*time.Minute, "message TTL Δ1 (Δ2 = 2×TTL)")

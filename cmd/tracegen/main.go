@@ -1,16 +1,12 @@
 // Command tracegen generates a synthetic contact trace. Presets write either
 // the CRAWDAD-style text format or, when the output file has the .g2gt
-// extension, the compact sorted binary format the toolchain streams. The
-// -large mode generates community traces far beyond what fits in memory
-// (hundreds of thousands of nodes) by streaming an external merge sort
-// straight to a binary file.
+// extension, the compact sorted binary format OpenTrace streams.
 //
 // Usage:
 //
 //	tracegen -preset infocom05 -seed 42 -out infocom.txt
 //	tracegen -preset cambridge06 -out cambridge.g2gt   # binary by extension
 //	tracegen -preset cambridge06 -stats                # print stats only
-//	tracegen -large -communities 25000 -community-size 4 -hours 8 -out big.g2gt
 package main
 
 import (
@@ -22,9 +18,7 @@ import (
 	"time"
 
 	"give2get"
-	"give2get/internal/mobility"
 	"give2get/internal/obs"
-	"give2get/internal/sim"
 	"give2get/internal/trace"
 )
 
@@ -39,19 +33,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		preset    = fs.String("preset", "infocom05", "trace preset (infocom05|cambridge06|campus-spatial)")
+		preset    = fs.String("preset", "infocom05", "trace preset (infocom05|cambridge06)")
 		seed      = fs.Int64("seed", 42, "generation seed")
 		out       = fs.String("out", "", "output file; a .g2gt extension selects the binary format (default stdout, text)")
 		statsOnly = fs.Bool("stats", false, "print statistics instead of the trace")
 		ccdf      = fs.Bool("ccdf", false, "print the inter-contact time CCDF instead of the trace")
-
-		large      = fs.Bool("large", false, "generate a large community trace out-of-core (requires -out with .g2gt extension)")
-		comms      = fs.Int("communities", 1000, "large mode: number of communities")
-		commSize   = fs.Int("community-size", 10, "large mode: nodes per community")
-		acrossDeg  = fs.Int("across-degree", 2, "large mode: cross-community bridge pairs per node")
-		hours      = fs.Float64("hours", 12, "large mode: trace duration in hours")
-		name       = fs.String("name", "large", "large mode: trace name")
-		runBufSize = fs.Int("run-contacts", 0, "large mode: external-sort run buffer in contacts (0 = default)")
 	)
 	var prof obs.Profiler
 	prof.RegisterFlags(fs)
@@ -67,10 +53,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			err = cerr
 		}
 	}()
-
-	if *large {
-		return runLarge(stdout, *out, *name, *seed, *comms, *commSize, *acrossDeg, *hours, *runBufSize)
-	}
 
 	tr, err := give2get.GenerateTrace(give2get.Preset(*preset), *seed)
 	if err != nil {
@@ -117,43 +99,4 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		})
 	}
 	return tr.Write(stdout)
-}
-
-// runLarge streams a GenerateLarge trace through an external merge sort into
-// a sorted binary file, never holding more than one run buffer in memory.
-func runLarge(stdout io.Writer, out, name string, seed int64, comms, commSize, acrossDeg int, hours float64, runContacts int) error {
-	if out == "" {
-		return fmt.Errorf("-large requires -out")
-	}
-	if !strings.HasSuffix(out, trace.BinaryExt) {
-		return fmt.Errorf("-large writes the binary format: -out needs the %s extension", trace.BinaryExt)
-	}
-	cfg := mobility.LargeConfig{
-		Name:          name,
-		Communities:   comms,
-		CommunitySize: commSize,
-		AcrossDegree:  acrossDeg,
-		Duration:      sim.Time(hours * float64(sim.Hour)),
-		// The preset pair dynamics: dense bursty re-meetings inside a
-		// community, sparse long-gap bridges across.
-		Within:            mobility.PairParams{ShortGap: 12 * sim.Minute, LongGap: 150 * sim.Minute, BurstProb: 0.6},
-		Across:            mobility.PairParams{ShortGap: 25 * sim.Minute, LongGap: 8 * sim.Hour, BurstProb: 0.35},
-		ContactMean:       100 * sim.Second,
-		SociabilitySpread: 0.5,
-	}
-	w := trace.NewExtWriter(out, name, cfg.Nodes(), trace.ExtOptions{RunContacts: runContacts})
-	start := time.Now()
-	if err := mobility.GenerateLarge(cfg, seed, w.Add); err != nil {
-		return err
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	info, err := os.Stat(out)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "%s: %d nodes, %d contacts, %d sorted runs, %d bytes, %v\n",
-		out, cfg.Nodes(), w.Len(), w.Runs(), info.Size(), time.Since(start).Round(time.Millisecond))
-	return nil
 }

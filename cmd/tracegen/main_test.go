@@ -59,13 +59,20 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
+// TestRunWritesBinaryByExtension writes one preset twice, as text and as a
+// .g2gt by extension, and requires the binary file read back through
+// OpenTrace to serialize to the text file byte for byte: the format's
+// lossless contract on a paper-scale trace.
 func TestRunWritesBinaryByExtension(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.g2gt")
-	var out, errOut bytes.Buffer
-	if err := run([]string{"-preset", "infocom05", "-seed", "7", "-out", path}, &out, &errOut); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	textPath, binPath := filepath.Join(dir, "trace.txt"), filepath.Join(dir, "trace.g2gt")
+	for _, path := range []string{textPath, binPath} {
+		var out, errOut bytes.Buffer
+		if err := run([]string{"-preset", "infocom05", "-seed", "7", "-out", path}, &out, &errOut); err != nil {
+			t.Fatal(err)
+		}
 	}
-	tr, err := give2get.OpenTrace(path)
+	tr, err := give2get.OpenTrace(binPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,37 +82,15 @@ func TestRunWritesBinaryByExtension(t *testing.T) {
 	if tr.Contacts() <= 0 {
 		t.Errorf("contacts = %d", tr.Contacts())
 	}
-}
-
-func TestRunLarge(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "large.g2gt")
-	var out, errOut bytes.Buffer
-	args := []string{"-large", "-communities", "8", "-community-size", "4",
-		"-across-degree", "1", "-hours", "3", "-run-contacts", "1024", "-out", path}
-	if err := run(args, &out, &errOut); err != nil {
+	var back bytes.Buffer
+	if err := tr.Write(&back); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := give2get.OpenTrace(path)
+	want, err := os.ReadFile(textPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Nodes() != 32 {
-		t.Errorf("nodes = %d, want 32", tr.Nodes())
-	}
-	if tr.Contacts() <= 0 {
-		t.Errorf("contacts = %d", tr.Contacts())
-	}
-	if !strings.Contains(out.String(), "contacts") {
-		t.Errorf("missing summary line:\n%s", out.String())
-	}
-}
-
-func TestRunLargeRequiresBinaryOut(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if err := run([]string{"-large", "-out", "x.txt"}, &out, &errOut); err == nil {
-		t.Error("-large with text output accepted")
-	}
-	if err := run([]string{"-large"}, &out, &errOut); err == nil {
-		t.Error("-large without -out accepted")
+	if !bytes.Equal(back.Bytes(), want) {
+		t.Fatalf("text -> .g2gt -> text differs: %d bytes back, %d written", back.Len(), len(want))
 	}
 }

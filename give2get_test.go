@@ -294,31 +294,6 @@ func TestRunDetectionsExposed(t *testing.T) {
 	}
 }
 
-func TestCampusSpatialPreset(t *testing.T) {
-	tr, err := GenerateTrace(PresetCampusSpatial, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Nodes() != 30 || tr.Contacts() == 0 {
-		t.Fatalf("spatial preset: %d nodes, %d contacts", tr.Nodes(), tr.Contacts())
-	}
-	// The spatial trace drives a full simulation like any other.
-	res, err := Run(SimulationConfig{
-		Trace:           tr,
-		Protocol:        G2GEpidemic,
-		TTL:             30 * time.Minute,
-		Seed:            1,
-		WindowStart:     10 * time.Hour,
-		MessageInterval: time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Generated == 0 || res.Delivered == 0 {
-		t.Errorf("spatial run moved no messages: %+v", res)
-	}
-}
-
 // withoutTelemetry returns res with its wall-clock telemetry dropped, so
 // two runs of one configuration compare equal.
 func withoutTelemetry(res *Result) Result {

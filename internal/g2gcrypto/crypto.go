@@ -18,7 +18,6 @@
 package g2gcrypto
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -154,11 +153,4 @@ func hmacKeyPads(key []byte, ipad, opad *[sha256.BlockSize]byte) {
 		ipad[i] = kb[i] ^ 0x36
 		opad[i] = kb[i] ^ 0x5c
 	}
-}
-
-// VerifyHeavyHMAC recomputes the challenge response and compares in constant
-// time.
-func VerifyHeavyHMAC(message, seed []byte, iterations int, response Digest) bool {
-	want := HeavyHMAC(message, seed, iterations)
-	return hmac.Equal(want[:], response[:])
 }

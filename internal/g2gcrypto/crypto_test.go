@@ -262,17 +262,17 @@ func TestHeavyHMAC(t *testing.T) {
 	msg := []byte("message under challenge")
 	seed := []byte("random seed s")
 	resp := HeavyHMAC(msg, seed, 100)
-	if !VerifyHeavyHMAC(msg, seed, 100, resp) {
-		t.Error("valid response rejected")
+	if HeavyHMAC(msg, seed, 100) != resp {
+		t.Error("HeavyHMAC is not deterministic")
 	}
-	if VerifyHeavyHMAC(msg, []byte("other seed"), 100, resp) {
-		t.Error("response verified under a different seed")
+	if HeavyHMAC(msg, []byte("other seed"), 100) == resp {
+		t.Error("same response under a different seed")
 	}
-	if VerifyHeavyHMAC(msg, seed, 101, resp) {
-		t.Error("response verified under a different iteration count")
+	if HeavyHMAC(msg, seed, 101) == resp {
+		t.Error("same response under a different iteration count")
 	}
-	if VerifyHeavyHMAC([]byte("other message"), seed, 100, resp) {
-		t.Error("response verified over a different message")
+	if HeavyHMAC([]byte("other message"), seed, 100) == resp {
+		t.Error("same response over a different message")
 	}
 	// iterations < 1 is clamped, not a panic.
 	if HeavyHMAC(msg, seed, 0) != HeavyHMAC(msg, seed, 1) {

@@ -71,11 +71,11 @@ func FuzzParamsValidate(f *testing.F) {
 
 // FuzzProofMemo checks the Env's storage-proof memo against the plain
 // HeavyHMAC: a cold call, a repeat (a hit, no keystream walk) and a
-// perturbed input must each return HeavyHMAC's digest and pass
-// VerifyHeavyHMAC, and only the repeat may skip the walk. perturb%3 picks
-// what changes: a message byte flipped in the caller's buffer (so the memo
-// must hold its own copy), a seed byte, or the iteration count. Iteration
-// counts below 1 clamp inside the HMAC, and the memo must agree there too.
+// perturbed input must each return HeavyHMAC's digest, and only the repeat
+// may skip the walk. perturb%3 picks what changes: a message byte flipped in
+// the caller's buffer (so the memo must hold its own copy), a seed byte, or
+// the iteration count. Iteration counts below 1 clamp inside the HMAC, and
+// the memo must agree there too.
 func FuzzProofMemo(f *testing.F) {
 	f.Add([]byte("message"), []byte("seed"), 4, uint8(0))
 	f.Add([]byte{}, []byte{}, 0, uint8(1))
@@ -103,9 +103,6 @@ func FuzzProofMemo(f *testing.F) {
 			got := env.heavyHMAC(msg, seed, iterations)
 			if want := g2gcrypto.HeavyHMAC(msg, seed, iterations); got != want {
 				t.Fatalf("%s: memo digest %x, HeavyHMAC %x", step, got, want)
-			}
-			if !g2gcrypto.VerifyHeavyHMAC(msg, seed, iterations, got) {
-				t.Fatalf("%s: VerifyHeavyHMAC rejected the memo's digest", step)
 			}
 			if walks := spanOf(m, obs.SpanCrypto).Count; walks != wantWalks {
 				t.Fatalf("%s: %d keystream walks, want %d", step, walks, wantWalks)

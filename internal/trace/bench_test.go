@@ -7,7 +7,7 @@ import (
 )
 
 // benchTrace is sized so one iteration is meaningful under -benchtime=1x
-// (the repo's bench gate) while staying fast: ~200k contacts, several dozen
+// (`make bench-smoke`) while staying fast: ~200k contacts, several dozen
 // binary blocks.
 func benchTrace(b *testing.B) *Trace {
 	b.Helper()
@@ -15,7 +15,7 @@ func benchTrace(b *testing.B) *Trace {
 }
 
 // BenchmarkTraceWriteBinary measures binary serialization throughput: the
-// tracegen/traceconv export hot path.
+// path `tracegen -out x.g2gt` writes through.
 func BenchmarkTraceWriteBinary(b *testing.B) {
 	tr := benchTrace(b)
 	b.ReportAllocs()

@@ -121,9 +121,10 @@ func TestBinaryCursorMatchesMemory(t *testing.T) {
 	}
 }
 
-// TestTextBinaryTextLossless is the conversion property the Makefile's
-// trace-roundtrip gate checks end to end: text -> binary -> text reproduces
-// the first text serialization byte for byte.
+// TestTextBinaryTextLossless is the format's lossless contract on a random
+// trace: text -> binary -> text reproduces the canonical text serialization
+// byte for byte. cmd/tracegen's TestRunWritesBinaryByExtension checks the
+// same property on a preset written through the CLI.
 func TestTextBinaryTextLossless(t *testing.T) {
 	tr := randomTrace(t, 3, 30, 5_000)
 
@@ -269,8 +270,8 @@ func TestExtWriterSpillsAndMerges(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Runs() < 2 {
-		t.Fatalf("expected multiple spilled runs, got %d", w.Runs())
+	if len(w.runs) < 2 {
+		t.Fatalf("expected multiple spilled runs, got %d", len(w.runs))
 	}
 	src, err := OpenBinary(path)
 	if err != nil {
@@ -306,8 +307,8 @@ func TestExtWriterFastPath(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Runs() != 0 {
-		t.Fatalf("small input spilled %d runs", w.Runs())
+	if len(w.runs) != 0 {
+		t.Fatalf("small input spilled %d runs", len(w.runs))
 	}
 	src, err := OpenBinary(path)
 	if err != nil {

@@ -21,117 +21,57 @@ import (
 //
 // pins the node count and trace name; without it both are inferred.
 
-// TextScanner streams contacts out of a CRAWDAD-style listing one line at
-// a time, in file order (NOT sorted), with O(1) memory: the importer path
-// for text dumps too large to materialize. Parse wraps it for in-memory
-// use. After the scan ends, Nodes and Name report the header values (or
-// the inferred population when the header is absent).
-type TextScanner struct {
-	s      *bufio.Scanner
-	nodes  int
-	name   string
-	lineNo int
-	err    error
-	done   bool
-}
-
-// NewTextScanner starts a streaming scan of r.
-func NewTextScanner(r io.Reader) *TextScanner {
+// Parse reads a contact trace from r. If the header is absent, the node
+// count is one more than the largest node ID seen.
+func Parse(r io.Reader) (*Trace, error) {
 	s := bufio.NewScanner(r)
 	s.Buffer(make([]byte, 1024*1024), 1024*1024)
-	return &TextScanner{s: s, name: "trace"}
-}
-
-// Next returns the next contact in file order; ok is false at end of input
-// or on error (check Err).
-func (ts *TextScanner) Next() (c Contact, ok bool) {
-	if ts.err != nil || ts.done {
-		return Contact{}, false
-	}
-	for ts.s.Scan() {
-		ts.lineNo++
-		line := strings.TrimSpace(ts.s.Text())
+	nodes, name := 0, "trace"
+	var contacts []Contact
+	for lineNo := 1; s.Scan(); lineNo++ {
+		line := strings.TrimSpace(s.Text())
 		if line == "" {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
-			parseHeader(line, &ts.nodes, &ts.name)
+			parseHeader(line, &nodes, &name)
 			continue
 		}
 		fields := strings.Fields(line)
 		if len(fields) < 4 {
-			ts.err = fmt.Errorf("trace: line %d: want 4 fields, got %d", ts.lineNo, len(fields))
-			return Contact{}, false
+			return nil, fmt.Errorf("trace: line %d: want 4 fields, got %d", lineNo, len(fields))
 		}
 		a, err := strconv.Atoi(fields[0])
 		if err != nil {
-			ts.err = fmt.Errorf("trace: line %d: node A: %w", ts.lineNo, err)
-			return Contact{}, false
+			return nil, fmt.Errorf("trace: line %d: node A: %w", lineNo, err)
 		}
 		b, err := strconv.Atoi(fields[1])
 		if err != nil {
-			ts.err = fmt.Errorf("trace: line %d: node B: %w", ts.lineNo, err)
-			return Contact{}, false
+			return nil, fmt.Errorf("trace: line %d: node B: %w", lineNo, err)
 		}
 		start, err := strconv.ParseFloat(fields[2], 64)
 		if err != nil {
-			ts.err = fmt.Errorf("trace: line %d: start: %w", ts.lineNo, err)
-			return Contact{}, false
+			return nil, fmt.Errorf("trace: line %d: start: %w", lineNo, err)
 		}
 		end, err := strconv.ParseFloat(fields[3], 64)
 		if err != nil {
-			ts.err = fmt.Errorf("trace: line %d: end: %w", ts.lineNo, err)
-			return Contact{}, false
+			return nil, fmt.Errorf("trace: line %d: end: %w", lineNo, err)
 		}
-		if a >= ts.nodes {
-			ts.nodes = a + 1
-		}
-		if b >= ts.nodes {
-			ts.nodes = b + 1
-		}
-		return Contact{
+		nodes = max(nodes, a+1, b+1)
+		contacts = append(contacts, Contact{
 			A:     NodeID(a),
 			B:     NodeID(b),
 			Start: sim.Seconds(start),
 			End:   sim.Seconds(end),
-		}, true
+		})
 	}
-	if err := ts.s.Err(); err != nil {
-		ts.err = fmt.Errorf("trace: read: %w", err)
+	if err := s.Err(); err != nil {
+		return nil, fmt.Errorf("trace: read: %w", err)
 	}
-	ts.done = true
-	return Contact{}, false
-}
-
-// Err returns the first scan error, or nil after a clean end of input.
-func (ts *TextScanner) Err() error { return ts.err }
-
-// Nodes returns the population: the header value or largest id seen + 1,
-// whichever is greater. Meaningful once the scan has ended.
-func (ts *TextScanner) Nodes() int { return ts.nodes }
-
-// Name returns the trace label from the header, defaulting to "trace".
-func (ts *TextScanner) Name() string { return ts.name }
-
-// Parse reads a contact trace from r. If the header is absent, the node
-// count is one more than the largest node ID seen.
-func Parse(r io.Reader) (*Trace, error) {
-	ts := NewTextScanner(r)
-	var contacts []Contact
-	for {
-		c, ok := ts.Next()
-		if !ok {
-			break
-		}
-		contacts = append(contacts, c)
-	}
-	if err := ts.Err(); err != nil {
-		return nil, err
-	}
-	if ts.Nodes() == 0 {
+	if nodes == 0 {
 		return nil, ErrNoNodes
 	}
-	return New(ts.Name(), ts.Nodes(), contacts)
+	return New(name, nodes, contacts)
 }
 
 func parseHeader(line string, nodes *int, name *string) {

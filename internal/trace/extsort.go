@@ -30,7 +30,6 @@ type ExtWriter struct {
 	runs     []string
 	maxNode  NodeID
 	minNodes int
-	total    uint64
 	closed   bool
 }
 
@@ -70,32 +69,11 @@ func (w *ExtWriter) Add(c Contact) error {
 		w.maxNode = c.B
 	}
 	w.buf = append(w.buf, c)
-	w.total++
 	if len(w.buf) >= w.opts.RunContacts {
 		return w.spill()
 	}
 	return nil
 }
-
-// Len returns how many contacts have been added.
-func (w *ExtWriter) Len() int { return int(w.total) }
-
-// SetName replaces the trace name written at Close. Importers whose input
-// reveals its header only at end of scan (the text scanner) call this just
-// before Close.
-func (w *ExtWriter) SetName(name string) { w.name = name }
-
-// SetMinNodes raises the minimum node count written at Close; the final
-// header still grows to cover the highest id actually seen.
-func (w *ExtWriter) SetMinNodes(n int) {
-	if n > w.minNodes {
-		w.minNodes = n
-	}
-}
-
-// Runs returns how many sorted runs have been spilled to disk so far; it
-// stays 0 for traces that fit one buffer.
-func (w *ExtWriter) Runs() int { return len(w.runs) }
 
 // spill sorts the buffer and writes it as one delta-encoded run file.
 func (w *ExtWriter) spill() error {

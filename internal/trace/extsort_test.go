@@ -35,8 +35,8 @@ func TestExtWriterFailureRemovesTemps(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if w.Runs() < 2 {
-			t.Fatalf("expected multiple spilled runs before Close, got %d", w.Runs())
+		if len(w.runs) < 2 {
+			t.Fatalf("expected multiple spilled runs before Close, got %d", len(w.runs))
 		}
 		if err := w.Close(); err == nil {
 			t.Fatal("Close into a missing directory succeeded")
@@ -57,8 +57,8 @@ func TestExtWriterFailureRemovesTemps(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if w.Runs() < 2 {
-			t.Fatalf("expected multiple spilled runs before Close, got %d", w.Runs())
+		if len(w.runs) < 2 {
+			t.Fatalf("expected multiple spilled runs before Close, got %d", len(w.runs))
 		}
 		// Tear a run mid-varint (a lone continuation byte): the k-way merge
 		// must surface the decode error instead of writing a short trace.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -17,9 +18,8 @@ func Open(path string) (Source, error) {
 		return nil, err
 	}
 	defer f.Close()
-	var magic [4]byte
-	n, _ := f.Read(magic[:])
-	if n == len(magic) && IsBinaryMagic(magic[:]) {
+	var magic [len(binaryMagic)]byte
+	if n, _ := io.ReadFull(f, magic[:]); string(magic[:n]) == binaryMagic {
 		return OpenBinary(path)
 	}
 	if _, err := f.Seek(0, 0); err != nil {
@@ -30,9 +30,4 @@ func Open(path string) (Source, error) {
 		return nil, fmt.Errorf("trace: open %s: %w", path, err)
 	}
 	return t, nil
-}
-
-// IsBinaryMagic reports whether b starts with the binary trace magic.
-func IsBinaryMagic(b []byte) bool {
-	return len(b) >= len(binaryMagic) && string(b[:len(binaryMagic)]) == binaryMagic
 }

@@ -24,10 +24,6 @@ const (
 	// PresetCambridge06 resembles the Cambridge 06 trace: 36 students over
 	// 11 days with sparser, community-clustered contacts.
 	PresetCambridge06 Preset = "cambridge06"
-	// PresetCampusSpatial draws from the home-cell spatial mobility model
-	// (HCMM-style): 30 students in three communities moving between the
-	// cells of a 12-location campus, contacts emerging from co-location.
-	PresetCampusSpatial Preset = "campus-spatial"
 )
 
 // Trace is an immutable contact trace. It wraps a streaming source: a trace
@@ -62,12 +58,6 @@ func GenerateTrace(preset Preset, seed int64) (*Trace, error) {
 		cfg = mobility.Infocom05()
 	case PresetCambridge06:
 		cfg = mobility.Cambridge06()
-	case PresetCampusSpatial:
-		tr, err := mobility.GenerateSpatial(mobility.SpatialCampus(), seed)
-		if err != nil {
-			return nil, err
-		}
-		return newTrace(tr), nil
 	default:
 		return nil, fmt.Errorf("give2get: unknown preset %q", preset)
 	}
@@ -90,9 +80,10 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 }
 
 // OpenTrace loads a trace from a file, sniffing the format from the leading
-// bytes: binary .g2gt traces (see WriteBinary and cmd/traceconv) open as
-// lazy streaming sources that are fed to simulations without ever being
-// loaded whole, text listings are parsed into memory as with ParseTrace.
+// bytes: a binary .g2gt trace (written by WriteBinary, or by `tracegen -out
+// x.g2gt`) opens as a lazy streaming source that is fed to simulations
+// without ever being loaded whole; a text listing is parsed into memory as
+// with ParseTrace.
 func OpenTrace(path string) (*Trace, error) {
 	src, err := trace.Open(path)
 	if err != nil {
